@@ -17,7 +17,7 @@ Usage::
         # within 4x of the committed baseline
 
 The gate compares the *best* batch window, mirroring how an operator
-would tune ``FEATGRAPH_BATCH_WINDOW_MS`` (docs/serving.md discusses the
+would tune ``batch_window_ms`` (docs/serving.md discusses the
 trade-off: a longer window raises occupancy and throughput but puts its
 own length on every request's latency).
 

@@ -318,8 +318,8 @@ class TemplateEntry:
     out: E.Tensor
     stage: Stage
     fds_info: object
-    #: compiled batched-UDF program, or None (tree-walk fallback)
-    vector_program: object | None
+    #: compiled batched-UDF program
+    vector_program: object
     #: dataflow analysis report of the original lowering
     analysis: object | None
     #: placeholder name -> graph-axis role (n_src / n_dst / n_max / m)
@@ -341,7 +341,7 @@ class CompileRecord:
     spec: KernelSpec | None
     timings: tuple[PassTiming, ...]
     #: "ir" -> loop-nest Stmt; "source" -> target source text;
-    #: "vector_program" -> compiled batched-UDF program (or None)
+    #: "vector_program" -> compiled batched-UDF program
     artifacts: dict = field(default_factory=dict)
     #: cumulative runtime counters of the kernel this record belongs to
     #: (per-chunk eval/aggregate seconds, bytes moved); shared with the
@@ -518,30 +518,27 @@ def _pass_vectorize(ctx: CompileContext) -> None:
     """Compile the batched UDF into a straight-line vectorized program.
 
     The program is what the CPU templates execute per edge/vertex chunk
-    (:mod:`repro.tensorir.vectorize`); bodies the vectorizer cannot handle
-    fall back to the tree-walk evaluator (artifact stays ``None``)."""
-    from repro.tensorir.vectorize import VectorizeError, compile_batched
+    (:mod:`repro.tensorir.vectorize`); a body the vectorizer cannot handle
+    fails the compile with ``VectorizeError``."""
+    from repro.tensorir.vectorize import compile_batched
 
-    try:
-        prog = compile_batched(ctx.out)
-    except VectorizeError:
-        prog = None
+    prog = compile_batched(ctx.out)
     ctx.artifacts["vector_program"] = prog
     if ctx.kernel is not None:
         ctx.kernel._vector_program = prog
 
 
 def _pass_verify_plan(ctx: CompileContext) -> None:
-    """Statically verify the kernel's execution plan (FG006-FG010).
+    """Statically verify the kernel's execution plan (FG006-FG008, FG010).
 
     The loop-nest analyzer above judges the lowered IR; this pass judges
     what the runtime actually executes -- the chunked, strategy-sharded
     :class:`~repro.runtime.plan.ExecutionPlan` the kernel lowers to
     (:mod:`repro.runtime.verify`): shard disjointness, determinism class,
-    buffer lifetimes, shared-memory release, gather bounds.  Runs after
-    ``vectorize`` so the plan carries the compiled program (whose ``out=``
-    retirement FG008 scans) without compiling it twice.  Strict mode
-    fails the compile on errors, exactly like ``analyze``.
+    buffer lifetimes, gather bounds.  Runs after ``vectorize`` so the plan
+    carries the compiled program (whose ``out=`` retirement FG008 scans)
+    without compiling it twice.  Strict mode fails the compile on errors,
+    exactly like ``analyze``.
     """
     from repro.runtime.verify import verify_kernel
     from repro.tensorir.analysis import AnalysisError, strict_enabled

@@ -77,7 +77,6 @@ from repro.runtime.strategies import (make_strategy, resolve_request,
 from repro.tensorir import expr as E
 from repro.tensorir import ir as I
 from repro.tensorir.analysis import AnalysisError, analyze_ir, strict_enabled
-from repro.tensorir.evaluator import evaluate_batched
 from repro.tensorir.lower import (inline_computes, replace_tensor_reads,
                                   substitute)
 from repro.tensorir.runtime import ExecStats
@@ -244,7 +243,7 @@ class PlannedStage:
     axes: tuple                     # out.op.axis
     feat_shape: tuple               # out.shape (feature part only)
     width: int                      # prod(feat_shape)
-    prog: object | None             # VectorProgram or None (interpret)
+    prog: object                    # the stage UDF's VectorProgram
     roles: dict                     # placeholder -> graph-axis role
     reads: tuple                    # placeholder names the body reads
     chain_edge_reads: tuple         # of those: earlier sddmm stage outputs
@@ -813,10 +812,8 @@ class FusedKernel:
         csr = self.A.csr
         target = self.chunk_edges
         for st in self.plan.stages:
-            if st.prog is not None:
-                target = min(target,
-                             effective_chunk_edges(self.chunk_edges,
-                                                   st.prog))
+            target = min(target,
+                         effective_chunk_edges(self.chunk_edges, st.prog))
         spmm_width = max((st.width for st in self.plan.stages
                           if st.kind == "spmm"), default=1)
         bounds = chunk_bounds(csr, target)
@@ -877,14 +874,12 @@ class FusedKernel:
                                  "eid": ctx.local_eid}
                     else:
                         batch = ctx.batch
-                    if st.prog is not None:
-                        vals = st.prog.run(sb, batch)
-                        b = st.prog.bytes_moved(
-                            ctx.size, exclude=set(st.chain_edge_reads))
-                        if st.elided and st.name not in keep:
-                            b -= vals.nbytes  # output stays chunk-local
-                        return vals, max(int(b), 0)
-                    return evaluate_batched(st.out, sb, batch), 0
+                    vals = st.prog.run(sb, batch)
+                    b = st.prog.bytes_moved(
+                        ctx.size, exclude=set(st.chain_edge_reads))
+                    if st.elided and st.name not in keep:
+                        b -= vals.nbytes  # output stays chunk-local
+                    return vals, max(int(b), 0)
 
             if st.kind == "spmm":
                 sink = AggregateSink(vbufs[st.name],
@@ -894,9 +889,7 @@ class FusedKernel:
                 buf = ebufs.get(st.name)
                 sink = None if buf is None else ScatterSink(
                     buf, count_bytes=st.mode != "program")
-            stages.append(Stage(
-                st.name, evaluate, sink,
-                compiled=st.prog is not None or st.mode != "program"))
+            stages.append(Stage(st.name, evaluate, sink, compiled=True))
 
         task = EdgeTask(
             gather=GatherPlan(csr.indices, csr.row_of_edge(), csr.edge_ids),

@@ -34,15 +34,11 @@ from repro.hwsim.spec import CPUSpec, GPUSpec, TESLA_V100, XEON_8124M
 from repro.runtime.engine import Executor, ScatterSink
 from repro.runtime.plan import (ChunkPolicy, EdgeTask, ExecutionPlan,
                                 GatherPlan, Stage)
-from repro.tensorir.evaluator import evaluate_batched
 from repro.tensorir.expr import ComputeOp, Tensor, Var
 from repro.tensorir.runtime import ExecStats, WorkPool
-from repro.tensorir.vectorize import VectorizeError, compile_batched, compile_enabled
+from repro.tensorir.vectorize import compile_batched
 
 __all__ = ["GeneralizedSDDMM"]
-
-#: "not compiled yet" marker for the lazily built vector program
-_UNCOMPILED = object()
 
 
 class GeneralizedSDDMM:
@@ -68,7 +64,7 @@ class GeneralizedSDDMM:
         self.edgefunc = edgefunc
         self._stage = None
         self._compile_record = None
-        self._vector_program = _UNCOMPILED
+        self._vector_program = None
         self.exec_stats = ExecStats()
         if _compiled is not None:
             # Constructed by the compile pipeline: the front passes already
@@ -193,7 +189,7 @@ class GeneralizedSDDMM:
         src, dst, eid = self._edge_arrays()
         gather = GatherPlan(src, dst, eid)
         axis0 = self.edge_out.op.axis[0].name
-        prog = self.vector_program() if compile_enabled() else None
+        prog = self.vector_program()
         bounds = ChunkPolicy(self.chunk_edges, row_aligned=False).bounds(
             nnz=self.A.nnz, prog=prog)
         tasks = []
@@ -202,19 +198,15 @@ class GeneralizedSDDMM:
             tile_sizes = (hi - lo,) + self.out_shape[1:]
 
             def evaluate(bindings, ctx, tile=(lo, hi), sizes=tile_sizes):
-                if prog is not None:
-                    vals = prog.run(bindings, ctx.batch,
-                                    axis_ranges={axis0: tile})
-                    return vals, prog.bytes_moved(ctx.size, sizes)
-                vals = evaluate_batched(self.edge_out, bindings, ctx.batch,
-                                        axis_ranges={axis0: tile})
-                return vals, 0
+                vals = prog.run(bindings, ctx.batch,
+                                axis_ranges={axis0: tile})
+                return vals, prog.bytes_moved(ctx.size, sizes)
 
             tasks.append(EdgeTask(
                 gather=gather, bounds=bounds,
                 stages=[Stage(self.edge_out.name, evaluate,
                               ScatterSink(result, tile=(lo, hi)),
-                              compiled=prog is not None)],
+                              compiled=True)],
                 needs_segments=False))
         return ExecutionPlan(
             tasks, label=f"sddmm[{self.edge_out.name}]",
@@ -227,15 +219,12 @@ class GeneralizedSDDMM:
 
     def vector_program(self):
         """The compiled batched-UDF program this kernel executes per chunk
-        (:mod:`repro.tensorir.vectorize`), or ``None`` when the edge
-        function falls outside the vectorizer's subset and chunks run
-        interpreted.  Set by the pipeline's ``vectorize`` pass; built
-        lazily for kernels constructed directly."""
-        if self._vector_program is _UNCOMPILED:
-            try:
-                self._vector_program = compile_batched(self.edge_out)
-            except VectorizeError:
-                self._vector_program = None
+        (:mod:`repro.tensorir.vectorize`).  Set by the pipeline's
+        ``vectorize`` pass; built lazily for kernels constructed directly.
+        An edge function outside the vectorizer's subset raises
+        :class:`~repro.tensorir.vectorize.VectorizeError`."""
+        if self._vector_program is None:
+            self._vector_program = compile_batched(self.edge_out)
         return self._vector_program
 
     # ------------------------------------------------------------------

@@ -13,9 +13,10 @@ The template owns the graph-traversal optimizations (Sec. III-C1):
 - on GPU, the Fig. 7a parallelization (rows across blocks, feature elements
   across threads) and optional **hybrid degree partitioning** (Sec. III-C3).
 
-Numerical execution runs the UDF through the vectorized evaluator in
-row-aligned edge chunks (the fused-kernel equivalent: messages are never
-materialized for the whole edge set, only for the in-flight chunk);
+Numerical execution runs the UDF's compiled vector program
+(:mod:`repro.tensorir.vectorize`) over row-aligned edge chunks (the
+fused-kernel equivalent: messages are never materialized for the whole
+edge set, only for the in-flight chunk);
 aggregation uses segmented reductions over CSR order.  ``cost()`` reports
 the machine-model time for the paper-scale graph.
 """
@@ -47,9 +48,8 @@ from repro.hwsim import cpu as cpu_model
 from repro.hwsim import gpu as gpu_model
 from repro.hwsim.report import CostReport
 from repro.hwsim.spec import CPUSpec, GPUSpec, TESLA_V100, XEON_8124M
-from repro.tensorir.evaluator import evaluate_batched
 from repro.tensorir.expr import ComputeOp, Tensor, Var
-from repro.tensorir.vectorize import VectorizeError, compile_batched, compile_enabled
+from repro.tensorir.vectorize import compile_batched
 
 __all__ = ["GeneralizedSpMM", "PARTITION_TARGET_BYTES", "resolve_aggregation",
            "row_aligned_chunks", "AGG_UFUNC", "AGG_IDENTITY"]
@@ -57,9 +57,6 @@ __all__ = ["GeneralizedSpMM", "PARTITION_TARGET_BYTES", "resolve_aggregation",
 #: working-set target per (partition, tile) pass; ~2 MB lands the paper's
 #: Fig. 14 optimum (16 graph partitions on reddit at feature tile 32)
 PARTITION_TARGET_BYTES = 2 * 1024 * 1024
-
-#: "not compiled yet" marker for the lazily built vector program
-_UNCOMPILED = object()
 
 #: reducer ufunc/identity views from the runtime registry
 #: (:mod:`repro.runtime.reducers`) -- every segmented reduction in the
@@ -113,7 +110,7 @@ class GeneralizedSpMM:
         self.msgfunc = msgfunc
         self._stage = None
         self._compile_record = None
-        self._vector_program = _UNCOMPILED
+        self._vector_program = None
         self.exec_stats = ExecStats()
         if _compiled is not None:
             # Constructed by the compile pipeline: the front passes already
@@ -185,7 +182,7 @@ class GeneralizedSpMM:
         if int(chunk_edges) < 1:
             raise ValueError("chunk_edges must be >= 1")
         self.chunk_edges = int(chunk_edges)
-        #: aggregation-strategy request for this kernel (None = auto/env):
+        #: aggregation-strategy request for this kernel (None = auto):
         #: a concrete name, ``"adaptive"`` (per-chunk cost-model
         #: selection), or a sequence of names (explicit per-chunk cycle);
         #: not part of the cache identity -- a bound kernel can be retargeted
@@ -255,8 +252,7 @@ class GeneralizedSpMM:
         partition) pass, each row-aligned-chunked -- chunk rows are disjoint
         and sorted, so segmented reduction is vectorized and chunks are
         race-free under cooperative threading.  The aggregation request is
-        resolved from ``self.agg_strategy`` (explicit) >
-        ``FEATGRAPH_AGG_STRATEGY`` (env) > the selector: a concrete name
+        ``self.agg_strategy``, else the selector: a concrete name
         pins one strategy for the whole kernel, ``"adaptive"`` assigns a
         strategy **per chunk** from each chunk's shape statistics
         (cost-model-driven when calibrated), and a sequence of names pins
@@ -266,7 +262,7 @@ class GeneralizedSpMM:
         fingerprint-keyed caches in :mod:`repro.runtime.histogram`.
         """
         reducer, _ = resolve_reducer(self.aggregation)
-        prog = self.vector_program() if compile_enabled() else None
+        prog = self.vector_program()
         mode, names = resolve_request(self.agg_strategy)
         target = effective_chunk_edges(self.chunk_edges, prog)
         if mode in ("auto", "single"):
@@ -303,13 +299,9 @@ class GeneralizedSpMM:
                     continue
 
                 def evaluate(bindings, ctx, tile=(lo, hi), sizes=tile_sizes):
-                    if prog is not None:
-                        msgs = prog.run(bindings, ctx.batch,
-                                        axis_ranges={axis0: tile})
-                        return msgs, prog.bytes_moved(ctx.size, sizes)
-                    msgs = evaluate_batched(self.msg, bindings, ctx.batch,
-                                            axis_ranges={axis0: tile})
-                    return msgs, 0
+                    msgs = prog.run(bindings, ctx.batch,
+                                    axis_ranges={axis0: tile})
+                    return msgs, prog.bytes_moved(ctx.size, sizes)
 
                 bounds = chunk_bounds(csr, target)
                 tasks.append(EdgeTask(
@@ -317,7 +309,7 @@ class GeneralizedSpMM:
                                       csr.edge_ids),
                     bounds=bounds,
                     stages=[Stage(self.msg.name, evaluate, sink,
-                                  compiled=prog is not None)],
+                                  compiled=True)],
                     chunk_strategies=(per_chunk(csr, len(bounds))
                                       if per_chunk is not None else None)))
         base = "sum" if self.aggregation == "mean" else self.aggregation
@@ -333,15 +325,12 @@ class GeneralizedSpMM:
 
     def vector_program(self):
         """The compiled batched-UDF program this kernel executes per chunk
-        (:mod:`repro.tensorir.vectorize`), or ``None`` when the UDF falls
-        outside the vectorizer's subset and chunks run interpreted.  Set by
-        the pipeline's ``vectorize`` pass; built lazily for kernels
-        constructed directly."""
-        if self._vector_program is _UNCOMPILED:
-            try:
-                self._vector_program = compile_batched(self.msg)
-            except VectorizeError:
-                self._vector_program = None
+        (:mod:`repro.tensorir.vectorize`).  Set by the pipeline's
+        ``vectorize`` pass; built lazily for kernels constructed directly.
+        A UDF outside the vectorizer's subset raises
+        :class:`~repro.tensorir.vectorize.VectorizeError`."""
+        if self._vector_program is None:
+            self._vector_program = compile_batched(self.msg)
         return self._vector_program
 
     def _finalize(self, acc: np.ndarray, base: str) -> None:

@@ -1,11 +1,11 @@
 """Kernel self-verification against a brute-force reference.
 
-The generic interpreter that powers the templates also yields a slow,
-obviously-correct executor: evaluate the UDF for every edge and combine with
-a plain scatter loop.  :func:`verify_spmm` / :func:`verify_sddmm` run a
-kernel and that reference side by side -- the "sanity check" a user reaches
-for after writing a new UDF or FDS (and what the paper's accuracy section
-does at model level).
+The tree-walk interpreter (independent of the compiled programs the
+templates execute) yields a slow, obviously-correct executor: evaluate
+the UDF for every edge and combine with a plain scatter loop.
+:func:`verify_spmm` / :func:`verify_sddmm` run a kernel and that reference
+side by side -- the "sanity check" a user reaches for after writing a new
+UDF or FDS (and what the paper's accuracy section does at model level).
 
 :func:`reference_spmm` / :func:`reference_sddmm` expose the brute-force
 executors directly; the differential fuzzing harness

@@ -31,7 +31,6 @@ benchmark baseline.
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -247,13 +246,9 @@ def minibatches(ids: np.ndarray, batch_size: int,
         yield ids[order[lo:lo + batch_size]]
 
 
-def _default_prefetch() -> int:
-    """Prefetch depth from ``FEATGRAPH_PREFETCH`` (default 2; 0 disables
-    the producer thread entirely)."""
-    env = os.environ.get("FEATGRAPH_PREFETCH")
-    if env:
-        return max(0, int(env))
-    return 2
+#: prefetch depth when ``BlockLoader(prefetch=None)`` (0 would disable the
+#: producer thread entirely)
+DEFAULT_PREFETCH = 2
 
 
 class BlockLoader:
@@ -295,7 +290,7 @@ class BlockLoader:
         self.fanouts = list(fanouts)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.shuffle = bool(shuffle)
-        self.prefetch = _default_prefetch() if prefetch is None else int(prefetch)
+        self.prefetch = DEFAULT_PREFETCH if prefetch is None else int(prefetch)
         self.pool = pool
         self.drop_last = bool(drop_last)
         self.sample_seconds = 0.0

@@ -228,8 +228,8 @@ def train_minibatch(model, dataset: Dataset, backend, *,
 
     Each epoch shuffles the train ids, samples one block per layer per
     batch through a :class:`~repro.minidgl.sampling.BlockLoader` (with
-    ``prefetch`` batches sampled ahead on a worker thread -- default from
-    ``FEATGRAPH_PREFETCH``), and steps Adam on the seed vertices' loss.
+    ``prefetch`` batches sampled ahead on a worker thread -- default 2),
+    and steps Adam on the seed vertices' loss.
     Because compiled kernels are topology-independent, every fresh block
     after the first batch re-binds cached kernel templates instead of
     recompiling.  Final accuracies come from :func:`infer_minibatch` with

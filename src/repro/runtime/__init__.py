@@ -4,13 +4,13 @@ Kernel templates lower to :class:`~repro.runtime.plan.ExecutionPlan`
 objects and the :class:`~repro.runtime.engine.Executor` runs them: one
 chunk loop, one stats ledger, and pluggable segment-reduction strategies
 (:mod:`repro.runtime.strategies`) selected from the degree histogram or
-forced via ``FEATGRAPH_AGG_STRATEGY``.  The reducer registry
+pinned per kernel via ``agg_strategy``.  The reducer registry
 (:mod:`repro.runtime.reducers`) is the single source of ufunc/identity
 truth for every segmented reduction in the repository.
 
 The plan verifier (:mod:`repro.runtime.verify`, PR 8) statically proves
-shard disjointness, determinism class, buffer lifetimes, shared-memory
-release, and gather bounds (rules FG006-FG010) over every lowered plan,
+shard disjointness, determinism class, buffer lifetimes, and gather
+bounds (rules FG006-FG008, FG010) over every lowered plan,
 and its sanitizer executor (``FEATGRAPH_SANITIZE=1``) cross-checks those
 verdicts against instrumented runs.
 """
@@ -24,12 +24,11 @@ from repro.runtime.plan import (CHUNK_WORKSET_BYTES, MIN_CHUNK_EDGES,
                                 segment_info)
 from repro.runtime.reducers import (AGG_IDENTITY, AGG_UFUNC, REDUCERS,
                                     Reducer, get_reducer, resolve_reducer)
-from repro.runtime.strategies import (AGG_STRATEGY_ENV, AggregationStrategy,
+from repro.runtime.strategies import (AggregationStrategy,
                                       DegreeBucketedStrategy,
                                       ParallelStrategy, ReduceatStrategy,
                                       STRATEGY_NAMES, make_strategy,
-                                      resolve_strategy, select_strategy,
-                                      strategy_from_env)
+                                      resolve_strategy, select_strategy)
 # verify's names are re-exported lazily: eagerly importing the module here
 # would make ``python -m repro.runtime.verify`` double-execute it (runpy
 # imports the package first, then runs the module as __main__)
@@ -53,10 +52,9 @@ __all__ = [
     "effective_chunk_edges", "row_aligned_chunks", "segment_info",
     "AGG_IDENTITY", "AGG_UFUNC", "REDUCERS", "Reducer", "get_reducer",
     "resolve_reducer",
-    "AGG_STRATEGY_ENV", "AggregationStrategy", "DegreeBucketedStrategy",
+    "AggregationStrategy", "DegreeBucketedStrategy",
     "ParallelStrategy", "ReduceatStrategy", "STRATEGY_NAMES",
     "make_strategy", "resolve_strategy", "select_strategy",
-    "strategy_from_env",
     "SANITIZE_ENV", "SanitizerError", "classify_reduction",
     "sanitize_enabled", "sanitized_run", "sanitizing", "set_sanitize",
     "verify_kernel", "verify_plan",

@@ -16,7 +16,7 @@ it to the :class:`Executor` here, which owns the loop once:
   :class:`ScatterSink` writes edge-indexed output rows;
 - one :class:`~repro.tensorir.runtime.ExecStats` books every chunk
   identically across kernel families: evaluate wall-clock vs. sink
-  wall-clock, bytes, and the compiled/interpreted split.
+  wall-clock, bytes, and the compiled-chunk count.
 
 Chunks of a task are row-aligned (disjoint destination rows), so running
 them on a :class:`~repro.tensorir.runtime.WorkPool` is race-free; the

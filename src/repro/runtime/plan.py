@@ -56,7 +56,7 @@ MIN_CHUNK_EDGES = 1024
 def effective_chunk_edges(chunk_edges: int, prog) -> int:
     """Shrink ``chunk_edges`` so one chunk's gathered workset stays within
     :data:`CHUNK_WORKSET_BYTES`, using the compiled program's per-item
-    accounting.  No-op for interpreted execution (``prog is None``)."""
+    accounting.  No-op for hand-built plans (``prog is None``)."""
     ws = prog.stats.workset_bytes_per_item if prog is not None else 0
     if ws <= 0:
         return chunk_edges

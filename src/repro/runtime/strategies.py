@@ -27,9 +27,7 @@ vectorization wins.  Three strategies implement one interface:
     accumulator is one vectorized step after all shards land.  Because
     shard boundaries never split a segment and each segment is reduced by
     the same ``reduceat`` primitive, results are **bit-identical across
-    worker counts** (and to the ``reduceat`` strategy).  With a
-    process-backed pool the partials land in shared memory, sidestepping
-    the GIL for the Python-level combine work.
+    worker counts** (and to the ``reduceat`` strategy).
 
 Parity contract (pinned by ``tests/runtime/test_strategies.py`` and the
 fuzzer's ``--exec-strategy`` stage): for order-insensitive reducers
@@ -41,7 +39,7 @@ pairwise Python recomputation bit-for-bit, so exact equality across
 differently-vectorized sums is not a meaningful target.
 
 :func:`select_strategy` picks a strategy from the degree histogram and
-feature width; ``FEATGRAPH_AGG_STRATEGY`` overrides it globally.
+feature width; a kernel's ``agg_strategy`` request pins one instead.
 
 Selection is **cost-model-driven when calibrated**: if
 :func:`repro.core.cost.load_profile` finds a valid machine profile
@@ -49,16 +47,15 @@ Selection is **cost-model-driven when calibrated**: if
 :func:`select_strategy` and the per-chunk
 :func:`select_chunk_strategies` rank strategies by predicted combine
 seconds; without a profile they cold-start on the hand-tuned thresholds
-below.  The ``"adaptive"`` request (kernel ``agg_strategy`` or the env
-override) asks the lowering to assign a strategy **per chunk** from each
-chunk's own shape statistics -- power-law graphs mix hub regions where
-``bucketed`` wins with long-tail regions where ``reduceat`` is already
-optimal, and one whole-kernel choice forfeits one of the two.
+below.  The ``"adaptive"`` request (kernel ``agg_strategy``) asks the
+lowering to assign a strategy **per chunk** from each chunk's own shape
+statistics -- power-law graphs mix hub regions where ``bucketed`` wins
+with long-tail regions where ``reduceat`` is already optimal, and one
+whole-kernel choice forfeits one of the two.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
@@ -68,7 +65,6 @@ from repro.runtime.reducers import Reducer
 from repro.tensorir.runtime import WorkPool, default_pool
 
 __all__ = [
-    "AGG_STRATEGY_ENV",
     "ADAPTIVE",
     "AggregationStrategy",
     "ReduceatStrategy",
@@ -76,7 +72,6 @@ __all__ = [
     "ParallelStrategy",
     "STRATEGY_NAMES",
     "make_strategy",
-    "strategy_from_env",
     "cost_model",
     "reset_cost_model_cache",
     "select_strategy",
@@ -84,10 +79,6 @@ __all__ = [
     "resolve_request",
     "resolve_strategy",
 ]
-
-#: environment override: "reduceat" | "bucketed" | "parallel" |
-#: "adaptive" | "auto"
-AGG_STRATEGY_ENV = "FEATGRAPH_AGG_STRATEGY"
 
 STRATEGY_NAMES = ("reduceat", "bucketed", "parallel")
 
@@ -181,20 +172,10 @@ class ParallelStrategy(AggregationStrategy):
 
     Every worker fills its own slice of one per-chunk partial buffer
     (per-worker partial accumulators), then the main thread folds the
-    whole buffer into ``acc`` in a single deterministic step.  A
-    process-backed pool (``FEATGRAPH_WORKERS_BACKEND=process``) stages the
-    messages and partials in shared memory and ships only shard bounds to
-    the workers.
+    whole buffer into ``acc`` in a single deterministic step.
     """
 
     name = "parallel"
-
-    #: FG009 contract (checked by :mod:`repro.runtime.verify`): every
-    #: SharedArray this strategy stages for a process-backed pool is
-    #: released in a ``finally`` path, so worker exceptions cannot leave
-    #: orphaned POSIX shm segments behind.  Subclasses that change the
-    #: staging must re-establish the guarantee or clear the flag.
-    shm_release_guaranteed = True
 
     def __init__(self, pool: WorkPool | None = None,
                  min_edges: int = _PARALLEL_MIN_EDGES):
@@ -215,15 +196,14 @@ class ParallelStrategy(AggregationStrategy):
             return
         cuts = self._shard_cuts(seg, min(workers, n_seg), n_edges)
         partial = np.empty((n_seg,) + msgs.shape[1:], dtype=msgs.dtype)
-        if getattr(pool, "backend", "thread") == "process":
-            self._combine_process(pool, cuts, seg, msgs, reducer, partial)
-        else:
-            def shard(bounds):
-                s0, s1 = bounds
-                end = seg.starts[s1] if s1 < n_seg else n_edges
-                partial[s0:s1] = reducer.ufunc.reduceat(
-                    msgs[:end], seg.starts[s0:s1], axis=0)
-            pool.map(shard, list(zip(cuts[:-1], cuts[1:])))
+
+        def shard(bounds):
+            s0, s1 = bounds
+            end = seg.starts[s1] if s1 < n_seg else n_edges
+            partial[s0:s1] = reducer.ufunc.reduceat(
+                msgs[:end], seg.starts[s0:s1], axis=0)
+
+        pool.map(shard, list(zip(cuts[:-1], cuts[1:])))
         rows = seg.seg_rows
         acc[rows] = reducer.ufunc(acc[rows], partial)
 
@@ -235,57 +215,6 @@ class ParallelStrategy(AggregationStrategy):
         cuts = np.searchsorted(seg.starts, targets, side="left")
         cuts = np.unique(np.concatenate(([0], cuts, [len(seg.starts)])))
         return cuts
-
-    @staticmethod
-    def _combine_process(pool, cuts, seg, msgs, reducer, partial):
-        """Shard combine through a process pool via shared memory.
-
-        Staged segments are released in the ``finally`` path -- a worker
-        exception surfacing through ``pool.map`` must not orphan the shm
-        blocks (they are POSIX objects the OS never reclaims); this is
-        the :attr:`shm_release_guaranteed` contract, regression-tested by
-        ``tests/runtime/test_shm_lifecycle.py``.
-        """
-        from repro.tensorir.runtime import SharedArray
-
-        msgs = np.ascontiguousarray(msgs)
-        shm_msgs = SharedArray.copy_of(msgs)
-        shm_part = None
-        try:
-            shm_part = SharedArray.empty(partial.shape, partial.dtype)
-            n_seg, n_edges = len(seg.starts), len(seg.rows)
-            payloads = []
-            for s0, s1 in zip(cuts[:-1], cuts[1:]):
-                end = int(seg.starts[s1]) if s1 < n_seg else n_edges
-                payloads.append((shm_msgs.spec, shm_part.spec, reducer.name,
-                                 seg.starts[s0:s1].tolist(), int(s0),
-                                 int(end)))
-            pool.map(_process_shard_reduce, payloads)
-            partial[...] = shm_part.array
-        finally:
-            if shm_part is not None:
-                shm_part.close()
-            shm_msgs.close()
-
-
-def _process_shard_reduce(payload):
-    """Worker-side shard reduction (module-level: must pickle)."""
-    from repro.runtime.reducers import get_reducer
-    from repro.tensorir.runtime import SharedArray
-
-    msgs_spec, part_spec, reducer_name, starts, s0, end = payload
-    shm_msgs = SharedArray.attach(msgs_spec)
-    shm_part = None
-    try:
-        shm_part = SharedArray.attach(part_spec)
-        starts = np.asarray(starts, dtype=np.int64)
-        ufunc = get_reducer(reducer_name).ufunc
-        shm_part.array[s0:s0 + len(starts)] = ufunc.reduceat(
-            shm_msgs.array[:end], starts, axis=0)
-    finally:
-        if shm_part is not None:
-            shm_part.close()
-        shm_msgs.close()
 
 
 def make_strategy(name: str, pool: WorkPool | None = None
@@ -300,19 +229,6 @@ def make_strategy(name: str, pool: WorkPool | None = None
     raise ValueError(
         f"unknown aggregation strategy {name!r} "
         f"(known: {'/'.join(STRATEGY_NAMES)})")
-
-
-def strategy_from_env() -> str | None:
-    """The ``FEATGRAPH_AGG_STRATEGY`` override, validated; None if unset
-    or ``auto``.  May return :data:`ADAPTIVE`."""
-    value = os.environ.get(AGG_STRATEGY_ENV, "").strip().lower()
-    if value in ("", "auto"):
-        return None
-    if value not in STRATEGY_NAMES and value != ADAPTIVE:
-        raise ValueError(
-            f"{AGG_STRATEGY_ENV}={value!r}: expected one of "
-            f"{'/'.join(STRATEGY_NAMES)}, '{ADAPTIVE}' or 'auto'")
-    return value
 
 
 #: process-wide cost-model cache: [loaded_flag, CostModel | None].  The
@@ -341,8 +257,9 @@ def reset_cost_model_cache() -> None:
 
 
 def _pool_workers(pool: WorkPool | None) -> int:
-    return (pool.num_workers if pool is not None
-            else min(16, os.cpu_count() or 1))
+    """Workers a ``parallel`` combine would really get: ``pool=None`` runs
+    on :func:`default_pool`, exactly as :attr:`ParallelStrategy.pool`."""
+    return (pool if pool is not None else default_pool()).num_workers
 
 
 def _shape_from_degrees(degrees, width: int):
@@ -406,7 +323,7 @@ def select_chunk_strategies(shapes: Sequence[ChunkShape],
 
 
 def resolve_request(requested) -> tuple[str, tuple | None]:
-    """Classify a kernel's aggregation request (explicit > env > auto).
+    """Classify a kernel's aggregation request (``None`` = auto).
 
     Returns ``(mode, names)``:
 
@@ -417,8 +334,6 @@ def resolve_request(requested) -> tuple[str, tuple | None]:
       (chunk ``i`` combines through ``names[i % len(names)]``; the
       fuzzer's mixed-strategy trials pin plans this way).
     """
-    if requested is None:
-        requested = strategy_from_env()
     if requested is None:
         return ("auto", None)
     if isinstance(requested, str):
@@ -440,19 +355,9 @@ def resolve_request(requested) -> tuple[str, tuple | None]:
     return ("map", names)
 
 
-#: env-override strategy names already warned about (one warning per
-#: process, not one per kernel lowering)
-_ENV_OVERRIDE_WARNED: set = set()
-
-
 def resolve_strategy(requested: str | None, degrees, width: int,
                      pool: WorkPool | None = None) -> AggregationStrategy:
-    """Resolution order: explicit request > env override > auto-select.
-
-    When the env override forces a strategy the selector would not have
-    picked for this workload, a :class:`UserWarning` is emitted once per
-    process per strategy name -- a global override hitting hundreds of
-    kernel lowerings must not repeat itself per kernel.
+    """The explicitly requested strategy, else the selector's pick.
 
     An :data:`ADAPTIVE` request degrades to auto-selection here: this
     resolver serves lowerings that pin one concrete strategy for a whole
@@ -462,19 +367,5 @@ def resolve_strategy(requested: str | None, degrees, width: int,
     """
     if requested == ADAPTIVE:
         requested = None
-    env = None if requested else strategy_from_env()
-    if env == ADAPTIVE:
-        env = None
-    name = requested or env or select_strategy(degrees, width, pool)
-    if env is not None and env not in _ENV_OVERRIDE_WARNED:
-        picked = select_strategy(degrees, width, pool)
-        if picked != env:
-            _ENV_OVERRIDE_WARNED.add(env)
-            import warnings
-
-            warnings.warn(
-                f"{AGG_STRATEGY_ENV}={env!r} overrides the selector's "
-                f"choice ({picked!r} for this workload); further kernels "
-                "will use the override silently", UserWarning,
-                stacklevel=2)
+    name = requested or select_strategy(degrees, width, pool)
     return make_strategy(name, pool=pool)

@@ -1,9 +1,8 @@
-"""Static verification of execution plans (FG006-FG010) + the sanitizer.
+"""Static plan verification (FG006-FG008, FG010) + the sanitizer.
 
 The PR-3 analyzer proves properties of *lowered loop nests*; since PR 7
 the runtime executes something it never sees -- :class:`ExecutionPlan`
-chunk loops, segment-aligned :class:`ParallelStrategy` shards,
-process-backed pools staging :class:`SharedArray` segments, and fused
+chunk loops, segment-aligned :class:`ParallelStrategy` shards, and fused
 chains threading chunk-local buffers between stages.  This module gives
 the plan layer the same static safety net:
 
@@ -33,13 +32,6 @@ the plan layer the same static safety net:
     a compiled vector program's ``out=`` buffer reuse must only ever
     retire program-local registers that were previously assigned --
     never an input binding, which pool-parallel chunks share.
-
-``FG009`` **shared-memory lifecycle.**  A plan whose combine stages
-    ships work to a process-backed pool may only do so through a
-    strategy that guarantees release of its staged ``SharedArray``
-    segments on all paths (worker exceptions included); the live-segment
-    registry (:meth:`SharedArray.live_segments`) makes the claim
-    falsifiable and the sanitizer checks it after every run.
 
 ``FG010`` **gather bounds.**  ``GatherPlan`` index arrays are checked
     against the extents their graph-axis roles imply (``n_src`` /
@@ -445,38 +437,6 @@ def _check_lifetimes(ctx: _Ctx) -> None:
                 _check_program_source(ctx, name, prog)
 
 
-def _check_shared_memory(ctx: _Ctx) -> None:
-    """FG009: process-backed combines must route shared memory through a
-    strategy whose staging provably releases on all paths."""
-    seen = set()
-    for ti, task, st, sink in _aggregate_sinks(ctx.plan):
-        candidates = [strategy
-                      for _, strategy in _effective_strategies(task, sink)]
-        if not candidates:
-            candidates = [sink.strategy]
-        for strategy in candidates:
-            if strategy.name != "parallel" or id(strategy) in seen:
-                continue
-            seen.add(id(strategy))
-            pool = getattr(strategy, "pool", None)
-            if getattr(pool, "backend", "thread") != "process":
-                continue
-            loc = f"task[{ti}].{st.name}"
-            if not getattr(strategy, "shm_release_guaranteed", False):
-                ctx.add("FG009", loc,
-                        f"strategy {type(strategy).__name__} stages "
-                        "SharedArray segments for a process pool without "
-                        "declaring a release reached on all paths (worker "
-                        "exceptions included); orphaned POSIX shm outlives "
-                        "the process")
-            else:
-                ctx.add("FG009", loc,
-                        "process-backed combine: staged SharedArray "
-                        "segments release in a finally path on all exits; "
-                        "the live-segment registry is checked by the "
-                        "sanitizer", severity=Severity.INFO)
-
-
 def _check_gather_bounds(ctx: _Ctx, ti: int, task) -> None:
     """FG010: index arrays against their role-implied extents."""
     loc = f"task[{ti}]"
@@ -510,7 +470,7 @@ def _check_gather_bounds(ctx: _Ctx, ti: int, task) -> None:
 
 def verify_plan(plan: ExecutionPlan) -> AnalysisReport:
     """Statically verify one execution plan; returns an
-    :class:`~repro.tensorir.analysis.AnalysisReport` over FG006-FG010.
+    :class:`~repro.tensorir.analysis.AnalysisReport` over FG006-FG008 + FG010.
 
     Purely structural: segment boundaries and shard cuts are derived
     from the plan's own index arrays -- no stage evaluate runs and no
@@ -541,7 +501,6 @@ def verify_plan(plan: ExecutionPlan) -> AnalysisReport:
         _check_gather_bounds(ctx, ti, task)
     _check_determinism(ctx)
     _check_lifetimes(ctx)
-    _check_shared_memory(ctx)
     report = AnalysisReport(diagnostics=tuple(ctx.diags),
                             target=plan.extras.get("verify", {}).get(
                                 "target") if plan.extras else None)
@@ -768,24 +727,14 @@ def sanitized_run(executor, plan: ExecutionPlan, bindings=None) -> None:
     execute, dynamic cross-check.
 
     Static errors raise :class:`AnalysisError` before anything runs; a
-    clean static report followed by any recorded runtime violation (or a
-    leaked ``SharedArray`` segment) raises :class:`SanitizerError`.
+    clean static report followed by any recorded runtime violation
+    raises :class:`SanitizerError`.
     """
-    from repro.tensorir.runtime import SharedArray
-
     report = verify_plan(plan)
     if report.has_errors:
         raise AnalysisError(report)
     violations = _Violations()
-    shm_before = set(SharedArray.live_segments())
     executor._execute(_instrumented(plan, violations), bindings)
-    leaked = set(SharedArray.live_segments()) - shm_before
-    if leaked:
-        violations.add(
-            "FG009", plan.label or "plan",
-            f"{len(leaked)} SharedArray segment(s) still live after the "
-            f"run ({sorted(leaked)}): the staged-release contract the "
-            "static FG009 verdict relied on did not hold")
     if violations.items:
         raise SanitizerError(violations.items)
 
@@ -942,7 +891,7 @@ def main(argv=None) -> int:
 
     ap = argparse.ArgumentParser(
         prog="python -m repro.runtime.verify",
-        description="Static execution-plan verification (FG006-FG010) "
+        description="Static execution-plan verification (FG006-FG008, FG010) "
                     "over registered kernel families x strategies.")
     ap.add_argument("--suite", choices=("builtins", "all"),
                     default="builtins")

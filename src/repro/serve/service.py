@@ -4,7 +4,7 @@ This is the product surface over :func:`repro.minidgl.train.infer_minibatch`
 (docs/serving.md).  Clients submit single- or multi-seed inference requests
 (optionally with a deadline) to :class:`InferenceService`; a batcher thread
 coalesces everything that arrives within one batch window
-(``FEATGRAPH_BATCH_WINDOW_MS``) into **one sampled block per batch**:
+(``batch_window_ms``) into **one sampled block per batch**:
 the union of the queued seeds is deduplicated, sampled once with
 :func:`~repro.minidgl.sampling.build_blocks`, run through the model's
 ``forward_blocks``, and the logits rows are scattered back to each
@@ -41,7 +41,6 @@ cache behaved.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -66,16 +65,9 @@ __all__ = [
 #: fanout that keeps every edge: full-neighborhood (deterministic) serving
 _FULL_NEIGHBORHOOD = 1 << 30
 
+#: batch window when ``batch_window_ms=None`` (0 would disable coalescing:
+#: every request runs in its own batch)
 DEFAULT_BATCH_WINDOW_MS = 2.0
-
-
-def _default_batch_window_ms() -> float:
-    """Batch window from ``FEATGRAPH_BATCH_WINDOW_MS`` (default 2 ms;
-    0 disables coalescing -- every request runs in its own batch)."""
-    env = os.environ.get("FEATGRAPH_BATCH_WINDOW_MS")
-    if env:
-        return max(0.0, float(env))
-    return DEFAULT_BATCH_WINDOW_MS
 
 
 class Overloaded(RuntimeError):
@@ -192,7 +184,7 @@ class InferenceService:
         elif not fanouts:
             raise ValueError("fanouts must be non-empty (or None)")
         self.fanouts = list(fanouts)
-        self.batch_window_ms = (_default_batch_window_ms()
+        self.batch_window_ms = (DEFAULT_BATCH_WINDOW_MS
                                 if batch_window_ms is None
                                 else max(0.0, float(batch_window_ms)))
         self.max_batch_seeds = int(max_batch_seeds)

@@ -16,7 +16,7 @@ listings exercise:
   from the IR, for a CPU target and a simulated-GPU target.
 - :mod:`repro.tensorir.evaluator` -- a vectorized (numpy) interpreter for
   tensor expressions with batched free variables; the differential oracle
-  and fallback for the compiled programs.
+  for the compiled programs (never an execution path).
 - :mod:`repro.tensorir.vectorize` -- a batched-UDF compiler that lowers a
   compute body once into a straight-line vectorized numpy program (constant
   folding, CSE, dead-branch pruning, buffer reuse); the execution engine
@@ -69,7 +69,6 @@ from repro.tensorir.vectorize import (
     VectorizeError,
     VectorProgram,
     compile_batched,
-    compile_enabled,
 )
 from repro.tensorir.validate import (
     IRValidationError,
@@ -123,7 +122,6 @@ __all__ = [
     "VectorizeError",
     "VectorProgram",
     "compile_batched",
-    "compile_enabled",
     "ScheduleError",
     "IRValidationError",
     "validate_schedule",

@@ -63,10 +63,10 @@ RULES: dict[str, tuple[str, str]] = {
     "FG005": (Severity.INFO,
               "footprint note: estimated working set of an allocation or "
               "cooperative-reduction staging buffer"),
-    # FG006-FG010 are the execution-plan verifier's rules
+    # FG006-FG008 and FG010 are the execution-plan verifier's rules
     # (:mod:`repro.runtime.verify`): they judge the runtime layer --
-    # ExecutionPlan chunking, strategy sharding, sink buffers, shared
-    # memory, gather index arrays -- not the lowered loop-nest IR.
+    # ExecutionPlan chunking, strategy sharding, sink buffers, gather
+    # index arrays -- not the lowered loop-nest IR.
     "FG006": (Severity.ERROR,
               "shard disjointness: a plan's parallel chunks or strategy "
               "shards can write the same destination row, or a chunk "
@@ -80,10 +80,6 @@ RULES: dict[str, tuple[str, str]] = {
               "before any stage defines it, sink buffers alias within a "
               "task, or a compiled program writes out= into a live or "
               "bound buffer"),
-    "FG009": (Severity.ERROR,
-              "shared-memory lifecycle: a process-backed plan stages "
-              "SharedArray segments without a release that is reached on "
-              "all paths, including worker exceptions"),
     "FG010": (Severity.ERROR,
               "gather bounds: a GatherPlan index array escapes the extent "
               "its graph-axis role implies, or chunk bounds escape the "

@@ -8,12 +8,8 @@ collectively work on *one graph partition at a time* to avoid LLC contention.
 :class:`WorkPool` provides exactly that shape of API: a persistent pool with
 ``parallel_for`` (static chunking over an index range) and
 ``cooperative_for`` (all workers share one task's range).  Numpy releases the
-GIL for large array operations, so the thread backend gives real concurrency
-for the vectorized per-chunk work the templates dispatch.  For Python-level
-combine work that *holds* the GIL, ``backend="process"`` (or
-``FEATGRAPH_WORKERS_BACKEND=process``) backs the pool with OS processes;
-:class:`SharedArray` stages inputs and output buffers in POSIX shared memory
-so workers read and write them in place instead of pickling arrays around.
+GIL for large array operations, so threads give real concurrency for the
+vectorized per-chunk work the templates dispatch.
 """
 
 from __future__ import annotations
@@ -21,25 +17,19 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from concurrent.futures import Executor as _FutExecutor
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
-import numpy as np
-
-__all__ = ["ExecStats", "WorkPool", "default_pool", "SharedArray",
-           "WORKERS_BACKEND_ENV"]
-
-#: environment selector for the pool backend: "thread" (default) | "process"
-WORKERS_BACKEND_ENV = "FEATGRAPH_WORKERS_BACKEND"
+__all__ = ["ExecStats", "WorkPool", "default_pool"]
 
 
 class ExecStats:
     """Cumulative runtime counters for one kernel's executions: per-chunk
     UDF evaluation and aggregation wall-clock, bytes moved (gathered input
     plus written output, from the compiled program's load accounting), how
-    many chunks ran on the compiled vs. interpreted path, and which
-    aggregation strategy the last execution combined segments with.
+    many chunks ran compiled vector programs (every chunk of a template
+    kernel; only hand-built plan stages may not), and which aggregation
+    strategy the last execution combined segments with.
     Thread-safe; shared between a template kernel and its compile record."""
 
     __slots__ = ("eval_seconds", "aggregate_seconds", "bytes_moved",
@@ -89,109 +79,17 @@ class ExecStats:
                 f"moved={d['bytes_moved']}B)")
 
 
-class SharedArray:
-    """A numpy array backed by :mod:`multiprocessing.shared_memory`.
-
-    The process-backed :class:`WorkPool` path ships only a small ``spec``
-    tuple (block name, shape, dtype) to workers; both sides view the same
-    physical pages, so large message/partial buffers cross the process
-    boundary without pickling.  The creating side unlinks the block on
-    context exit; attached views just close their mapping.
-
-    Owned blocks are tracked in a process-wide registry until released:
-    :meth:`live_segments` names every staged segment whose unlink has not
-    run yet.  POSIX shm outlives the creating process, so a missed release
-    is a resource leak the OS never reclaims -- the registry is what makes
-    the strategies' release-on-all-paths contract (rule ``FG009`` in
-    :mod:`repro.runtime.verify`) falsifiable: tests and the sanitizer
-    executor assert it is empty after every combine, including ones whose
-    workers raised.
-    """
-
-    _live_lock = threading.Lock()
-    #: shm block names this process created and has not yet unlinked
-    _live: set = set()
-
-    def __init__(self, shm, shape, dtype, owner: bool):
-        self._shm = shm
-        self.shape = tuple(shape)
-        self.dtype = np.dtype(dtype)
-        self._owner = owner
-        self.array = np.ndarray(self.shape, dtype=self.dtype,
-                                buffer=shm.buf)
-        if owner:
-            with SharedArray._live_lock:
-                SharedArray._live.add(shm.name)
-
-    @classmethod
-    def live_segments(cls) -> tuple:
-        """Names of owned shm blocks not yet released (sorted)."""
-        with cls._live_lock:
-            return tuple(sorted(cls._live))
-
-    @property
-    def spec(self) -> tuple:
-        """Picklable handle: ``(name, shape, dtype_str)``."""
-        return (self._shm.name, self.shape, self.dtype.str)
-
-    @classmethod
-    def empty(cls, shape, dtype) -> "SharedArray":
-        from multiprocessing import shared_memory
-
-        nbytes = max(1, int(np.prod(shape, dtype=np.int64))
-                     * np.dtype(dtype).itemsize)
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        return cls(shm, shape, dtype, owner=True)
-
-    @classmethod
-    def copy_of(cls, arr: np.ndarray) -> "SharedArray":
-        sa = cls.empty(arr.shape, arr.dtype)
-        sa.array[...] = arr
-        return sa
-
-    @classmethod
-    def attach(cls, spec: tuple) -> "SharedArray":
-        from multiprocessing import shared_memory
-
-        name, shape, dtype = spec
-        shm = shared_memory.SharedMemory(name=name)
-        return cls(shm, shape, dtype, owner=False)
-
-    def close(self) -> None:
-        # drop the ndarray view before closing the mapping
-        self.array = None
-        self._shm.close()
-        if self._owner:
-            self._shm.unlink()
-            with SharedArray._live_lock:
-                SharedArray._live.discard(self._shm.name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
-def _tagged_call(fn: Callable, item):
-    """Process-pool wrapper: report which worker ran the item."""
-    return os.getpid(), fn(item)
-
-
 class WorkPool:
     """A persistent worker pool with static-chunked parallel-for.
 
     The worker count defaults to the ``FEATGRAPH_NUM_WORKERS`` environment
-    variable when set, else ``min(16, cpu_count)``.  ``backend`` is
-    ``"thread"`` (default) or ``"process"``; the default follows
-    ``FEATGRAPH_WORKERS_BACKEND``.  Under the process backend every
-    callable and item dispatched must be picklable (module-level functions;
-    share arrays via :class:`SharedArray`).
+    variable when set, else ``min(16, cpu_count)``.
     """
 
-    def __init__(self, num_workers: int | None = None,
-                 backend: str | None = None):
+    #: the one worker kind; reported by :meth:`stats`
+    backend = "thread"
+
+    def __init__(self, num_workers: int | None = None):
         if num_workers is None:
             env = os.environ.get("FEATGRAPH_NUM_WORKERS")
             if env:
@@ -200,33 +98,18 @@ class WorkPool:
                 num_workers = min(16, os.cpu_count() or 1)
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if backend is None:
-            backend = os.environ.get(WORKERS_BACKEND_ENV, "thread") or \
-                "thread"
-        if backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown WorkPool backend {backend!r} "
-                "(expected 'thread' or 'process')")
         self.num_workers = num_workers
-        self.backend = backend
-        self._executor: _FutExecutor | None = None
+        self._executor: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
         self._chunks_dispatched = 0
         self._worker_chunks: dict[str, int] = {}
 
-    def _ensure(self) -> _FutExecutor:
+    def _ensure(self) -> ThreadPoolExecutor:
         with self._lock:
             if self._executor is None:
-                if self.backend == "process":
-                    import multiprocessing
-
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self.num_workers,
-                        mp_context=multiprocessing.get_context("fork"))
-                else:
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self.num_workers,
-                        thread_name_prefix="repro-pool")
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self.num_workers,
+                    thread_name_prefix="repro-pool")
             return self._executor
 
     def _count_worker(self, worker: str, n: int = 1) -> None:
@@ -235,7 +118,7 @@ class WorkPool:
                 self._worker_chunks.get(worker, 0) + n
 
     def _traced(self, fn: Callable) -> Callable:
-        """Thread-backend wrapper booking which worker ran each call."""
+        """Wrapper booking which worker thread ran each call."""
 
         @functools.wraps(fn)
         def wrapped(*args, **kwargs):
@@ -263,7 +146,7 @@ class WorkPool:
             return
         bounds = [(i * n) // chunks for i in range(chunks + 1)]
         ex = self._ensure()
-        run = fn if self.backend == "process" else self._traced(fn)
+        run = self._traced(fn)
         futures = [
             ex.submit(run, bounds[i], bounds[i + 1])
             for i in range(chunks)
@@ -296,9 +179,7 @@ class WorkPool:
         """
         with self._lock:
             self._chunks_dispatched += 1
-        if self.backend != "process":
-            fn = self._traced(fn)
-        return self._ensure().submit(fn, *args, **kwargs)
+        return self._ensure().submit(self._traced(fn), *args, **kwargs)
 
     def map(self, fn: Callable, items: Sequence) -> list:
         """Apply ``fn`` to items concurrently and return results in order."""
@@ -307,18 +188,12 @@ class WorkPool:
         if self.num_workers == 1 or len(items) <= 1:
             self._count_worker("inline", len(items))
             return [fn(x) for x in items]
-        ex = self._ensure()
-        if self.backend == "process":
-            tagged = list(ex.map(functools.partial(_tagged_call, fn), items))
-            for pid, _ in tagged:
-                self._count_worker(f"pid-{pid}")
-            return [r for _, r in tagged]
-        return list(ex.map(self._traced(fn), items))
+        return list(self._ensure().map(self._traced(fn), items))
 
     def stats(self) -> dict:
         """Pool accounting: worker count, backend, chunks dispatched, and
-        per-worker chunk counts (thread names, worker pids, or ``inline``
-        for serial fallbacks)."""
+        per-worker chunk counts (thread names, or ``inline`` for serial
+        fallbacks)."""
         with self._lock:
             return {
                 "workers": self.num_workers,

@@ -41,12 +41,12 @@ reductions are bit-identical; vectorized ``sum``/``prod`` reductions use
 numpy's pairwise combine order instead of the interpreter's sequential
 one, so they agree to float rounding (well inside the suite's 1e-5
 tolerance).  Expressions the compiler cannot handle raise
-:class:`VectorizeError`; callers fall back to the interpreter.
+:class:`VectorizeError`, which kernel construction propagates: there is
+no interpreted execution path to fall back to.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -60,19 +60,7 @@ __all__ = [
     "ProgramStats",
     "VectorProgram",
     "compile_batched",
-    "compile_enabled",
 ]
-
-
-def compile_enabled() -> bool:
-    """Whether templates should execute through compiled programs.
-
-    Controlled by the ``FEATGRAPH_UDF_COMPILE`` environment variable
-    (default on; set to ``0``/``false``/``off`` to force the tree-walk
-    interpreter everywhere, e.g. when bisecting a numerical difference).
-    """
-    return os.environ.get("FEATGRAPH_UDF_COMPILE", "1").lower() not in (
-        "0", "false", "off")
 
 #: mask marker for the batch dimension (output axes are marked 0..n-1)
 _BATCH = -1
@@ -141,7 +129,7 @@ _VEC_EXPANSION_LIMIT = 4
 
 
 class VectorizeError(Exception):
-    """The expression cannot be compiled; use the interpreter instead."""
+    """The expression is outside the subset the vectorizer compiles."""
 
 
 @dataclass
@@ -1269,8 +1257,7 @@ def compile_batched(tensor: E.Tensor) -> VectorProgram:
     """Compile a compute tensor's body into a :class:`VectorProgram`.
 
     Raises :class:`VectorizeError` for expressions outside the supported
-    subset (callers should fall back to the interpreter) and ``TypeError``
-    if ``tensor`` is not a compute tensor.
+    subset and ``TypeError`` if ``tensor`` is not a compute tensor.
     """
     op = tensor.op
     if not isinstance(op, E.ComputeOp):

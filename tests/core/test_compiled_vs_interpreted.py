@@ -6,7 +6,8 @@ elementwise programs and ``max``/``min`` reductions bit-identically, and
 ``sum``/``prod`` reductions up to numpy's pairwise-vs-sequential combine
 rounding.  These tests pit the two against each other across the fuzzing
 harness's seeded UDF and graph generators, and end-to-end through the
-templates with the compiled path toggled via ``FEATGRAPH_UDF_COMPILE``.
+templates against the ``evaluate_batched``-based brute-force references in
+:mod:`repro.core.verify`.
 """
 
 import random
@@ -16,7 +17,11 @@ import pytest
 
 from repro import tensorir as T
 from repro.core.api import sddmm, spmat, spmm
-from repro.core.compile import KernelCache, use_kernel_cache
+from repro.core.compile import (CompilePipeline, KernelCache, compile_sddmm,
+                                compile_spmm, default_pipeline,
+                                use_kernel_cache)
+from repro.core.spmm import GeneralizedSpMM
+from repro.core.verify import reference_sddmm, reference_spmm
 from repro.testing import generators as G
 from repro.testing.differential import build_bindings
 from repro.tensorir.evaluator import evaluate_batched
@@ -126,39 +131,31 @@ class TestCompiledAgainstInterpreter:
 
 
 class TestTemplatesCompiledVsInterpreted:
-    """End-to-end: kernels agree with FEATGRAPH_UDF_COMPILE=0 runs."""
+    """End-to-end: ``kernel.run`` (compiled programs, chunked) agrees with
+    the interpreter-backed references in :mod:`repro.core.verify`."""
 
     def _graph(self, seed):
         rnd = random.Random(seed)
         return G.make_graph(G.sample_graph_spec(rnd))
 
     @pytest.mark.parametrize("agg", ["sum", "max", "mean"])
-    def test_spmm_paths_agree(self, agg, monkeypatch):
-        rnd = random.Random(11)
+    def test_spmm_paths_agree(self, agg):
         for seed in range(6):
             csr = self._graph(100 + seed)
             n = max(csr.shape)
-            instance, _ = _instance("u_mul_v", random.Random(seed))
-            XV = rnd  # noqa: F841 - keep rnd referenced
             fam = G.UDF_FAMILIES["u_mul_v"]
             instance = fam.make({"n": n, "m": max(csr.nnz, 1), "f": 5})
             bindings = build_bindings(instance, agg, 40 + seed)
             with use_kernel_cache(KernelCache()):
-                monkeypatch.setenv("FEATGRAPH_UDF_COMPILE", "1")
                 k = spmm(spmat(csr), instance.udf, aggregation=agg,
                          chunk_edges=8)
                 got = k.run(bindings)
-                assert (csr.nnz == 0
-                        or k.exec_stats.as_dict()["compiled_chunks"] > 0)
-            with use_kernel_cache(KernelCache()):
-                monkeypatch.setenv("FEATGRAPH_UDF_COMPILE", "0")
-                k2 = spmm(spmat(csr), instance.udf, aggregation=agg,
-                          chunk_edges=8)
-                ref = k2.run(bindings)
-                assert k2.exec_stats.as_dict()["compiled_chunks"] == 0
-            _agree(got, ref)
+            stats = k.exec_stats.as_dict()
+            assert stats["compiled_chunks"] == stats["chunks"]
+            assert csr.nnz == 0 or stats["chunks"] > 0
+            _agree(got, reference_spmm(k, bindings))
 
-    def test_sddmm_paths_agree(self, monkeypatch):
+    def test_sddmm_paths_agree(self):
         for seed in range(6):
             csr = self._graph(200 + seed)
             n = max(csr.shape)
@@ -167,14 +164,11 @@ class TestTemplatesCompiledVsInterpreted:
                                  "h": 2, "d": 3})
             bindings = build_bindings(instance, None, 60 + seed)
             with use_kernel_cache(KernelCache()):
-                monkeypatch.setenv("FEATGRAPH_UDF_COMPILE", "1")
-                got = sddmm(spmat(csr), instance.udf,
-                            chunk_edges=8).run(bindings)
-            with use_kernel_cache(KernelCache()):
-                monkeypatch.setenv("FEATGRAPH_UDF_COMPILE", "0")
-                ref = sddmm(spmat(csr), instance.udf,
-                            chunk_edges=8).run(bindings)
-            _agree(got, ref)
+                k = sddmm(spmat(csr), instance.udf, chunk_edges=8)
+                got = k.run(bindings)
+            stats = k.exec_stats.as_dict()
+            assert stats["compiled_chunks"] == stats["chunks"]
+            _agree(got, reference_sddmm(k, bindings))
 
     def test_sddmm_pool_matches_serial(self):
         from repro.tensorir.runtime import WorkPool
@@ -216,26 +210,35 @@ class TestVectorProgramReuse:
             # both bindings of the kernel execute the same program object
             assert k2.vector_program() is prog
 
-    def test_unvectorizable_udf_falls_back(self):
-        """Bodies the vectorizer rejects raise VectorizeError, and a kernel
-        without a program still runs every chunk interpreted."""
+    def test_unvectorizable_udf_is_a_compile_error(self):
+        """A body the vectorizer rejects fails the compile -- there is no
+        interpreted path to fall back to.  The default pipeline's
+        ``validate`` pass already refuses this body; with it skipped the
+        ``vectorize`` pass itself raises, and so does a directly
+        constructed kernel before it runs a single chunk."""
         XV = T.placeholder((8, 3), name="XV")
         weird = T.Var("not an identifier")
-        bad = T.compute((3,), lambda i: XV[weird, i], name="plain")
-        with pytest.raises(VectorizeError):
-            compile_batched(bad)
 
         def msg(src, dst, eid):
-            return T.compute((3,), lambda i: XV[src, i], name="cp")
+            return T.compute((3,), lambda i: XV[weird, i], name="plain")
 
-        csr = G.make_graph({"family": "random", "n_src": 8, "n_dst": 8,
-                            "m": 12, "seed": 4})
-        bindings = {"XV": np.arange(24, dtype=np.float32).reshape(8, 3)}
-        with use_kernel_cache(KernelCache()):
-            k = spmm(spmat(csr), msg, aggregation="sum", chunk_edges=4)
-        compiled_out = k.run(bindings)
-        k._vector_program = None  # simulate a vectorizer reject
-        interp_out = k.run(bindings)
-        np.testing.assert_array_equal(compiled_out, interp_out)
-        stats = k.exec_stats.as_dict()
-        assert 0 < stats["compiled_chunks"] < stats["chunks"]
+        with pytest.raises(VectorizeError):
+            compile_batched(msg(None, None, None))
+        A = spmat(G.make_graph({"family": "random", "n_src": 8, "n_dst": 8,
+                                "m": 12, "seed": 4}))
+        unvalidated = CompilePipeline(
+            [(n, f) for n, f in default_pipeline().passes if n != "validate"])
+        cache = KernelCache()
+        with pytest.raises(T.IRValidationError):
+            compile_spmm(A, msg, cache=cache)
+        with pytest.raises(VectorizeError):
+            compile_spmm(A, msg, cache=cache, pipeline=unvalidated)
+        with pytest.raises(VectorizeError):
+            compile_sddmm(A, msg, cache=cache, pipeline=unvalidated)
+        stats = cache.stats()
+        assert stats["templates"] == 0 and stats["entries"] == 0
+
+        k = GeneralizedSpMM(A, msg, aggregation="sum")
+        with pytest.raises(VectorizeError):
+            k.run({"XV": np.zeros((8, 3), np.float32)})
+        assert k.exec_stats.as_dict()["chunks"] == 0

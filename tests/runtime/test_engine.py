@@ -27,7 +27,6 @@ from repro.runtime import (
     resolve_strategy,
     segment_info,
     select_strategy,
-    strategy_from_env,
 )
 from repro.tensorir.runtime import ExecStats
 
@@ -167,24 +166,26 @@ class TestStrategySelection:
     def test_empty_graph_selects_reduceat(self):
         assert select_strategy(np.zeros(10, np.int64), 8) == "reduceat"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("FEATGRAPH_AGG_STRATEGY", "bucketed")
-        assert strategy_from_env() == "bucketed"
-        monkeypatch.setenv("FEATGRAPH_AGG_STRATEGY", "auto")
-        assert strategy_from_env() is None
-        monkeypatch.setenv("FEATGRAPH_AGG_STRATEGY", "nope")
-        with pytest.raises(ValueError):
-            strategy_from_env()
+    def test_selector_counts_the_pool_parallel_would_run_on(self,
+                                                            monkeypatch):
+        # pool=None combines on default_pool(), which honours
+        # FEATGRAPH_NUM_WORKERS: one worker means `parallel` would run
+        # inline as reduceat, so the selector must never report it
+        from repro.tensorir import runtime
 
-    def test_resolution_order(self, monkeypatch):
+        monkeypatch.setenv("FEATGRAPH_NUM_WORKERS", "1")
+        monkeypatch.setattr(runtime, "_default", None)
+        degrees = np.arange(1, 725)  # above _PARALLEL_MIN_WORK, see above
+        for width in (1, 8, 64):
+            assert select_strategy(degrees, width) != "parallel"
+
+    def test_resolution_order(self):
         degrees = np.full(4096, 8)
-        monkeypatch.setenv("FEATGRAPH_AGG_STRATEGY", "parallel")
-        # explicit request beats env
+        # an explicit request beats auto (auto says bucketed here)
         assert resolve_strategy("reduceat", degrees, 16).name == "reduceat"
-        # env beats auto (auto would say bucketed here)
-        assert resolve_strategy(None, degrees, 16).name == "parallel"
-        monkeypatch.delenv("FEATGRAPH_AGG_STRATEGY")
         assert resolve_strategy(None, degrees, 16).name == "bucketed"
+        # "adaptive" has no whole-kernel meaning: degrades to auto
+        assert resolve_strategy("adaptive", degrees, 16).name == "bucketed"
 
     def test_kernel_attribute_pins_strategy(self, graph):
         adj, *_ = graph
@@ -287,14 +288,6 @@ class TestEndToEndParity:
         np.add.at(ref, dst, x[src])
         got = k.run({"XV": x})
         assert np.allclose(got, ref, atol=1e-5)
-
-    def test_env_override_changes_executed_strategy(self, graph,
-                                                    monkeypatch):
-        adj, *_ = graph
-        monkeypatch.setenv("FEATGRAPH_AGG_STRATEGY", "reduceat")
-        k = _copy_kernel(spmat(adj), 30, 4)
-        k.run({"XV": np.zeros((30, 4), np.float32)})
-        assert k.exec_stats.as_dict()["agg_strategy"] == "reduceat"
 
     def test_edge_softmax_plumbs_strategy_to_phases(self, graph):
         from repro.core.softmax import EdgeSoftmax

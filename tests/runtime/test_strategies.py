@@ -12,6 +12,7 @@ import pytest
 from repro.runtime.plan import segment_info
 from repro.runtime.reducers import (
     REDUCERS,
+    Reducer,
     get_reducer,
     resolve_reducer,
 )
@@ -20,7 +21,7 @@ from repro.runtime.strategies import (
     ParallelStrategy,
     ReduceatStrategy,
 )
-from repro.tensorir.runtime import SharedArray, WorkPool
+from repro.tensorir.runtime import WorkPool
 
 
 def _chunk(rng, n_rows, n_edges, width, dtype):
@@ -173,51 +174,25 @@ class TestParallelDeterminism:
         assert cuts[0] == 0 and cuts[-1] == len(seg.starts)
         assert np.all(np.diff(cuts) > 0)
 
-    def test_process_backend_bit_identical(self, rng):
-        dst, msgs, seg = _chunk(rng, 40, 3000, 4, np.float32)
-        reducer = get_reducer("sum")
-        oracle = np.zeros((40, 4), np.float32)
-        ReduceatStrategy().combine(oracle, seg, msgs, reducer)
-        with WorkPool(2, backend="process") as pool:
-            acc = np.zeros((40, 4), np.float32)
-            ParallelStrategy(pool=pool, min_edges=16).combine(
-                acc, seg, msgs, reducer)
-            stats = pool.stats()
+    def test_worker_exception_propagates(self, rng):
+        """A shard that raises on a pool thread surfaces through
+        ``combine`` (not swallowed, not a hang) and leaves the pool
+        usable for the next combine."""
+
+        class _Boom:
+            @staticmethod
+            def reduceat(*args, **kwargs):
+                raise RuntimeError("median shard failed")
+
+        dst, msgs, seg = _chunk(rng, 64, 2048, 4, np.float32)
+        with WorkPool(2) as pool:
+            strategy = ParallelStrategy(pool=pool, min_edges=0)
+            acc = np.zeros((64, 4), np.float32)
+            with pytest.raises(RuntimeError, match="median"):
+                strategy.combine(acc, seg, msgs,
+                                 Reducer("median", _Boom, 0.0, False))
+            assert np.all(acc == 0.0)  # nothing folded in
+            strategy.combine(acc, seg, msgs, get_reducer("sum"))
+        oracle = np.zeros((64, 4), np.float32)
+        ReduceatStrategy().combine(oracle, seg, msgs, get_reducer("sum"))
         assert np.array_equal(acc, oracle)
-        assert stats["backend"] == "process"
-        assert stats["chunks_dispatched"] >= 2
-
-
-class TestSharedArray:
-    def test_roundtrip_and_spec(self):
-        data = np.arange(24, dtype=np.float32).reshape(6, 4)
-        with SharedArray.copy_of(data) as shm:
-            assert np.array_equal(shm.array, data)
-            with SharedArray.attach(shm.spec) as view:
-                view.array[0, 0] = -1.0
-            assert shm.array[0, 0] == -1.0
-
-    def test_empty_allocates_shape(self):
-        with SharedArray.empty((3, 5), np.float64) as shm:
-            assert shm.array.shape == (3, 5)
-            assert shm.array.dtype == np.float64
-
-
-class TestWorkPoolBackends:
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("FEATGRAPH_WORKERS_BACKEND", "process")
-        assert WorkPool(2).backend == "process"
-        monkeypatch.delenv("FEATGRAPH_WORKERS_BACKEND")
-        assert WorkPool(2).backend == "thread"
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            WorkPool(2, backend="fiber")
-
-    def test_process_map_tags_worker_pids(self):
-        with WorkPool(2, backend="process") as pool:
-            out = pool.map(abs, [-1, -2, -3])
-            stats = pool.stats()
-        assert out == [1, 2, 3]
-        assert stats["chunks_dispatched"] == 3
-        assert sum(stats["worker_chunks"].values()) == 3

@@ -1,12 +1,12 @@
-"""The plan verifier (FG006-FG010) and the sanitizer executor.
+"""The plan verifier (FG006-FG008, FG010) and the sanitizer executor.
 
 Two halves.  Statically: every kernel family x segment-reduction strategy
 must verify clean, and hand-corrupted plans must be rejected with the
 matching FG rule (overlapping chunks -> FG006, stale chain reads ->
-FG008, un-released shared memory -> FG009, escaped gather indices ->
-FG010).  Dynamically: the sanitizer executor must pass clean runs
-untouched and catch a runtime that contradicts a clean static verdict
-(a lying combine, a double scatter) with :class:`SanitizerError`.
+FG008, escaped gather indices -> FG010).  Dynamically: the sanitizer
+executor must pass clean runs untouched and catch a runtime that
+contradicts a clean static verdict (a lying combine, a double scatter)
+with :class:`SanitizerError`.
 """
 
 import types
@@ -184,43 +184,6 @@ class TestStaticRejection:
         extras = {"verify": {"programs": {"agg": prog}}}
         plan = _agg_plan([0, 0, 1, 1], [(0, 4)], extras=extras)
         assert not verify_plan(plan).has_errors
-
-
-class _ProcessPool:
-    backend = "process"
-    num_workers = 4
-
-
-class _LeakyParallel:
-    """A 'parallel' strategy that never declared the release contract."""
-
-    name = "parallel"
-    pool = _ProcessPool()
-    shm_release_guaranteed = False
-
-    def combine(self, acc, seg, msgs, reducer):  # pragma: no cover
-        raise AssertionError("static verification must not execute combines")
-
-
-class TestSharedMemoryContract:
-    def test_undeclared_release_fg009(self):
-        plan = _agg_plan([0, 0, 1, 1], [(0, 4)], strategy=_LeakyParallel())
-        report = verify_plan(plan)
-        diags = [d for d in report.diagnostics if d.rule == "FG009"]
-        assert diags and diags[0].severity == Severity.ERROR
-
-    def test_declared_release_is_an_info_note(self):
-        strategy = _LeakyParallel()
-        strategy.shm_release_guaranteed = True
-        plan = _agg_plan([0, 0, 1, 1], [(0, 4)], strategy=strategy)
-        report = verify_plan(plan)
-        diags = [d for d in report.diagnostics if d.rule == "FG009"]
-        assert diags and diags[0].severity == Severity.INFO
-
-    def test_real_parallel_strategy_declares_release(self):
-        from repro.runtime.strategies import ParallelStrategy
-
-        assert ParallelStrategy.shm_release_guaranteed
 
 
 # ----------------------------------------------------------------------

@@ -317,10 +317,10 @@ class TestPipelineIntegration:
 
 class TestDiagnostics:
     def test_rule_catalogue_is_complete(self):
-        # FG001-FG005: loop-nest analyses; FG006-FG010: the plan verifier
-        # (repro.runtime.verify)
+        # FG001-FG005: loop-nest analyses; FG006-FG008 + FG010: the plan
+        # verifier (repro.runtime.verify)
         assert set(RULES) == {"FG001", "FG002", "FG003", "FG004", "FG005",
-                              "FG006", "FG007", "FG008", "FG009", "FG010"}
+                              "FG006", "FG007", "FG008", "FG010"}
         for sev, desc in RULES.values():
             assert sev in (Severity.ERROR, Severity.WARNING, Severity.INFO)
             assert desc

@@ -11,11 +11,7 @@ import pytest
 
 from repro import tensorir as T
 from repro.tensorir.evaluator import evaluate_batched
-from repro.tensorir.vectorize import (
-    VectorizeError,
-    compile_batched,
-    compile_enabled,
-)
+from repro.tensorir.vectorize import VectorizeError, compile_batched
 
 RNG = np.random.default_rng(42)
 
@@ -241,15 +237,6 @@ class TestProgramContract:
         half = prog.bytes_moved(100, (f // 2,))
         assert half == full // 2
         assert prog.stats.workset_bytes_per_item == f * 4
-
-    def test_compile_enabled_env_gate(self, monkeypatch):
-        monkeypatch.delenv("FEATGRAPH_UDF_COMPILE", raising=False)
-        assert compile_enabled()
-        for off in ("0", "false", "OFF"):
-            monkeypatch.setenv("FEATGRAPH_UDF_COMPILE", off)
-            assert not compile_enabled()
-        monkeypatch.setenv("FEATGRAPH_UDF_COMPILE", "1")
-        assert compile_enabled()
 
     def test_stray_reduce_axis_rejected(self):
         """A reduce IterVar used outside any Reduce is not vectorizable."""
