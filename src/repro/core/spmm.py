@@ -225,7 +225,8 @@ class GeneralizedSpMM:
         """Execute the kernel: returns ``(num_dst, *msg_shape)`` float32.
 
         The kernel lowers to an :class:`~repro.runtime.plan.ExecutionPlan`
-        (one task per feature tile x graph partition) and the shared
+        (one task per feature tile x graph partition, or per graph
+        partition when tiling would only replay the gathers) and the shared
         :class:`~repro.runtime.engine.Executor` runs it.  With ``pool``,
         partitions are processed cooperatively: all workers share one
         partition's chunks at a time (the LLC-contention-avoiding schedule
@@ -251,7 +252,13 @@ class GeneralizedSpMM:
         One :class:`~repro.runtime.plan.EdgeTask` per (feature tile, graph
         partition) pass, each row-aligned-chunked -- chunk rows are disjoint
         and sorted, so segmented reduction is vectorized and chunks are
-        race-free under cooperative threading.  The aggregation request is
+        race-free under cooperative threading.  A UDF none of whose
+        batch-gathered loads spans output axis 0 (MLP aggregation: both
+        ``XV`` gathers span only the reduce axis) gets one full-width task
+        per graph partition instead: its tiles would each repeat the same
+        gathers, and the GEMM it lowers to blocks the output itself.
+        ``num_feature_partitions``, the lowered IR, ``cost()`` and the CUDA
+        source still follow the FDS.  The aggregation request is
         ``self.agg_strategy``, else the selector: a concrete name
         pins one strategy for the whole kernel, ``"adaptive"`` assigns a
         strategy **per chunk** from each chunk's shape statistics
@@ -264,7 +271,23 @@ class GeneralizedSpMM:
         reducer, _ = resolve_reducer(self.aggregation)
         prog = self.vector_program()
         mode, names = resolve_request(self.agg_strategy)
-        target = effective_chunk_edges(self.chunk_edges, prog)
+        # Feature tiling shrinks what a chunk gathers only if some batched
+        # load spans the tiled axis.  When none does, every tile would
+        # replay the same gathers: evaluate each chunk once at full width
+        # instead, and size chunks with the full-width rows included: two
+        # per edge, the (B, f) message and the copy of it the strategy
+        # densifies (bucketed's ``msgs[pos]``).  Counting one leaves single
+        # 6-7 MB buffers, so close to the allocator's adaptive mmap
+        # threshold that a hub row's overshoot decides between heap reuse
+        # and a fresh mapping, and peak RSS steps with the topology.
+        tiles = self._tiles()
+        row_bytes = 0
+        if len(tiles) > 1 and not any(
+                has_batch and 0 in axes
+                for _, has_batch, axes, _, _ in prog.stats.loads):
+            tiles = [(0, self.msg_shape[0])]
+            row_bytes = 2 * self.feature_len * prog.out_dtype.itemsize
+        target = effective_chunk_edges(self.chunk_edges, prog, row_bytes)
         if mode in ("auto", "single"):
             strategy = resolve_strategy(
                 names[0] if mode == "single" else None,
@@ -290,7 +313,7 @@ class GeneralizedSpMM:
 
         axis0 = self.msg.op.axis[0].name
         tasks = []
-        for lo, hi in self._tiles():
+        for lo, hi in tiles:
             sink = AggregateSink(acc[:, lo:hi], reducer, strategy)
             tile_sizes = (hi - lo,) + self.msg_shape[1:]
             for part in self.partitions:
@@ -338,10 +361,6 @@ class GeneralizedSpMM:
         untouched = deg == 0
         if base in ("max", "min", "prod") and untouched.any():
             acc[untouched] = 0.0
-        if base in ("max", "min"):
-            # Partitions with no edges for a row left identities behind only
-            # for fully isolated rows, handled above.
-            pass
         if self.aggregation == "mean":
             d = np.maximum(deg, 1).astype(np.float32)
             acc /= d.reshape((-1,) + (1,) * (acc.ndim - 1))

@@ -53,11 +53,17 @@ CHUNK_WORKSET_BYTES = 8 * 1024 * 1024
 MIN_CHUNK_EDGES = 1024
 
 
-def effective_chunk_edges(chunk_edges: int, prog) -> int:
+def effective_chunk_edges(chunk_edges: int, prog,
+                          result_bytes_per_item: int = 0) -> int:
     """Shrink ``chunk_edges`` so one chunk's gathered workset stays within
     :data:`CHUNK_WORKSET_BYTES`, using the compiled program's per-item
-    accounting.  No-op for hand-built plans (``prog is None``)."""
-    ws = prog.stats.workset_bytes_per_item if prog is not None else 0
+    accounting.  ``result_bytes_per_item`` adds the full-width rows a chunk
+    holds per item (the evaluated message and the strategy's copy of it),
+    for plans that evaluate a chunk at full width instead of one feature
+    tile.  No-op for hand-built plans (``prog is None``)."""
+    if prog is None:
+        return chunk_edges
+    ws = prog.stats.workset_bytes_per_item + result_bytes_per_item
     if ws <= 0:
         return chunk_edges
     return min(chunk_edges, max(MIN_CHUNK_EDGES, CHUNK_WORKSET_BYTES // ws))
@@ -180,8 +186,9 @@ class Stage:
 class EdgeTask:
     """One pass over an edge range: a gather plan, chunk bounds, stages.
 
-    SpMM kernels emit one task per (feature tile x graph partition);
-    SDDMM one per feature tile; fused chains a single multi-stage task.
+    SpMM kernels emit one task per (feature tile x graph partition) -- per
+    graph partition alone when no gather spans the tiled axis; SDDMM one
+    per feature tile; fused chains a single multi-stage task.
     Tasks run in order -- the cooperative one-partition-at-a-time schedule
     -- while chunks within a task may run on a WorkPool.
     """

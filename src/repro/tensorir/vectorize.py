@@ -24,6 +24,15 @@ Optimizations applied while lowering:
   domain becomes an extra array dimension collapsed by one
   ``ufunc.reduce(..., keepdims=True)`` call (dot-product attention's
   feature reduction is the motivating case) instead of a Python loop;
+- **contractions** -- a ``sum`` reduction over a product of one
+  batch-gathered operand spanning only the reduce axes (any elementwise
+  subtree, e.g. ``XV[src,k] + XV[dst,k]``) and one plain batch-free tensor
+  read spanning the reduce axes plus output axes (``W[k,i]``), both the
+  same float dtype, in either operand order, becomes a single
+  ``np.matmul`` of the ``(B, K)`` operand with the ``(K, tile)`` view of
+  the weight (MLP aggregation is the motivating case); any other reduce
+  keeps the vector or loop form, and ``ProgramStats.reduce_forms`` records
+  which form each reduce took and why;
 - **loop-invariant code motion** -- instructions inside a (fallback)
   reduction loop that do not depend on the loop variable are hoisted out;
 - **in-place buffer reuse** -- an elementwise op whose operand buffer dies
@@ -38,11 +47,12 @@ The generated program mirrors :func:`evaluate_batched` -- same numpy
 ufuncs, same dtype promotion -- so the interpreter doubles as the
 differential-testing oracle.  Elementwise programs and ``max``/``min``
 reductions are bit-identical; vectorized ``sum``/``prod`` reductions use
-numpy's pairwise combine order instead of the interpreter's sequential
-one, so they agree to float rounding (well inside the suite's 1e-5
-tolerance).  Expressions the compiler cannot handle raise
-:class:`VectorizeError`, which kernel construction propagates: there is
-no interpreted execution path to fall back to.
+numpy's pairwise combine order, and ``sum`` contractions BLAS's blocked
+one, instead of the interpreter's sequential one, so they agree to float
+rounding (well inside the suite's 1e-5 tolerance).  Expressions the
+compiler cannot handle raise :class:`VectorizeError`, which kernel
+construction propagates: there is no interpreted execution path to fall
+back to.
 """
 
 from __future__ import annotations
@@ -149,6 +159,9 @@ class ProgramStats:
     hoisted_gathers: int = 0    #: reduce-indexed reads pre-gathered as rows
     loops: int = 0              #: Python reduction loops emitted
     vector_reduces: int = 0     #: reductions lowered to one ufunc.reduce
+    contractions: int = 0       #: sum-of-products reductions lowered to GEMM
+    #: (axis names, "gemm" | "vector" | "loop", reason) per emitted reduce
+    reduce_forms: list = field(default_factory=list)
     #: (itemsize, reads_batch, axes, trip, tensor) per gather, for bytes
     #: accounting; ``tensor`` lets the fused executor exclude chain buffers
     loads: list = field(default_factory=list)
@@ -298,6 +311,11 @@ class _Compiler:
         self.red_pos: dict[int, int] = {}   # id(IterVar) -> mask position
         self.red_extents: list[int] = []
         self._rgrids: dict[int, tuple[int, int, int]] = {}
+        #: id(Reduce) -> (batched operand, weight read) when GEMM-shaped,
+        #: else the reason it is not
+        self._gemm: dict[int, tuple | str] = {}
+        #: id(Reduce) -> why it takes the loop form
+        self._why_loop: dict[int, str] = {}
         self._assign_reduce_positions(op.body)
         self.n_red = len(self.red_extents)
 
@@ -305,7 +323,10 @@ class _Compiler:
         """Prescan: small reduction domains become extra (vectorized)
         array dimensions instead of Python loops.  An axis qualifies only
         if every reduce using it fits the trip limit and the program-wide
-        product of vectorized extents stays bounded."""
+        product of vectorized extents stays bounded.  Reduces shaped like a
+        contraction (:meth:`_match_contraction`) are marked for GEMM
+        lowering and skip the expansion check: their rank-extended
+        intermediate is never materialized."""
         reduces: list[E.Reduce] = []
         blacklist: set[int] = set()
         stack = [body]
@@ -316,26 +337,30 @@ class _Compiler:
                 total = 1
                 for ax in node.axes:
                     total *= ax.extent
-                if not 0 < total <= _VEC_TRIP_LIMIT or \
-                        self._expansion_too_large(node, total):
+                gemm = self._gemm[id(node)] = self._match_contraction(node)
+                if not 0 < total <= _VEC_TRIP_LIMIT:
+                    why_loop = f"trip {total} > {_VEC_TRIP_LIMIT}"
+                elif isinstance(gemm, tuple):
+                    why_loop = None
+                else:
+                    why_loop = self._expansion_too_large(node, total)
+                if why_loop:
+                    self._why_loop[id(node)] = why_loop
                     blacklist.update(id(ax) for ax in node.axes)
-                stack.append(node.source)
-            elif isinstance(node, E.BinOp):
-                stack.extend((node.a, node.b))
-            elif isinstance(node, E.Call):
-                stack.extend(node.args)
-            elif isinstance(node, E.Select):
-                stack.extend((node.cond, node.then, node.otherwise))
-            elif isinstance(node, E.Cast):
-                stack.append(node.value)
-            elif isinstance(node, E.TensorElem):
-                stack.extend(node.indices)
+            stack.extend(node.children())
         product = 1
         for red in reduces:
             for ax in red.axes:
-                if id(ax) in blacklist or id(ax) in self.red_pos:
+                if id(ax) in self.red_pos:
+                    continue
+                if id(ax) in blacklist:
+                    self._why_loop.setdefault(
+                        id(red), f"axis {ax.name} is shared with a loop reduce")
                     continue
                 if product * ax.extent > _VEC_TOTAL_LIMIT:
+                    self._why_loop.setdefault(
+                        id(red), f"vectorized extents {product}\u00d7"
+                        f"{ax.extent} > {_VEC_TOTAL_LIMIT}")
                     continue
                 product *= ax.extent
                 self.red_pos[id(ax)] = (len(self.op.axis)
@@ -343,12 +368,75 @@ class _Compiler:
                 self.red_extents.append(ax.extent)
                 self._keepalive.append(ax)
 
-    def _expansion_too_large(self, red: "E.Reduce", trip: int) -> bool:
+    def _span(self, node, red_ids):
+        """What an operand subtree spans: ``(batched, output-axis
+        positions, reduce-axis ids)``, or None when it nests a reduce or
+        reads an axis that is neither an output axis nor in ``red_ids``."""
+        batched, outs, reds = False, set(), set()
+        stack = [node]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, E.Var):
+                batched = True
+            elif isinstance(x, E.IterVar):
+                if id(x) in red_ids:
+                    reds.add(id(x))
+                elif x.name in self.axis_pos:
+                    outs.add(self.axis_pos[x.name])
+                else:
+                    return None
+            elif isinstance(x, E.Reduce):
+                return None
+            stack.extend(x.children())
+        return batched, outs, reds
+
+    def _match_contraction(self, red: "E.Reduce"):
+        """``(batched operand, weight read)`` when ``red`` is a contraction
+        a single GEMM computes -- ``sum`` over a product of one operand
+        that is batch-gathered and spans exactly the reduce axes (any
+        elementwise subtree) and one plain batch-free tensor read spanning
+        the reduce axes plus output axes, both the same float dtype -- in
+        either operand order.  Otherwise the reason it is not."""
+        if red.combiner != "sum":
+            return f"{red.combiner} combiner"
+        src = red.source
+        if not (isinstance(src, E.BinOp) and src.op == "*"):
+            return "not a product"
+        red_ids = {id(ax) for ax in red.axes}
+        a, w = src.a, src.b
+        a_span, w_span = self._span(a, red_ids), self._span(w, red_ids)
+        if a_span is None or w_span is None:
+            return "operand nests a reduce or reads an enclosing axis"
+        if a_span[0] and w_span[0]:
+            return "batched\u00d7batched"
+        if w_span[0]:
+            a, w, a_span, w_span = w, a, w_span, a_span
+        elif not a_span[0]:
+            return "no batched operand"
+        (_, a_outs, a_reds), (_, _, w_reds) = a_span, w_span
+        if a_outs:
+            return "batched operand spans an output axis"
+        if a_reds != red_ids or w_reds != red_ids:
+            return "operand does not span every reduce axis"
+        if not (isinstance(w, E.TensorElem)
+                and all(isinstance(ix, E.IterVar) for ix in w.indices)
+                and len({id(ix) for ix in w.indices}) == len(w.indices)):
+            return "batch-free operand is not a plain tensor read"
+        try:
+            da, dw = self._infer_dtype(a), self._infer_dtype(w)
+        except (VectorizeError, KeyError, ValueError):
+            return "operand dtype not inferable"  # compile reports it
+        if da != dw or da.kind != "f":
+            return f"dtypes {da.name}\u00d7{dw.name}"
+        return a, w
+
+    def _expansion_too_large(self, red: "E.Reduce", trip: int):
         """Would vectorizing ``red`` blow up memory traffic?  Compares the
         rank-extended intermediate (all output axes its source references,
         times the reduction trip) against the largest batch-gathered
-        operand.  Sources with no batched operand (constant subtrees) are
-        never rejected: they fold or broadcast for free."""
+        operand; returns the comparison that failed, or None.  Sources
+        with no batched operand (constant subtrees) are never rejected:
+        they fold or broadcast for free."""
         red_ids = {id(ax) for ax in red.axes}
         out_axes: dict[int, int] = {}
         largest_batched = 0
@@ -385,11 +473,14 @@ class _Compiler:
             elif isinstance(node, E.Reduce):
                 stack.append(node.source)
         if largest_batched == 0:
-            return False
+            return None
         intermediate = trip
         for extent in out_axes.values():
             intermediate *= extent
-        return intermediate > _VEC_EXPANSION_LIMIT * largest_batched
+        if intermediate > _VEC_EXPANSION_LIMIT * largest_batched:
+            return (f"expansion {intermediate} > "
+                    f"{_VEC_EXPANSION_LIMIT}\u00d7{largest_batched}")
+        return None
 
     # -- naming --------------------------------------------------------
     def _new_reg(self):
@@ -900,8 +991,14 @@ class _Compiler:
         if any(ax.extent == 0 for ax in node.axes):
             # interpreter: empty domain yields float32(identity)
             return self._const(np.float32(node.identity))
+        gemm = self._gemm[id(node)]
         if all(id(ax) in self.red_pos for ax in node.axes):
-            return self._vector_reduce(node)
+            if isinstance(gemm, tuple):
+                return self._contraction(node, *gemm)
+            return self._vector_reduce(node, gemm)
+        why_loop = self._why_loop[id(node)]
+        self._note_form(node, "loop", why_loop if isinstance(gemm, tuple)
+                        else f"{gemm}; {why_loop}")
 
         parent = self.stack[-1]
         loops = []
@@ -964,10 +1061,13 @@ class _Compiler:
         acc = _Value(acc_name, val.np_dtype, val.mask, parent)
         return acc
 
-    def _vector_reduce(self, node: E.Reduce) -> _Value:
-        """Lower a small-domain reduction to one ``ufunc.reduce`` over
-        extra array dimensions.  ``max``/``min`` are exact; ``sum`` and
-        ``prod`` use numpy's pairwise order (float rounding only)."""
+    def _note_form(self, node: E.Reduce, form: str, reason: str) -> None:
+        self.stats.reduce_forms.append(
+            (tuple(ax.name for ax in node.axes), form, reason))
+
+    def _reduce_grids(self, node: E.Reduce) -> list[int]:
+        """Bind ``node``'s (vectorized) axes to their array dimensions;
+        returns the mask positions."""
         positions = []
         for ax in node.axes:
             pos = self.red_pos[id(ax)]
@@ -979,6 +1079,65 @@ class _Compiler:
                             writable=False)
                 self._rgrids[id(rg)] = (pos, lo, hi)
                 self._remember(("iv", ax.name), rg)
+        return positions
+
+    def _contraction(self, node: E.Reduce, a_node, w_node) -> _Value:
+        """Lower a sum of products to one GEMM: the batched operand
+        compiles as usual to ``(B, 1.., K..)`` and flattens to ``(B, K)``;
+        the weight is a basic-index view of its tensor arranged
+        ``(K, F)`` over the tiled output axes.  BLAS picks the summation
+        order (float rounding only, like the pairwise ``add.reduce``)."""
+        positions = sorted(self._reduce_grids(node))
+        a = self.compile(a_node)
+        w_dtype = np.dtype(_np_dtype(w_node.tensor.dtype))
+        if (a.is_const or a.np_dtype != w_dtype
+                or a.mask != frozenset([_BATCH, *positions])):
+            # folding or pruning changed what the operand spans
+            return self._vector_reduce(node, "batched operand folded")
+
+        base = self._tensor_alias(w_node.tensor)
+        self._gather_name = w_node.tensor.name
+        toks, order = [], []
+        for ix in w_node.indices:
+            if id(ix) in self.red_pos:
+                toks.append("{}:{}".format(*ix.dom))
+                order.append((0, self.red_pos[id(ix)]))
+            else:
+                j = self.axis_pos[ix.name]
+                toks.append(f"_lo{j}:_hi{j}")
+                order.append((1, j))
+        view = f"{base}[{', '.join(toks)}]"
+        perm = sorted(range(len(order)), key=order.__getitem__)
+        if perm != list(range(len(order))):
+            view += f".transpose({tuple(perm)!r})"
+        trip = 1
+        for ax in node.axes:
+            trip *= ax.extent
+        out_axes = sorted(j for kind, j in order if kind == 1)
+        if len(positions) != 1 or len(out_axes) != 1:
+            view += f".reshape(({trip}, -1))"
+        self.stats.gathers += 1
+        self.stats.fast_gathers += 1
+        self._record_load(w_dtype, False, out_axes, trip, extra_extent=trip)
+        w = self._emit_expr(view, w_dtype, out_axes, [], block=self.root)
+        w.writable = False  # views the input tensor
+
+        dims = (["_B"] + [f"_e{j}" if j in out_axes else "1"
+                          for j in range(self.n)] + ["1"] * self.n_red)
+        template = (f"np.matmul({a.name}.reshape((_B, {trip})), {w.name})"
+                    f".reshape(({', '.join(dims)}))")
+        self.stats.contractions += 1
+        self._note_form(node, "gemm", f"(B, {trip}) @ ({trip}, "
+                        f"{' * '.join(f'e{j}' for j in out_axes) or 1})")
+        return self._emit_expr(template, w_dtype, [_BATCH, *out_axes],
+                               [a, w])
+
+    def _vector_reduce(self, node: E.Reduce, why: str) -> _Value:
+        """Lower a small-domain reduction to one ``ufunc.reduce`` over
+        extra array dimensions.  ``max``/``min`` are exact; ``sum`` and
+        ``prod`` use numpy's pairwise order (float rounding only)."""
+        positions = self._reduce_grids(node)
+        self._note_form(node, "vector", why)
 
         val = self.compile(node.source)
         trip = 1
@@ -1212,7 +1371,8 @@ class VectorProgram:
         return (f"VectorProgram({self.name}, instrs={s.instructions}, "
                 f"cse={s.cse_hits}, folded={s.constants_folded}, "
                 f"inplace={s.inplace_ops}, "
-                f"fast_gathers={s.fast_gathers}/{s.gathers})")
+                f"fast_gathers={s.fast_gathers}/{s.gathers}, "
+                f"contractions={s.contractions})")
 
 
 def _axis_prelude(compiler: _Compiler, body_text: str) -> list[str]:

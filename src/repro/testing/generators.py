@@ -186,21 +186,39 @@ def _u_add_v_scaled(dims: dict) -> UDFInstance:
         (f,))
 
 
-def _mlp(dims: dict) -> UDFInstance:
-    n, d1, f = dims["n"], dims["d"], dims["f"]
-    XV = T.placeholder((n, d1), name="XV")
-    W = T.placeholder((d1, f), name="W")
+def _mlp_family(body, reference):
+    """``relu(sum_k body(XV, W, src, dst, k, j))``: the contraction shapes
+    the vectorizer lowers to one GEMM, in each operand order."""
 
-    def udf(src, dst, eid):
-        k = T.reduce_axis((0, d1), name="k")
-        return T.compute(
-            (f,), lambda j: T.relu(T.sum_reduce(XV[src, k] * W[k, j], axis=k)),
-            name="mlp")
+    def make(dims: dict) -> UDFInstance:
+        n, d1, f = dims["n"], dims["d"], dims["f"]
+        XV = T.placeholder((n, d1), name="XV")
+        W = T.placeholder((d1, f), name="W")
 
-    return UDFInstance(
-        udf, {"XV": (n, d1), "W": (d1, f)},
-        lambda b, s, d, e: np.maximum(b["XV"][s] @ b["W"], 0.0),
-        (f,))
+        def udf(src, dst, eid):
+            k = T.reduce_axis((0, d1), name="k")
+            return T.compute(
+                (f,), lambda j: T.relu(T.sum_reduce(
+                    body(XV, W, src, dst, k, j), axis=k)),
+                name="mlp")
+
+        return UDFInstance(
+            udf, {"XV": (n, d1), "W": (d1, f)},
+            lambda b, s, d, e: np.maximum(
+                reference(b["XV"], s, d) @ b["W"], 0.0),
+            (f,))
+
+    return make
+
+
+_mlp = _mlp_family(lambda XV, W, src, dst, k, j: XV[src, k] * W[k, j],
+                   lambda xv, s, d: xv[s])
+_mlp_u_add_v = _mlp_family(
+    lambda XV, W, src, dst, k, j: (XV[src, k] + XV[dst, k]) * W[k, j],
+    lambda xv, s, d: xv[s] + xv[d])
+_mlp_weight_first = _mlp_family(
+    lambda XV, W, src, dst, k, j: W[k, j] * XV[src, k],
+    lambda xv, s, d: xv[s])
 
 
 def _dot(dims: dict) -> UDFInstance:
@@ -261,6 +279,10 @@ UDF_FAMILIES: dict[str, UDFFamily] = {
                   dims=("f",)),
         UDFFamily("mlp", ("spmm",), _mlp, has_reduction=True,
                   dims=("f", "d")),
+        UDFFamily("mlp_u_add_v", ("spmm", "sddmm"), _mlp_u_add_v,
+                  has_reduction=True, dims=("f", "d")),
+        UDFFamily("mlp_weight_first", ("spmm", "sddmm"), _mlp_weight_first,
+                  has_reduction=True, dims=("f", "d")),
         UDFFamily("dot", ("spmm", "sddmm"), _dot, has_reduction=True,
                   dims=("d",)),
         UDFFamily("multihead_dot", ("sddmm",), _multihead_dot,

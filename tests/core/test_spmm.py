@@ -230,6 +230,130 @@ class TestEdgeCases:
         assert np.allclose(k.run({"XV": x}), ref, atol=1e-2)
 
 
+class TestFeatureTilingPlan:
+    """The numeric plan tiles the feature axis only when a batched gather
+    spans it; a UDF whose gathers cannot shrink with the tile (MLP
+    aggregation) runs each edge chunk once, at full width."""
+
+    D1, F = 8, 64
+
+    @staticmethod
+    def _chunks(kernel):
+        acc = np.zeros((kernel.A.num_dst,) + kernel.msg_shape, np.float32)
+        plan = kernel.execution_plan(acc)
+        return len(plan.tasks), sum(len(t.bounds) for t in plan.tasks)
+
+    def _mlp(self, adj, n, agg="max", **opts):
+        from repro.core import kernels
+        from repro.core.compile import KernelCache, use_kernel_cache
+
+        with use_kernel_cache(KernelCache()):
+            return kernels.mlp_aggregation(adj, n, self.D1, self.F, agg=agg,
+                                           **opts)
+
+    def _bindings(self, n, seed=0):
+        rng = np.random.default_rng(seed)
+        return {"XV": rng.standard_normal((n, self.D1)).astype(np.float32),
+                "W": rng.standard_normal((self.D1, self.F)).astype(np.float32)}
+
+    def test_mlp_runs_one_pass_per_edge_chunk(self, setup):
+        from repro.runtime.plan import row_aligned_chunks
+
+        adj, _, _, n, _ = setup
+        k = self._mlp(adj, n, num_graph_partitions=2, chunk_edges=100)
+        assert k.fds_info.feature_tile == 8
+        assert k.num_feature_partitions == 8
+        edge_chunks = sum(len(row_aligned_chunks(p.csr.indptr, 100))
+                          for p in k.partitions)
+        assert edge_chunks > 4
+        assert self._chunks(k) == (2, edge_chunks)
+        k.run(self._bindings(n))
+        assert k.exec_stats.chunks == edge_chunks        # not x 8
+        # the FDS still drives the machine model
+        untiled = self._mlp(adj, n, num_graph_partitions=2, chunk_edges=100,
+                            num_feature_partitions=1)
+        assert k.cost().seconds != untiled.cost().seconds
+
+    def test_message_row_counts_towards_the_chunk_workset(self, setup):
+        from repro.runtime.plan import (CHUNK_WORKSET_BYTES,
+                                        effective_chunk_edges)
+
+        adj, _, _, n, _ = setup
+        prog = self._mlp(adj, n).vector_program()
+        gathered = 2 * self.D1 * 4
+        assert prog.stats.workset_bytes_per_item == gathered
+        assert effective_chunk_edges(1 << 20, prog) \
+            == CHUNK_WORKSET_BYTES // gathered
+        assert effective_chunk_edges(1 << 20, prog, self.F * 4) \
+            == CHUNK_WORKSET_BYTES // (gathered + self.F * 4)
+
+    def test_default_chunks_hold_two_full_width_rows_per_edge(self):
+        """The plan counts the message and the strategy's copy of it, so no
+        buffer of a chunk exceeds half the budget by more than one row's
+        overshoot (one counted row left 6-7 MB buffers whose placement, and
+        with it peak RSS, flipped with the topology)."""
+        from repro.runtime.plan import CHUNK_WORKSET_BYTES
+
+        rng = np.random.default_rng(7)
+        n, m = 64, 40_000
+        adj = from_edges(n, n, rng.integers(0, n, m), rng.integers(0, n, m))
+        k = self._mlp(adj, n)
+        target = CHUNK_WORKSET_BYTES // (2 * self.D1 * 4 + 2 * self.F * 4)
+        acc = np.zeros((n, self.F), np.float32)
+        (task,) = k.execution_plan(acc).tasks
+        sizes = [hi - lo for lo, hi in task.bounds]
+        assert len(sizes) > 1
+        assert max(sizes) <= target + int(np.diff(adj.indptr).max())
+        assert max(sizes) * self.F * 4 < CHUNK_WORKSET_BYTES // 2
+
+    def test_gcn_keeps_the_tile_by_chunk_grid(self, setup):
+        from repro.core import kernels
+        from repro.runtime.plan import row_aligned_chunks
+
+        adj, _, _, n, _ = setup
+        k = kernels.gcn_aggregation(adj, n, self.F, chunk_edges=100)
+        tiles = k.num_feature_partitions
+        assert tiles > 1
+        edge_chunks = sum(len(row_aligned_chunks(p.csr.indptr, 100))
+                          for p in k.partitions)
+        assert self._chunks(k) == (tiles * len(k.partitions),
+                                   tiles * edge_chunks)
+
+    @pytest.mark.parametrize("agg", ["sum", "max", "min", "mean"])
+    @pytest.mark.parametrize("chunk_edges", [1 << 17, 16])
+    def test_matches_oracle_with_isolated_rows(self, agg, chunk_edges):
+        from repro.core.verify import verify_spmm
+
+        rng = np.random.default_rng(5)
+        n, m = 40, 400
+        src = rng.integers(0, n, m)
+        dst = rng.integers(0, n // 2, m) * 2      # odd rows stay empty
+        adj = from_edges(n, n, src, dst)
+        k = self._mlp(adj, n, agg=agg, chunk_edges=chunk_edges)
+        tasks, chunks = self._chunks(k)
+        assert tasks == 1 and (chunks == 1) == (chunk_edges > m)
+        out = verify_spmm(k, self._bindings(n, seed=1), atol=1e-4)
+        assert np.all(out[1::2] == 0.0)
+
+    @pytest.mark.parametrize("strategy", ["reduceat", "bucketed", "parallel"])
+    def test_collapsed_plan_verifies_and_sanitizes_clean(self, setup,
+                                                         strategy):
+        from repro.core.verify import reference_spmm
+        from repro.runtime.verify import sanitizing, verify_kernel
+
+        adj, _, _, n, _ = setup
+        k = self._mlp(adj, n, agg="sum", chunk_edges=100)
+        k.agg_strategy = strategy
+        report = verify_kernel(k)
+        assert not report.errors and not report.warnings, report.render()
+        assert {d.rule for d in report.diagnostics} <= {"FG007"}
+        bindings = self._bindings(n, seed=2)
+        with sanitizing():
+            out = k.run(bindings)
+        np.testing.assert_allclose(out, reference_spmm(k, bindings),
+                                   rtol=1e-4, atol=1e-4)
+
+
 class TestCost:
     def test_cpu_and_gpu_costs_positive(self, setup):
         adj, src, dst, n, x = setup

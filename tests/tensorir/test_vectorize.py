@@ -206,6 +206,198 @@ class TestVectorizedReductions:
         np.testing.assert_array_equal(got, ref)
 
 
+def _mlp_body(n, d1, f, body, dtype="float32", name="mlp"):
+    """``relu(sum_k body(XV, W, src, dst, k, i))`` over ``(f,)``."""
+    XV = T.placeholder((n, d1), name="XV", dtype=dtype)
+    W = T.placeholder((d1, f), name="W", dtype=dtype)
+    src, dst = T.Var("src"), T.Var("dst")
+    k = T.reduce_axis((0, d1), name="k")
+    return T.compute(
+        (f,), lambda i: T.maximum(
+            T.sum_reduce(body(XV, W, src, dst, k, i), axis=k), 0.0),
+        name=name)
+
+
+def _mlp_bindings(n, d1, f, dtype=np.float32):
+    return {"XV": RNG.standard_normal((n, d1)).astype(dtype),
+            "W": RNG.standard_normal((d1, f)).astype(dtype)}
+
+
+def _X_TIMES_W(XV, W, s, d, k, i):
+    return (XV[s, k] + XV[d, k]) * W[k, i]
+
+
+def _W_TIMES_X(XV, W, s, d, k, i):
+    return W[k, i] * (XV[s, k] + XV[d, k])
+
+
+class TestContractions:
+    """Sum-of-products reduces with one batched (B, K) operand and one
+    batch-free (K, F) tensor read lower to a single ``np.matmul``;
+    everything else keeps its vector-reduce or loop form."""
+
+    @pytest.mark.parametrize("body", [_X_TIMES_W, _W_TIMES_X],
+                             ids=["X*W", "W*X"])
+    @pytest.mark.parametrize("d1", [1, 8])
+    def test_mlp_body_is_one_gemm(self, body, d1):
+        n, f = 11, 64
+        out = _mlp_body(n, d1, f, body)
+        bindings = _mlp_bindings(n, d1, f)
+        batch = _batch(n, 5, b=37)
+        prog, got, ref = _run_both(out, bindings, batch)
+        assert prog.source.count("np.matmul") == 1
+        assert prog.stats.contractions == 1
+        assert prog.stats.loops == 0 and prog.stats.vector_reduces == 0
+        assert [(form, axes) for axes, form, _ in prog.stats.reduce_forms] \
+            == [("gemm", ("k",))]
+        assert "contractions=1" in repr(prog)
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+        # feature tiles slice the weight view, not the gathers
+        for tile in [(0, 8), (8, 24), (63, 64)]:
+            ax = out.op.axis[0].name
+            got_t = prog.run(bindings, batch, axis_ranges={ax: tile})
+            ref_t = evaluate_batched(out, bindings, batch,
+                                     axis_ranges={ax: tile})
+            assert got_t.shape == (37, tile[1] - tile[0])
+            np.testing.assert_allclose(got_t, ref_t, rtol=1e-5, atol=1e-5)
+
+    def test_float64_operands(self):
+        n, d1, f = 9, 6, 10
+        out = _mlp_body(n, d1, f, _X_TIMES_W, dtype="float64")
+        bindings = _mlp_bindings(n, d1, f, np.float64)
+        prog = compile_batched(out)
+        assert prog.stats.contractions == 1
+        batch = _batch(n, 5)
+        raw = prog._fn(bindings, {k: np.asarray(v, np.int64)
+                                  for k, v in batch.items()},
+                       [(0, f)], 13)
+        assert raw.dtype == np.float64  # the GEMM ran in float64
+        np.testing.assert_allclose(
+            prog.run(bindings, batch), evaluate_batched(out, bindings, batch),
+            rtol=1e-5, atol=1e-5)
+
+    def test_two_axis_reduce_and_transposed_weight(self):
+        n, a, b, f = 7, 3, 4, 5
+        XV = T.placeholder((n, a, b), name="XV")
+        W = T.placeholder((f, b, a), name="W")   # (out, k2, k1)
+        src = T.Var("src")
+        k1 = T.reduce_axis((0, a), name="k1")
+        k2 = T.reduce_axis((0, b), name="k2")
+        out = T.compute(
+            (f,), lambda i: T.sum_reduce(XV[src, k1, k2] * W[i, k2, k1],
+                                         axis=[k1, k2]), name="two")
+        bindings = {"XV": RNG.standard_normal((n, a, b)).astype(np.float32),
+                    "W": RNG.standard_normal((f, b, a)).astype(np.float32)}
+        batch = {"src": RNG.integers(0, n, 9)}
+        prog, got, ref = _run_both(out, bindings, batch)
+        assert prog.stats.contractions == 1 and prog.stats.loops == 0
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+        want = np.einsum("nab,fba->nf", bindings["XV"][batch["src"]],
+                         bindings["W"])
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    def test_bytes_moved_counts_gathers_and_weight_once(self):
+        n, d1, f, B = 11, 8, 64, 1000
+        prog = compile_batched(_mlp_body(n, d1, f, _X_TIMES_W))
+        assert prog.bytes_moved(B) == B * 2 * d1 * 4 + d1 * f * 4 + B * f * 4
+        assert prog.stats.workset_bytes_per_item == 2 * d1 * 4
+        # the weight view is never an out= target (FG008): only registers
+        view = next(line.split(" = ")[0].strip()
+                    for line in prog.source.splitlines() if "_lo0:_hi0" in line)
+        assert f"out={view}" not in prog.source
+
+    def test_pruned_operand_falls_back_to_vector_reduce(self):
+        """Dead-branch pruning can drop the reduce axis from the batched
+        operand after the prescan matched it; the reduce then takes the
+        vector form, which handles axes the body does not span."""
+        n, d1, f = 9, 4, 6
+        XV = T.placeholder((n, d1), name="XV")
+        W = T.placeholder((d1, f), name="W")
+        src = T.Var("src")
+        k = T.reduce_axis((0, d1), name="k")
+        out = T.compute(
+            (f,), lambda i: T.sum_reduce(
+                T.select(T.const(1.0) > 0.0, XV[src, 0], XV[src, k])
+                * W[k, i], axis=k), name="pruned")
+        prog, got, ref = _run_both(out, _mlp_bindings(n, d1, f),
+                                   {"src": RNG.integers(0, n, 9)})
+        assert prog.stats.contractions == 0 and prog.stats.vector_reduces == 1
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+
+    # -- negative cases: the old form, bit-identical where it was ---------
+    def test_max_combiner_keeps_loop_form(self):
+        n, d1, f = 11, 8, 64
+        XV = T.placeholder((n, d1), name="XV")
+        W = T.placeholder((d1, f), name="W")
+        src = T.Var("src")
+        k = T.reduce_axis((0, d1), name="k")
+        out = T.compute(
+            (f,), lambda i: T.max_reduce(XV[src, k] + W[k, i], axis=k),
+            name="maxplus")
+        prog, got, ref = _run_both(out, _mlp_bindings(n, d1, f),
+                                   {"src": RNG.integers(0, n, 9)})
+        assert prog.stats.contractions == 0 and prog.stats.loops == 1
+        assert "np.matmul" not in prog.source
+        np.testing.assert_array_equal(got, ref)
+        (axes, form, reason), = prog.stats.reduce_forms
+        assert (axes, form) == (("k",), "loop")
+        assert "max combiner" in reason and "expansion 512 > 4\u00d78" in reason
+
+    def test_batched_weight_keeps_loop_form(self):
+        """rgcn: W[REL[eid], k, i] is batch-gathered, not a GEMM operand."""
+        n, m, r, d1, f = 9, 20, 3, 4, 16
+        XV = T.placeholder((n, d1), name="XV")
+        W = T.placeholder((r, d1, f), name="W")
+        REL = T.placeholder((m,), name="REL", dtype="int64")
+        src, eid = T.Var("src"), T.Var("eid")
+        k = T.reduce_axis((0, d1), name="k")
+        out = T.compute(
+            (f,), lambda i: T.sum_reduce(XV[src, k] * W[REL[eid], k, i],
+                                         axis=k), name="rgcn")
+        bindings = {"XV": RNG.standard_normal((n, d1)).astype(np.float32),
+                    "W": RNG.standard_normal((r, d1, f)).astype(np.float32),
+                    "REL": RNG.integers(0, r, m)}
+        prog, got, ref = _run_both(out, bindings, _batch(n, m))
+        assert prog.stats.contractions == 0 and "np.matmul" not in prog.source
+        assert prog.stats.reduce_forms[0][2].startswith("batched\u00d7batched")
+        np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-6)
+
+    def test_dot_product_reason_is_batched_times_batched(self):
+        n, d = 9, 16
+        XV = T.placeholder((n, d), name="XV")
+        src, dst = T.Var("src"), T.Var("dst")
+        k = T.reduce_axis((0, d), name="k")
+        out = T.compute(
+            (1,), lambda i: T.sum_reduce(XV[src, k] * XV[dst, k], axis=k),
+            name="dot")
+        prog = compile_batched(out)
+        assert prog.stats.vector_reduces == 1 and prog.stats.contractions == 0
+        assert prog.stats.reduce_forms == [
+            (("k",), "vector", "batched\u00d7batched")]
+
+    def test_int32_operands_keep_interpreter_arithmetic(self):
+        n, d1, f = 9, 8, 64
+        out = _mlp_body(n, d1, f, _X_TIMES_W, dtype="int32")
+        bindings = {"XV": RNG.integers(-9, 9, (n, d1)).astype(np.int32),
+                    "W": RNG.integers(-9, 9, (d1, f)).astype(np.int32)}
+        prog, got, ref = _run_both(out, bindings, _batch(n, 5))
+        assert prog.stats.contractions == 0 and prog.stats.loops == 1
+        np.testing.assert_array_equal(got, ref)
+
+    def test_huge_trip_reason(self):
+        n, d = 4, 8192  # > _VEC_TRIP_LIMIT
+        XV = T.placeholder((n, d), name="XV")
+        W = T.placeholder((d, 4), name="W")
+        k = T.reduce_axis((0, d), name="k")
+        out = T.compute(
+            (4,), lambda i: T.sum_reduce(XV[T.Var("src"), k] * W[k, i],
+                                         axis=k), name="big")
+        prog = compile_batched(out)
+        assert prog.stats.contractions == 0 and prog.stats.loops == 1
+        assert prog.stats.reduce_forms == [
+            (("k",), "loop", "trip 8192 > 4096")]
+
+
 class TestProgramContract:
     def test_rejects_non_compute_tensor(self):
         XV = T.placeholder((4, 4), name="XV")
