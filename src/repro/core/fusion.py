@@ -67,12 +67,12 @@ from repro.core.compile import (PassTiming, compile_sddmm, compile_spmm,
                                 get_kernel_cache)
 from repro.core.spmm import resolve_aggregation
 from repro.runtime.engine import AggregateSink, Executor, ScatterSink
-from repro.runtime.histogram import chunk_bounds, chunk_shapes, degree_stats
+from repro.runtime.histogram import chunk_bounds, chunk_shapes
 from repro.runtime.plan import (EdgeTask, ExecutionPlan, GatherPlan, Stage,
                                 effective_chunk_edges)
 from repro.runtime.reducers import AGG_IDENTITY, get_reducer
 from repro.runtime.strategies import (make_strategy, resolve_request,
-                                      resolve_strategy,
+                                      resolve_sink_strategy,
                                       select_chunk_strategies)
 from repro.tensorir import expr as E
 from repro.tensorir import ir as I
@@ -677,8 +677,8 @@ class FusedKernel:
         self.plan = plan
         self.chunk_edges = int(chunk_edges)
         self.bound = bound
-        #: aggregation-strategy override (None = auto/env), as on the
-        #: staged templates
+        #: aggregation-strategy request (None = resolved per sink), as on
+        #: the staged templates
         self.agg_strategy: str | None = None
         self.exec_stats = ExecStats()
         self.timings: list[PassTiming] = []
@@ -805,38 +805,51 @@ class FusedKernel:
         between stages through the chunk context.
 
         The aggregation request resolves exactly as on the staged SpMM
-        template: a concrete name pins one strategy for the sweep,
-        ``"adaptive"`` assigns per chunk from the chunk's shape statistics
-        (the adaptive executor applies **inside** fused plans), a name
-        sequence pins an explicit per-chunk cycle."""
+        template: without one every aggregating stage's sink gets its own
+        strategy from its reducer and its program's output dtype (the
+        edge-softmax chain's ``max`` sink keeps the selector's pick, its
+        exp-sum and aggregate sinks combine through ``spblas``; the plan
+        label joins the distinct names in stage order), a concrete name
+        pins one strategy for the sweep, ``"adaptive"`` assigns per chunk
+        from the chunk's shape statistics (the adaptive executor applies
+        **inside** fused plans), a name sequence pins an explicit per-chunk
+        cycle."""
         csr = self.A.csr
         target = self.chunk_edges
         for st in self.plan.stages:
             target = min(target,
                          effective_chunk_edges(self.chunk_edges, st.prog))
-        spmm_width = max((st.width for st in self.plan.stages
-                          if st.kind == "spmm"), default=1)
+        aggregating = [st for st in self.plan.stages if st.kind == "spmm"]
+        spmm_width = max((st.width for st in aggregating), default=1)
         bounds = chunk_bounds(csr, target)
         mode, names = resolve_request(self.agg_strategy)
-        if mode in ("auto", "single"):
-            strategy = resolve_strategy(
-                names[0] if mode == "single" else None,
-                degree_stats(csr).degrees, spmm_width, pool)
-            plan_label = strategy.name
-            chunk_strats = None
+        chunk_strats = None
+        if mode == "auto":
+            sink_strategy = {
+                st.name: resolve_sink_strategy(
+                    _agg_base(st.aggregation), st.prog.out_dtype, csr,
+                    spmm_width, pool)
+                for st in aggregating}
+            plan_label = "+".join(dict.fromkeys(
+                s.name for s in sink_strategy.values())) or None
         else:
-            strategy = make_strategy("reduceat", pool=pool)
-            plan_label = "adaptive" if mode == "adaptive" else "mixed"
-            if mode == "adaptive":
-                assigned = select_chunk_strategies(
-                    chunk_shapes(csr, target, spmm_width), pool)
+            if mode == "single":
+                strategy = make_strategy(names[0], pool=pool)
+                plan_label = strategy.name
             else:
-                assigned = [names[i % len(names)]
-                            for i in range(len(bounds))]
-            instances = {"reduceat": strategy}
-            chunk_strats = [
-                instances.setdefault(n, make_strategy(n, pool=pool))
-                for n in assigned]
+                strategy = make_strategy("reduceat", pool=pool)
+                plan_label = "adaptive" if mode == "adaptive" else "mixed"
+                if mode == "adaptive":
+                    assigned = select_chunk_strategies(
+                        chunk_shapes(csr, target, spmm_width), pool)
+                else:
+                    assigned = [names[i % len(names)]
+                                for i in range(len(bounds))]
+                instances = {"reduceat": strategy}
+                chunk_strats = [
+                    instances.setdefault(n, make_strategy(n, pool=pool))
+                    for n in assigned]
+            sink_strategy = {st.name: strategy for st in aggregating}
         keep = set(keep)
 
         stages = []
@@ -884,7 +897,8 @@ class FusedKernel:
             if st.kind == "spmm":
                 sink = AggregateSink(vbufs[st.name],
                                      get_reducer(_agg_base(st.aggregation)),
-                                     strategy, guard_zero=st.guard_zero)
+                                     sink_strategy[st.name],
+                                     guard_zero=st.guard_zero)
             else:
                 buf = ebufs.get(st.name)
                 sink = None if buf is None else ScatterSink(

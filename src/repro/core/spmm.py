@@ -36,10 +36,10 @@ from repro.runtime.plan import (CHUNK_WORKSET_BYTES, MIN_CHUNK_EDGES,
                                 ChunkPolicy, EdgeTask, ExecutionPlan,
                                 GatherPlan, Stage, effective_chunk_edges,
                                 row_aligned_chunks)
-from repro.runtime.histogram import chunk_bounds, chunk_shapes, degree_stats
+from repro.runtime.histogram import chunk_bounds, chunk_shapes
 from repro.runtime.reducers import AGG_IDENTITY, AGG_UFUNC, resolve_reducer
 from repro.runtime.strategies import (make_strategy, resolve_request,
-                                      resolve_strategy,
+                                      resolve_sink_strategy,
                                       select_chunk_strategies)
 from repro.tensorir.runtime import ExecStats, WorkPool
 from repro.core.fds import FDS, FDSInfo, default_fds
@@ -259,7 +259,11 @@ class GeneralizedSpMM:
         gathers, and the GEMM it lowers to blocks the output itself.
         ``num_feature_partitions``, the lowered IR, ``cost()`` and the CUDA
         source still follow the FDS.  The aggregation request is
-        ``self.agg_strategy``, else the selector: a concrete name
+        ``self.agg_strategy``; without one the sink's strategy follows from
+        its reducer and the program's output dtype
+        (:func:`~repro.runtime.strategies.resolve_sink_strategy`: float
+        ``sum``/``mean`` combine through ``spblas``, anything else through
+        the selector's pick).  A concrete name
         pins one strategy for the whole kernel, ``"adaptive"`` assigns a
         strategy **per chunk** from each chunk's shape statistics
         (cost-model-driven when calibrated), and a sequence of names pins
@@ -288,12 +292,15 @@ class GeneralizedSpMM:
             tiles = [(0, self.msg_shape[0])]
             row_bytes = 2 * self.feature_len * prog.out_dtype.itemsize
         target = effective_chunk_edges(self.chunk_edges, prog, row_bytes)
-        if mode in ("auto", "single"):
-            strategy = resolve_strategy(
-                names[0] if mode == "single" else None,
-                degree_stats(self.A.csr).degrees, self.feature_len, pool)
+        per_chunk = None
+        if mode == "auto":
+            strategy = resolve_sink_strategy(
+                reducer.name, prog.out_dtype, self.A.csr, self.feature_len,
+                pool)
             plan_label = strategy.name
-            per_chunk = None
+        elif mode == "single":
+            strategy = make_strategy(names[0], pool=pool)
+            plan_label = strategy.name
         else:
             # heterogeneous plan: every chunk carries its own assignment,
             # the sink default (reduceat) is never consulted

@@ -102,18 +102,24 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("backward() without grad requires a scalar")
             grad = np.ones_like(self.data)
+        # Post-order over the tape, parents in recording order.  Iterative
+        # on purpose: a nested recursive ``visit`` refers to itself through
+        # its own closure cell, and that cycle keeps ``topo`` -- every
+        # intermediate tensor, its grad and whatever its backward closure
+        # captured -- alive until the cyclic collector happens to run.
         topo: list[Tensor] = []
-        seen: set[int] = set()
-
-        def visit(t: "Tensor"):
-            if id(t) in seen or not t.requires_grad:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        seen = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen and p.requires_grad:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                topo.append(t)
+                stack.pop()
         self._accumulate(grad)
         for t in reversed(topo):
             if t._backward is not None and t.grad is not None:

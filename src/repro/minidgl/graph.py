@@ -35,6 +35,7 @@ import numpy as np
 from repro.graph.segment import segment_reduce, segment_softmax
 from repro.graph.sparse import CSRMatrix, from_edges
 from repro.minidgl.autograd import Tensor
+from repro.runtime.spblas import segment_sum
 
 __all__ = ["Graph", "copy_u_sum", "copy_u_mean", "u_mul_e_sum", "u_dot_v",
            "edge_add", "edge_softmax", "edge_softmax_mul_sum"]
@@ -179,18 +180,24 @@ def u_dot_v(graph: Graph, a: Tensor, b: Tensor, backend) -> Tensor:
 def edge_add(graph: Graph, a_src: Tensor, a_dst: Tensor) -> Tensor:
     """``out[uv] = a_src[u] + a_dst[v]`` -- per-edge endpoint sum (the GAT
     attention-logit pattern)."""
-    src = graph.src_of_edge()
-    dst = graph.dst_of_edge()
-    out_data = a_src.data[src] + a_dst.data[dst]
+    out_data = (a_src.data[graph.src_of_edge()]
+                + a_dst.data[graph.dst_of_edge()])
 
     def bwd(g):
+        # Edges are in CSR order, so both scatters are segmented sums: the
+        # destination side over the adjacency's own rows, the source side
+        # over the reverse adjacency, whose edge_ids index g.  On a
+        # bipartite block the operands may carry more rows than the
+        # adjacency has (dst ids are a prefix of src ids); those get zero.
         if a_src.requires_grad:
             acc = np.zeros_like(a_src.data)
-            np.add.at(acc, src, g)
+            rev = graph.reverse
+            acc[:rev.shape[0]] = segment_sum(rev.indptr, g,
+                                             index=rev.edge_ids)
             a_src._accumulate(acc)
         if a_dst.requires_grad:
             acc = np.zeros_like(a_dst.data)
-            np.add.at(acc, dst, g)
+            acc[:graph.adj.shape[0]] = segment_sum(graph.adj.indptr, g)
             a_dst._accumulate(acc)
 
     return Tensor._make(out_data, (a_src, a_dst), bwd)

@@ -3,10 +3,11 @@
 Kernel templates lower to :class:`~repro.runtime.plan.ExecutionPlan`
 objects and the :class:`~repro.runtime.engine.Executor` runs them: one
 chunk loop, one stats ledger, and pluggable segment-reduction strategies
-(:mod:`repro.runtime.strategies`) selected from the degree histogram or
-pinned per kernel via ``agg_strategy``.  The reducer registry
-(:mod:`repro.runtime.reducers`) is the single source of ufunc/identity
-truth for every segmented reduction in the repository.
+(:mod:`repro.runtime.strategies`) resolved per sink -- float sums to the
+native segmented sum (:mod:`repro.runtime.spblas`), the rest from the
+degree histogram -- or pinned per kernel via ``agg_strategy``.  The
+reducer registry (:mod:`repro.runtime.reducers`) is the single source of
+ufunc/identity truth for every segmented reduction in the repository.
 
 The plan verifier (:mod:`repro.runtime.verify`, PR 8) statically proves
 shard disjointness, determinism class, buffer lifetimes, and gather
@@ -27,7 +28,9 @@ from repro.runtime.reducers import (AGG_IDENTITY, AGG_UFUNC, REDUCERS,
 from repro.runtime.strategies import (AggregationStrategy,
                                       DegreeBucketedStrategy,
                                       ParallelStrategy, ReduceatStrategy,
-                                      STRATEGY_NAMES, make_strategy,
+                                      SparseBlasStrategy, STRATEGY_NAMES,
+                                      UFUNC_STRATEGIES, make_strategy,
+                                      resolve_sink_strategy,
                                       resolve_strategy, select_strategy)
 # verify's names are re-exported lazily: eagerly importing the module here
 # would make ``python -m repro.runtime.verify`` double-execute it (runpy
@@ -53,8 +56,9 @@ __all__ = [
     "AGG_IDENTITY", "AGG_UFUNC", "REDUCERS", "Reducer", "get_reducer",
     "resolve_reducer",
     "AggregationStrategy", "DegreeBucketedStrategy",
-    "ParallelStrategy", "ReduceatStrategy", "STRATEGY_NAMES",
-    "make_strategy", "resolve_strategy", "select_strategy",
+    "ParallelStrategy", "ReduceatStrategy", "SparseBlasStrategy",
+    "STRATEGY_NAMES", "UFUNC_STRATEGIES", "make_strategy",
+    "resolve_sink_strategy", "resolve_strategy", "select_strategy",
     "SANITIZE_ENV", "SanitizerError", "classify_reduction",
     "sanitize_enabled", "sanitized_run", "sanitizing", "set_sanitize",
     "verify_kernel", "verify_plan",

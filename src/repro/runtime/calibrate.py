@@ -10,7 +10,8 @@ measures them once:
 1. :func:`workloads` builds a small grid of synthetic chunks spanning the
    regimes that separate the strategies (few long uniform segments vs.
    many short distinct ones, narrow vs. wide features);
-2. :func:`calibrate` times every strategy on every workload (an
+2. :func:`calibrate` times every ufunc strategy (``spblas`` is not
+   ranked: it is given the float sums outright) on every workload (an
    injectable ``measure`` hook keeps tests deterministic) and solves a
    per-strategy least-squares fit of the model's feature columns;
 3. :func:`save_profile` persists the fitted
@@ -41,7 +42,7 @@ from repro.core.cost import ChunkShape, CostModel, StrategyCost, \
     default_profile_path, load_profile
 from repro.runtime.plan import segment_info
 from repro.runtime.reducers import get_reducer
-from repro.runtime.strategies import STRATEGY_NAMES, make_strategy
+from repro.runtime.strategies import UFUNC_STRATEGIES, make_strategy
 from repro.tensorir.runtime import WorkPool
 
 __all__ = ["Workload", "workloads", "measure_combine", "fit_costs",
@@ -162,7 +163,7 @@ def fit_costs(samples: list[tuple[ChunkShape, float]], strategy_name: str,
 def calibrate(measure=None, pool: WorkPool | None = None,
               repeats: int = 3, grid: list[Workload] | None = None
               ) -> CostModel:
-    """Measure + fit every strategy; returns the fitted model.
+    """Measure + fit every ufunc strategy; returns the fitted model.
 
     ``measure(strategy_name, workload) -> seconds`` is injectable so tests
     can calibrate from synthetic deterministic timings; the default runs
@@ -179,7 +180,7 @@ def calibrate(measure=None, pool: WorkPool | None = None,
     workers = pool.num_workers if pool is not None \
         else min(16, os.cpu_count() or 1)
     costs = {}
-    for name in STRATEGY_NAMES:
+    for name in UFUNC_STRATEGIES:
         if name == "parallel" and workers <= 1:
             continue
         samples = [(wl.shape, float(measure(name, wl))) for wl in grid]

@@ -2,8 +2,9 @@
 
 Aggregating a chunk's per-edge messages into destination rows is a
 segmented reduction, and *how* the segments are reduced dominates GNN
-aggregation cost -- the chunk's degree histogram decides which shape of
-vectorization wins.  Three strategies implement one interface:
+aggregation cost.  Four strategies implement one interface; the first
+three reduce with numpy ufuncs, and for those the chunk's degree
+histogram decides which shape of vectorization wins:
 
 ``reduceat``
     The sorted-CSR baseline: one ``ufunc.reduceat`` over the chunk's
@@ -29,6 +30,21 @@ vectorization wins.  Three strategies implement one interface:
     the same ``reduceat`` primitive, results are **bit-identical across
     worker counts** (and to the ``reduceat`` strategy).
 
+``spblas``
+    The native segmented sum: a float32/float64 ``sum`` is the product of
+    the chunk's 0/1 selector matrix (CSR: ``indptr`` = segment starts,
+    ``indices`` = ``arange``) with the ``(edges, F)`` message block, one
+    call into SciPy's compiled ``csr_matvecs``
+    (:mod:`repro.runtime.spblas`).  No per-segment or per-degree Python
+    or ufunc dispatch at all, so it needs no shape statistics to be the
+    right pick, and the lowerings give it every float ``sum``/``mean``
+    sink of a default request.  Rows longer than 128 edges are summed in
+    128-edge blocks first, so float32 drift does not grow with the degree;
+    each row is reduced in one fixed order that depends only on its own
+    length, so results are **bit-identical across chunk sizes and worker
+    counts**.  Any other reducer, and integer or bool messages, delegate
+    to ``reduceat`` inline.
+
 Parity contract (pinned by ``tests/runtime/test_strategies.py`` and the
 fuzzer's ``--exec-strategy`` stage): for order-insensitive reducers
 (max/min) every strategy is bit-identical to the ``reduceat`` oracle; for
@@ -36,12 +52,20 @@ sum/prod/mean the bucketed strategy reassociates (numpy's pairwise SIMD
 reduce vs reduceat's internal order), so agreement is bounded at 1e-6
 relative -- ``reduceat`` itself matches neither a sequential nor a
 pairwise Python recomputation bit-for-bit, so exact equality across
-differently-vectorized sums is not a meaningful target.
+differently-vectorized sums is not a meaningful target.  ``spblas``
+reassociates the float sums it owns too (blocked sequential order, in the
+message dtype): it agrees with the oracle inside the sanitizer's FG007
+reassociation tolerance (rtol 1e-4, atol 1e-5) and is ``reduceat`` bit
+for bit wherever it delegates.
 
-:func:`select_strategy` picks a strategy from the degree histogram and
-feature width; a kernel's ``agg_strategy`` request pins one instead.
+A kernel's ``agg_strategy`` request pins a strategy.  Without one the
+lowerings resolve the strategy **per sink** (:func:`resolve_sink_strategy`):
+a ``sum``/``mean`` sink over float32/float64 messages combines through
+``spblas``; every other sink (``max``/``min``/``prod``, integer messages)
+through :func:`select_strategy`'s pick among the three ufunc strategies,
+from the degree histogram and feature width.
 
-Selection is **cost-model-driven when calibrated**: if
+That selection is **cost-model-driven when calibrated**: if
 :func:`repro.core.cost.load_profile` finds a valid machine profile
 (written once by ``python -m repro.runtime.calibrate``), both
 :func:`select_strategy` and the per-chunk
@@ -51,7 +75,9 @@ below.  The ``"adaptive"`` request (kernel ``agg_strategy``) asks the
 lowering to assign a strategy **per chunk** from each chunk's own shape
 statistics -- power-law graphs mix hub regions where ``bucketed`` wins
 with long-tail regions where ``reduceat`` is already optimal, and one
-whole-kernel choice forfeits one of the two.
+whole-kernel choice forfeits one of the two.  The cost model, the
+calibration grid and ``"adaptive"`` rank only the ufunc strategies
+(:data:`UFUNC_STRATEGIES`).
 """
 
 from __future__ import annotations
@@ -62,6 +88,7 @@ import numpy as np
 
 from repro.runtime.plan import SegmentInfo
 from repro.runtime.reducers import Reducer
+from repro.runtime.spblas import segment_sum
 from repro.tensorir.runtime import WorkPool, default_pool
 
 __all__ = [
@@ -70,7 +97,9 @@ __all__ = [
     "ReduceatStrategy",
     "DegreeBucketedStrategy",
     "ParallelStrategy",
+    "SparseBlasStrategy",
     "STRATEGY_NAMES",
+    "UFUNC_STRATEGIES",
     "make_strategy",
     "cost_model",
     "reset_cost_model_cache",
@@ -78,9 +107,14 @@ __all__ = [
     "select_chunk_strategies",
     "resolve_request",
     "resolve_strategy",
+    "resolve_sink_strategy",
 ]
 
-STRATEGY_NAMES = ("reduceat", "bucketed", "parallel")
+#: the strategies that reduce with numpy ufuncs -- what the selector, the
+#: cost model and the calibration grid rank
+UFUNC_STRATEGIES = ("reduceat", "bucketed", "parallel")
+
+STRATEGY_NAMES = UFUNC_STRATEGIES + ("spblas",)
 
 #: the per-chunk request name -- not a concrete strategy: lowering expands
 #: it into per-chunk assignments (EdgeTask.chunk_strategies)
@@ -217,6 +251,27 @@ class ParallelStrategy(AggregationStrategy):
         return cuts
 
 
+class SparseBlasStrategy(AggregationStrategy):
+    """Float sums as selector-CSR x message block: one ``csr_matvecs``
+    call per chunk (:func:`repro.runtime.spblas.segment_sum`); everything
+    else is ``reduceat``, bit for bit."""
+
+    name = "spblas"
+
+    @staticmethod
+    def owns(reducer_name: str, dtype) -> bool:
+        """Whether this strategy reduces natively (else it delegates)."""
+        return reducer_name == "sum" and dtype in (np.float32, np.float64)
+
+    def combine(self, acc, seg, msgs, reducer):
+        if not self.owns(reducer.name, msgs.dtype):
+            ReduceatStrategy().combine(acc, seg, msgs, reducer)
+            return
+        vals = segment_sum(np.append(seg.starts, len(seg.rows)), msgs)
+        rows = seg.seg_rows
+        acc[rows] = np.add(acc[rows], vals)
+
+
 def make_strategy(name: str, pool: WorkPool | None = None
                   ) -> AggregationStrategy:
     """Instantiate a strategy by name."""
@@ -226,6 +281,8 @@ def make_strategy(name: str, pool: WorkPool | None = None
         return DegreeBucketedStrategy()
     if name == "parallel":
         return ParallelStrategy(pool=pool)
+    if name == "spblas":
+        return SparseBlasStrategy()
     raise ValueError(
         f"unknown aggregation strategy {name!r} "
         f"(known: {'/'.join(STRATEGY_NAMES)})")
@@ -369,3 +426,21 @@ def resolve_strategy(requested: str | None, degrees, width: int,
         requested = None
     name = requested or select_strategy(degrees, width, pool)
     return make_strategy(name, pool=pool)
+
+
+def resolve_sink_strategy(reducer_name: str, dtype, csr, width: int,
+                          pool: WorkPool | None = None
+                          ) -> AggregationStrategy:
+    """The default-request strategy of one aggregating sink.
+
+    Decided from what the lowering can observe about the sink: a ``sum``
+    (``mean`` is ``sum`` + finalize) over float32/float64 messages goes to
+    ``spblas``; any other reducer or message dtype keeps the selector's
+    pick (:func:`select_strategy`) from ``csr``'s degree histogram.
+    """
+    if SparseBlasStrategy.owns(reducer_name, np.dtype(dtype)):
+        return SparseBlasStrategy()
+    # lazy: histogram imports repro.core.cost (see cost_model above)
+    from repro.runtime.histogram import degree_stats
+
+    return resolve_strategy(None, degree_stats(csr).degrees, width, pool)

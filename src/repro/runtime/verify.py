@@ -64,8 +64,8 @@ Lint CLI::
 
 verifies every registered kernel family (spmm builtins x reducers,
 sddmm builtins, staged + fused edge softmax) under every segment-
-reduction strategy; any FG006+ error exits non-zero (the CI
-``plan-lint`` gate).
+reduction strategy and under the default per-sink resolution; any FG006+
+error exits non-zero (the CI ``plan-lint`` gate).
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ import numpy as np
 
 from repro.runtime.engine import AggregateSink, ScatterSink
 from repro.runtime.plan import ExecutionPlan, segment_info
-from repro.runtime.strategies import ParallelStrategy
+from repro.runtime.strategies import (STRATEGY_NAMES, ParallelStrategy,
+                                      SparseBlasStrategy)
 from repro.tensorir.analysis.diagnostics import (AnalysisError,
                                                  AnalysisReport, Diagnostic,
                                                  Severity)
@@ -110,7 +111,6 @@ NONDETERMINISTIC = "nondeterministic"
 #: ``parallel`` reduces every segment with the same ``reduceat``
 #: primitive behind segment-aligned cuts and one deterministic fold
 _ORDER_PRESERVING = ("reduceat", "parallel")
-_KNOWN_STRATEGIES = ("reduceat", "parallel", "bucketed")
 
 #: shard counts the FG006 cut check simulates per chunk; disjointness
 #: must hold for *any* worker count, so a small and a large count are
@@ -160,9 +160,11 @@ def classify_reduction(strategy_name: str, reducer) -> str:
     bit-identical under any combine order.  Order-sensitive ones stay
     bit-identical under the order-preserving strategies and degrade to
     ``reassociated-fp`` under ``bucketed`` (dense pairwise SIMD reduce +
-    float64 accumulation).  Anything outside the strategy/reducer
-    registries is ``nondeterministic`` -- no contract pins its combine
-    order.
+    float64 accumulation).  ``spblas`` reassociates the ``sum`` it
+    computes natively (128-edge blocks, sequential within a block) and is
+    classified as ``reduceat`` for every reducer it delegates there.
+    Anything outside the strategy/reducer registries is
+    ``nondeterministic`` -- no contract pins its combine order.
     """
     if isinstance(reducer, str):
         from repro.runtime.reducers import REDUCERS
@@ -170,8 +172,11 @@ def classify_reduction(strategy_name: str, reducer) -> str:
         reducer = REDUCERS.get(reducer)
         if reducer is None:
             return NONDETERMINISTIC
-    if strategy_name not in _KNOWN_STRATEGIES:
+    if strategy_name not in STRATEGY_NAMES:
         return NONDETERMINISTIC
+    if strategy_name == "spblas" and \
+            not SparseBlasStrategy.owns(reducer.name, np.float32):
+        strategy_name = "reduceat"
     if reducer.order_insensitive:
         return BIT_IDENTICAL
     if strategy_name in _ORDER_PRESERVING:
@@ -190,7 +195,9 @@ def _aggregate_sinks(plan: ExecutionPlan):
 def _effective_strategies(task, sink):
     """Yield ``(chunk_index, strategy)`` -- the strategy each chunk of
     ``task`` actually combines through for ``sink``: the per-chunk
-    assignment on heterogeneous plans, else the sink default."""
+    assignment on heterogeneous plans, else the sink's own -- which on a
+    default request the lowering resolved for that sink alone, so the
+    sinks of one fused chain may differ."""
     assigned = task.chunk_strategies
     for ci in range(len(list(task.bounds))):
         s = None
@@ -485,19 +492,18 @@ def verify_plan(plan: ExecutionPlan) -> AnalysisReport:
             _check_row_alignment(ctx, ti, task)
             _check_chunk_strategies(ctx, ti, task)
             # cut checks run per chunk, against each chunk's *effective*
-            # strategy -- the per-chunk assignment on heterogeneous plans
+            # strategy -- the per-chunk assignment on heterogeneous plans,
+            # else each sink's own (default requests resolve per sink)
+            sharded: dict[int, tuple] = {}
             for st in task.stages:
-                sink = st.sink
-                if not isinstance(sink, AggregateSink):
+                if not isinstance(st.sink, AggregateSink):
                     continue
-                sharded: dict[int, tuple] = {}
-                for ci, strat in _effective_strategies(task, sink):
+                for ci, strat in _effective_strategies(task, st.sink):
                     if isinstance(strat, ParallelStrategy):
-                        sharded.setdefault(id(strat), (strat, set()))
-                        sharded[id(strat)][1].add(ci)
-                for strat, chunks in sharded.values():
-                    _check_parallel_cuts(ctx, ti, task, strat, chunks)
-                break
+                        sharded.setdefault(id(strat),
+                                           (strat, set()))[1].add(ci)
+            for strat, chunks in sharded.values():
+                _check_parallel_cuts(ctx, ti, task, strat, chunks)
         _check_gather_bounds(ctx, ti, task)
     _check_determinism(ctx)
     _check_lifetimes(ctx)
@@ -760,15 +766,15 @@ def iter_suite(suite: str, pool=None):
 
     ``builtins`` covers every builtin message function (one reducer
     each), ``copy_u`` under every reducer, every builtin edge function,
-    and the staged + fused edge softmax; ``all`` adds nothing yet but
-    mirrors the analysis CLI's flag shape.
+    and the staged + fused edge softmax -- under every pinned strategy and
+    under the default request (``"default"``: per-sink resolution);
+    ``all`` adds nothing yet but mirrors the analysis CLI's flag shape.
     """
     from repro import tensorir as T
     from repro.core import builtins as dgl_builtins
     from repro.core.api import sddmm as make_sddmm
     from repro.core.api import spmm as make_spmm
     from repro.core.softmax import EdgeSoftmax
-    from repro.runtime.strategies import STRATEGY_NAMES
 
     adj = _adj()
 
@@ -787,26 +793,27 @@ def iter_suite(suite: str, pool=None):
             return k
         return thunk
 
-    for strat in STRATEGY_NAMES:
+    for strat in (*STRATEGY_NAMES, None):
+        tag = strat or "default"
         for name in sorted(dgl_builtins.BUILTIN_MESSAGE_FUNCTIONS):
             factory = dgl_builtins.BUILTIN_MESSAGE_FUNCTIONS[name]
-            yield (f"spmm/{name}/sum/{strat}", strat,
+            yield (f"spmm/{name}/sum/{tag}", tag,
                    _spmm_thunk(factory, _msg_inputs(name), "sum", strat))
         for agg in ("max", "min", "mean", "prod"):
-            yield (f"spmm/copy_u/{agg}/{strat}", strat,
+            yield (f"spmm/copy_u/{agg}/{tag}", tag,
                    _spmm_thunk(dgl_builtins.BUILTIN_MESSAGE_FUNCTIONS[
                        "copy_u"], _msg_inputs("copy_u"), agg, strat))
         for name in sorted(dgl_builtins.BUILTIN_EDGE_FUNCTIONS):
             factory = dgl_builtins.BUILTIN_EDGE_FUNCTIONS[name]
             XA = T.placeholder((_N, _F), name="XA")
             XB = T.placeholder((_N, _F), name="XB")
-            yield (f"sddmm/{name}/{strat}", strat,
+            yield (f"sddmm/{name}/{tag}", tag,
                    lambda f=factory, a=XA, b=XB:
                    make_sddmm(adj, f(a, b)))
-        yield (f"softmax/staged/{strat}", strat,
+        yield (f"softmax/staged/{tag}", tag,
                lambda s=strat: EdgeSoftmax(adj, num_heads=2, fused=False,
                                            agg_strategy=s))
-        yield (f"softmax/fused/{strat}", strat,
+        yield (f"softmax/fused/{tag}", tag,
                lambda s=strat: EdgeSoftmax(adj, num_heads=2, fused=True,
                                            agg_strategy=s))
 

@@ -430,7 +430,8 @@ def run_fused_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
 #: runtime assigns entries cyclically over a plan's chunks, so every map
 #: yields a heterogeneous plan whenever the config chunks at all
 MIXED_STRATEGY_MAPS = (("reduceat", "parallel"),
-                       ("bucketed", "reduceat", "parallel"))
+                       ("bucketed", "reduceat", "parallel"),
+                       ("spblas", "bucketed"))
 
 
 def run_strategy_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
@@ -438,15 +439,18 @@ def run_strategy_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
     """Differential oracle for the runtime's segment-reduction strategies.
 
     Runs the config's SpMM kernel once per strategy (``reduceat`` /
-    ``bucketed`` / ``parallel``, pinned via the kernel's ``agg_strategy``
-    override) and checks each output against the plain Python edge-loop
-    oracle (:func:`aggregate_edges`).  The parallel run gets a 4-worker
-    pool so the sharded path is exercised whenever chunks are big enough.
+    ``bucketed`` / ``parallel`` / ``spblas``, pinned via the kernel's
+    ``agg_strategy`` override) and checks each output against the plain
+    Python edge-loop oracle (:func:`aggregate_edges`).  The parallel run
+    gets a 4-worker pool so the sharded path is exercised whenever chunks
+    are big enough.
 
     On top of per-strategy correctness, the cross-strategy parity contract
     is enforced: ``parallel`` must be bit-identical to ``reduceat`` (same
-    ``reduceat`` primitive per shard, deterministic combine), and for
-    order-insensitive reducers (max/min) ``bucketed`` must be too.
+    ``reduceat`` primitive per shard, deterministic combine), for
+    order-insensitive reducers (max/min) ``bucketed`` must be too, and so
+    must ``spblas`` wherever it delegates (any reducer but sum/mean, any
+    message dtype but float32/float64).
 
     Heterogeneous plans run the same gauntlet: each map in
     :data:`MIXED_STRATEGY_MAPS` is pinned as a per-chunk assignment and
@@ -459,7 +463,8 @@ def run_strategy_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
     ``strategy:adaptive`` or ``strategy:parity`` so the shrinker can pin
     the offending strategy (or whole map) while minimizing.
     """
-    from repro.runtime.strategies import STRATEGY_NAMES
+    from repro.runtime.reducers import resolve_reducer
+    from repro.runtime.strategies import STRATEGY_NAMES, SparseBlasStrategy
     from repro.tensorir.runtime import WorkPool
 
     if cfg.kind != "spmm":
@@ -562,6 +567,18 @@ def run_strategy_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
             False, stage="strategy:parity", max_abs_diff=worst,
             message=f"bucketed {cfg.aggregation} not bit-identical to "
                     f"reduceat (max abs diff {worst:.3g})")
+    # every strategy runs the same program, so any kernel's dtype will do
+    delegated = not SparseBlasStrategy.owns(
+        resolve_reducer(cfg.aggregation)[0].name,
+        kernel.vector_program().out_dtype)
+    if delegated and \
+            not np.array_equal(outputs["spblas"], outputs["reduceat"]):
+        worst = float(np.max(np.abs(outputs["spblas"]
+                                    - outputs["reduceat"])))
+        return TrialResult(
+            False, stage="strategy:parity", max_abs_diff=worst,
+            message=f"spblas delegates {cfg.aggregation} to reduceat but "
+                    f"is not bit-identical to it (max abs diff {worst:.3g})")
     return TrialResult(True, stage="strategy")
 
 

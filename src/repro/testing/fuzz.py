@@ -23,10 +23,10 @@ on both the aggregate output and the attention tensor.  Fused failures
 shrink with the fused oracle as the predicate.
 
 With ``--exec-strategy``, every SpMM config is additionally executed once
-per segment-reduction strategy (``reduceat`` / ``bucketed`` / ``parallel``)
-against the plain edge-loop oracle, plus the cross-strategy bit-parity
-contract (:func:`repro.testing.differential.run_strategy_trial`).  The
-same oracle then runs heterogeneous plans: per-chunk strategy maps
+per segment-reduction strategy (``reduceat`` / ``bucketed`` / ``parallel``
+/ ``spblas``) against the plain edge-loop oracle, plus the cross-strategy
+bit-parity contract (:func:`repro.testing.differential.run_strategy_trial`).
+The same oracle then runs heterogeneous plans: per-chunk strategy maps
 (``strategy:mixed:<a+b>`` failures) with bit-parity to ``reduceat``
 whenever the map is order-preserving, and the adaptive cost-model
 selector.  A strategy failure pins the offending strategy -- or the whole

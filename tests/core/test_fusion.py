@@ -154,6 +154,102 @@ class TestFusedEqualsStaged:
         assert alpha2 is not None and alpha2.shape == (adj.nnz, 2)
 
 
+class TestPerSinkStrategies:
+    """A default request resolves the strategy per sink, from the sink's
+    reducer and its program's dtype; a request applies to every sink."""
+
+    @staticmethod
+    def _plan(fused, keep=()):
+        from repro.runtime.verify import verify_kernel
+
+        kernel = fused.kernel
+        n_dst, m = kernel.A.num_dst, kernel.A.nnz
+        vbufs = {st.name: np.zeros((n_dst,) + st.feat_shape, np.float32)
+                 for st in kernel.plan.stages if st.kind == "spmm"}
+        ebufs = {st.name: np.zeros((m,) + st.feat_shape, np.float32)
+                 for st in kernel.plan.stages
+                 if st.kind != "spmm" and not st.elided}
+        assert not verify_kernel(kernel).has_errors
+        return kernel.execution_plan(vbufs, ebufs, keep)
+
+    @staticmethod
+    def _sink_strategies(plan):
+        (task,) = plan.tasks
+        return {st.name: st.sink.strategy.name for st in task.stages
+                if hasattr(st.sink, "reducer")}
+
+    def test_softmax_chain_max_keeps_the_selector_sums_go_to_spblas(self):
+        from repro.runtime.strategies import select_strategy
+
+        adj = _dense_graph(9)
+        fused = FusedEdgeSoftmax(adj, 2, cache=KernelCache(),
+                                 feat_shape=(2, 3), chunk_edges=27)
+        plan = self._plan(fused)
+        pick = select_strategy(np.diff(adj.indptr), 2 * 3)
+        assert self._sink_strategies(plan) == {
+            "MAXV": pick, "SUMV": "spblas", "OUT": "spblas"}
+        assert plan.strategy == f"{pick}+spblas"
+        assert plan.tasks[0].chunk_strategies is None
+
+    def test_copy_u_chain_labels_spblas(self):
+        from repro.core.fusion import FusedCopyUAggregate
+
+        adj = _empty_row_graph()
+        for agg in ("sum", "mean"):
+            fused = FusedCopyUAggregate(adj, (4,), agg, cache=KernelCache())
+            plan = self._plan(fused)
+            assert plan.strategy == "spblas"
+            assert self._sink_strategies(plan) == {"COUT": "spblas"}
+
+    @pytest.mark.parametrize("request_", ["reduceat", "bucketed", "parallel",
+                                          "spblas"])
+    def test_a_pinned_name_covers_every_sink(self, request_):
+        fused = FusedEdgeSoftmax(_dense_graph(6), 2, cache=KernelCache(),
+                                 feat_shape=(2, 3))
+        fused.kernel.agg_strategy = request_
+        plan = self._plan(fused)
+        assert plan.strategy == request_
+        assert set(self._sink_strategies(plan).values()) == {request_}
+
+    def test_maps_and_adaptive_assign_per_chunk_as_before(self):
+        from repro.runtime.strategies import UFUNC_STRATEGIES
+
+        fused = FusedEdgeSoftmax(_dense_graph(9), 2, cache=KernelCache(),
+                                 feat_shape=(2, 3), chunk_edges=9)
+        fused.kernel.agg_strategy = ["bucketed", "reduceat"]
+        plan = self._plan(fused)
+        names = [s.name for s in plan.tasks[0].chunk_strategies]
+        assert plan.strategy == "mixed" and len(names) == 9
+        assert names == ["bucketed", "reduceat"] * 4 + ["bucketed"]
+        fused.kernel.agg_strategy = "adaptive"
+        plan = self._plan(fused)
+        assert plan.strategy == "adaptive"
+        assert {s.name for s in plan.tasks[0].chunk_strategies} \
+            <= set(UFUNC_STRATEGIES)
+
+    def test_sanitizer_classifies_each_sink_by_its_own_strategy(self):
+        """FG007 notes name (strategy, reducer) per sink, and the
+        instrumented run checks each against the reduceat oracle."""
+        from repro.runtime.verify import sanitizing, verify_kernel
+
+        adj = _dense_graph(9)
+        fused = FusedEdgeSoftmax(adj, 2, cache=KernelCache(),
+                                 feat_shape=(2, 3), chunk_edges=27)
+        notes = [d.message for d in verify_kernel(fused.kernel).diagnostics
+                 if d.rule == "FG007"]
+        assert any("max via strategy" in n and "bit-identical" in n
+                   and "spblas" not in n for n in notes)
+        assert any("sum via strategy spblas: reassociated-fp" in n
+                   for n in notes)
+        rng = np.random.default_rng(6)
+        scores = rng.standard_normal((adj.nnz, 2)).astype(np.float32)
+        z = rng.standard_normal((9, 2, 3)).astype(np.float32)
+        plain, _ = fused.run_aggregate(scores, z)
+        with sanitizing():
+            checked, _ = fused.run_aggregate(scores, z)
+        assert np.array_equal(plain, checked)
+
+
 class TestGATConvFusedRoute:
     def _run(self, fused_flag):
         rng = np.random.default_rng(0)

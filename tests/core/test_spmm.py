@@ -335,7 +335,8 @@ class TestFeatureTilingPlan:
         out = verify_spmm(k, self._bindings(n, seed=1), atol=1e-4)
         assert np.all(out[1::2] == 0.0)
 
-    @pytest.mark.parametrize("strategy", ["reduceat", "bucketed", "parallel"])
+    @pytest.mark.parametrize("strategy", ["reduceat", "bucketed", "parallel",
+                                          "spblas", None])
     def test_collapsed_plan_verifies_and_sanitizes_clean(self, setup,
                                                          strategy):
         from repro.core.verify import reference_spmm
@@ -352,6 +353,146 @@ class TestFeatureTilingPlan:
             out = k.run(bindings)
         np.testing.assert_allclose(out, reference_spmm(k, bindings),
                                    rtol=1e-4, atol=1e-4)
+
+
+class TestDefaultStrategyResolution:
+    """Without a request the sink's strategy follows from its reducer and
+    the program's output dtype: float sum/mean -> ``spblas``, anything
+    else -> the selector's pick.  Requests behave as they always did."""
+
+    @staticmethod
+    def _plan(kernel, pool=None):
+        acc = np.zeros((kernel.A.num_dst,) + kernel.msg_shape, np.float32)
+        return kernel.execution_plan(acc, pool=pool)
+
+    @staticmethod
+    def _selector_pick(kernel):
+        from repro.runtime.strategies import select_strategy
+
+        return select_strategy(np.diff(kernel.A.csr.indptr),
+                               kernel.feature_len)
+
+    @pytest.fixture(autouse=True)
+    def _fresh_kernel_cache(self):
+        from repro.core.compile import KernelCache, use_kernel_cache
+
+        with use_kernel_cache(KernelCache()):
+            yield
+
+    def test_gcn_and_mlp_float_sums_label_spblas(self, setup):
+        from repro.core import kernels
+
+        adj, _, _, n, _ = setup
+        for k in (kernels.gcn_aggregation(adj, n, 16),
+                  kernels.mlp_aggregation(adj, n, 8, 16, agg="sum"),
+                  kernels.mlp_aggregation(adj, n, 8, 16, agg="mean")):
+            plan = self._plan(k)
+            assert plan.strategy == "spblas"
+            sinks = {id(t.stages[0].sink): t.stages[0].sink
+                     for t in plan.tasks}
+            assert {s.strategy.name for s in sinks.values()} == {"spblas"}
+            assert all(t.chunk_strategies is None for t in plan.tasks)
+
+    @pytest.mark.parametrize("agg", ["max", "min", "prod"])
+    def test_other_reducers_keep_the_selectors_pick(self, setup, agg):
+        from repro.core import kernels
+        from repro.runtime.strategies import UFUNC_STRATEGIES
+
+        adj, _, _, n, _ = setup
+        for k in (_copy_kernel(adj, n, 12, agg=agg),
+                  kernels.mlp_aggregation(adj, n, 8, 16, agg=agg)):
+            plan = self._plan(k)
+            assert plan.strategy == self._selector_pick(k)
+            assert plan.strategy in UFUNC_STRATEGIES
+
+    def test_integer_messages_keep_the_selectors_pick(self, setup):
+        adj, _, _, n, _ = setup
+        XI = T.placeholder((n, 4), name="XI", dtype="int32")
+
+        def msgfunc(src, dst, eid):
+            return T.compute((4,), lambda i: XI[src, i])
+
+        k = featgraph.spmm(adj, msgfunc, "sum")
+        assert k.vector_program().out_dtype == np.int32
+        assert self._plan(k).strategy == self._selector_pick(k)
+        # pinned, spblas hands integer messages to reduceat unchanged
+        xi = np.random.default_rng(3).integers(-9, 9, (n, 4)).astype(np.int32)
+        outs = {}
+        for name in ("reduceat", "spblas"):
+            k.agg_strategy = name
+            outs[name] = k.run({"XI": xi})
+        assert np.array_equal(outs["spblas"], outs["reduceat"])
+
+    @pytest.mark.parametrize("name", ["reduceat", "bucketed", "parallel",
+                                      "spblas"])
+    def test_a_pinned_name_is_the_plan(self, setup, name):
+        adj, _, _, n, _ = setup
+        k = _copy_kernel(adj, n, 12, chunk_edges=64)
+        k.agg_strategy = name
+        plan = self._plan(k)
+        assert plan.strategy == name
+        assert {t.stages[0].sink.strategy.name for t in plan.tasks} == {name}
+        assert all(t.chunk_strategies is None for t in plan.tasks)
+
+    def test_maps_and_adaptive_never_pick_spblas_on_their_own(self, setup):
+        from repro.runtime.histogram import chunk_shapes
+        from repro.runtime.strategies import (UFUNC_STRATEGIES,
+                                              select_chunk_strategies)
+
+        adj, _, _, n, _ = setup
+        k = _copy_kernel(adj, n, 12, chunk_edges=64)
+        k.agg_strategy = ["bucketed", "reduceat", "parallel"]
+        plan = self._plan(k)
+        assert plan.strategy == "mixed"
+        for task in plan.tasks:
+            names = [s.name for s in task.chunk_strategies]
+            assert names == [k.agg_strategy[i % 3]
+                             for i in range(len(names))]
+        k.agg_strategy = "adaptive"
+        plan = self._plan(k)
+        assert plan.strategy == "adaptive"
+        for task, part in zip(plan.tasks, k.partitions):
+            names = [s.name for s in task.chunk_strategies]
+            assert set(names) <= set(UFUNC_STRATEGIES)
+            assert names == select_chunk_strategies(
+                chunk_shapes(part.csr, 64, k.feature_len))
+
+    @pytest.mark.parametrize("agg", ["sum", "mean"])
+    def test_bit_identical_across_chunk_sizes_and_worker_counts(self, agg):
+        """Each row is reduced in one fixed order whatever chunk it lands
+        in and whichever thread runs the chunk."""
+        from repro.tensorir.runtime import WorkPool
+
+        rng = np.random.default_rng(11)
+        n, m = 200, 30_000
+        dst = np.concatenate([rng.integers(0, n, m - 4000),
+                              np.full(4000, 17)])      # one hub row
+        adj = from_edges(n, n, rng.integers(0, n, m), dst)
+        x = rng.standard_normal((n, 12)).astype(np.float32)
+        outs = []
+        for chunk_edges in (1 << 17, 5000, 257, 16):
+            k = _copy_kernel(adj, n, 12, agg=agg, chunk_edges=chunk_edges,
+                             num_graph_partitions=1)
+            assert self._plan(k).strategy == "spblas"
+            outs.append(k.run({"XV": x}))
+            for workers in (2, 5):
+                with WorkPool(workers) as pool:
+                    outs.append(k.run({"XV": x}, pool=pool))
+        for got in outs[1:]:
+            assert np.array_equal(got, outs[0])
+
+    def test_one_huge_row_50k(self):
+        """``TestEdgeCases.test_one_huge_row`` at ten times the degree,
+        same tolerance, against a float64 reference."""
+        m = 50_000
+        src = np.random.default_rng(4).integers(0, 50, m)
+        adj = from_edges(50, 50, src, np.zeros(m, dtype=np.int64))
+        x = np.random.default_rng(5).random((50, 4)).astype(np.float32)
+        k = _copy_kernel(adj, 50, 4)
+        assert self._plan(k).strategy == "spblas"
+        ref = np.zeros((50, 4))
+        ref[0] = x[src].astype(np.float64).sum(axis=0)
+        assert np.allclose(k.run({"XV": x}), ref, atol=1e-2)
 
 
 class TestCost:

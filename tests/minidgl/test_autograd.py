@@ -1,5 +1,8 @@
 """Autograd engine tests: every op gets a numeric gradient check."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -162,3 +165,114 @@ class TestEngine:
         out = (b * b).sum()  # (3a)^2 -> d/da = 18a = 36
         out.backward()
         assert np.allclose(a.grad, 36)
+
+
+class TestTapeLifetime:
+    """``backward`` must not leave the tape in a reference cycle: with the
+    cyclic collector off, a step's intermediates die with its locals."""
+
+    @pytest.fixture(autouse=True)
+    def _collector_off(self):
+        gc.collect()
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    def test_intermediates_die_with_the_steps_locals(self):
+        w = Tensor(np.ones((4, 4), np.float32), requires_grad=True)
+        x = Tensor(np.ones((8, 4), np.float32))
+        hidden = (x @ w).relu()
+        loss = (hidden @ w).sum()
+        refs = [weakref.ref(hidden.data), weakref.ref(loss.data)]
+        loss.backward()
+        assert hidden.grad is not None
+        refs.append(weakref.ref(hidden.grad))
+        del hidden, loss
+        assert [r() for r in refs] == [None, None, None]
+        assert w.grad is not None        # leaves keep their gradients
+
+    def test_training_step_leaves_nothing_for_the_collector(self):
+        from repro.core.fusion import use_fusion
+        from repro.graph.datasets import planted_partition
+        from repro.minidgl.backends import get_backend
+        from repro.minidgl.graph import Graph
+        from repro.minidgl.models import GAT, GCN
+        from repro.minidgl.optim import Adam
+        from repro.minidgl.train import cross_entropy
+
+        ds = planted_partition(n=120, num_classes=4, feature_dim=8,
+                               avg_degree=6, seed=0)
+        graph, x = Graph(ds.adj), Tensor(ds.features)
+        backend = get_backend("featgraph")
+        for fuse, cls in ((False, GCN), (True, GCN), (False, GAT),
+                          (True, GAT)):
+            model = cls(8, 4, hidden=8)
+            opt = Adam(model.parameters())
+
+            def step():
+                opt.zero_grad()
+                logits = model(graph, x, backend)
+                loss = cross_entropy(logits, ds.labels, ds.train_mask)
+                probe = weakref.ref(logits.data)
+                loss.backward()
+                opt.step()
+                return probe
+
+            with use_fusion(fuse):
+                step()                   # compiles; may allocate cycles
+                gc.collect()
+                probe = step()
+                assert probe() is None, (cls.__name__, fuse)
+                gc.set_debug(gc.DEBUG_SAVEALL)
+                try:
+                    gc.collect()
+                    leaked = [o for o in gc.garbage if (
+                        getattr(o, "__module__", None)
+                        or type(o).__module__).startswith("repro.minidgl")]
+                finally:
+                    gc.set_debug(0)
+                    gc.garbage.clear()
+                assert not leaked, (cls.__name__, fuse, leaked[:5])
+
+    def test_visit_order_matches_the_recursive_post_order(self):
+        """Gradient accumulation order decides float bits; the iterative
+        walk must run backward closures in the recursive walk's order."""
+        order = []
+
+        def tap(t, tag):
+            inner = t._backward
+
+            def bwd(g):
+                order.append(tag)
+                inner(g)
+
+            t._backward = bwd
+            return t
+
+        a = Tensor(np.ones(2, np.float32), requires_grad=True)
+        b = tap(a * 2, "b")
+        c = tap(a * 3, "c")
+        d = tap(b + c, "d")
+        e = tap(d * b, "e")
+        tap(e.sum(), "loss").backward()
+
+        def recursive(root):
+            topo, seen = [], set()
+
+            def visit(t):
+                if id(t) in seen or not t.requires_grad:
+                    return
+                seen.add(id(t))
+                for p in t._parents:
+                    visit(p)
+                topo.append(t)
+
+            visit(root)
+            return topo
+
+        names = {id(b): "b", id(c): "c", id(d): "d", id(e): "e"}
+        want = [names[id(t)] for t in reversed(recursive(e))
+                if id(t) in names]
+        assert order == ["loss"] + want

@@ -148,6 +148,36 @@ class TestEdgeOps:
         assert np.allclose(a.grad[:, 0], out_deg)
         assert np.allclose(b.grad[:, 0], in_deg)
 
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("shape", ["square", "bipartite"])
+    def test_edge_add_backward_matches_scatter_add(self, shape, heads):
+        """The segmented-sum backward against the ``np.add.at`` form it
+        replaced: zero-degree vertices on both sides, a hub destination,
+        and a bipartite block whose operands carry ``n_src`` rows while
+        only the first ``n_dst`` are destinations."""
+        r = np.random.default_rng(12)
+        n_src, n_dst = (40, 40) if shape == "square" else (40, 12)
+        m = 600
+        src = r.integers(0, n_src - 5, m)          # last 5 sources unused
+        dst = np.where(r.random(m) < 0.5, 3,       # a 300-edge hub row
+                       r.integers(0, n_dst - 2, m))  # last 2 dsts empty
+        g = Graph(from_edges(n_src, n_dst, src, dst))
+        assert g.adj.shape == (n_dst, n_src)
+        a = Tensor(r.standard_normal((n_src, heads)).astype(np.float32),
+                   requires_grad=True)
+        b = Tensor(r.standard_normal((n_src, heads)).astype(np.float32),
+                   requires_grad=True)
+        w = r.standard_normal((m, heads)).astype(np.float32)
+        (edge_add(g, a, b) * Tensor(w)).sum().backward()
+        ref_a = np.zeros((n_src, heads), np.float64)
+        np.add.at(ref_a, g.src_of_edge(), w)
+        ref_b = np.zeros((n_src, heads), np.float64)
+        np.add.at(ref_b, g.dst_of_edge(), w)
+        assert a.grad.shape == b.grad.shape == (n_src, heads)
+        assert np.allclose(a.grad, ref_a, rtol=1e-5, atol=1e-5)
+        assert np.allclose(b.grad, ref_b, rtol=1e-5, atol=1e-5)
+        assert np.all(a.grad[-5:] == 0) and np.all(b.grad[n_dst - 2:] == 0)
+
     def test_edge_softmax_normalizes_per_destination(self, graph):
         r = np.random.default_rng(10)
         s = Tensor(r.standard_normal(graph.num_edges).astype(np.float32))

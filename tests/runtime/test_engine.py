@@ -57,7 +57,7 @@ class TestPlanConstruction:
         plan = k.execution_plan(acc)
         assert isinstance(plan, ExecutionPlan)
         assert plan.label.startswith("spmm[")
-        assert plan.strategy in ("reduceat", "bucketed", "parallel")
+        assert plan.strategy == "spblas"  # default request, float sum
         assert plan.finalize is not None
         assert len(plan.tasks) >= 1
         for task in plan.tasks:

@@ -236,8 +236,10 @@ class TestVerifyKernelPlumbing:
     def test_lint_suite_covers_every_strategy(self):
         labels = list(iter_suite("builtins"))
         strategies = {strat for _, strat, _ in labels}
-        # every concrete strategy plus the heterogeneous plan shapes
-        assert strategies == set(STRATEGY_NAMES) | {"adaptive", "mixed"}
+        # every concrete strategy, the default per-sink resolution, and
+        # the heterogeneous plan shapes
+        assert strategies == set(STRATEGY_NAMES) | {"default", "adaptive",
+                                                    "mixed"}
         kinds = {label.split("/")[0] for label, _, _ in labels}
         assert kinds == {"spmm", "sddmm", "softmax"}
 
