@@ -11,6 +11,12 @@ the bound topology (``n_src``/``n_dst``/``m``), not by the kernel interface.
 Kernels rebound to a new topology (sampled blocks) validate those leading
 dimensions against the *current* graph instead of the placeholder shape the
 UDF was traced with.
+
+The same structural reading tells a lowering when a message is a *pure row
+gather* (:func:`row_gather_form`): ``copy_u``, ``copy_e`` and ``u_mul_e``
+bodies name a table, the graph variable that picks its rows and at most a
+per-edge weight, which is all a sparse-BLAS sink needs to aggregate without
+the per-edge message block.
 """
 
 from __future__ import annotations
@@ -19,9 +25,11 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.tensorir.expr import ComputeOp, Tensor, TensorElem, Var
+from repro.tensorir.expr import (BinOp, ComputeOp, IterVar, PlaceholderOp,
+                                 Tensor, TensorElem, Var)
 
-__all__ = ["validate_bindings", "graph_axis_roles", "BindingError"]
+__all__ = ["validate_bindings", "graph_axis_roles", "leading_gather",
+           "row_gather_form", "BindingError"]
 
 #: graph-axis roles, by the template variable that indexes the leading dim
 _VAR_ROLE = {"src": "n_src", "dst": "n_dst", "eid": "m"}
@@ -58,37 +66,79 @@ def graph_axis_roles(out: Tensor) -> dict[str, str]:
         else:
             fixed.add(name)
 
-    def visit(e) -> None:
+    # explicit stack, compute bodies before their indices: a recursive
+    # nested visitor would leave a closure cycle behind on every call
+    stack = [out.op.body]
+    while stack:
+        e = stack.pop()
         if isinstance(e, TensorElem):
             t = e.tensor
+            stack.extend(reversed(e.indices))
             if isinstance(t.op, ComputeOp):
-                visit(t.op.body)
+                stack.append(t.op.body)
             else:
                 lead = e.indices[0] if e.indices else None
-                role = (_VAR_ROLE.get(lead.name)
-                        if isinstance(lead, Var) else None)
-                note(t.name, role)
-            for i in e.indices:
-                visit(i)
-            return
-        for child in getattr(e, "__dict__", {}).values():
-            if hasattr(child, "__dict__") or isinstance(child, TensorElem):
-                visit(child)
-        for attr in ("a", "b", "args", "cond", "then", "otherwise", "value",
-                     "source"):
-            child = getattr(e, attr, None)
-            if child is None:
-                continue
-            if isinstance(child, (list, tuple)):
-                for c in child:
-                    visit(c)
-            else:
-                visit(child)
-
-    visit(out.op.body)
+                note(t.name, _VAR_ROLE.get(lead.name)
+                     if isinstance(lead, Var) else None)
+        else:
+            stack.extend(reversed(e.children()))
     for name in fixed:
         roles.pop(name, None)
     return roles
+
+
+def leading_gather(expr, axes) -> tuple | None:
+    """Recognize ``PLACEHOLDER[graphvar, *axes[:k]]``: one row of a
+    placeholder, picked by a template variable and read whole along the
+    first ``k`` of ``axes``, in order.
+
+    Returns ``(tensor_name, var_name, k)`` or None.  With ``k ==
+    len(axes)`` this is the operand one fancy-index gather serves (the
+    fused ``binop`` CSE mode, the table of :func:`row_gather_form`); with
+    a smaller ``k`` it is a value per edge and leading feature index.
+    """
+    if not isinstance(expr, TensorElem):
+        return None
+    tensor, idx = expr.tensor, expr.indices
+    if not isinstance(tensor.op, PlaceholderOp):
+        return None
+    k = len(idx) - 1
+    if k < 0 or k > len(axes) or not isinstance(idx[0], Var) \
+            or idx[0].name not in _VAR_ROLE:
+        return None
+    for given, ax, extent in zip(idx[1:], axes, tensor.shape[1:]):
+        if not (isinstance(given, IterVar) and given.name == ax.name
+                and ax.dom == (0, extent)):
+            return None
+    return (tensor.name, idx[0].name, k)
+
+
+def row_gather_form(out: Tensor) -> tuple | None:
+    """``(table, var, weight)`` when ``out``'s traced body is a pure row
+    gather, else None.
+
+    Two shapes qualify: ``T[src|eid, *axes]`` (``copy_u`` / ``copy_e``;
+    ``weight`` is None) and ``T[src, *axes] * W[eid, *axes[:k]]`` in
+    either operand order with ``k < len(axes)`` (``u_mul_e`` with a scalar
+    or per-head edge weight).  A full-width elementwise ``W`` is no row
+    scaling and stays a compiled program, as does anything read through
+    ``dst``.  The match is structural and reads only the body's root, so
+    kernels and planned stages compute it once and keep it.
+    """
+    body, axes = out.op.body, out.op.axis
+    table = leading_gather(body, axes)
+    if table is not None:
+        name, var, k = table
+        return (name, var, None) if k == len(axes) and var != "dst" else None
+    if isinstance(body, BinOp) and body.op == "*":
+        for a, b in ((body.a, body.b), (body.b, body.a)):
+            table, weight = leading_gather(a, axes), leading_gather(b, axes)
+            if table is None or weight is None:
+                continue
+            if table[1:] == ("src", len(axes)) and weight[1] == "eid" \
+                    and weight[2] < len(axes):
+                return (table[0], "src", weight[0])
+    return None
 
 
 def validate_bindings(udf_output: Tensor, bindings: Mapping[str, np.ndarray],

@@ -61,18 +61,19 @@ import numpy as np
 
 from repro import tensorir as T
 from repro.core.api import SparseMat, spmat
-from repro.core.bindings import BindingError
+from repro.core.bindings import (BindingError, leading_gather,
+                                 row_gather_form)
 from repro.core.builtins import copy_u_msg, u_mul_e_msg
 from repro.core.compile import (PassTiming, compile_sddmm, compile_spmm,
                                 get_kernel_cache)
-from repro.core.spmm import resolve_aggregation
+from repro.core.spmm import resolve_aggregation, row_gather_evaluate
 from repro.runtime.engine import AggregateSink, Executor, ScatterSink
 from repro.runtime.histogram import chunk_bounds, chunk_shapes
 from repro.runtime.plan import (EdgeTask, ExecutionPlan, GatherPlan, Stage,
                                 effective_chunk_edges)
 from repro.runtime.reducers import AGG_IDENTITY, get_reducer
-from repro.runtime.strategies import (make_strategy, resolve_request,
-                                      resolve_sink_strategy,
+from repro.runtime.strategies import (SparseBlasStrategy, make_strategy,
+                                      resolve_request, resolve_sink_strategy,
                                       select_chunk_strategies)
 from repro.tensorir import expr as E
 from repro.tensorir import ir as I
@@ -254,6 +255,9 @@ class PlannedStage:
     binop_operand: tuple | None = None  # (tensor, lead_var, source_is_rhs)
     guard_zero: bool = False
     elided: bool = False            # per-edge output never materialized
+    #: bindings.row_gather_form(out): (table, var, weight) when the stage
+    #: is a pure row gather a spblas sink can aggregate without gathering
+    row_gather: tuple | None = None
 
 
 @dataclass
@@ -352,20 +356,10 @@ def _simple_gather(expr: E.Expr, axes) -> tuple | None:
     Returns ``(tensor_name, lead_var_name)`` or None.  This is the operand
     shape the ``binop`` CSE mode can serve with one fancy-index gather.
     """
-    if not isinstance(expr, E.TensorElem):
+    gather = leading_gather(expr, axes)
+    if gather is None or gather[2] != len(axes):
         return None
-    if not isinstance(expr.tensor.op, E.PlaceholderOp):
-        return None
-    idx = expr.indices
-    if len(idx) != 1 + len(axes):
-        return None
-    if not isinstance(idx[0], E.Var) or idx[0].name not in ("src", "dst",
-                                                            "eid"):
-        return None
-    for given, ax in zip(idx[1:], axes):
-        if not (isinstance(given, E.IterVar) and given.name == ax.name):
-            return None
-    return (expr.tensor.name, idx[0].name)
+    return gather[:2]
 
 
 def plan_fusion(graph: KernelGraph, cache=None) -> FusionPlan:
@@ -470,7 +464,8 @@ def plan_fusion(graph: KernelGraph, cache=None) -> FusionPlan:
             width=int(np.prod(out.shape, dtype=np.int64)) if out.shape else 1,
             prog=kernel.vector_program(), roles=dict(roles), reads=reads,
             chain_edge_reads=chain_edge, chain_vertex_reads=chain_vertex,
-            guard_zero=s.guard_zero)
+            guard_zero=s.guard_zero,
+            row_gather=row_gather_form(out) if s.kind == "spmm" else None)
 
         # -- cross-kernel CSE -------------------------------------------
         seed = _axis_seed(st.axes)
@@ -703,9 +698,9 @@ class FusedKernel:
         return self._analysis
 
     def verify_report(self):
-        """The plan verifier's report (FG006-FG010) for the fused chain's
-        execution plan; set by ``compile_fused``'s ``fuse_verify`` step,
-        computed on demand for bound chains."""
+        """The plan verifier's report (FG006-FG008, FG010) for the fused
+        chain's execution plan; set by ``compile_fused``'s ``fuse_verify``
+        step, computed on demand for bound chains."""
         if getattr(self, "_plan_verify", None) is None:
             from repro.runtime.verify import verify_kernel
 
@@ -809,21 +804,20 @@ class FusedKernel:
         strategy from its reducer and its program's output dtype (the
         edge-softmax chain's ``max`` sink keeps the selector's pick, its
         exp-sum and aggregate sinks combine through ``spblas``; the plan
-        label joins the distinct names in stage order), a concrete name
+        label joins the distinct names in stage order) and an aggregating
+        stage that is a pure row gather (:meth:`_gather_free`: the copy-u
+        chain's only stage, the softmax chain's ``OUT``) hands its sink a
+        :class:`~repro.runtime.plan.RowGather` instead of a message block,
+        so only the other stages' worksets bound the chunk; a concrete name
         pins one strategy for the sweep, ``"adaptive"`` assigns per chunk
         from the chunk's shape statistics (the adaptive executor applies
         **inside** fused plans), a name sequence pins an explicit per-chunk
         cycle."""
         csr = self.A.csr
-        target = self.chunk_edges
-        for st in self.plan.stages:
-            target = min(target,
-                         effective_chunk_edges(self.chunk_edges, st.prog))
         aggregating = [st for st in self.plan.stages if st.kind == "spmm"]
         spmm_width = max((st.width for st in aggregating), default=1)
-        bounds = chunk_bounds(csr, target)
         mode, names = resolve_request(self.agg_strategy)
-        chunk_strats = None
+        keep = set(keep)
         if mode == "auto":
             sink_strategy = {
                 st.name: resolve_sink_strategy(
@@ -833,26 +827,37 @@ class FusedKernel:
             plan_label = "+".join(dict.fromkeys(
                 s.name for s in sink_strategy.values())) or None
         else:
-            if mode == "single":
-                strategy = make_strategy(names[0], pool=pool)
-                plan_label = strategy.name
-            else:
-                strategy = make_strategy("reduceat", pool=pool)
-                plan_label = "adaptive" if mode == "adaptive" else "mixed"
-                if mode == "adaptive":
-                    assigned = select_chunk_strategies(
-                        chunk_shapes(csr, target, spmm_width), pool)
-                else:
-                    assigned = [names[i % len(names)]
-                                for i in range(len(bounds))]
-                instances = {"reduceat": strategy}
-                chunk_strats = [
-                    instances.setdefault(n, make_strategy(n, pool=pool))
-                    for n in assigned]
+            strategy = make_strategy(
+                names[0] if mode == "single" else "reduceat", pool=pool)
+            plan_label = {"single": strategy.name,
+                          "adaptive": "adaptive"}.get(mode, "mixed")
             sink_strategy = {st.name: strategy for st in aggregating}
-        keep = set(keep)
+        # stages whose message is never gathered hold no per-edge buffer,
+        # so only the other stages' worksets bound the chunk (per-chunk
+        # requests default their sinks to reduceat, so they have none)
+        lazy = {st.name for st in aggregating
+                if self._gather_free(st, sink_strategy[st.name], keep)}
+        target = self.chunk_edges
+        for st in self.plan.stages:
+            if st.name not in lazy:
+                target = min(target, effective_chunk_edges(self.chunk_edges,
+                                                           st.prog))
+        bounds = chunk_bounds(csr, target)
+        chunk_strats = None
+        if mode in ("adaptive", "map"):
+            if mode == "adaptive":
+                assigned = select_chunk_strategies(
+                    chunk_shapes(csr, target, spmm_width), pool)
+            else:
+                assigned = [names[i % len(names)]
+                            for i in range(len(bounds))]
+            instances = {"reduceat": strategy}
+            chunk_strats = [
+                instances.setdefault(n, make_strategy(n, pool=pool))
+                for n in assigned]
 
         stages = []
+        oracles: dict[str, Callable] = {}
         for st in self.plan.stages:
             if st.mode == "alias":
                 def evaluate(bindings, ctx, source=st.alias_of):
@@ -863,7 +868,7 @@ class FusedKernel:
                     arr = vbufs.get(tname)
                     if arr is None:
                         arr = bindings[tname]
-                    gathered = arr[ctx.batch[lead]]
+                    gathered = arr[ctx.index(lead)]
                     ufunc = _BINOP_UFUNC[st.binop_op]
                     source_vals = ctx.values[st.alias_of]
                     vals = (ufunc(gathered, source_vals) if src_is_rhs
@@ -879,20 +884,25 @@ class FusedKernel:
                             sb[pname] = vbufs[pname]
                         else:
                             sb[pname] = bindings[pname]
+                    batch = ctx.batch_for(st.prog)
                     if st.chain_edge_reads:
                         # chain-edge values are chunk-local: evaluate in
                         # position space, not global edge-id space
-                        batch = {"src": ctx.batch["src"],
-                                 "dst": ctx.batch["dst"],
-                                 "eid": ctx.local_eid}
-                    else:
-                        batch = ctx.batch
+                        batch["eid"] = ctx.local_eid
                     vals = st.prog.run(sb, batch)
                     b = st.prog.bytes_moved(
                         ctx.size, exclude=set(st.chain_edge_reads))
                     if st.elided and st.name not in keep:
                         b -= vals.nbytes  # output stays chunk-local
                     return vals, max(int(b), 0)
+
+                if st.name in lazy:
+                    # the program stays the sanitizer's oracle for the stage
+                    oracles[st.name] = evaluate
+                    evaluate = row_gather_evaluate(
+                        st.row_gather, st.prog.out_dtype,
+                        st.width * st.prog.out_dtype.itemsize,
+                        chain_weight=st.row_gather[2] in st.chain_edge_reads)
 
             if st.kind == "spmm":
                 sink = AggregateSink(vbufs[st.name],
@@ -906,7 +916,8 @@ class FusedKernel:
             stages.append(Stage(st.name, evaluate, sink, compiled=True))
 
         task = EdgeTask(
-            gather=GatherPlan(csr.indices, csr.row_of_edge(), csr.edge_ids),
+            gather=GatherPlan(csr.indices, None, csr.edge_ids,
+                              indptr=csr.indptr),
             bounds=bounds,
             stages=stages,
             chunk_strategies=chunk_strats)
@@ -915,14 +926,21 @@ class FusedKernel:
         # check: which earlier-stage values each stage consumes through the
         # chunk context (chain-edge values) or through a vertex buffer an
         # earlier aggregating stage of the same sweep filled.
+        # ``value_reads`` is the part of them that goes through the chunk
+        # context: a stage whose message is never gathered (``row_gather``,
+        # stage -> its compiled program's evaluate, the sanitizer's oracle)
+        # has no such value to read or keep.
         chain_reads: dict[str, list] = {}
+        value_reads: dict[str, list] = {}
         programs: dict[str, object] = {}
         for st in self.plan.stages:
             if st.mode in ("alias", "binop"):
+                value_reads[st.name] = [st.alias_of]
                 reads = [st.alias_of]
                 if st.mode == "binop" and st.binop_operand[0] in vbufs:
                     reads.append(st.binop_operand[0])
             else:
+                value_reads[st.name] = list(st.chain_edge_reads)
                 reads = list(st.chain_edge_reads) + \
                     list(st.chain_vertex_reads)
                 programs[st.name] = st.prog
@@ -932,8 +950,30 @@ class FusedKernel:
             finalize=lambda: self._finalize(vbufs),
             extras={"verify": {"dims": self._graph_dims(),
                                "chain_reads": chain_reads,
+                               "value_reads": value_reads,
+                               "row_gather": oracles,
+                               "keep": tuple(keep),
                                "programs": programs,
                                "target": f"fused[{chain}]"}})
+
+    def _gather_free(self, st: PlannedStage, strategy, keep) -> bool:
+        """Whether aggregating stage ``st`` runs without gathering its
+        message (:class:`~repro.runtime.plan.RowGather`): a pure row
+        gather from a bound table, under a sink ``spblas`` reduces
+        natively, whose per-edge value nobody else wants -- no later stage
+        reads it through the chunk context and it is not kept.  A weight
+        that is an earlier stage's edge output (the softmax chain's ``OUT
+        <- ALPHA``) is taken chunk-local."""
+        if st.row_gather is None or st.mode != "program" or st.name in keep:
+            return False
+        if not (isinstance(strategy, SparseBlasStrategy) and strategy.owns(
+                _agg_base(st.aggregation), st.prog.out_dtype)):
+            return False
+        if st.row_gather[0] in st.chain_edge_reads + st.chain_vertex_reads:
+            return False
+        later = self.plan.stages[self.plan.stages.index(st) + 1:]
+        return not any(st.name in (o.alias_of, *o.chain_edge_reads)
+                       for o in later)
 
     def _finalize(self, vbufs: dict) -> None:
         """Post-sweep fixups, exactly as the staged pipeline applies them
@@ -1033,8 +1073,8 @@ def compile_fused(graph: KernelGraph, *, cache=None,
     kernel.timings = timings
     kernel._lowered = stmt
     kernel._analysis = report
-    # plan-layer verification (FG006-FG010): the loop-nest analyzer above
-    # never sees the chunked/sharded execution plan the chain actually runs
+    # plan-layer verification (FG006-FG008, FG010): the loop-nest analyzer
+    # above never sees the chunked/sharded execution plan the chain runs
     plan_report = timed("fuse_verify", lambda: _verify_fused(kernel))
     if strict_enabled() and plan_report.has_errors:
         raise AnalysisError(plan_report)

@@ -33,7 +33,7 @@ from repro.hwsim.report import CostReport
 from repro.hwsim.spec import CPUSpec, GPUSpec, TESLA_V100, XEON_8124M
 from repro.runtime.engine import Executor, ScatterSink
 from repro.runtime.plan import (ChunkPolicy, EdgeTask, ExecutionPlan,
-                                GatherPlan, Stage)
+                                GatherPlan, Stage, effective_chunk_edges)
 from repro.tensorir.expr import ComputeOp, Tensor, Var
 from repro.tensorir.runtime import ExecStats, WorkPool
 from repro.tensorir.vectorize import compile_batched
@@ -184,14 +184,26 @@ class GeneralizedSDDMM:
         One :class:`~repro.runtime.plan.EdgeTask` per feature tile over
         flat (non-row-aligned) chunks of the traversal-ordered edge list;
         each stage scatters its values into the tile's column window of the
-        edge-id-indexed output.
+        edge-id-indexed output.  Chunks are sized so that no single
+        gathered block exceeds a quarter of ``CHUNK_WORKSET_BYTES``.
         """
         src, dst, eid = self._edge_arrays()
         gather = GatherPlan(src, dst, eid)
         axis0 = self.edge_out.op.axis[0].name
         prog = self.vector_program()
-        bounds = ChunkPolicy(self.chunk_edges, row_aligned=False).bounds(
-            nnz=self.A.nnz, prog=prog)
+        # The workset counts twice: a dot product holds two equal gathered
+        # blocks per chunk, and sized to fill the budget together each is
+        # 4 MiB.  glibc's mmap threshold adapts to the largest block freed
+        # so far, so whether those blocks come from the heap or are mapped
+        # and unmapped afresh every chunk depended on whether some earlier
+        # kernel in the process had freed more than 4 MiB.  At a quarter
+        # of the budget a block is no larger than the buffers of the
+        # full-width SpMM plan (spmm.py), which any process that
+        # aggregates has already freed.
+        target = effective_chunk_edges(self.chunk_edges, prog,
+                                       prog.stats.workset_bytes_per_item)
+        bounds = ChunkPolicy(target, row_aligned=False).bounds(
+            nnz=self.A.nnz)
         tasks = []
         for lo, hi in feature_tiles(self.out_shape[0],
                                     self.num_feature_partitions):
@@ -302,11 +314,11 @@ class GeneralizedSDDMM:
         return artifacts["analysis"]
 
     def verify_report(self):
-        """The plan verifier's :class:`AnalysisReport` (rules FG006-FG010,
-        :mod:`repro.runtime.verify`) for this kernel's execution plan; set
-        by the pipeline's ``verify_plan`` pass, computed on demand for
-        bound or directly constructed kernels (topology-dependent, so
-        never inherited from the template)."""
+        """The plan verifier's :class:`AnalysisReport` (rules FG006-FG008,
+        FG010, :mod:`repro.runtime.verify`) for this kernel's execution
+        plan; set by the pipeline's ``verify_plan`` pass, computed on
+        demand for bound or directly constructed kernels
+        (topology-dependent, so never inherited from the template)."""
         artifacts = self.compiled.artifacts
         if artifacts.get("plan_verify") is None:
             from repro.runtime.verify import verify_kernel

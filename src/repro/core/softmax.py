@@ -148,8 +148,8 @@ class EdgeSoftmax:
                 + self._norm_kernel.cost(spec, stats=stats, threads=threads))
 
     def verify_report(self):
-        """Merged plan-verifier report (FG006-FG010) over the three phase
-        kernels plus the fused chain when enabled -- the whole softmax's
+        """Merged plan-verifier report (FG006-FG008, FG010) over the three
+        phase kernels plus the fused chain when enabled -- the whole softmax's
         execution plans in one report."""
         from repro.runtime.verify import verify_kernel
 

@@ -24,22 +24,23 @@ the machine-model time for the paper-scale graph.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.core import cost as cost_analysis
 from repro.core.api import SparseMat
-from repro.core.bindings import validate_bindings
+from repro.core.bindings import row_gather_form, validate_bindings
 from repro.runtime.engine import AggregateSink, Executor
 from repro.runtime.plan import (CHUNK_WORKSET_BYTES, MIN_CHUNK_EDGES,
                                 ChunkPolicy, EdgeTask, ExecutionPlan,
-                                GatherPlan, Stage, effective_chunk_edges,
-                                row_aligned_chunks)
+                                GatherPlan, RowGather, Stage,
+                                effective_chunk_edges, row_aligned_chunks)
 from repro.runtime.histogram import chunk_bounds, chunk_shapes
 from repro.runtime.reducers import AGG_IDENTITY, AGG_UFUNC, resolve_reducer
-from repro.runtime.strategies import (make_strategy, resolve_request,
-                                      resolve_sink_strategy,
+from repro.runtime.strategies import (SparseBlasStrategy, make_strategy,
+                                      resolve_request, resolve_sink_strategy,
                                       select_chunk_strategies)
 from repro.tensorir.runtime import ExecStats, WorkPool
 from repro.core.fds import FDS, FDSInfo, default_fds
@@ -81,6 +82,48 @@ def resolve_aggregation(aggregation) -> str:
         raise ValueError(
             "aggregation must be a name or a tensorir reduction builder"
         ) from None
+
+
+def row_gather_evaluate(form: tuple, dtype, row_bytes: int,
+                        chain_weight: bool = False):
+    """The stage evaluate of a row-gather message that a ``spblas`` sink
+    aggregates: a :class:`~repro.runtime.plan.RowGather` over the bound
+    table instead of the ``(B, *feat)`` block the compiled program builds.
+
+    ``form`` is the stage's :func:`~repro.core.bindings.row_gather_form`.
+    Table and weight bindings are taken in ``dtype`` (the program's output
+    dtype) and made contiguous at most once per plan, i.e. per run.  A
+    ``chain_weight`` is an earlier fused stage's chunk-local values
+    (``ctx.values``) rather than a binding gathered through ``eid``.  The
+    bytes booked are the table rows read (``row_bytes`` each) plus the
+    weights gathered from memory -- no message is written.
+    """
+    table_name, var, weight_name = form
+    operands: dict = {}
+    lock = threading.Lock()     # chunks of one plan may run on a pool
+
+    def operand(bindings, name):
+        arr = operands.get(name)
+        if arr is None:
+            with lock:
+                arr = operands.get(name)
+                if arr is None:
+                    arr = operands[name] = np.ascontiguousarray(
+                        bindings[name], dtype=dtype)
+        return arr
+
+    def evaluate(bindings, ctx):
+        nbytes = ctx.size * row_bytes
+        weight = None
+        if chain_weight:
+            weight = ctx.values[weight_name]
+        elif weight_name is not None:
+            weight = operand(bindings, weight_name)[ctx.index("eid")]
+            nbytes += weight.nbytes
+        return RowGather(operand(bindings, table_name), ctx.index(var),
+                         weight), nbytes
+
+    return evaluate
 
 
 class GeneralizedSpMM:
@@ -150,6 +193,9 @@ class GeneralizedSpMM:
         self.msg = msg
         self.msg_shape = msg.shape
         self.feature_len = int(np.prod(msg.shape))
+        #: (table, var, weight) when the message is a pure row gather --
+        #: what lets a ``spblas`` sink aggregate it with no message block
+        self.row_gather = row_gather_form(msg)
         self.reads_src = cost_analysis.reads_endpoint(msg, "src")
         self.reads_dst = cost_analysis.reads_endpoint(msg, "dst")
         self.udf_flops = cost_analysis.udf_flops_per_item(msg)
@@ -226,7 +272,8 @@ class GeneralizedSpMM:
 
         The kernel lowers to an :class:`~repro.runtime.plan.ExecutionPlan`
         (one task per feature tile x graph partition, or per graph
-        partition when tiling would only replay the gathers) and the shared
+        partition when tiling would only replay the gathers or the message
+        is never gathered) and the shared
         :class:`~repro.runtime.engine.Executor` runs it.  With ``pool``,
         partitions are processed cooperatively: all workers share one
         partition's chunks at a time (the LLC-contention-avoiding schedule
@@ -256,7 +303,15 @@ class GeneralizedSpMM:
         batch-gathered loads spans output axis 0 (MLP aggregation: both
         ``XV`` gathers span only the reduce axis) gets one full-width task
         per graph partition instead: its tiles would each repeat the same
-        gathers, and the GEMM it lowers to blocks the output itself.
+        gathers, and the GEMM it lowers to blocks the output itself.  So
+        does a pure row-gather message (``copy_u`` / ``copy_e`` / ``u_mul_e``
+        with a scalar or per-head weight, :attr:`row_gather`) whose sink
+        ``spblas`` reduces natively -- the default request or a pinned
+        ``"spblas"`` on a float ``sum``/``mean``: its stage returns a
+        :class:`~repro.runtime.plan.RowGather` and the sink multiplies the
+        partition's own CSR into the feature table, so no chunk holds a
+        per-edge buffer, chunks are ``chunk_edges`` long whatever the
+        width, and the compiled program is only the sanitizer's oracle.
         ``num_feature_partitions``, the lowered IR, ``cost()`` and the CUDA
         source still follow the FDS.  The aggregation request is
         ``self.agg_strategy``; without one the sink's strategy follows from
@@ -275,23 +330,6 @@ class GeneralizedSpMM:
         reducer, _ = resolve_reducer(self.aggregation)
         prog = self.vector_program()
         mode, names = resolve_request(self.agg_strategy)
-        # Feature tiling shrinks what a chunk gathers only if some batched
-        # load spans the tiled axis.  When none does, every tile would
-        # replay the same gathers: evaluate each chunk once at full width
-        # instead, and size chunks with the full-width rows included: two
-        # per edge, the (B, f) message and the copy of it the strategy
-        # densifies (bucketed's ``msgs[pos]``).  Counting one leaves single
-        # 6-7 MB buffers, so close to the allocator's adaptive mmap
-        # threshold that a hub row's overshoot decides between heap reuse
-        # and a fresh mapping, and peak RSS steps with the topology.
-        tiles = self._tiles()
-        row_bytes = 0
-        if len(tiles) > 1 and not any(
-                has_batch and 0 in axes
-                for _, has_batch, axes, _, _ in prog.stats.loads):
-            tiles = [(0, self.msg_shape[0])]
-            row_bytes = 2 * self.feature_len * prog.out_dtype.itemsize
-        target = effective_chunk_edges(self.chunk_edges, prog, row_bytes)
         per_chunk = None
         if mode == "auto":
             strategy = resolve_sink_strategy(
@@ -318,25 +356,66 @@ class GeneralizedSpMM:
                 return [instances.setdefault(n, make_strategy(n, pool=pool))
                         for n in assigned]
 
+        # A pure row-gather message under a sink that ``spblas`` reduces
+        # natively needs no message at all: the sink multiplies the graph's
+        # own CSR into the feature table.  Nothing per edge is held, so
+        # the workset does not bound the chunk and tiling has nothing to
+        # shrink.  Every other request runs the compiled program (the sink
+        # default of a per-chunk request is reduceat).
+        gather_free = (self.row_gather is not None
+                       and isinstance(strategy, SparseBlasStrategy)
+                       and strategy.owns(reducer.name, prog.out_dtype))
+        # Feature tiling shrinks what a chunk gathers only if some batched
+        # load spans the tiled axis.  When none does, every tile would
+        # replay the same gathers: evaluate each chunk once at full width
+        # instead, and size chunks with the full-width rows included: two
+        # per edge, the (B, f) message and the copy of it the strategy
+        # densifies (bucketed's ``msgs[pos]``).  Counting one leaves single
+        # 6-7 MB buffers, so close to the allocator's adaptive mmap
+        # threshold that a hub row's overshoot decides between heap reuse
+        # and a fresh mapping, and peak RSS steps with the topology.
+        tiles = self._tiles()
+        if gather_free:
+            tiles = [(0, self.msg_shape[0])]
+            target = self.chunk_edges
+        else:
+            row_bytes = 0
+            if len(tiles) > 1 and not any(
+                    has_batch and 0 in axes
+                    for _, has_batch, axes, _, _ in prog.stats.loads):
+                tiles = [(0, self.msg_shape[0])]
+                row_bytes = 2 * self.feature_len * prog.out_dtype.itemsize
+            target = effective_chunk_edges(self.chunk_edges, prog, row_bytes)
+
         axis0 = self.msg.op.axis[0].name
         tasks = []
+        verify = {"dims": self._graph_dims(),
+                  "programs": {self.msg.name: prog},
+                  "target": f"spmm[{self.msg.name}]"}
         for lo, hi in tiles:
             sink = AggregateSink(acc[:, lo:hi], reducer, strategy)
             tile_sizes = (hi - lo,) + self.msg_shape[1:]
+
+            def run_program(bindings, ctx, tile=(lo, hi), sizes=tile_sizes):
+                msgs = prog.run(bindings, ctx.batch_for(prog),
+                                axis_ranges={axis0: tile})
+                return msgs, prog.bytes_moved(ctx.size, sizes)
+
+            evaluate = run_program
+            if gather_free:
+                # the program stays the sanitizer's oracle for the stage
+                verify["row_gather"] = {self.msg.name: run_program}
+                evaluate = row_gather_evaluate(
+                    self.row_gather, prog.out_dtype,
+                    self.feature_len * prog.out_dtype.itemsize)
             for part in self.partitions:
                 csr = part.csr
                 if csr.nnz == 0:
                     continue
-
-                def evaluate(bindings, ctx, tile=(lo, hi), sizes=tile_sizes):
-                    msgs = prog.run(bindings, ctx.batch,
-                                    axis_ranges={axis0: tile})
-                    return msgs, prog.bytes_moved(ctx.size, sizes)
-
                 bounds = chunk_bounds(csr, target)
                 tasks.append(EdgeTask(
-                    gather=GatherPlan(csr.indices, csr.row_of_edge(),
-                                      csr.edge_ids),
+                    gather=GatherPlan(csr.indices, None, csr.edge_ids,
+                                      indptr=csr.indptr),
                     bounds=bounds,
                     stages=[Stage(self.msg.name, evaluate, sink,
                                   compiled=True)],
@@ -349,9 +428,7 @@ class GeneralizedSpMM:
             # role extents + compiled program for the plan verifier
             # (:mod:`repro.runtime.verify`): FG010 checks gathers against
             # these, FG008 scans the program's out= retirement
-            extras={"verify": {"dims": self._graph_dims(),
-                               "programs": {self.msg.name: prog},
-                               "target": f"spmm[{self.msg.name}]"}})
+            extras={"verify": verify})
 
     def vector_program(self):
         """The compiled batched-UDF program this kernel executes per chunk
@@ -461,8 +538,8 @@ class GeneralizedSpMM:
         return artifacts["analysis"]
 
     def verify_report(self):
-        """The plan verifier's :class:`AnalysisReport` (rules FG006-FG010,
-        :mod:`repro.runtime.verify`) for this kernel's execution plan.
+        """The plan verifier's :class:`AnalysisReport` (rules FG006-FG008,
+        FG010, :mod:`repro.runtime.verify`) for this kernel's execution plan.
         Set by the pipeline's ``verify_plan`` pass; computed on demand for
         bound or directly constructed kernels.  Unlike the loop-nest
         analysis this is topology-dependent, so bound kernels verify their

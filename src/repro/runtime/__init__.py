@@ -4,7 +4,8 @@ Kernel templates lower to :class:`~repro.runtime.plan.ExecutionPlan`
 objects and the :class:`~repro.runtime.engine.Executor` runs them: one
 chunk loop, one stats ledger, and pluggable segment-reduction strategies
 (:mod:`repro.runtime.strategies`) resolved per sink -- float sums to the
-native segmented sum (:mod:`repro.runtime.spblas`), the rest from the
+native segmented sum (:mod:`repro.runtime.spblas`; a pure row-gather
+message straight from its table, never gathered), the rest from the
 degree histogram -- or pinned per kernel via ``agg_strategy``.  The
 reducer registry (:mod:`repro.runtime.reducers`) is the single source of
 ufunc/identity truth for every segmented reduction in the repository.
@@ -20,9 +21,9 @@ from repro.runtime.engine import (AggregateSink, ChunkCtx, Executor,
                                   ScatterSink)
 from repro.runtime.plan import (CHUNK_WORKSET_BYTES, MIN_CHUNK_EDGES,
                                 ChunkPolicy, EdgeTask, ExecutionPlan,
-                                GatherPlan, SegmentInfo, Stage,
+                                GatherPlan, RowGather, SegmentInfo, Stage,
                                 effective_chunk_edges, row_aligned_chunks,
-                                segment_info)
+                                row_segments, segment_info)
 from repro.runtime.reducers import (AGG_IDENTITY, AGG_UFUNC, REDUCERS,
                                     Reducer, get_reducer, resolve_reducer)
 from repro.runtime.strategies import (AggregationStrategy,
@@ -51,8 +52,9 @@ def __getattr__(name):
 __all__ = [
     "AggregateSink", "ChunkCtx", "Executor", "ScatterSink",
     "CHUNK_WORKSET_BYTES", "MIN_CHUNK_EDGES", "ChunkPolicy", "EdgeTask",
-    "ExecutionPlan", "GatherPlan", "SegmentInfo", "Stage",
-    "effective_chunk_edges", "row_aligned_chunks", "segment_info",
+    "ExecutionPlan", "GatherPlan", "RowGather", "SegmentInfo", "Stage",
+    "effective_chunk_edges", "row_aligned_chunks", "row_segments",
+    "segment_info",
     "AGG_IDENTITY", "AGG_UFUNC", "REDUCERS", "Reducer", "get_reducer",
     "resolve_reducer",
     "AggregationStrategy", "DegreeBucketedStrategy",

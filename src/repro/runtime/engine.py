@@ -6,10 +6,13 @@ evaluate, push into an accumulator or output buffer, book the stats).
 They now *lower* to an :class:`~repro.runtime.plan.ExecutionPlan` and hand
 it to the :class:`Executor` here, which owns the loop once:
 
-- per chunk, a :class:`ChunkCtx` lazily materializes the gathered batch,
-  the destination-segment boundaries, and the chunk-local edge ids, and
-  carries the per-stage values dict fused chains read through;
-- stage **evaluates** produce ``(values, bytes_moved)``; stage **sinks**
+- per chunk, a :class:`ChunkCtx` lazily materializes the gathered index
+  vectors, the destination-segment boundaries (from the gather plan's row
+  pointer when it carries one), and the chunk-local edge ids, and carries
+  the per-stage values dict fused chains read through;
+- stage **evaluates** produce ``(values, bytes_moved)`` -- the values a
+  ``(B, *feat)`` block, or a :class:`~repro.runtime.plan.RowGather` that
+  a ``spblas`` sink reduces without gathering it; stage **sinks**
   push values out -- :class:`AggregateSink` combines per-destination
   segments into a vertex accumulator through a pluggable
   :class:`~repro.runtime.strategies.AggregationStrategy`,
@@ -39,8 +42,7 @@ import time
 
 import numpy as np
 
-from repro.runtime.plan import EdgeTask, ExecutionPlan, SegmentInfo, \
-    segment_info
+from repro.runtime.plan import EdgeTask, ExecutionPlan, SegmentInfo
 from repro.runtime.reducers import Reducer
 from repro.runtime.strategies import AggregationStrategy
 from repro.tensorir.runtime import ExecStats, WorkPool
@@ -52,10 +54,11 @@ class ChunkCtx:
     """Per-chunk context handed to stage evaluates and sinks.
 
     Everything derived from the chunk bounds is computed on first access
-    and cached: ``batch`` (the gathered ``src``/``dst``/``eid`` slices),
-    ``segments`` (equal-destination runs, shared by every aggregate sink of
-    a fused chain), and ``local_eid`` (chunk-local positions, the index
-    space chain-edge consumers evaluate in).  ``values`` holds each stage's
+    and cached: the gathered index vectors (``index(name)``; ``batch`` is
+    all three, ``batch_for(prog)`` what one program runs on), ``segments``
+    (equal-destination runs, shared by every aggregate sink of a fused
+    chain), and ``local_eid`` (chunk-local positions, the index space
+    chain-edge consumers evaluate in).  ``values`` holds each stage's
     per-edge output for later stages of the same chunk.
     """
 
@@ -78,16 +81,29 @@ class ChunkCtx:
     def size(self) -> int:
         return self.c1 - self.c0
 
+    def index(self, name: str) -> np.ndarray:
+        """The chunk's slice of one gather array (``src``/``dst``/``eid``)."""
+        return getattr(self._gather, name)[self.c0:self.c1]
+
     @property
     def batch(self) -> dict:
         if self._batch is None:
             self._batch = self._gather.batch(self.c0, self.c1)
         return self._batch
 
+    def batch_for(self, prog) -> dict:
+        """The batch ``prog`` runs on: ``src`` and ``eid`` (slices of what
+        the gather plan holds anyway) plus ``dst`` only if the program
+        reads it -- a CSR-ordered plan expands ``dst`` on first use."""
+        batch = {"src": self.index("src"), "eid": self.index("eid")}
+        if "dst" in prog.batch_names:
+            batch["dst"] = self.index("dst")
+        return batch
+
     @property
     def segments(self) -> SegmentInfo:
         if self._segments is None:
-            self._segments = segment_info(self.batch["dst"])
+            self._segments = self._gather.segments(self.c0, self.c1)
         return self._segments
 
     @property
@@ -151,7 +167,7 @@ class ScatterSink:
         self.count_bytes = count_bytes
 
     def apply(self, vals: np.ndarray, ctx: ChunkCtx) -> int:
-        eid = ctx.batch["eid"]
+        eid = ctx.index("eid")
         if self.tile is not None:
             self.out[eid, self.tile[0]:self.tile[1]] = vals
         else:

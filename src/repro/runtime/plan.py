@@ -12,11 +12,14 @@ buffer.  An :class:`ExecutionPlan` reifies that loop as data:
   boundaries (row alignment is what makes segmented reduction and
   cooperative threading race-free);
 - a **gather plan** (:class:`GatherPlan`): the traversal-ordered
-  ``src``/``dst``/``eid`` arrays a chunk's batch is sliced from;
+  ``src``/``dst``/``eid`` arrays a chunk's batch is sliced from, plus --
+  for CSR-ordered sweeps -- the row pointer they came from, which gives a
+  chunk its segments in O(rows) and makes ``dst`` an on-demand expansion;
 - per-chunk **stages** (:class:`Stage`): an evaluate callable plus a sink
   (segmented aggregation via a pluggable strategy, or an edge-indexed
   scatter).  Single kernels have one stage; fused chains have one per
-  planned stage.
+  planned stage.  An evaluate returns the chunk's ``(B, *feat)`` values,
+  or a :class:`RowGather` that describes them without gathering them.
 
 The :class:`~repro.runtime.engine.Executor` interprets the plan; the
 aggregation strategies live in :mod:`repro.runtime.strategies`.
@@ -36,8 +39,10 @@ __all__ = [
     "row_aligned_chunks",
     "ChunkPolicy",
     "GatherPlan",
+    "RowGather",
     "SegmentInfo",
     "segment_info",
+    "row_segments",
     "Stage",
     "EdgeTask",
     "ExecutionPlan",
@@ -121,33 +126,123 @@ class ChunkPolicy:
         return [(c0, min(n, c0 + target)) for c0 in range(0, n, target)]
 
 
-@dataclass
 class GatherPlan:
-    """Traversal-ordered edge endpoint arrays a chunk batch slices from."""
+    """Traversal-ordered edge endpoint arrays a chunk batch slices from.
 
-    src: np.ndarray
-    dst: np.ndarray
-    eid: np.ndarray
+    ``indptr`` is the CSR row pointer the arrays were sliced from, when
+    the traversal is CSR order.  With it a chunk's segments come from its
+    row range (:func:`row_segments`) and ``dst`` may be passed as ``None``:
+    it is then expanded from ``indptr`` on first use -- only a program
+    that reads ``dst``, or the verifier, ever asks.
+    """
+
+    def __init__(self, src: np.ndarray, dst: np.ndarray | None,
+                 eid: np.ndarray, indptr: np.ndarray | None = None):
+        if dst is None and indptr is None:
+            raise ValueError("a gather plan needs dst or the indptr to "
+                             "expand it from")
+        self.src = src
+        self.eid = eid
+        self.indptr = indptr
+        self._dst = dst
+
+    @property
+    def dst(self) -> np.ndarray:
+        if self._dst is None:
+            # idempotent: pool threads racing here expand twice at worst
+            self._dst = np.repeat(
+                np.arange(len(self.indptr) - 1, dtype=np.int64),
+                np.diff(self.indptr))
+        return self._dst
+
+    @property
+    def dst_expanded(self) -> bool:
+        """Whether ``dst`` exists as an array (given, or expanded already)."""
+        return self._dst is not None
 
     def batch(self, c0: int, c1: int) -> dict:
         """The evaluator batch for edges ``[c0, c1)``."""
         return {"src": self.src[c0:c1], "dst": self.dst[c0:c1],
                 "eid": self.eid[c0:c1]}
 
+    def segments(self, c0: int, c1: int) -> "SegmentInfo":
+        """Equal-destination runs of chunk ``[c0, c1)``: read off
+        ``indptr`` when the plan carries it and the chunk is row-aligned,
+        else found by a diff over the chunk's ``dst``."""
+        seg = None
+        if self.indptr is not None:
+            seg = row_segments(self.indptr, c0, c1)
+        return seg if seg is not None else segment_info(self.dst[c0:c1])
 
-@dataclass
+
+class RowGather:
+    """A chunk's messages ``table[index] * weight``, not gathered yet.
+
+    ``table`` is ``(n, *feat)``, ``index`` one row id per edge and
+    ``weight`` -- optional -- ``(B, *feat[:k])`` with ``k < len(feat)``:
+    a scalar per edge, or one value per leading feature index (per head),
+    broadcast over the remaining feature axes.  A stage evaluate returns
+    one instead of the ``(B, *feat)`` block when a sink can reduce
+    straight from the table (``spblas``); everything else that reads a
+    stage value gets the dense block through ``np.asarray``.
+    """
+
+    __slots__ = ("table", "index", "weight")
+
+    def __init__(self, table: np.ndarray, index: np.ndarray,
+                 weight: np.ndarray | None = None):
+        self.table = table
+        self.index = index
+        self.weight = weight
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.index),) + self.table.shape[1:]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.table.dtype
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        vals = self.table[self.index]
+        if self.weight is not None:
+            w = np.asarray(self.weight, dtype=vals.dtype)
+            vals *= w.reshape(w.shape + (1,) * (vals.ndim - w.ndim))
+        return vals if dtype is None else vals.astype(dtype, copy=False)
+
+
 class SegmentInfo:
     """Equal-destination runs of one chunk (rows sorted within the chunk).
 
     ``starts[i]`` is the chunk-local offset of segment ``i``;
     ``seg_rows[i]`` its destination row; ``lengths[i]`` its edge count
     (the chunk's degree histogram, which the bucketed strategy groups by).
+    ``rows`` -- the per-edge destination, sorted -- may be given as
+    ``None`` (segments read off a row pointer): it is then expanded from
+    the segments on first use.
     """
 
-    rows: np.ndarray       # per-edge destination, sorted
-    starts: np.ndarray     # (n_segments,) chunk-local segment starts
-    seg_rows: np.ndarray   # (n_segments,) destination row per segment
-    lengths: np.ndarray    # (n_segments,) segment sizes
+    __slots__ = ("starts", "seg_rows", "lengths", "_rows")
+
+    def __init__(self, rows: np.ndarray | None, starts: np.ndarray,
+                 seg_rows: np.ndarray, lengths: np.ndarray):
+        self._rows = rows           # per-edge destination, sorted
+        self.starts = starts        # (n_segments,) chunk-local starts
+        self.seg_rows = seg_rows    # (n_segments,) destination row
+        self.lengths = lengths      # (n_segments,) segment sizes
+
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
+            self._rows = np.repeat(self.seg_rows, self.lengths)
+        return self._rows
+
+    @property
+    def n_edges(self) -> int:
+        """The chunk's edge count: segments tile it from offset 0."""
+        if len(self.starts) == 0:
+            return 0
+        return int(self.starts[-1] + self.lengths[-1])
 
 
 def segment_info(dst_sorted: np.ndarray) -> SegmentInfo:
@@ -155,15 +250,37 @@ def segment_info(dst_sorted: np.ndarray) -> SegmentInfo:
 
     A zero-edge chunk has zero segments (the engine never schedules one,
     but degenerate graphs reach this through the chunking helpers)."""
+    dst_sorted = np.asarray(dst_sorted)
     if len(dst_sorted) == 0:
         empty = np.empty(0, dtype=np.int64)
-        return SegmentInfo(rows=np.asarray(dst_sorted), starts=empty,
-                           seg_rows=empty, lengths=empty)
+        return SegmentInfo(rows=dst_sorted, starts=empty, seg_rows=empty,
+                           lengths=empty)
     starts = np.concatenate(
         ([0], np.flatnonzero(np.diff(dst_sorted)) + 1))
     lengths = np.diff(np.concatenate((starts, [len(dst_sorted)])))
     return SegmentInfo(rows=dst_sorted, starts=starts,
                        seg_rows=dst_sorted[starts], lengths=lengths)
+
+
+def row_segments(indptr: np.ndarray, c0: int, c1: int) -> SegmentInfo | None:
+    """:func:`segment_info` of the row-aligned chunk ``[c0, c1)`` read off
+    the CSR row pointer -- O(rows in the chunk), not a diff over its
+    edges; rows without edges are no segment.  ``None`` when a bound does
+    not fall on a row boundary (hand-built plans), where only the chunk's
+    own ``dst`` says what its runs are."""
+    r0 = int(np.searchsorted(indptr, c0, side="left"))
+    r1 = int(np.searchsorted(indptr, c1, side="left"))
+    if r1 >= len(indptr) or indptr[r0] != c0 or indptr[r1] != c1:
+        return None
+    starts = indptr[r0:r1]
+    lengths = np.diff(indptr[r0:r1 + 1])
+    seg_rows = np.arange(r0, r1, dtype=np.int64)
+    occupied = lengths > 0
+    if not occupied.all():
+        starts, lengths, seg_rows = (starts[occupied], lengths[occupied],
+                                     seg_rows[occupied])
+    return SegmentInfo(rows=None, starts=starts - c0, seg_rows=seg_rows,
+                       lengths=lengths)
 
 
 @dataclass

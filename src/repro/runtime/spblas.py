@@ -8,7 +8,12 @@ to segment ``i``, ``A @ table`` is the per-segment sum.  SciPy ships that
 product as a compiled routine (``csr_matvecs`` in its ``_sparsetools``
 extension), and ``scipy>=1.10`` is a declared dependency, so
 :func:`segment_sum` is the hand-written SpMM inner loop the paper's CPU
-template generates, obtained without a compiler.
+template generates, obtained without a compiler.  With ``index=`` the
+selector's column indices are the caller's (row ``index[p]`` of the table
+stands for item ``p``) and with ``weight=`` its data are: handed a chunk
+of the graph's own ``(indptr, indices)``, the edge weights and the feature
+table, the routine *is* the vanilla SpMM of the paper's Table III -- no
+per-edge message is ever gathered.
 
 **Why the extension is loaded from its file.**  ``csr_array @`` would do,
 but importing the ``scipy.sparse`` *package* costs more than every kernel
@@ -30,9 +35,10 @@ scipy.sparse import _sparsetools`` run.
 Rounding: ``csr_matvecs`` accumulates each row sequentially in the table's
 dtype, so float32 drift would grow with the segment length.  Segments
 longer than :data:`BLOCK` items are therefore first summed in
-``BLOCK``-item blocks and the block partials summed by the same routine
-(recursively), which bounds the drift like numpy's pairwise sum does --
-by the tree depth, not the degree.  Each segment is reduced in one fixed
+``BLOCK``-item blocks (where the weights are applied) and the block
+partials summed, unweighted, by the same routine (recursively), which
+bounds the drift like numpy's pairwise sum does -- by the tree depth, not
+the degree.  Each segment is reduced in one fixed
 order that depends only on its own length, so results do not change with
 how the caller chunks its segments.
 """
@@ -89,10 +95,11 @@ _csr_matvecs = _load_csr_matvecs()
 
 
 def _selector_sum(indptr: np.ndarray, index: np.ndarray | None,
-                  table: np.ndarray) -> np.ndarray:
-    """One ``csr_matvecs`` call: ``out[i] = sum(table[index[p]] for p in
-    range(indptr[i], indptr[i + 1]))`` over a C-contiguous ``(B, F)``
-    table (``index=None``: ``table[p]``)."""
+                  table: np.ndarray,
+                  weight: np.ndarray | None = None) -> np.ndarray:
+    """One ``csr_matvecs`` call: ``out[i] = sum(weight[p] * table[index[p]]
+    for p in range(indptr[i], indptr[i + 1]))`` over a C-contiguous
+    ``(B, F)`` table (``index=None``: ``table[p]``; ``weight=None``: 1)."""
     if index is None:
         index = np.arange(
             indptr[-1], dtype=np.int32
@@ -104,21 +111,44 @@ def _selector_sum(indptr: np.ndarray, index: np.ndarray | None,
     n_seg, width = len(indptr) - 1, table.shape[1]
     out = np.zeros((n_seg, width), dtype=table.dtype)
     if n_seg and width and len(index):
-        _csr_matvecs(n_seg, len(table), width, indptr, index,
-                     np.ones(len(index), dtype=table.dtype),
+        if weight is None:
+            weight = np.ones(len(index), dtype=table.dtype)
+        _csr_matvecs(n_seg, len(table), width, indptr, index, weight,
                      table.reshape(-1), out.reshape(-1))
     return out
 
 
-def segment_sum(indptr, table, index=None) -> np.ndarray:
+def _blocked_sum(indptr: np.ndarray, lengths: np.ndarray, flat: np.ndarray,
+                 index: np.ndarray | None,
+                 weight: np.ndarray | None) -> np.ndarray:
+    """:func:`segment_sum` past its checks: ``flat`` is the contiguous
+    ``(rows, F)`` table, ``lengths = diff(indptr)``, ``index`` is inside
+    the table and ``weight`` contiguous in its dtype.  The weights scale
+    the first-level products only; block partials are summed as they are."""
+    while len(lengths) and lengths.max() > BLOCK:
+        # block j of segment i starts BLOCK*(j - first_block[i]) past the
+        # segment's own start; empty segments own no block
+        n_blocks = -(-lengths // BLOCK)
+        first_block = np.concatenate(([0], np.cumsum(n_blocks)))
+        starts = np.repeat(indptr[:-1] - BLOCK * first_block[:-1], n_blocks) \
+            + BLOCK * np.arange(first_block[-1])
+        flat = _selector_sum(np.concatenate((starts, indptr[-1:])), index,
+                             flat, weight)
+        indptr, index, weight, lengths = first_block, None, None, n_blocks
+    return _selector_sum(indptr, index, flat, weight)
+
+
+def segment_sum(indptr, table, index=None, weight=None) -> np.ndarray:
     """Per-segment sums of ``table`` rows, in ``table``'s dtype.
 
     ``indptr`` is a CSR row pointer (``n_segments + 1`` non-decreasing
     offsets); segment ``i`` sums ``table[p]`` -- or ``table[index[p]]``
-    when ``index`` is given -- for ``p`` in ``indptr[i]:indptr[i + 1]``.
-    ``table`` is ``(rows, *feat)`` float32 or float64 (a strided view is
-    copied once); the result is ``(n_segments, *feat)`` with zeros for
-    empty segments.
+    when ``index`` is given -- for ``p`` in ``indptr[i]:indptr[i + 1]``,
+    each row scaled by ``weight[p]`` when ``weight`` (one value per item)
+    is given.  ``table`` is ``(rows, *feat)`` float32 or float64 (a strided
+    view is copied once; so is a weight that is not already contiguous in
+    the table's dtype); the result is ``(n_segments, *feat)`` with zeros
+    for empty segments.
     """
     table = np.asarray(table)
     if table.dtype != np.float32 and table.dtype != np.float64:
@@ -136,19 +166,15 @@ def segment_sum(indptr, table, index=None) -> np.ndarray:
         n_items = len(index)
         if n_items and (index.min() < 0 or index.max() >= len(flat)):
             raise IndexError("segment_sum index escapes the table")
+    if weight is not None:
+        weight = np.ascontiguousarray(weight, dtype=table.dtype)
+        if weight.shape != (n_items,):
+            raise ValueError(
+                f"segment_sum needs one weight per item ({n_items}), got "
+                f"shape {weight.shape}")
     lengths = np.diff(indptr)
     if indptr[0] < 0 or indptr[-1] > n_items or (lengths < 0).any():
         raise ValueError(
             f"indptr must be non-decreasing within [0, {n_items}]")
-    while len(lengths) and lengths.max() > BLOCK:
-        # block j of segment i starts BLOCK*(j - first_block[i]) past the
-        # segment's own start; empty segments own no block
-        n_blocks = -(-lengths // BLOCK)
-        first_block = np.concatenate(([0], np.cumsum(n_blocks)))
-        starts = np.repeat(indptr[:-1] - BLOCK * first_block[:-1], n_blocks) \
-            + BLOCK * np.arange(first_block[-1])
-        flat = _selector_sum(np.concatenate((starts, indptr[-1:])), index,
-                             flat)
-        indptr, index, lengths = first_block, None, n_blocks
-    return _selector_sum(indptr, index, flat).reshape(
+    return _blocked_sum(indptr, lengths, flat, index, weight).reshape(
         (len(indptr) - 1,) + feat)

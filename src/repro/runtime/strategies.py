@@ -38,7 +38,14 @@ histogram decides which shape of vectorization wins:
     (:mod:`repro.runtime.spblas`).  No per-segment or per-degree Python
     or ufunc dispatch at all, so it needs no shape statistics to be the
     right pick, and the lowerings give it every float ``sum``/``mean``
-    sink of a default request.  Rows longer than 128 edges are summed in
+    sink of a default request.  A message that is a pure row gather
+    reaches it as a :class:`~repro.runtime.plan.RowGather` and is never
+    gathered: ``indices`` is then the chunk's slice of the graph's own
+    column indices, the selector's ``data`` the edge weights, and the
+    dense operand the feature table itself -- vanilla SpMM on the graph's
+    CSR, the kernel the paper measures against MKL's ``csrmm``; every
+    other strategy densifies such a value through ``np.asarray`` first.
+    Rows longer than 128 edges are summed in
     128-edge blocks first, so float32 drift does not grow with the degree;
     each row is reduced in one fixed order that depends only on its own
     length, so results are **bit-identical across chunk sizes and worker
@@ -86,9 +93,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.runtime.plan import SegmentInfo
+from repro.runtime.plan import RowGather, SegmentInfo
 from repro.runtime.reducers import Reducer
-from repro.runtime.spblas import segment_sum
+from repro.runtime.spblas import _blocked_sum, segment_sum
 from repro.tensorir.runtime import WorkPool, default_pool
 
 __all__ = [
@@ -137,7 +144,8 @@ class AggregationStrategy:
 
     ``acc`` is the (rows, \\*feat) accumulator (identity-initialized);
     ``seg`` the chunk's :class:`~repro.runtime.plan.SegmentInfo`; ``msgs``
-    the (edges, \\*feat) values, CSR-sorted so each segment is contiguous.
+    the (edges, \\*feat) values, CSR-sorted so each segment is contiguous
+    (or a :class:`~repro.runtime.plan.RowGather` standing for them).
     Implementations must write ``acc[seg.seg_rows] =
     reducer.ufunc(acc[seg.seg_rows], <per-segment reduction>)`` semantics
     and nothing else -- rows absent from the chunk stay untouched.
@@ -159,7 +167,7 @@ class ReduceatStrategy(AggregationStrategy):
     name = "reduceat"
 
     def combine(self, acc, seg, msgs, reducer):
-        vals = reducer.ufunc.reduceat(msgs, seg.starts, axis=0)
+        vals = reducer.ufunc.reduceat(np.asarray(msgs), seg.starts, axis=0)
         rows = seg.seg_rows
         acc[rows] = reducer.ufunc(acc[rows], vals)
 
@@ -170,6 +178,7 @@ class DegreeBucketedStrategy(AggregationStrategy):
     name = "bucketed"
 
     def combine(self, acc, seg, msgs, reducer):
+        msgs = np.asarray(msgs)
         lengths = seg.lengths
         order = np.argsort(lengths, kind="stable")
         sorted_len = lengths[order]
@@ -221,9 +230,10 @@ class ParallelStrategy(AggregationStrategy):
         return self._pool if self._pool is not None else default_pool()
 
     def combine(self, acc, seg, msgs, reducer):
+        msgs = np.asarray(msgs)
         pool = self.pool
         n_seg = len(seg.starts)
-        n_edges = len(seg.rows)
+        n_edges = seg.n_edges
         workers = pool.num_workers
         if workers <= 1 or n_edges < self.min_edges or n_seg < 2:
             ReduceatStrategy().combine(acc, seg, msgs, reducer)
@@ -253,8 +263,9 @@ class ParallelStrategy(AggregationStrategy):
 
 class SparseBlasStrategy(AggregationStrategy):
     """Float sums as selector-CSR x message block: one ``csr_matvecs``
-    call per chunk (:func:`repro.runtime.spblas.segment_sum`); everything
-    else is ``reduceat``, bit for bit."""
+    call per chunk (:func:`repro.runtime.spblas.segment_sum`) -- on a
+    :class:`~repro.runtime.plan.RowGather` straight from its table, with
+    no message block at all; everything else is ``reduceat``, bit for bit."""
 
     name = "spblas"
 
@@ -267,9 +278,49 @@ class SparseBlasStrategy(AggregationStrategy):
         if not self.owns(reducer.name, msgs.dtype):
             ReduceatStrategy().combine(acc, seg, msgs, reducer)
             return
-        vals = segment_sum(np.append(seg.starts, len(seg.rows)), msgs)
+        indptr = np.append(seg.starts, seg.n_edges)
+        if isinstance(msgs, RowGather):
+            vals = self._gather_sum(indptr, seg.lengths, msgs)
+        else:
+            vals = segment_sum(indptr, msgs)
         rows = seg.seg_rows
         acc[rows] = np.add(acc[rows], vals)
+
+    @staticmethod
+    def _gather_sum(indptr, lengths, msgs: RowGather) -> np.ndarray:
+        """Per-segment sums of ``table[index] * weight`` without the
+        ``(B, *feat)`` block.  A scalar weight is the selector's ``data``;
+        a per-head weight ``(B, *prefix)`` over a ``(n, *prefix, *rest)``
+        table is one call per head on the table viewed as ``(n * heads,
+        rest)`` -- head ``p`` of row ``r`` is row ``r * heads + p`` there
+        -- so the table is never copied or sliced, and its index is
+        checked here once instead of once per head."""
+        table, index, weight = msgs.table, msgs.index, msgs.weight
+        if weight is None or weight.ndim == 1:
+            return segment_sum(indptr, table, index=index, weight=weight)
+        table = np.ascontiguousarray(table)
+        feat = table.shape[1:]
+        n_items = len(index)
+        if weight.shape != (n_items,) + feat[:weight.ndim - 1] \
+                or weight.ndim > len(feat):
+            raise ValueError(
+                f"row-gather weight {weight.shape} is no per-edge prefix of "
+                f"the message shape {(n_items,) + feat}")
+        if n_items != indptr[-1]:
+            raise ValueError("row-gather index and segments disagree on "
+                             "the chunk's edge count")
+        if n_items and (index.min() < 0 or index.max() >= len(table)):
+            raise IndexError("row-gather index escapes the table")
+        heads = int(np.prod(weight.shape[1:], dtype=np.int64))
+        flat = table.reshape(len(table) * heads, -1)
+        weight = np.asarray(weight, dtype=table.dtype).reshape(n_items, heads)
+        base = index * heads
+        out = np.empty((len(lengths), heads, flat.shape[1]),
+                       dtype=table.dtype)
+        for p in range(heads):
+            out[:, p] = _blocked_sum(indptr, lengths, flat, base + p,
+                                     np.ascontiguousarray(weight[:, p]))
+        return out.reshape((len(lengths),) + feat)
 
 
 def make_strategy(name: str, pool: WorkPool | None = None

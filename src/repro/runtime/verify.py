@@ -12,7 +12,7 @@ the plan layer the same static safety net:
     boundaries on segment boundaries), so pool-parallel chunks and the
     per-sweep ``guard_zero`` substitution are race-free.  For the
     ``parallel`` strategy the shard cuts are additionally checked per
-    chunk, symbolically from :func:`~repro.runtime.plan.segment_info`:
+    chunk, symbolically from the chunk's segments (``GatherPlan.segments``):
     cuts must cover the segment index space without overlap and must
     never split a destination segment across workers.  Heterogeneous
     plans (``EdgeTask.chunk_strategies``) are verified per chunk: the
@@ -28,7 +28,10 @@ the plan layer the same static safety net:
 
 ``FG008`` **buffer lifetime & aliasing.**  Chunk-local chain values must
     be defined by an earlier stage of the same task before any stage
-    reads them; sink buffers of one task must not alias each other; and
+    reads them; a stage whose message is never gathered
+    (:class:`~repro.runtime.plan.RowGather`) has no chunk-local value, so
+    no later stage may read it through the chunk context and it may not
+    be kept; sink buffers of one task must not alias each other; and
     a compiled vector program's ``out=`` buffer reuse must only ever
     retire program-local registers that were previously assigned --
     never an input binding, which pool-parallel chunks share.
@@ -38,6 +41,9 @@ the plan layer the same static safety net:
     ``n_dst`` / ``m`` from the lowering kernel, or derived from the sink
     buffers), and chunk bounds against the gathered edge domain.
     Negative indices are rejected too -- numpy would wrap them silently.
+    A plan's row pointer (``GatherPlan.indptr``, what chunk segments are
+    read off) must be non-decreasing, span exactly the gathered edges and
+    expand to ``dst`` wherever the plan carries both.
 
 :func:`verify_plan` runs the checks over one plan; :func:`verify_kernel`
 lowers a bound kernel to its plan first (this is what the compile
@@ -53,9 +59,12 @@ the dynamic half: :meth:`Executor.run` re-routes through
 sets, scatter targets, and combine orders while the plan executes, and
 cross-checks them against the static verdicts -- a clean static report
 plus a dynamic violation is a *disagreement* and raises
-:class:`SanitizerError`.  The fuzzer's ``--sanitize`` stage hunts for
-such disagreements the same way ``--analyze`` hunts for PR-3 analyzer
-false positives.
+:class:`SanitizerError`.  The combine oracle is ``ufunc.reduceat`` over
+the chunk's dense messages; for a stage that hands its sink a
+``RowGather`` those come from the stage's compiled program, so the
+lowering's decision not to gather is itself under test.  The fuzzer's
+``--sanitize`` stage hunts for such disagreements the same way
+``--analyze`` hunts for PR-3 analyzer false positives.
 
 Lint CLI::
 
@@ -78,7 +87,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.runtime.engine import AggregateSink, ScatterSink
-from repro.runtime.plan import ExecutionPlan, segment_info
+from repro.runtime.plan import ExecutionPlan
 from repro.runtime.strategies import (STRATEGY_NAMES, ParallelStrategy,
                                       SparseBlasStrategy)
 from repro.tensorir.analysis.diagnostics import (AnalysisError,
@@ -218,6 +227,11 @@ class _Ctx:
         meta = plan.extras.get("verify", {}) if plan.extras else {}
         self.dims: dict = dict(meta.get("dims", {}))
         self.chain_reads: dict = dict(meta.get("chain_reads", {}))
+        #: of those, the reads that go through the chunk context
+        self.value_reads: dict = dict(meta.get("value_reads", {}))
+        #: stages whose message is never gathered (RowGather)
+        self.row_gather: dict = dict(meta.get("row_gather", {}))
+        self.keep: tuple = tuple(meta.get("keep", ()))
         self.programs: dict = dict(meta.get("programs", {}))
         self.diags: list[Diagnostic] = []
 
@@ -236,12 +250,17 @@ def _check_bounds_structure(ctx: _Ctx, ti: int, task) -> bool:
     alignment checks to be meaningful.
     """
     loc = f"task[{ti}]"
-    n_edges = len(task.gather.src)
-    if len(task.gather.dst) != n_edges or len(task.gather.eid) != n_edges:
+    gather = task.gather
+    n_edges = len(gather.src)
+    lens = {"src": n_edges, "eid": len(gather.eid)}
+    if gather.dst_expanded:
+        lens["dst"] = len(gather.dst)
+    if len(set(lens.values())) > 1:
         ctx.add("FG010", loc,
                 "gather arrays disagree on edge count: "
-                f"src={len(task.gather.src)}, dst={len(task.gather.dst)}, "
-                f"eid={len(task.gather.eid)}")
+                + ", ".join(f"{k}={v}" for k, v in lens.items()))
+        return False
+    if gather.indptr is not None and not _check_indptr(ctx, loc, gather):
         return False
     bounds = list(task.bounds)
     ok = True
@@ -271,12 +290,47 @@ def _check_bounds_structure(ctx: _Ctx, ti: int, task) -> bool:
     return ok
 
 
+def _check_indptr(ctx: _Ctx, loc: str, gather) -> bool:
+    """FG010: the row pointer chunk segments are read off must describe
+    the gathered edges -- non-decreasing from 0 to their count, and equal
+    to ``dst`` run for run when the plan carries that too."""
+    indptr = np.asarray(gather.indptr)
+    n_edges = len(gather.src)
+    if indptr.ndim != 1 or len(indptr) < 1 or indptr[0] != 0 \
+            or indptr[-1] != n_edges or np.any(np.diff(indptr) < 0):
+        ctx.add("FG010", f"{loc}.gather.indptr",
+                f"row pointer is not a non-decreasing span of the "
+                f"{n_edges} gathered edges: chunk segments read off it "
+                "would not be the edges' destination runs")
+        return False
+    if gather.dst_expanded and not np.array_equal(
+            np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)),
+            gather.dst):
+        ctx.add("FG010", f"{loc}.gather.indptr",
+                "row pointer does not expand to the plan's dst array: "
+                "segments (from indptr) and programs (from dst) would "
+                "disagree on an edge's destination row")
+        return False
+    return True
+
+
 def _check_row_alignment(ctx: _Ctx, ti: int, task) -> None:
     """FG006: with an aggregating sink, chunk boundaries must fall on
     destination-segment boundaries and rows must be chunk-contiguous."""
     if not any(isinstance(st.sink, AggregateSink) for st in task.stages):
         return
     loc = f"task[{ti}]"
+    indptr = task.gather.indptr
+    if indptr is not None:
+        # FG010 vouched for the row pointer: rows are sorted by
+        # construction and a boundary is aligned iff it is an entry
+        for ci, (c0, c1) in enumerate(task.bounds):
+            if c0 > 0 and indptr[np.searchsorted(indptr, c0)] != c0:
+                ctx.add("FG006", f"{loc}.chunk[{ci}]",
+                        f"chunk boundary at edge {c0} is no row boundary "
+                        "of the plan's row pointer: it splits a "
+                        "destination row across chunks")
+        return
     dst = np.asarray(task.gather.dst)
     if len(dst) == 0:
         return
@@ -298,16 +352,16 @@ def _check_parallel_cuts(ctx: _Ctx, ti: int, task, strategy,
                          chunks=None) -> None:
     """FG006: the parallel strategy's shard cuts, probed symbolically.
 
-    For every chunk the real ``segment_info`` is derived from the gather
-    (no UDF is evaluated) and ``ParallelStrategy._shard_cuts`` is run for
-    several worker counts; the cuts must cover the segment index space
+    For every chunk the real segments are derived from the gather plan,
+    exactly as the engine derives them (no UDF is evaluated), and
+    ``ParallelStrategy._shard_cuts`` is run for several worker counts;
+    the cuts must cover the segment index space
     exactly once and each cut's edge offset must land on a segment
     boundary.  ``chunks`` restricts the probe to the chunk indices whose
     effective strategy is ``strategy`` (heterogeneous plans); ``None``
     probes every chunk.
     """
     loc = f"task[{ti}]"
-    dst = np.asarray(task.gather.dst)
     pool_workers = getattr(getattr(strategy, "pool", None), "num_workers",
                            None)
     probes = set(_PROBE_SHARDS)
@@ -316,7 +370,7 @@ def _check_parallel_cuts(ctx: _Ctx, ti: int, task, strategy,
     for ci, (c0, c1) in enumerate(task.bounds):
         if chunks is not None and ci not in chunks:
             continue
-        seg = segment_info(dst[c0:c1])
+        seg = task.gather.segments(c0, c1)
         n_seg = len(seg.starts)
         n_edges = c1 - c0
         if n_seg < 2:
@@ -413,7 +467,8 @@ def _check_program_source(ctx: _Ctx, name: str, prog) -> None:
 
 
 def _check_lifetimes(ctx: _Ctx) -> None:
-    """FG008: chain-value def-before-use and within-task sink aliasing."""
+    """FG008: chain-value def-before-use, no use of a value that is never
+    gathered, and within-task sink aliasing."""
     for ti, task in enumerate(ctx.plan.tasks):
         defined: set = set()
         sinks: list[tuple[str, np.ndarray]] = []
@@ -424,6 +479,16 @@ def _check_lifetimes(ctx: _Ctx) -> None:
                             f"reads chunk-local value {read!r} before any "
                             "earlier stage of this task defines it "
                             "(stale or missing buffer)")
+            for read in ctx.value_reads.get(st.name, ()):
+                if read in ctx.row_gather:
+                    ctx.add("FG008", f"task[{ti}].{st.name}",
+                            f"reads the per-edge value of stage {read!r}, "
+                            "which hands its sink a row gather and never "
+                            "materializes one")
+            if st.name in ctx.row_gather and st.name in ctx.keep:
+                ctx.add("FG008", f"task[{ti}].{st.name}",
+                        "kept, but its per-edge value is a row gather that "
+                        "is never materialized")
             defined.add(st.name)
             buf = None
             if isinstance(st.sink, AggregateSink):
@@ -458,9 +523,18 @@ def _check_gather_bounds(ctx: _Ctx, ti: int, task) -> None:
         elif isinstance(st.sink, ScatterSink):
             rows = st.sink.out.shape[0]
             eid_ext = rows if eid_ext is None else min(eid_ext, rows)
-    checks = (("src", task.gather.src, dims.get("n_src")),
-              ("dst", task.gather.dst, dst_ext),
-              ("eid", task.gather.eid, eid_ext))
+    gather = task.gather
+    checks = [("src", gather.src, dims.get("n_src")),
+              ("eid", gather.eid, eid_ext)]
+    if gather.dst_expanded:
+        checks.append(("dst", gather.dst, dst_ext))
+    elif dst_ext is not None and len(gather.indptr) - 1 > dst_ext:
+        # dst is an expansion of the row pointer FG010 vouched for: its
+        # largest value is the last row that owns an edge
+        hi = int(np.searchsorted(gather.indptr, gather.indptr[-1])) - 1
+        if hi >= dst_ext:
+            ctx.add("FG010", f"{loc}.gather.dst",
+                    f"index {hi} escapes the dst extent {dst_ext}")
     for name, arr, extent in checks:
         arr = np.asarray(arr)
         if arr.size == 0:
@@ -614,10 +688,13 @@ class _AggregateProxy:
     one stage legitimately earn different classifications."""
 
     def __init__(self, sink: AggregateSink, loc: str,
-                 violations: _Violations):
+                 violations: _Violations, dense=None):
         self.sink = sink
         self.loc = loc
         self.violations = violations
+        #: ``ctx -> (B, *feat)`` messages of a stage that hands its sink a
+        #: RowGather: the stage's compiled program on the run's bindings
+        self.dense = dense
         self._lock = threading.Lock()
         self._seen = np.zeros(sink.acc.shape[0], dtype=bool)
 
@@ -625,7 +702,7 @@ class _AggregateProxy:
         seg = ctx.segments
         rows = seg.seg_rows
         for name in ("src", "dst", "eid"):
-            arr = ctx.batch[name]
+            arr = ctx.index(name)
             if arr.size and int(arr.min()) < 0:
                 self.violations.add("FG010", self.loc,
                                     f"negative {name} index reached "
@@ -647,7 +724,9 @@ class _AggregateProxy:
         before = self.sink.acc[rows].copy() if rows.size else None
         ret = self.sink.apply(vals, ctx)
         if before is not None:
-            self._check_combine(vals, seg, rows, before, strategy)
+            dense = (self.dense(ctx) if self.dense is not None
+                     else np.asarray(vals))
+            self._check_combine(dense, seg, rows, before, strategy)
         return ret
 
     def _check_combine(self, vals, seg, rows, before, strategy) -> None:
@@ -689,7 +768,7 @@ class _ScatterProxy:
         self._seen = np.zeros(sink.out.shape[0], dtype=bool)
 
     def apply(self, vals, ctx) -> int:
-        eid = ctx.batch["eid"]
+        eid = ctx.index("eid")
         if eid.size and int(eid.min()) < 0:
             self.violations.add("FG010", self.loc,
                                 "negative eid index reached execution "
@@ -705,11 +784,12 @@ class _ScatterProxy:
         return self.sink.apply(vals, ctx)
 
 
-def _instrumented(plan: ExecutionPlan, violations: _Violations
-                  ) -> ExecutionPlan:
+def _instrumented(plan: ExecutionPlan, violations: _Violations,
+                  bindings=None) -> ExecutionPlan:
     """A shadow plan whose sinks record and cross-check while delegating."""
     from repro.runtime.plan import EdgeTask, Stage
 
+    programs = (plan.extras or {}).get("verify", {}).get("row_gather", {})
     tasks = []
     for ti, task in enumerate(plan.tasks):
         stages = []
@@ -717,7 +797,11 @@ def _instrumented(plan: ExecutionPlan, violations: _Violations
             sink = st.sink
             loc = f"task[{ti}].{st.name}"
             if isinstance(sink, AggregateSink):
-                sink = _AggregateProxy(sink, loc, violations)
+                dense = None
+                if programs.get(st.name) is not None:
+                    def dense(ctx, run=programs[st.name]):
+                        return run(bindings, ctx)[0]
+                sink = _AggregateProxy(sink, loc, violations, dense=dense)
             elif isinstance(sink, ScatterSink):
                 sink = _ScatterProxy(sink, loc, violations)
             stages.append(Stage(st.name, st.evaluate, sink, st.compiled))
@@ -740,7 +824,7 @@ def sanitized_run(executor, plan: ExecutionPlan, bindings=None) -> None:
     if report.has_errors:
         raise AnalysisError(report)
     violations = _Violations()
-    executor._execute(_instrumented(plan, violations), bindings)
+    executor._execute(_instrumented(plan, violations, bindings), bindings)
     if violations.items:
         raise SanitizerError(violations.items)
 
@@ -765,7 +849,8 @@ def iter_suite(suite: str, pool=None):
     families x segment-reduction strategies.
 
     ``builtins`` covers every builtin message function (one reducer
-    each), ``copy_u`` under every reducer, every builtin edge function,
+    each; ``u_mul_e`` with a scalar and with a per-head edge weight),
+    ``copy_u`` under every reducer, every builtin edge function,
     and the staged + fused edge softmax -- under every pinned strategy and
     under the default request (``"default"``: per-sink resolution);
     ``all`` adds nothing yet but mirrors the analysis CLI's flag shape.
@@ -799,6 +884,13 @@ def iter_suite(suite: str, pool=None):
             factory = dgl_builtins.BUILTIN_MESSAGE_FUNCTIONS[name]
             yield (f"spmm/{name}/sum/{tag}", tag,
                    _spmm_thunk(factory, _msg_inputs(name), "sum", strat))
+        # the per-head weight: with the scalar row above, both row-gather
+        # shapes of u_mul_e (no message block under spblas / default)
+        yield (f"spmm/u_mul_e_heads/sum/{tag}", tag,
+               _spmm_thunk(dgl_builtins.u_mul_e_msg,
+                           (T.placeholder((_N, 2, _F), name="XV"),
+                            T.placeholder((_M, 2), name="EW")),
+                           "sum", strat))
         for agg in ("max", "min", "mean", "prod"):
             yield (f"spmm/copy_u/{agg}/{tag}", tag,
                    _spmm_thunk(dgl_builtins.BUILTIN_MESSAGE_FUNCTIONS[

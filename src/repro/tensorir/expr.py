@@ -31,6 +31,7 @@ __all__ = [
     "Reduce",
     "TensorElem",
     "Tensor",
+    "preorder",
     "Operation",
     "ComputeOp",
     "PlaceholderOp",
@@ -355,6 +356,19 @@ class TensorElem(Expr):
         return f"{self.tensor.name}[{idx}]"
 
 
+def preorder(expr: "Expr"):
+    """Every node of an expression tree, parents before children, left to
+    right.  A generator over an explicit stack: a nested recursive ``walk``
+    closure refers to itself through its own cell, which leaves one
+    reference cycle per call for the collector -- and these walkers run on
+    every kernel invocation (``validate_bindings``)."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
+
+
 class Operation:
     """Base class for tensor-producing operations."""
 
@@ -383,43 +397,28 @@ class ComputeOp(Operation):
     def reduce_axis(self) -> tuple[IterVar, ...]:
         """Reduce axes referenced by the body (in first-appearance order)."""
         seen: dict[str, IterVar] = {}
-
-        def walk(e: Expr):
+        for e in preorder(self.body):
             if isinstance(e, Reduce):
                 for ax in e.axes:
                     seen.setdefault(ax.name, ax)
-            for c in e.children():
-                walk(c)
-
-        walk(self.body)
         return tuple(seen.values())
 
     def input_tensors(self) -> tuple["Tensor", ...]:
         """Placeholder/compute tensors read by the body, deduplicated."""
         seen: dict[str, Tensor] = {}
-
-        def walk(e: Expr):
+        for e in preorder(self.body):
             if isinstance(e, TensorElem):
                 seen.setdefault(e.tensor.name, e.tensor)
-            for c in e.children():
-                walk(c)
-
-        walk(self.body)
         return tuple(seen.values())
 
     def free_vars(self) -> tuple[Var, ...]:
         """Free :class:`Var` nodes (e.g. ``src``/``dst``/``eid``) in the body."""
         own = {ax.name for ax in self.axis} | {ax.name for ax in self.reduce_axis}
         seen: dict[str, Var] = {}
-
-        def walk(e: Expr):
+        for e in preorder(self.body):
             if isinstance(e, Var) and not isinstance(e, IterVar):
                 if e.name not in own:
                     seen.setdefault(e.name, e)
-            for c in e.children():
-                walk(c)
-
-        walk(self.body)
         return tuple(seen.values())
 
 

@@ -110,6 +110,8 @@ def sample_config(rnd: random.Random) -> TrialConfig:
         dims["d"] = rnd.randint(1, 5)
     if "h" in fam.dims:
         dims["h"] = rnd.randint(1, 3)
+    if "w" in fam.dims:
+        dims["w"] = rnd.randint(0, 2)  # weight rank: scalar/per-head/full
     aggregation = rnd.choice(G.SPMM_AGGREGATIONS) if kind == "spmm" else None
     fds = G.sample_fds_spec(rnd, target, fam.has_reduction)
     options: dict = {}
@@ -589,13 +591,14 @@ def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
 
     Executes the config's kernel under the dynamic sanitizer executor
     (:func:`repro.runtime.verify.sanitizing`), which statically verifies
-    every plan (FG006-FG010) and then instruments the actual execution:
-    shard write-sets are tracked against the disjointness proof, combine
-    results against the determinism classification, gather indices against
-    the bounds proof, and shared-memory segments against the release
-    guarantee.  Any disagreement is a harness bug -- either the verifier
-    promised something the runtime does not deliver, or the instrumentation
-    is wrong -- and fails the trial.
+    every plan (FG006-FG008, FG010) and then instruments the actual
+    execution: shard write-sets are tracked against the disjointness
+    proof, combine results against the determinism classification (for a
+    stage that hands its sink a ``RowGather``, against the stage's compiled
+    program) and gather indices against the bounds proof.  Any
+    disagreement is a harness bug -- either the verifier promised
+    something the runtime does not deliver, or the instrumentation is
+    wrong -- and fails the trial.
 
     SpMM configs run once per segment-reduction strategy (pinned via
     ``agg_strategy``; ``parallel`` gets a 4-worker pool) so every strategy's

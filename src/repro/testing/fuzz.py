@@ -35,11 +35,13 @@ shrinking, so the minimal repro replays with the same assignment.
 
 With ``--sanitize``, every config additionally runs under the dynamic
 sanitizer executor (:func:`repro.testing.differential.run_sanitize_trial`):
-the plan verifier's static verdicts (FG006-FG010 -- shard disjointness,
-determinism class, gather bounds, shared-memory release) are cross-checked
-against an instrumented run, per segment-reduction strategy for SpMM
-configs.  A disagreement means the static proof or the runtime is lying;
-either way the trial fails at stage ``sanitize:<strategy>``.
+the plan verifier's static verdicts (FG006-FG008, FG010 -- shard
+disjointness, determinism class, buffer lifetimes, gather bounds) are
+cross-checked against an instrumented run, per segment-reduction strategy
+for SpMM configs -- for a row-gather message the default plan never
+materializes (``copy_u`` / ``copy_e`` / ``u_mul_e``) against the stage's
+compiled program.  A disagreement means the static proof or the runtime is
+lying; either way the trial fails at stage ``sanitize:<strategy>``.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def main(argv=None) -> int:
     ap.add_argument("--sanitize", action="store_true",
                     help="also run every config under the dynamic sanitizer "
                          "executor, cross-checking the plan verifier's "
-                         "static verdicts (FG006-FG010) against an "
+                         "static verdicts (FG006-FG008, FG010) against an "
                          "instrumented run")
     args = ap.parse_args(argv)
 

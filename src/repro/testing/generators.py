@@ -128,7 +128,7 @@ class UDFFamily:
     kinds: tuple  # subset of ("spmm", "sddmm")
     make: Callable[[dict], UDFInstance]
     has_reduction: bool = False
-    dims: tuple = ()  # which of ("f", "d", "h") parameterize the family
+    dims: tuple = ()  # which of ("f", "d", "h", "w") parameterize the family
 
 
 def _copy_u(dims: dict) -> UDFInstance:
@@ -155,6 +155,28 @@ def _copy_e(dims: dict) -> UDFInstance:
         udf, {"EW": (m, f)},
         lambda b, s, d, e: b["EW"][e],
         (f,))
+
+
+def _u_mul_e(dims: dict) -> UDFInstance:
+    """``XV[src] * EW[eid]`` on ``(h, f)`` features; ``w`` is the weight's
+    rank: 0 a scalar per edge, 1 one value per head, 2 the full-width
+    elementwise product.  The first two are pure row gathers the default
+    plan never materializes, the third stays a compiled program."""
+    n, m, h, f = dims["n"], dims["m"], dims["h"], dims["f"]
+    w = int(dims.get("w", 1))
+    XV = T.placeholder((n, h, f), name="XV")
+    EW = T.placeholder((m, h, f)[:1 + w], name="EW")
+
+    def udf(src, dst, eid):
+        return T.compute(
+            (h, f), lambda i, j: XV[src, i, j] * EW[(eid, i, j)[:1 + w]],
+            name="ume")
+
+    return UDFInstance(
+        udf, {"XV": (n, h, f), "EW": (m, h, f)[:1 + w]},
+        lambda b, s, d, e: b["XV"][s] * b["EW"][e].reshape(
+            (len(e), h, f)[:1 + w] + (1,) * (2 - w)),
+        (h, f))
 
 
 def _u_mul_v(dims: dict) -> UDFInstance:
@@ -274,6 +296,7 @@ UDF_FAMILIES: dict[str, UDFFamily] = {
     fam.name: fam for fam in [
         UDFFamily("copy_u", ("spmm", "sddmm"), _copy_u, dims=("f",)),
         UDFFamily("copy_e", ("spmm", "sddmm"), _copy_e, dims=("f",)),
+        UDFFamily("u_mul_e", ("spmm",), _u_mul_e, dims=("f", "h", "w")),
         UDFFamily("u_mul_v", ("spmm", "sddmm"), _u_mul_v, dims=("f",)),
         UDFFamily("u_add_v_scaled", ("spmm", "sddmm"), _u_add_v_scaled,
                   dims=("f",)),

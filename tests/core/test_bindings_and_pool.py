@@ -90,3 +90,41 @@ class TestPooledExecution:
         with WorkPool(3) as pool:
             parallel = k.run({"XV": x}, pool=pool)
         assert np.allclose(serial, parallel, atol=1e-4)
+
+
+class TestRunLeavesNothingForTheCollector:
+    """The lowering path walks traced bodies on every run (binding
+    validation, graph-axis roles); none of it may leave reference cycles
+    behind -- with the cyclic collector off, garbage would pile up at the
+    rate of the hot loop."""
+
+    def test_bound_copy_u_kernel_and_fused_chain(self, small_graph):
+        import gc
+
+        from repro.core import kernels
+        from repro.core.compile import KernelCache, use_kernel_cache
+        from repro.core.fusion import FusedCopyUAggregate
+        from repro.graph.sparse import from_edges
+
+        n = small_graph.shape[0]
+        x = np.random.default_rng(0).standard_normal((n, 8)).astype(
+            np.float32)
+        with use_kernel_cache(KernelCache()) as cache:
+            kernels.gcn_aggregation(from_edges(n, n, [0], [0]), n, 8)
+            k = kernels.gcn_aggregation(small_graph, n, 8)     # bound
+            assert k.graph_roles == {"XV": "n_src"}
+            fused = FusedCopyUAggregate(small_graph, (8,), "mean",
+                                        cache=cache)
+            k.run({"XV": x})
+            fused.run(x)
+            gc.collect()
+            gc.disable()
+            try:
+                for _ in range(50):
+                    k.run({"XV": x})
+                assert gc.collect() == 0
+                for _ in range(50):
+                    fused.run(x)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()

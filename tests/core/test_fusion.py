@@ -13,6 +13,8 @@ Two acceptance properties:
    (mirroring tests/core/test_block_kernel_reuse.py for the fused layer).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,8 @@ from repro.minidgl.graph import Graph
 from repro.minidgl.nn import GATConv
 from repro.minidgl.sampling import sample_neighbors
 from tests.core.test_block_kernel_reuse import EXPENSIVE_PASSES
+from tests.core.test_spmm import _peak_bytes
+from tests.runtime.test_strategies import _ulps
 
 #: fused-pipeline passes that must not re-run once the fused template exists
 FUSED_PASSES = ("fuse_stages", "fuse_plan", "fuse_lower", "fuse_validate",
@@ -248,6 +252,209 @@ class TestPerSinkStrategies:
         with sanitizing():
             checked, _ = fused.run_aggregate(scores, z)
         assert np.array_equal(plain, checked)
+
+
+class TestGatherFreeStages:
+    """An aggregating stage that is a pure row gather hands its ``spblas``
+    sink a ``RowGather``: the copy-u chain's only stage and the softmax
+    chain's ``OUT`` (weight = the chunk-local ``ALPHA``) hold no ``(B, f)``
+    block; any other request, a kept stage or a value another stage reads
+    keeps the compiled program."""
+
+    N, M = 2000, 40_000
+    _plan = staticmethod(TestPerSinkStrategies._plan)
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        rng = np.random.default_rng(31)
+        dst = rng.integers(0, self.N // 2, self.M) * 2    # odd rows empty
+        return from_edges(self.N, self.N, rng.integers(0, self.N, self.M),
+                          dst)
+
+    @staticmethod
+    def _lazy(plan):
+        return sorted(plan.extras["verify"]["row_gather"])
+
+    @pytest.mark.parametrize("agg", ["sum", "mean"])
+    def test_copy_u_chain_holds_no_message_block(self, big, agg):
+        from repro.core.fusion import FusedCopyUAggregate
+        from repro.runtime.spblas import segment_sum
+
+        f = 64
+        x = np.random.default_rng(1).standard_normal(
+            (self.N, f)).astype(np.float32)
+        fused = FusedCopyUAggregate(big, (f,), agg, cache=KernelCache())
+        plan = self._plan(fused)
+        assert self._lazy(plan) == ["COUT"]
+        assert [len(t.bounds) for t in plan.tasks] == [1]
+        fused.run(x)                                      # warm
+        stats = fused.kernel.exec_stats
+        before = stats.as_dict()
+        out, peak = _peak_bytes(lambda: fused.run(x))
+        block = self.M * f * 4
+        assert peak < block, (peak, block)
+        after = stats.as_dict()
+        assert after["bytes_moved"] - before["bytes_moved"] == block
+        assert after["chunks"] - before["chunks"] == 1
+        assert after["compiled_chunks"] == after["chunks"]
+        csr = fused.A.csr
+        want = segment_sum(csr.indptr, x[csr.indices])    # the parent's sum
+        if agg == "mean":
+            want /= np.maximum(np.diff(csr.indptr), 1).astype(
+                np.float32)[:, None]
+        assert np.array_equal(out, want)
+        assert np.all(out[1::2] == 0)
+
+    def test_softmax_chain_out_holds_no_message_block(self, big):
+        h, d = 4, 16
+        rng = np.random.default_rng(2)
+        scores = rng.standard_normal((self.M, h)).astype(np.float32)
+        z = rng.standard_normal((self.N, h, d)).astype(np.float32)
+        fused = FusedEdgeSoftmax(big, h, cache=KernelCache(),
+                                 feat_shape=(h, d))
+        assert self._lazy(self._plan(fused)) == ["OUT"]
+        fused.run_aggregate(scores, z)                    # warm
+        stats = fused.kernel.exec_stats
+        before = stats.bytes_moved
+        (out, _), peak = _peak_bytes(
+            lambda: fused.run_aggregate(scores, z))
+        block = self.M * h * d * 4
+        assert peak < block, (peak, block)
+        lazy_bytes = stats.bytes_moved - before
+        # pinned to a ufunc strategy OUT is a program again: it reads the
+        # same rows (ALPHA is chunk-resident either way) and writes the
+        # block the default plan never has
+        fused.kernel.agg_strategy = "reduceat"
+        assert self._lazy(self._plan(fused)) == []
+        before = stats.bytes_moved
+        ref, _ = fused.run_aggregate(scores, z)
+        assert (stats.bytes_moved - before) - lazy_bytes == block
+        assert np.allclose(out, ref, rtol=1e-4, atol=1e-5)
+        # and under spblas over the materialised block it is the same sum
+        fused.kernel.agg_strategy = None
+        kept, alpha = fused.run_aggregate(scores, z, need_alpha=True)
+        assert np.array_equal(kept, out)
+        from repro.runtime.spblas import segment_sum
+
+        csr = fused.A.csr
+        want = segment_sum(csr.indptr,
+                           z[csr.indices] * alpha[csr.edge_ids][:, :, None])
+        assert np.array_equal(out, want) or _ulps(out, want) <= 1.0
+
+    def test_bit_identical_across_chunk_sizes_and_pools(self, big):
+        from repro.core.fusion import FusedCopyUAggregate
+        from repro.tensorir.runtime import WorkPool
+
+        h, d = 2, 6
+        rng = np.random.default_rng(3)
+        scores = rng.standard_normal((self.M, h)).astype(np.float32)
+        z = rng.standard_normal((self.N, h, d)).astype(np.float32)
+        outs, copies = [], []
+        for chunk_edges in (1 << 17, 5000, 257):
+            fused = FusedEdgeSoftmax(big, h, cache=KernelCache(),
+                                     feat_shape=(h, d),
+                                     chunk_edges=chunk_edges)
+            copy = FusedCopyUAggregate(big, (h, d), "mean",
+                                       cache=KernelCache(),
+                                       chunk_edges=chunk_edges)
+            outs.append(fused.kernel.run({"ES": scores, "XV": z})["OUT"])
+            copies.append(copy.run(z))
+            with WorkPool(3) as pool:
+                outs.append(fused.kernel.run({"ES": scores, "XV": z},
+                                             pool=pool)["OUT"])
+                copies.append(copy.run(z, pool=pool))
+        for got in copies[1:]:
+            assert np.array_equal(got, copies[0])
+        # the chain's max sink (bucketed) and exp are chunk-independent
+        # too, so the whole chain is
+        for got in outs[1:]:
+            assert np.array_equal(got, outs[0])
+
+    @pytest.mark.parametrize("request_", ["reduceat", "bucketed", "parallel",
+                                          "adaptive",
+                                          ("spblas", "reduceat")])
+    def test_other_requests_keep_the_program(self, request_):
+        from repro.core.fusion import FusedCopyUAggregate
+
+        adj = _dense_graph(9)
+        for fused in (FusedEdgeSoftmax(adj, 2, cache=KernelCache(),
+                                       feat_shape=(2, 3), chunk_edges=27),
+                      FusedCopyUAggregate(adj, (4,), "sum",
+                                          cache=KernelCache(),
+                                          chunk_edges=27)):
+            fused.kernel.agg_strategy = request_
+            assert self._lazy(self._plan(fused)) == []
+        fused.kernel.agg_strategy = "spblas"
+        assert self._lazy(self._plan(fused)) == ["COUT"]
+
+    def test_max_chain_and_a_kept_stage_keep_the_program(self):
+        from repro.core.fusion import FusedCopyUAggregate
+
+        adj = _dense_graph(9)
+        fused = FusedCopyUAggregate(adj, (4,), "max", cache=KernelCache())
+        assert fused.kernel.plan.stage("COUT").row_gather \
+            == ("XV", "src", None)
+        assert self._lazy(self._plan(fused)) == []
+        chain = FusedEdgeSoftmax(adj, 2, cache=KernelCache(),
+                                 feat_shape=(2, 3))
+        assert self._lazy(self._plan(chain)) == ["OUT"]
+        assert self._lazy(self._plan(chain, keep=("ALPHA",))) == ["OUT"]
+        plan = self._plan(chain, keep=("OUT",))
+        assert self._lazy(plan) == []
+        assert plan.extras["verify"]["keep"] == ("OUT",)
+        rng = np.random.default_rng(8)
+        bindings = {"ES": rng.standard_normal((81, 2)).astype(np.float32),
+                    "XV": rng.standard_normal((9, 2, 3)).astype(np.float32)}
+        kept = chain.kernel.run(bindings, keep=("OUT",))["OUT"]
+        assert np.allclose(kept, chain.kernel.run(bindings)["OUT"],
+                           rtol=1e-5, atol=1e-6)
+
+    def test_a_stage_whose_value_is_reused_keeps_the_program(self):
+        """``S2 = XV[src] * S1[dst]`` reuses S1's per-edge values
+        (cross-kernel CSE, ``binop`` mode), so S1 must gather; ``exp(XV[src])
+        * S1[dst]`` only reads S1's vertex buffer, so S1 need not."""
+        from repro import tensorir as T
+        from repro.core.builtins import copy_u_msg
+        from repro.core.fusion import KernelGraph, compile_fused
+
+        adj = _empty_row_graph()
+        XV = T.placeholder((8, 4), name="XV")
+        S1 = T.placeholder((8, 4), name="S1")
+        x = np.random.default_rng(4).standard_normal(
+            (8, 4)).astype(np.float32)
+        src, dst = adj.indices, adj.row_of_edge()
+        s1 = np.zeros((8, 4))
+        np.add.at(s1, dst, x[src])
+
+        def chain(body, fn):
+            g = KernelGraph(adj, outputs=("S1", "S2"))
+            g.add_stage("S1", "spmm", copy_u_msg(XV), aggregation="sum")
+            g.add_stage(
+                "S2", "spmm",
+                lambda s, d, e: T.compute((4,), body(s, d), name="s2"),
+                aggregation="sum")
+            fused = compile_fused(g, cache=KernelCache())
+            res = fused.run({"XV": x})
+            s2 = np.zeros((8, 4))
+            np.add.at(s2, dst, fn(x[src]) * s1[dst])
+            assert np.allclose(res["S1"], s1, atol=1e-5)
+            assert np.allclose(res["S2"], s2, atol=1e-4)
+            return fused
+
+        reused = chain(lambda s, d: lambda i: XV[s, i] * S1[d, i],
+                       lambda rows: rows)
+        assert reused.plan.stage("S2").mode == "binop"
+        plan = self._plan(SimpleNamespace(kernel=reused))
+        assert self._lazy(plan) == []
+        assert plan.extras["verify"]["value_reads"]["S2"] == ["S1"]
+
+        buffer_only = chain(
+            lambda s, d: lambda i: T.exp(XV[s, i]) * S1[d, i], np.exp)
+        assert buffer_only.plan.stage("S2").mode == "program"
+        plan = self._plan(SimpleNamespace(kernel=buffer_only))
+        assert self._lazy(plan) == ["S1"]
+        assert plan.extras["verify"]["value_reads"]["S2"] == []
+        assert plan.extras["verify"]["chain_reads"]["S2"] == ["S1"]
 
 
 class TestGATConvFusedRoute:

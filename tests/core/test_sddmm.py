@@ -51,6 +51,39 @@ class TestDotAttention:
         k = _dot_kernel(adj, n, 10, chunk_edges=13)
         assert np.allclose(k.run({"XV": x})[:, 0], ref, atol=1e-4)
 
+    def test_default_chunks_keep_each_gathered_block_to_a_quarter_budget(
+            self, monkeypatch):
+        """Two equal 4 MiB blocks per chunk (the workset counted once) sit
+        above glibc's initial mmap threshold and are re-faulted every
+        chunk; counted twice no block exceeds a quarter of the budget.
+        Chunk size is no part of the result: same bits as the old size."""
+        from repro.core import kernels
+        from repro.runtime import plan as P
+
+        rng = np.random.default_rng(3)
+        n, m, f = 300, 40_000, 64
+        adj = from_edges(n, n, rng.integers(0, n, m), rng.integers(0, n, m))
+        x = rng.standard_normal((n, f)).astype(np.float32)
+        k = kernels.dot_attention(adj, n, f)
+        assert k.vector_program().stats.workset_bytes_per_item == 2 * f * 4
+
+        def chunk_sizes():
+            plan = k.execution_plan(np.empty((m, 1), np.float32))
+            return [c1 - c0 for t in plan.tasks for c0, c1 in t.bounds]
+
+        assert max(chunk_sizes()) == P.CHUNK_WORKSET_BYTES // (4 * f * 4)
+        assert max(chunk_sizes()) * f * 4 <= P.CHUNK_WORKSET_BYTES // 4
+        assert len(chunk_sizes()) > 2
+        got = k.run({"XV": x})
+        monkeypatch.setattr(P, "CHUNK_WORKSET_BYTES",
+                            2 * P.CHUNK_WORKSET_BYTES)
+        assert max(chunk_sizes()) == 16_384          # what it used to be
+        assert np.array_equal(k.run({"XV": x}), got)
+        # an explicit smaller request still wins
+        small = kernels.dot_attention(adj, n, f, chunk_edges=1000)
+        plan = small.execution_plan(np.empty((m, 1), np.float32))
+        assert max(c1 - c0 for c0, c1 in plan.tasks[0].bounds) == 1000
+
     def test_output_in_original_edge_order(self):
         """Edge i of the input list must own row i of the output."""
         src = np.array([4, 0, 2, 4])

@@ -9,6 +9,7 @@ import repro.core as featgraph
 from repro import tensorir as T
 from repro.core.spmm import GeneralizedSpMM, resolve_aggregation
 from repro.graph.sparse import from_edges
+from tests.runtime.test_strategies import _ulps
 
 
 def _copy_kernel(adj, n, f, **opts):
@@ -307,17 +308,35 @@ class TestFeatureTilingPlan:
         assert max(sizes) * self.F * 4 < CHUNK_WORKSET_BYTES // 2
 
     def test_gcn_keeps_the_tile_by_chunk_grid(self, setup):
+        """Pinned to a ufunc strategy the copy-u message is gathered by
+        the compiled program, tile by tile."""
         from repro.core import kernels
         from repro.runtime.plan import row_aligned_chunks
 
         adj, _, _, n, _ = setup
         k = kernels.gcn_aggregation(adj, n, self.F, chunk_edges=100)
+        k.agg_strategy = "reduceat"
         tiles = k.num_feature_partitions
         assert tiles > 1
         edge_chunks = sum(len(row_aligned_chunks(p.csr.indptr, 100))
                           for p in k.partitions)
         assert self._chunks(k) == (tiles * len(k.partitions),
                                    tiles * edge_chunks)
+
+    def test_gcn_default_plan_is_one_full_width_task_per_partition(
+            self, setup):
+        """The default request never gathers the copy-u message, so tiling
+        has nothing to shrink: one task per graph partition."""
+        from repro.core import kernels
+        from repro.runtime.plan import row_aligned_chunks
+
+        adj, _, _, n, _ = setup
+        k = kernels.gcn_aggregation(adj, n, self.F, chunk_edges=100,
+                                    num_graph_partitions=2)
+        assert k.num_feature_partitions > 1
+        edge_chunks = sum(len(row_aligned_chunks(p.csr.indptr, 100))
+                          for p in k.partitions)
+        assert self._chunks(k) == (2, edge_chunks)
 
     @pytest.mark.parametrize("agg", ["sum", "max", "min", "mean"])
     @pytest.mark.parametrize("chunk_edges", [1 << 17, 16])
@@ -493,6 +512,270 @@ class TestDefaultStrategyResolution:
         ref = np.zeros((50, 4))
         ref[0] = x[src].astype(np.float64).sum(axis=0)
         assert np.allclose(k.run({"XV": x}), ref, atol=1e-2)
+
+
+def _peak_bytes(fn):
+    """``(fn(), peak traced allocation while it ran)``."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestGatherFreePlans:
+    """A pure row-gather message (``copy_u`` / ``copy_e`` / ``u_mul_e``
+    with a scalar or per-head weight) under a sink ``spblas`` reduces
+    natively is never gathered: one full-width task per graph partition,
+    ``chunk_edges``-long chunks, no ``(B, f)`` block.  Every other request
+    runs the compiled program on the plan it always had."""
+
+    N, M, F = 2000, 40_000, 64
+
+    @pytest.fixture(autouse=True)
+    def _fresh_kernel_cache(self):
+        from repro.core.compile import KernelCache, use_kernel_cache
+
+        with use_kernel_cache(KernelCache()):
+            yield
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        rng = np.random.default_rng(21)
+        dst = rng.integers(0, self.N // 2, self.M) * 2   # odd rows empty
+        adj = from_edges(self.N, self.N, rng.integers(0, self.N, self.M),
+                         dst)
+        x = rng.standard_normal((self.N, self.F)).astype(np.float32)
+        return adj, x
+
+    @staticmethod
+    def _plan(kernel, pool=None):
+        acc = np.zeros((kernel.A.num_dst,) + kernel.msg_shape, np.float32)
+        return kernel.execution_plan(acc, pool=pool)
+
+    @staticmethod
+    def _lazy(plan):
+        return bool(plan.extras["verify"].get("row_gather"))
+
+    @staticmethod
+    def _materialised(kernel, msgs):
+        """The parent's default path: ``spblas`` over the gathered
+        ``(m, *f)`` block (``msgs``, in edge-id order), partition by
+        partition.  A row's order depends only on its length, so neither
+        chunking nor tiling is part of the emulation."""
+        from repro.runtime.spblas import segment_sum
+
+        acc = np.zeros((kernel.A.num_dst,) + kernel.msg_shape, np.float32)
+        for part in kernel.partitions:
+            csr = part.csr
+            acc += segment_sum(csr.indptr, np.ascontiguousarray(
+                msgs(csr.indices, csr.edge_ids), dtype=np.float32))
+        return acc
+
+    def test_default_gcn_holds_no_message_block(self, big):
+        from repro.core import kernels
+
+        adj, x = big
+        k = kernels.gcn_aggregation(adj, self.N, self.F)
+        assert k.row_gather == ("XV", "src", None)
+        assert k.num_feature_partitions > 1
+        plan = self._plan(k)
+        assert self._lazy(plan) and plan.strategy == "spblas"
+        assert [len(t.bounds) for t in plan.tasks] == [1] * len(k.partitions)
+        k.run({"XV": x})                                  # warm
+        before = k.exec_stats.as_dict()
+        out, peak = _peak_bytes(lambda: k.run({"XV": x}))
+        block = self.M * self.F * 4
+        assert peak < block, (peak, block)
+        after = k.exec_stats.as_dict()
+        assert after["bytes_moved"] - before["bytes_moved"] == block
+        assert after["chunks"] - before["chunks"] == len(k.partitions)
+        assert after["compiled_chunks"] == after["chunks"]
+        assert np.array_equal(
+            out, self._materialised(k, lambda src, eid: x[src]))
+        assert np.all(out[1::2] == 0)
+        # the program path does hold the block
+        k.agg_strategy = "reduceat"
+        assert not self._lazy(self._plan(k))
+
+    def test_copy_e_gathers_through_eid(self, big):
+        from repro.core import kernels
+
+        adj, _ = big
+        xe = np.random.default_rng(3).standard_normal(
+            (self.M, 8)).astype(np.float32)
+        k = kernels.copy_e(adj, self.M, 8, agg="mean")
+        assert k.row_gather == ("XE", "eid", None)
+        assert self._lazy(self._plan(k))
+        deg = np.maximum(np.diff(adj.indptr), 1).astype(np.float32)
+        want = self._materialised(k, lambda src, eid: xe[eid]) / deg[:, None]
+        assert np.array_equal(k.run({"XE": xe}), want)
+
+    @pytest.mark.parametrize("w_shape", [(), (4,)])
+    def test_u_mul_e_scalar_and_per_head_weights(self, big, w_shape):
+        from repro.core.builtins import u_mul_e_msg
+
+        adj, x = big
+        x = x.reshape(self.N, 4, 16)
+        w = np.random.default_rng(5).standard_normal(
+            (self.M,) + w_shape).astype(np.float32)
+        XV = T.placeholder((self.N, 4, 16), name="XV")
+        EW = T.placeholder((self.M,) + w_shape, name="EW")
+        k = featgraph.spmm(adj, u_mul_e_msg(XV, EW), "sum")
+        assert k.row_gather == ("XV", "src", "EW")
+        assert self._lazy(self._plan(k))
+        bindings = {"XV": x, "EW": w}
+        k.run(bindings)
+        before = k.exec_stats.bytes_moved
+        out, peak = _peak_bytes(lambda: k.run(bindings))
+        block = self.M * self.F * 4
+        assert peak < block, (peak, block)
+        assert k.exec_stats.bytes_moved - before == block + w.nbytes
+        wide = w.reshape(w.shape + (1,) * (3 - w.ndim))
+        want = self._materialised(k, lambda src, eid: x[src] * wide[eid])
+        assert np.array_equal(out, want) or _ulps(out, want) <= 1.0
+
+    @pytest.mark.parametrize("request_", [
+        "reduceat", "bucketed", "parallel", "adaptive",
+        ("spblas", "bucketed")])
+    def test_other_requests_run_the_program_on_the_old_grid(
+            self, big, request_):
+        from repro.core import kernels
+        from repro.runtime.plan import (effective_chunk_edges,
+                                        row_aligned_chunks)
+
+        adj, x = big
+        k = kernels.gcn_aggregation(adj, self.N, self.F, chunk_edges=5000)
+        k.agg_strategy = request_
+        plan = self._plan(k)
+        assert not self._lazy(plan)
+        tiles = k.num_feature_partitions
+        target = effective_chunk_edges(5000, k.vector_program())
+        edge_chunks = sum(len(row_aligned_chunks(p.csr.indptr, target))
+                          for p in k.partitions)
+        assert (len(plan.tasks), sum(len(t.bounds) for t in plan.tasks)) \
+            == (tiles * len(k.partitions), tiles * edge_chunks)
+        ref = self._materialised(k, lambda src, eid: x[src])
+        assert np.allclose(k.run({"XV": x}), ref, rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("agg", ["max", "min", "prod"])
+    def test_other_reducers_run_the_program(self, setup, agg):
+        adj, _, _, n, _ = setup
+        k = _copy_kernel(adj, n, 12, agg=agg)
+        assert k.row_gather is not None
+        for request_ in (None, "spblas"):
+            k.agg_strategy = request_
+            assert not self._lazy(self._plan(k))
+
+    def test_full_width_weight_runs_the_program(self, setup):
+        from repro.core.builtins import u_mul_e_msg
+
+        adj, src, dst, n, _ = setup
+        m = adj.nnz
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((n, 4, 3)).astype(np.float32)
+        w = rng.standard_normal((m, 4, 3)).astype(np.float32)
+        XV = T.placeholder((n, 4, 3), name="XV")
+        EW = T.placeholder((m, 4, 3), name="EW")
+        k = featgraph.spmm(adj, u_mul_e_msg(XV, EW), "sum")
+        assert k.row_gather is None
+        assert not self._lazy(self._plan(k))
+        ref = np.zeros((n, 4, 3), np.float32)
+        np.add.at(ref, dst, x[src] * w)
+        assert np.allclose(k.run({"XV": x, "EW": w}), ref, atol=1e-4)
+
+    def test_int32_table_runs_the_program(self, setup):
+        adj, _, _, n, _ = setup
+        XI = T.placeholder((n, 4), name="XI", dtype="int32")
+
+        def msgfunc(src, dst, eid):
+            return T.compute((4,), lambda i: XI[src, i])
+
+        k = featgraph.spmm(adj, msgfunc, "sum")
+        assert k.row_gather == ("XI", "src", None)
+        for request_ in (None, "spblas"):
+            k.agg_strategy = request_
+            assert not self._lazy(self._plan(k))
+
+    def test_anything_but_a_whole_row_is_no_row_gather(self, setup):
+        adj, _, _, n, _ = setup
+        XV = T.placeholder((n, 12), name="XV")
+        XW = T.placeholder((n, 2, 6), name="XW")
+        EW = T.placeholder((adj.nnz,), name="EW")
+        bodies = {
+            "through dst": ((12,), lambda s, d, e: lambda i: XV[d, i]),
+            "a slice": ((8,), lambda s, d, e: lambda i: XV[s, i]),
+            "transposed": ((6, 2), lambda s, d, e: lambda i, j: XW[s, j, i]),
+            "scaled": ((12,), lambda s, d, e: lambda i: XV[s, i] * 2.0),
+            "e_mul_e": ((12,), lambda s, d, e: lambda i: XV[e, i] * EW[e]),
+            "u_add_e": ((12,), lambda s, d, e: lambda i: XV[s, i] + EW[e]),
+        }
+        for what, (shape, body) in bodies.items():
+            k = GeneralizedSpMM(
+                featgraph.spmat(adj),
+                lambda s, d, e, shape=shape, body=body:
+                T.compute(shape, body(s, d, e)), "sum")
+            assert k.row_gather is None, what
+        k = GeneralizedSpMM(
+            featgraph.spmat(adj),
+            lambda s, d, e: T.compute((12,), lambda i: EW[e] * XV[s, i]),
+            "sum")
+        assert k.row_gather == ("XV", "src", "EW")      # either order
+
+    def test_bit_identical_across_chunkings_pools_and_table_layouts(self):
+        """A bipartite block bound from a template (``n_src > n_dst``,
+        ``XV`` with spare rows), zero-degree rows, two graph partitions,
+        a strided and a float64 ``XV``: every run gives the bits of the
+        materialised block."""
+        from repro.core import kernels
+        from repro.tensorir.runtime import WorkPool
+
+        rng = np.random.default_rng(13)
+        n_src, n_dst, m, f = 300, 120, 30_000, 12
+        dst = np.concatenate([rng.integers(0, n_dst // 2, m - 3000) * 2,
+                              np.full(3000, 16)])          # hub, odd empty
+        block = from_edges(n_src, n_dst, rng.integers(0, n_src, m), dst)
+        other = from_edges(n_src, n_src, [0], [0])   # compiles the template
+        wide = rng.standard_normal((n_src + 9, 2 * f)).astype(np.float32)
+        tables = {"spare rows": np.ascontiguousarray(wide[:, :f]),
+                  "strided": wide[:, ::2],
+                  "float64": wide[:, :f].astype(np.float64)}
+        for what, x in tables.items():
+            x32 = np.ascontiguousarray(x, dtype=np.float32)
+            want = None
+            for chunk_edges in (1 << 17, 5000, 257, 16):
+                opts = dict(chunk_edges=chunk_edges, num_graph_partitions=2)
+                kernels.gcn_aggregation(other, n_src, f, **opts)
+                k = kernels.gcn_aggregation(block, n_src, f, **opts)
+                assert k.graph_roles == {"XV": "n_src"}
+                assert self._lazy(self._plan(k))
+                if want is None:
+                    want = self._materialised(k, lambda src, eid: x32[src])
+                assert np.array_equal(k.run({"XV": x}), want), what
+                for workers in (2, 5):
+                    with WorkPool(workers) as pool:
+                        assert np.array_equal(k.run({"XV": x}, pool=pool),
+                                              want), (what, workers)
+            assert np.all(want[1::2] == 0)
+
+    def test_program_is_still_built_verified_and_the_oracle(self, big):
+        from repro.core import kernels
+        from repro.runtime.verify import sanitizing
+
+        adj, x = big
+        k = kernels.gcn_aggregation(adj, self.N, self.F)
+        assert "verify_plan" in k.compile_timings()
+        assert not k.verify_report().has_errors
+        prog = k.vector_program()
+        assert prog is self._plan(k).extras["verify"]["programs"][k.msg.name]
+        plain = k.run({"XV": x})
+        with sanitizing():
+            assert np.array_equal(k.run({"XV": x}), plain)
 
 
 class TestCost:

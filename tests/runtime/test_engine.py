@@ -25,6 +25,8 @@ from repro.runtime import (
     get_reducer,
     make_strategy,
     resolve_strategy,
+    row_aligned_chunks,
+    row_segments,
     segment_info,
     select_strategy,
 )
@@ -114,6 +116,23 @@ class TestChunkCtx:
         seg = ctx.segments
         assert np.array_equal(seg.seg_rows, np.unique(batch["dst"]))
         assert np.array_equal(ctx.local_eid, np.arange(6))
+
+    def test_batch_for_expands_dst_only_for_programs_that_read_it(self):
+        import types
+
+        indptr = np.array([0, 2, 2, 5, 6])
+        gather = GatherPlan(np.arange(6), None, np.arange(6), indptr=indptr)
+        ctx = ChunkCtx(2, 6, gather)
+        src_only = types.SimpleNamespace(batch_names=("src",))
+        assert set(ctx.batch_for(src_only)) == {"src", "eid"}
+        _ = ctx.segments
+        assert not gather.dst_expanded
+        reads_dst = types.SimpleNamespace(batch_names=("eid", "dst"))
+        assert np.array_equal(ctx.batch_for(reads_dst)["dst"], [2, 2, 2, 3])
+        assert gather.dst_expanded
+        assert np.array_equal(gather.dst, [0, 0, 2, 2, 2, 3])
+        with pytest.raises(ValueError, match="dst or the indptr"):
+            GatherPlan(np.arange(6), None, np.arange(6))
 
     def test_values_flow_between_stages(self):
         gather = GatherPlan(src=np.arange(6), dst=np.zeros(6, np.int64),
@@ -248,6 +267,58 @@ class TestExecStatsAccounting:
         Executor().run(ExecutionPlan([task], finalize=lambda: order.append(
             "finalize")))
         assert order == ["stage", "finalize"]
+
+
+def _same_segments(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               and getattr(a, f).dtype == getattr(b, f).dtype
+               for f in ("starts", "seg_rows", "lengths", "rows")) \
+        and a.n_edges == b.n_edges
+
+
+class TestSegmentsFromIndptr:
+    """A chunk's segments read off the CSR row pointer are the segments a
+    diff over its ``dst`` finds, field for field."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_row_aligned_chunking(self, seed):
+        rng = np.random.default_rng(seed)
+        n_rows = int(rng.integers(1, 60))
+        deg = rng.integers(0, 9, n_rows) * (rng.random(n_rows) < 0.6)
+        deg[rng.integers(0, n_rows)] += 40            # a hub row
+        indptr = np.concatenate(([0], np.cumsum(deg))).astype(np.int64)
+        dst = np.repeat(np.arange(n_rows, dtype=np.int64), deg)
+        for target in (1, 3, 17, len(dst), 1 << 17):
+            bounds = row_aligned_chunks(indptr, target)
+            assert bounds[0][0] == 0 and bounds[-1][1] == len(dst)
+            for c0, c1 in bounds:
+                assert _same_segments(row_segments(indptr, c0, c1),
+                                      segment_info(dst[c0:c1])), (c0, c1)
+
+    def test_empty_rows_at_both_ends_and_a_single_chunk(self):
+        indptr = np.array([0, 0, 0, 3, 3, 4, 4], np.int64)
+        dst = np.array([2, 2, 2, 4], np.int64)
+        seg = row_segments(indptr, 0, 4)
+        assert _same_segments(seg, segment_info(dst))
+        assert seg.seg_rows.tolist() == [2, 4] and seg.n_edges == 4
+        assert _same_segments(row_segments(indptr, 3, 4),
+                              segment_info(dst[3:]))
+
+    def test_unaligned_bounds_fall_back_to_dst(self):
+        indptr = np.array([0, 3, 6], np.int64)
+        assert row_segments(indptr, 0, 4) is None
+        assert row_segments(indptr, 2, 6) is None
+        assert row_segments(indptr, 0, 7) is None
+        gather = GatherPlan(np.arange(6), None, np.arange(6), indptr=indptr)
+        seg = gather.segments(2, 6)            # hand-built, splits row 0
+        assert seg.seg_rows.tolist() == [0, 1]
+        assert seg.lengths.tolist() == [1, 3]
+
+    def test_gather_plan_without_indptr_keeps_the_diff(self):
+        dst = np.array([1, 1, 4, 4, 4], np.int64)
+        gather = GatherPlan(np.arange(5), dst, np.arange(5))
+        assert _same_segments(gather.segments(0, 5), segment_info(dst))
+        assert ChunkCtx(2, 5, gather).segments.seg_rows.tolist() == [4]
 
 
 class TestAggregateSink:

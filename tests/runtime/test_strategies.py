@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.runtime.plan import segment_info
+from repro.runtime.plan import RowGather, segment_info
 from repro.runtime.reducers import (
     REDUCERS,
     Reducer,
@@ -417,6 +417,191 @@ class TestSegmentSum:
             segment_sum(np.array([0, 2]), table, index=np.array([0, 4]))
         with pytest.raises(IndexError, match="index"):
             segment_sum(np.array([0, 2]), table, index=np.array([-1, 0]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("indexed", [False, True])
+    @pytest.mark.parametrize("feat", [(), (3,), (2, 5)])
+    def test_weight_scales_each_item(self, rng, dtype, indexed, feat):
+        """``weight`` is the selector's data: one value per item, against
+        the dense ``sum(weight * row)`` in float64 -- 1-D and ``(rows, h,
+        d)`` tables, with and without ``index=``, empty segments and a row
+        over ``BLOCK``."""
+        indptr = np.concatenate(([0], np.cumsum([0, 50, 300, 1, 0, 149, 0])))
+        n_items = int(indptr[-1])
+        index = rng.integers(0, 60, n_items) if indexed else None
+        table = rng.standard_normal(
+            (60 if indexed else n_items,) + feat).astype(dtype)
+        weight = rng.standard_normal(n_items).astype(dtype)
+        got = segment_sum(indptr, table, index=index, weight=weight)
+        rows = (table[index] if indexed else table).astype(np.float64)
+        rows *= weight.astype(np.float64).reshape((-1,) + (1,) * len(feat))
+        ref = np.stack([rows[a:b].sum(axis=0)
+                        for a, b in zip(indptr[:-1], indptr[1:])])
+        assert got.dtype == dtype and got.shape == ref.shape
+        assert np.allclose(got, ref, **FG007_TOL)
+        assert np.all(got[[0, 4, 6]] == 0)
+
+    def test_weight_of_ones_changes_no_bit(self, rng):
+        table = rng.standard_normal((30, 4)).astype(np.float32)
+        index = rng.integers(0, 30, 700)
+        indptr = np.array([0, 10, 10, 400, 700])
+        assert np.array_equal(
+            segment_sum(indptr, table, index=index,
+                        weight=np.ones(700, np.float32)),
+            segment_sum(indptr, table, index=index))
+
+    def test_weight_is_cast_and_made_contiguous(self, rng):
+        table = rng.standard_normal((20, 3)).astype(np.float32)
+        wide = rng.standard_normal((50, 2))             # float64, strided
+        indptr = np.array([0, 20, 50])
+        index = rng.integers(0, 20, 50)
+        assert np.array_equal(
+            segment_sum(indptr, table, index=index, weight=wide[:, 1]),
+            segment_sum(indptr, table, index=index,
+                        weight=wide[:, 1].astype(np.float32)))
+
+    def test_weighted_hub_row_stays_inside_the_huge_row_tolerance(self):
+        """The 50 K-item segment of ``test_one_huge_row``, weighted: block
+        partials are summed unweighted, so the blocking bounds the drift
+        exactly as it does for plain sums."""
+        m = 50_000
+        index = np.sort(np.random.default_rng(4).integers(0, 50, m))
+        table = np.random.default_rng(5).random((50, 4)).astype(np.float32)
+        weight = np.random.default_rng(6).random(m).astype(np.float32)
+        true = (table[index].astype(np.float64)
+                * weight[:, None].astype(np.float64)).sum(axis=0)
+        got = segment_sum(np.array([0, m]), table, index=index,
+                          weight=weight)[0]
+        assert np.allclose(got, true, atol=1e-2)
+        assert np.array_equal(
+            got, segment_sum(np.array([0, m]),
+                             table[index] * weight[:, None])[0])
+
+    def test_rejects_a_weight_of_the_wrong_length(self):
+        table = np.ones((4, 2), np.float32)
+        with pytest.raises(ValueError, match="weight"):
+            segment_sum(np.array([0, 4]), table, weight=np.ones(3))
+        with pytest.raises(ValueError, match="weight"):
+            segment_sum(np.array([0, 2]), table, index=np.array([0, 1]),
+                        weight=np.ones(4))
+        with pytest.raises(ValueError, match="weight"):
+            segment_sum(np.array([0, 4]), table, weight=np.ones((4, 2)))
+
+
+def _ulps(a, b):
+    """Largest distance between two float32 arrays in units of the last
+    place of the larger magnitude."""
+    spacing = np.spacing(np.maximum(np.abs(a), np.abs(b)).astype(np.float32))
+    return float(np.max(np.abs(a - b) / spacing)) if a.size else 0.0
+
+
+class TestRowGather:
+    """A message that is not gathered yet: ``spblas`` reduces it straight
+    from the table, everything else sees ``np.asarray`` of it."""
+
+    N, M, ROWS = 70, 3000, 40
+
+    def _gather(self, rng, feat, weight_rank=None, dtype=np.float32):
+        table = rng.standard_normal((self.N,) + feat).astype(dtype)
+        index = rng.integers(0, self.N, self.M)
+        weight = None
+        if weight_rank is not None:
+            weight = rng.standard_normal(
+                (self.M,) + feat[:weight_rank]).astype(dtype)
+        deg = rng.multinomial(self.M, np.ones(self.ROWS) / self.ROWS)
+        deg[3] += deg[5]
+        deg[5] = 0                                     # an empty row
+        seg = segment_info(np.repeat(np.arange(self.ROWS), deg))
+        return RowGather(table, index, weight), seg
+
+    def test_is_the_dense_block_to_numpy(self, rng):
+        g, _ = self._gather(rng, (4, 6), weight_rank=1)
+        assert g.shape == (self.M, 4, 6) and g.dtype == np.float32
+        dense = np.asarray(g)
+        assert dense.shape == g.shape and dense.dtype == g.dtype
+        assert np.array_equal(
+            dense, g.table[g.index] * g.weight[:, :, None])
+        plain, _ = self._gather(rng, (5,))
+        assert np.array_equal(np.asarray(plain), plain.table[plain.index])
+        assert np.asarray(plain, dtype=np.float64).dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("feat", [(8,), (4, 6)])
+    def test_unweighted_is_bit_identical_to_the_gathered_block(
+            self, rng, feat, dtype):
+        g, seg = self._gather(rng, feat, dtype=dtype)
+        assert np.array_equal(_spblas(self.ROWS, seg, g),
+                              _spblas(self.ROWS, seg, np.asarray(g)))
+
+    @pytest.mark.parametrize("feat,rank", [((8,), 0), ((4, 6), 0),
+                                           ((4, 6), 1), ((2, 3, 5), 2)])
+    def test_weighted_is_within_one_ulp_of_the_gathered_block(
+            self, rng, feat, rank):
+        """``csr_matvecs`` computes ``y += w * x`` where the block rounded
+        ``w * x`` first: equal unless the build contracts to FMA."""
+        g, seg = self._gather(rng, feat, weight_rank=rank)
+        got = _spblas(self.ROWS, seg, g)
+        want = _spblas(self.ROWS, seg, np.asarray(g))
+        assert got.shape == want.shape == (self.ROWS,) + feat
+        assert np.array_equal(got, want) or _ulps(got, want) <= 1.0
+        assert np.all(got[5] == 0)
+
+    def test_per_head_weight_never_copies_the_table(self, rng, monkeypatch):
+        from repro.runtime import strategies as S
+
+        g, seg = self._gather(rng, (4, 6), weight_rank=1)
+        seen = []
+        real = S._blocked_sum
+        monkeypatch.setattr(
+            S, "_blocked_sum",
+            lambda indptr, lengths, flat, index, weight:
+            seen.append(flat) or real(indptr, lengths, flat, index, weight))
+        _spblas(self.ROWS, seg, g)
+        assert len(seen) == 4
+        assert all(np.shares_memory(flat, g.table) for flat in seen)
+        assert seen[0].shape == (self.N * 4, 6)
+
+    @pytest.mark.parametrize("op", ["max", "min"])
+    def test_delegated_reducers_equal_reduceat(self, rng, op):
+        g, seg = self._gather(rng, (4, 6), weight_rank=1)
+        assert np.array_equal(_spblas(self.ROWS, seg, g, op),
+                              _reduceat(self.ROWS, seg, np.asarray(g), op))
+
+    def test_int32_table_delegates_to_reduceat(self, rng):
+        g, seg = self._gather(rng, (3,))
+        g = RowGather((g.table * 10).astype(np.int32), g.index)
+        assert np.array_equal(
+            _spblas(self.ROWS, seg, g, dtype=np.float32),
+            _reduceat(self.ROWS, seg, np.asarray(g), dtype=np.float32))
+
+    @pytest.mark.parametrize("make", [ReduceatStrategy,
+                                      DegreeBucketedStrategy,
+                                      ParallelStrategy])
+    def test_ufunc_strategies_densify(self, rng, make):
+        g, seg = self._gather(rng, (4, 6), weight_rank=0)
+        assert np.array_equal(_combine(make(), self.ROWS, seg, g),
+                              _combine(make(), self.ROWS, seg,
+                                       np.asarray(g)))
+
+    def test_rejects_a_bad_index_or_weight(self, rng):
+        g, seg = self._gather(rng, (4, 6), weight_rank=1)
+        reducer = get_reducer("sum")
+        acc = np.zeros((self.ROWS, 4, 6), np.float32)
+        bad = g.index.copy()
+        bad[7] = self.N
+        with pytest.raises(IndexError, match="index"):
+            SparseBlasStrategy().combine(
+                acc, seg, RowGather(g.table, bad, g.weight), reducer)
+        with pytest.raises(ValueError, match="weight"):
+            SparseBlasStrategy().combine(
+                acc, seg, RowGather(g.table, g.index, g.weight[:, :3]),
+                reducer)
+        with pytest.raises(ValueError, match="weight"):
+            SparseBlasStrategy().combine(
+                acc, seg, RowGather(g.table, g.index,
+                                    np.ones((self.M, 4, 6), np.float32)),
+                reducer)
+        assert np.all(acc == 0)
 
 
 _LOADER_PROBE = """

@@ -21,7 +21,8 @@ from repro.core.compile import KernelCache, use_kernel_cache
 from repro.core.softmax import EdgeSoftmax
 from repro.graph.sparse import from_edges
 from repro.runtime.engine import AggregateSink, Executor, ScatterSink
-from repro.runtime.plan import EdgeTask, ExecutionPlan, GatherPlan, Stage
+from repro.runtime.plan import (EdgeTask, ExecutionPlan, GatherPlan,
+                                RowGather, Stage)
 from repro.runtime.reducers import get_reducer
 from repro.runtime.strategies import STRATEGY_NAMES, make_strategy
 from repro.runtime.verify import (
@@ -85,12 +86,13 @@ class TestClassifyReduction:
 # ----------------------------------------------------------------------
 
 def _agg_plan(dst, bounds, *, n_rows=8, strategy=None, reducer="sum",
-              extras=None):
+              extras=None, indptr=None):
     """A one-stage aggregating plan over a hand-written gather."""
-    dst = np.asarray(dst, dtype=np.int64)
-    m = len(dst)
+    if dst is not None:
+        dst = np.asarray(dst, dtype=np.int64)
+    m = len(dst) if dst is not None else int(indptr[-1])
     gather = GatherPlan(np.zeros(m, dtype=np.int64), dst,
-                        np.arange(m, dtype=np.int64))
+                        np.arange(m, dtype=np.int64), indptr=indptr)
     acc = np.zeros((n_rows, F), dtype=np.float32)
     sink = AggregateSink(acc, get_reducer(reducer),
                          strategy or make_strategy("reduceat"))
@@ -149,6 +151,62 @@ class TestStaticRejection:
         plan.tasks[0].gather.src[1] = -3
         report = verify_plan(plan)
         assert "FG010" in _codes(report, Severity.ERROR)
+
+    def test_indptr_that_disagrees_with_dst_fg010(self):
+        dst = [0, 0, 1, 1, 2, 2]
+        good = np.array([0, 2, 4, 6])
+        assert not verify_plan(
+            _agg_plan(dst, [(0, 4), (4, 6)], indptr=good)).has_errors
+        for bad in ([0, 3, 4, 6],        # row 0 claims an edge of row 1
+                    [0, 2, 4, 5],        # does not span the edges
+                    [0, 4, 2, 6],        # decreasing
+                    [1, 2, 4, 6]):       # does not start at 0
+            report = verify_plan(
+                _agg_plan(dst, [(0, 6)], indptr=np.array(bad)))
+            diags = [d for d in report.diagnostics if d.rule == "FG010"]
+            assert diags and diags[0].severity == Severity.ERROR, bad
+            assert "indptr" in diags[0].loc, bad
+
+    def test_lazy_dst_is_checked_through_the_row_pointer(self):
+        indptr = np.array([0, 2, 2, 4, 4])
+        plan = _agg_plan(None, [(0, 2), (2, 4)], indptr=indptr)
+        assert not verify_plan(plan).has_errors
+        assert not plan.tasks[0].gather.dst_expanded   # nobody asked
+        # row 2 owns edges but the accumulator has two rows
+        report = verify_plan(_agg_plan(None, [(0, 4)], indptr=indptr,
+                                       n_rows=2))
+        assert "FG010" in _codes(report, Severity.ERROR)
+        # trailing empty rows beyond the accumulator are harmless
+        assert not verify_plan(_agg_plan(None, [(0, 4)], indptr=indptr,
+                                         n_rows=3)).has_errors
+
+    def test_chunk_boundary_off_the_row_pointer_fg006(self):
+        plan = _agg_plan(None, [(0, 3), (3, 6)],
+                         indptr=np.array([0, 2, 4, 6]))
+        report = verify_plan(plan)
+        assert "FG006" in _codes(report, Severity.ERROR)
+
+    def test_reading_a_value_that_is_never_gathered_fg008(self):
+        """A stage that hands its sink a RowGather leaves no chunk-local
+        value: a later stage reading it (or ``keep``) is a lifetime bug,
+        while a read of its *vertex buffer* is an ordinary chain read."""
+        def lazy(name, **extra):
+            meta = {"row_gather": {"agg": None},
+                    "chain_reads": {"later": [name]}, **extra}
+            plan = _agg_plan([0, 0, 1, 1], [(0, 4)],
+                             extras={"verify": meta})
+            task = plan.tasks[0]
+            task.stages = [task.stages[0],
+                           Stage("later", task.stages[0].evaluate)]
+            return [d for d in verify_plan(plan).diagnostics
+                    if d.rule == "FG008"]
+
+        assert lazy("agg") == []                      # vertex-buffer read
+        diags = lazy("agg", value_reads={"later": ["agg"]})
+        assert diags and diags[0].severity == Severity.ERROR
+        assert "row gather" in diags[0].message
+        diags = lazy("agg", keep=("agg",))
+        assert diags and "kept" in diags[0].message
 
     def test_stale_chain_read_fg008(self):
         extras = {"verify": {"chain_reads": {"agg": ["scores"]}}}
@@ -254,7 +312,7 @@ class _LyingReduceat:
     name = "reduceat"
 
     def combine(self, acc, seg, msgs, reducer):
-        block = reducer.ufunc.reduceat(msgs, seg.starts, axis=0)
+        block = reducer.ufunc.reduceat(np.asarray(msgs), seg.starts, axis=0)
         acc[seg.seg_rows] = reducer.ufunc(
             acc[seg.seg_rows], block + np.float32(1e-2))
 
@@ -298,6 +356,80 @@ class TestSanitizer:
         plan = ExecutionPlan([task], label="double-scatter")
         assert not verify_plan(plan).has_errors
         with pytest.raises(SanitizerError, match="FG006"):
+            sanitized_run(Executor(), plan, {})
+
+    def _u_mul_e(self, w_shape):
+        m = 48
+        XV = T.placeholder((N, 2, F), name="XV")
+        EW = T.placeholder((m,) + w_shape, name="EW")
+        rng = np.random.default_rng(9)
+        with use_kernel_cache(KernelCache()):
+            k = spmm(_adj(m=m), dgl_builtins.u_mul_e_msg(XV, EW), "sum")
+        return k, {"XV": rng.standard_normal((N, 2, F)).astype(np.float32),
+                   "EW": rng.standard_normal((m,) + w_shape).astype(
+                       np.float32)}
+
+    @pytest.mark.parametrize("w_shape", [(), (2,)])
+    def test_row_gather_stage_is_checked_against_its_program(self, w_shape):
+        """The sanitizer's oracle input for a stage that is never gathered
+        is its compiled program's block; a clean run stays bit-identical
+        and FG007 reports the sum as any spblas sum."""
+        k, bindings = self._u_mul_e(w_shape)
+        acc = np.zeros((N, 2, F), np.float32)
+        plan = k.execution_plan(acc)
+        assert list(plan.extras["verify"]["row_gather"]) == ["u_mul_e_msg"]
+        notes = [d.message for d in verify_plan(plan).diagnostics
+                 if d.rule == "FG007"]
+        assert notes == ["reduction sum via strategy spblas: "
+                         + REASSOCIATED]
+        plain = k.run(bindings)
+        with sanitizing():
+            assert np.array_equal(k.run(bindings), plain)
+
+    @pytest.mark.parametrize("w_shape", [(), (2,)])
+    def test_corrupted_row_gather_weight_raises_fg007_disagreement(
+            self, w_shape):
+        k, bindings = self._u_mul_e(w_shape)
+        acc = np.zeros((N, 2, F), np.float32)
+        plan = k.execution_plan(acc)
+        assert not verify_plan(plan).has_errors
+        stage = plan.tasks[0].stages[0]
+        honest = stage.evaluate
+
+        def corrupt(bindings, ctx):
+            g, nbytes = honest(bindings, ctx)
+            assert isinstance(g, RowGather)
+            return RowGather(g.table, g.index, g.weight * 1.01), nbytes
+
+        stage.evaluate = corrupt
+        with pytest.raises(SanitizerError, match="FG007"):
+            sanitized_run(Executor(), plan, bindings)
+
+    def test_hand_built_row_gather_is_checked_through_asarray(self):
+        """Without a registered program the oracle densifies the value
+        itself (``np.asarray``): a consistent gather passes, and a combine
+        that misreads it is still caught."""
+        table = np.arange(12, dtype=np.float32).reshape(6, 2)
+
+        def evaluate(bindings, ctx):
+            return RowGather(table, ctx.index("eid"),
+                             np.full(ctx.size, 0.5, np.float32)), 0
+
+        def build(strategy):
+            gather = GatherPlan(np.zeros(6, np.int64), None, np.arange(6),
+                                indptr=np.array([0, 2, 2, 6]))
+            sink = AggregateSink(np.zeros((3, 2), np.float32),
+                                 get_reducer("sum"), strategy)
+            task = EdgeTask(gather, [(0, 2), (2, 6)],
+                            [Stage("agg", evaluate, sink)])
+            return ExecutionPlan([task], strategy="spblas"), sink.acc
+
+        plan, acc = build(make_strategy("spblas"))
+        sanitized_run(Executor(), plan, {})
+        assert np.array_equal(acc[:, 0], [0.5 * (0 + 2), 0,
+                                          0.5 * (4 + 6 + 8 + 10)])
+        plan, _ = build(_LyingReduceat())
+        with pytest.raises(SanitizerError, match="FG007"):
             sanitized_run(Executor(), plan, {})
 
     def test_env_gate_reroutes_executor_run(self, monkeypatch):

@@ -189,3 +189,34 @@ class TestComputeOp:
     def test_axes_not_reported_as_free(self):
         t = E.compute((4,), lambda i: i + 0)
         assert t.op.free_vars() == ()
+
+    def test_preorder_visits_parents_first_left_to_right(self):
+        X = E.placeholder((4, 4), name="X")
+        src = E.Var("src")
+        k = E.reduce_axis((0, 4), "k")
+        t = E.compute((4,), lambda i: E.exp(X[src, k]) + E.sum(X[i, k] * 2.0,
+                                                              axis=k))
+        kinds = [type(e).__name__ for e in E.preorder(t.op.body)]
+        assert kinds == ["BinOp", "Call", "TensorElem", "Var", "IterVar",
+                         "Reduce", "BinOp", "TensorElem", "IterVar",
+                         "IterVar", "FloatImm"]
+        assert t.op.reduce_axis == (k,)
+        assert [v.name for v in t.op.free_vars()] == ["src"]
+
+    def test_walkers_leave_nothing_for_the_collector(self):
+        """A nested recursive ``walk`` closure is a reference cycle per
+        call; these run on every kernel invocation."""
+        import gc
+
+        X = E.placeholder((4, 4), name="X")
+        k = E.reduce_axis((0, 4), "k")
+        t = E.compute((4,), lambda i: E.sum(X[E.Var("src"), k] * X[i, k],
+                                            axis=k))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                t.op.reduce_axis, t.op.input_tensors(), t.op.free_vars()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

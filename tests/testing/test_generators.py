@@ -80,6 +80,35 @@ class TestUDFFamilies:
         np.testing.assert_allclose(got, np.asarray(want).reshape(got.shape),
                                    rtol=1e-5, atol=1e-5)
 
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_u_mul_e_draws_both_sides_of_the_row_gather_rule(self, rank):
+        """Scalar and per-head weights are row gathers the default plan
+        never materializes; the full-width product is not."""
+        import random
+
+        from repro.core.bindings import row_gather_form
+        from repro.tensorir.expr import Var
+        from repro.testing.differential import sample_config
+
+        dims = {"n": 6, "m": 9, "f": 4, "h": 2, "w": rank}
+        inst = G.UDF_FAMILIES["u_mul_e"].make(dims)
+        assert inst.placeholders["EW"] == (9, 2, 4)[:1 + rank]
+        out = inst.udf(Var("src"), Var("dst"), Var("eid"))
+        assert (row_gather_form(out) is not None) == (rank < 2)
+        rng = np.random.default_rng(rank)
+        bindings = {k: rng.standard_normal(shape).astype(np.float32)
+                    for k, shape in inst.placeholders.items()}
+        src, eid = rng.integers(0, 6, 9), rng.permutation(9)
+        got = evaluate_batched(out, bindings,
+                               {"src": src, "dst": src, "eid": eid})
+        np.testing.assert_allclose(
+            got, inst.reference(bindings, src, src, eid), rtol=1e-6)
+        rnd = random.Random(0)
+        drawn = {cfg.dims["w"] for cfg in (sample_config(rnd)
+                                           for _ in range(400))
+                 if cfg.udf == "u_mul_e"}
+        assert drawn == {0, 1, 2}
+
     def test_at_least_five_families_cover_both_kinds(self):
         assert len(G.UDF_FAMILIES) >= 5
         kinds = {k for f in G.UDF_FAMILIES.values() for k in f.kinds}
