@@ -919,7 +919,7 @@ class KernelCache:
         with self._lock:
             canon = self._graphs.get(fp)
             if canon is None:
-                if np.array_equal(adj.edge_ids, np.arange(adj.nnz)):
+                if adj.positional_edge_ids():
                     canon = adj
                 else:
                     canon = CSRMatrix(adj.shape, adj.indptr, adj.indices)

@@ -80,7 +80,7 @@ from repro.tensorir import ir as I
 from repro.tensorir.analysis import AnalysisError, analyze_ir, strict_enabled
 from repro.tensorir.lower import (inline_computes, replace_tensor_reads,
                                   substitute)
-from repro.tensorir.runtime import ExecStats
+from repro.tensorir.runtime import ExecStats, take_rows
 from repro.tensorir.validate import validate_ir
 
 __all__ = [
@@ -802,9 +802,10 @@ class FusedKernel:
         The aggregation request resolves exactly as on the staged SpMM
         template: without one every aggregating stage's sink gets its own
         strategy from its reducer and its program's output dtype (the
-        edge-softmax chain's ``max`` sink keeps the selector's pick, its
-        exp-sum and aggregate sinks combine through ``spblas``; the plan
-        label joins the distinct names in stage order) and an aggregating
+        edge-softmax chain's ``max`` sink keeps the selector's pick at its
+        own ``heads``-wide rows, its exp-sum and aggregate sinks combine
+        through ``spblas``; the plan label joins the distinct names in
+        stage order, e.g. ``reduceat+spblas``) and an aggregating
         stage that is a pure row gather (:meth:`_gather_free`: the copy-u
         chain's only stage, the softmax chain's ``OUT``) hands its sink a
         :class:`~repro.runtime.plan.RowGather` instead of a message block,
@@ -815,6 +816,9 @@ class FusedKernel:
         cycle."""
         csr = self.A.csr
         aggregating = [st for st in self.plan.stages if st.kind == "spmm"]
+        # a per-chunk assignment serves every sink of the chunk, so it is
+        # ranked at the widest; a default request resolves each sink at
+        # its own width
         spmm_width = max((st.width for st in aggregating), default=1)
         mode, names = resolve_request(self.agg_strategy)
         keep = set(keep)
@@ -822,7 +826,7 @@ class FusedKernel:
             sink_strategy = {
                 st.name: resolve_sink_strategy(
                     _agg_base(st.aggregation), st.prog.out_dtype, csr,
-                    spmm_width, pool)
+                    st.width, pool)
                 for st in aggregating}
             plan_label = "+".join(dict.fromkeys(
                 s.name for s in sink_strategy.values())) or None
@@ -868,7 +872,7 @@ class FusedKernel:
                     arr = vbufs.get(tname)
                     if arr is None:
                         arr = bindings[tname]
-                    gathered = arr[ctx.index(lead)]
+                    gathered = take_rows(arr, ctx.index(lead))
                     ufunc = _BINOP_UFUNC[st.binop_op]
                     source_vals = ctx.values[st.alias_of]
                     vals = (ufunc(gathered, source_vals) if src_is_rhs
@@ -917,7 +921,8 @@ class FusedKernel:
 
         task = EdgeTask(
             gather=GatherPlan(csr.indices, None, csr.edge_ids,
-                              indptr=csr.indptr),
+                              indptr=csr.indptr,
+                              eid_positional=csr.positional_edge_ids()),
             bounds=bounds,
             stages=stages,
             chunk_strategies=chunk_strats)
@@ -1154,7 +1159,9 @@ class FusedEdgeSoftmax:
 
     def _scores(self, scores: np.ndarray) -> tuple[np.ndarray, bool]:
         squeeze = scores.ndim == 1
-        es = scores.reshape(self.A.nnz, self.num_heads).astype(np.float32)
+        # the binding is only read: no copy of scores that already fit
+        es = scores.reshape(self.A.nnz, self.num_heads).astype(
+            np.float32, copy=False)
         return es, squeeze
 
     def run(self, scores: np.ndarray, pool=None) -> np.ndarray:

@@ -138,8 +138,10 @@ class GeneralizedSDDMM:
 
         return graph_axis_roles(self.edge_out)
 
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(src, dst, eid) in traversal order."""
+    def _gather_plan(self) -> GatherPlan:
+        """(src, dst, eid) in traversal order: CSR order keeps the graph's
+        edge ids where they are (positional, if they were), Hilbert order
+        permutes them."""
         csr = self.A.csr
         dst = csr.row_of_edge()
         src = csr.indices
@@ -148,8 +150,9 @@ class GeneralizedSDDMM:
             if self._order is None:
                 self._order = hilbert_order(dst, src, csr.shape[0], csr.shape[1])
             o = self._order
-            return src[o], dst[o], eid[o]
-        return src, dst, eid
+            return GatherPlan(src[o], dst[o], eid[o])
+        return GatherPlan(src, dst, eid,
+                          eid_positional=csr.positional_edge_ids())
 
     def run(self, bindings: Mapping[str, np.ndarray],
             out: np.ndarray | None = None,
@@ -187,8 +190,7 @@ class GeneralizedSDDMM:
         edge-id-indexed output.  Chunks are sized so that no single
         gathered block exceeds a quarter of ``CHUNK_WORKSET_BYTES``.
         """
-        src, dst, eid = self._edge_arrays()
-        gather = GatherPlan(src, dst, eid)
+        gather = self._gather_plan()
         axis0 = self.edge_out.op.axis[0].name
         prog = self.vector_program()
         # The workset counts twice: a dot product holds two equal gathered

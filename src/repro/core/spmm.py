@@ -42,7 +42,7 @@ from repro.runtime.reducers import AGG_IDENTITY, AGG_UFUNC, resolve_reducer
 from repro.runtime.strategies import (SparseBlasStrategy, make_strategy,
                                       resolve_request, resolve_sink_strategy,
                                       select_chunk_strategies)
-from repro.tensorir.runtime import ExecStats, WorkPool
+from repro.tensorir.runtime import ExecStats, WorkPool, take_rows
 from repro.core.fds import FDS, FDSInfo, default_fds
 from repro.graph.partition import Partition1D, feature_tiles, partition_1d
 from repro.hwsim import cpu as cpu_model
@@ -118,7 +118,8 @@ def row_gather_evaluate(form: tuple, dtype, row_bytes: int,
         if chain_weight:
             weight = ctx.values[weight_name]
         elif weight_name is not None:
-            weight = operand(bindings, weight_name)[ctx.index("eid")]
+            weight = take_rows(operand(bindings, weight_name),
+                               ctx.index("eid"))
             nbytes += weight.nbytes
         return RowGather(operand(bindings, table_name), ctx.index(var),
                          weight), nbytes

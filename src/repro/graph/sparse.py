@@ -74,6 +74,8 @@ class CSRMatrix:
             raise ValueError("indptr must be nondecreasing")
         if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= self.shape[1]):
             raise ValueError("column index out of range")
+        #: whether edge_ids is arange(nnz); None until someone asks
+        self._positional = True if edge_ids is None else None
         if edge_ids is None:
             edge_ids = np.arange(len(self.indices), dtype=np.int64)
         self.edge_ids = np.ascontiguousarray(edge_ids, dtype=np.int64)
@@ -109,6 +111,16 @@ class CSRMatrix:
             h.update(self.edge_ids.tobytes())
             self._fingerprint = h.hexdigest()
         return self._fingerprint
+
+    def positional_edge_ids(self) -> bool:
+        """Whether every nonzero's edge id is its own CSR position
+        (``edge_ids == arange(nnz)``), so edge tensors are already in
+        sweep order.  Compared once per matrix; one built without
+        ``edge_ids`` knows without comparing."""
+        if self._positional is None:
+            self._positional = bool(np.array_equal(
+                self.edge_ids, np.arange(self.nnz, dtype=np.int64)))
+        return self._positional
 
     def row_degrees(self) -> np.ndarray:
         """Number of stored entries per row (in-degrees in pull layout)."""

@@ -36,6 +36,7 @@ from repro.graph.segment import segment_reduce, segment_softmax
 from repro.graph.sparse import CSRMatrix, from_edges
 from repro.minidgl.autograd import Tensor
 from repro.runtime.spblas import segment_sum
+from repro.tensorir.runtime import take_rows
 
 __all__ = ["Graph", "copy_u_sum", "copy_u_mean", "u_mul_e_sum", "u_dot_v",
            "edge_add", "edge_softmax", "edge_softmax_mul_sum"]
@@ -152,7 +153,7 @@ def u_mul_e_sum(graph: Graph, x: Tensor, w: Tensor, backend) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            w_rev = w.data[graph.reverse.edge_ids]
+            w_rev = take_rows(w.data, graph.reverse.edge_ids)
             x._accumulate(backend.spmm_mul_sum(graph.reverse, g, w_rev))
         if w.requires_grad:
             w._accumulate(backend.sddmm_dot(graph.adj, x.data, g))
@@ -169,7 +170,7 @@ def u_dot_v(graph: Graph, a: Tensor, b: Tensor, backend) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            g_rev = g[graph.reverse.edge_ids]
+            g_rev = take_rows(g, graph.reverse.edge_ids)
             a._accumulate(backend.spmm_mul_sum(graph.reverse, b.data, g_rev))
         if b.requires_grad:
             b._accumulate(backend.spmm_mul_sum(graph.adj, a.data, g))
@@ -180,8 +181,11 @@ def u_dot_v(graph: Graph, a: Tensor, b: Tensor, backend) -> Tensor:
 def edge_add(graph: Graph, a_src: Tensor, a_dst: Tensor) -> Tensor:
     """``out[uv] = a_src[u] + a_dst[v]`` -- per-edge endpoint sum (the GAT
     attention-logit pattern)."""
-    out_data = (a_src.data[graph.src_of_edge()]
-                + a_dst.data[graph.dst_of_edge()])
+    # edges are in CSR order: the destination side is each row repeated
+    # over its own edges, no per-edge row index needed
+    n_dst = graph.adj.shape[0]
+    out_data = (take_rows(a_src.data, graph.src_of_edge())
+                + np.repeat(a_dst.data[:n_dst], graph.in_degrees(), axis=0))
 
     def bwd(g):
         # Edges are in CSR order, so both scatters are segmented sums: the
@@ -258,7 +262,7 @@ def edge_softmax_mul_sum(graph: Graph, scores: Tensor, z: Tensor,
         if not need_alpha:
             return
         if z.requires_grad:
-            alpha_rev = alpha[graph.reverse.edge_ids]
+            alpha_rev = take_rows(alpha, graph.reverse.edge_ids)
             z._accumulate(backend.spmm_mul_sum(graph.reverse, g, alpha_rev))
         if scores.requires_grad:
             galpha = backend.sddmm_dot(graph.adj, z.data, g)

@@ -86,6 +86,15 @@ class ChunkCtx:
         return getattr(self._gather, name)[self.c0:self.c1]
 
     @property
+    def eid_rows(self):
+        """Where the chunk's edge-indexed rows live: the slice ``[c0, c1)``
+        when the plan's edge ids are the gather positions, else the
+        chunk's ``eid`` vector."""
+        if self._gather.eid_positional:
+            return slice(self.c0, self.c1)
+        return self.index("eid")
+
+    @property
     def batch(self) -> dict:
         if self._batch is None:
             self._batch = self._gather.batch(self.c0, self.c1)
@@ -150,7 +159,10 @@ class AggregateSink:
 
 
 class ScatterSink:
-    """Write a chunk's per-edge values to edge-id-indexed output rows.
+    """Write a chunk's per-edge values to edge-id-indexed output rows --
+    one block assignment when the plan's edge ids are the gather positions
+    (:attr:`ChunkCtx.eid_rows`), an indexed scatter otherwise (Hilbert
+    order, permuted edge ids).
 
     ``tile`` scatters into a feature-column window (the SDDMM template's
     feature tiling); ``count_bytes`` books the written bytes for stages
@@ -167,11 +179,11 @@ class ScatterSink:
         self.count_bytes = count_bytes
 
     def apply(self, vals: np.ndarray, ctx: ChunkCtx) -> int:
-        eid = ctx.index("eid")
+        rows = ctx.eid_rows
         if self.tile is not None:
-            self.out[eid, self.tile[0]:self.tile[1]] = vals
+            self.out[rows, self.tile[0]:self.tile[1]] = vals
         else:
-            self.out[eid] = vals
+            self.out[rows] = vals
         return vals.nbytes if self.count_bytes else 0
 
 

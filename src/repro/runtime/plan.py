@@ -32,6 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.tensorir.runtime import take_rows
+
 __all__ = [
     "CHUNK_WORKSET_BYTES",
     "MIN_CHUNK_EDGES",
@@ -134,16 +136,23 @@ class GatherPlan:
     row range (:func:`row_segments`) and ``dst`` may be passed as ``None``:
     it is then expanded from ``indptr`` on first use -- only a program
     that reads ``dst``, or the verifier, ever asks.
+
+    ``eid_positional`` says ``eid[i] == i`` for every gathered edge (a CSR
+    sweep of a graph whose edge ids are its CSR positions,
+    :meth:`~repro.graph.sparse.CSRMatrix.positional_edge_ids`): a chunk's
+    edge-indexed rows are then the slice ``[c0, c1)`` itself.
     """
 
     def __init__(self, src: np.ndarray, dst: np.ndarray | None,
-                 eid: np.ndarray, indptr: np.ndarray | None = None):
+                 eid: np.ndarray, indptr: np.ndarray | None = None,
+                 eid_positional: bool = False):
         if dst is None and indptr is None:
             raise ValueError("a gather plan needs dst or the indptr to "
                              "expand it from")
         self.src = src
         self.eid = eid
         self.indptr = indptr
+        self.eid_positional = eid_positional
         self._dst = dst
 
     @property
@@ -204,7 +213,7 @@ class RowGather:
         return self.table.dtype
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        vals = self.table[self.index]
+        vals = take_rows(self.table, self.index)
         if self.weight is not None:
             w = np.asarray(self.weight, dtype=vals.dtype)
             vals *= w.reshape(w.shape + (1,) * (vals.ndim - w.ndim))

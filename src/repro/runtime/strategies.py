@@ -19,7 +19,9 @@ histogram decides which shape of vectorization wins:
     ``ufunc.reduce`` along the degree axis -- numpy's tight SIMD reduction
     instead of reduceat's per-segment dispatch.  Pays a fancy-index gather
     and one Python-level iteration per *distinct* degree, so it wins
-    exactly when segments are plentiful relative to distinct degrees.
+    exactly when segments are plentiful relative to distinct degrees and
+    the gathered rows are wide enough (the gather costs per row, not per
+    byte: below 16 values a row ``reduceat`` is cheaper).
 
 ``parallel``
     Rows sharded across :class:`~repro.tensorir.runtime.WorkPool` workers,
@@ -130,6 +132,12 @@ ADAPTIVE = "adaptive"
 #: estimated ufunc work (edge-values) that must back each distinct degree
 #: for bucketing's per-bucket Python dispatch to pay for itself
 _BUCKET_WORK_PER_DEGREE = 512
+
+#: narrowest rows bucketing pays for: its ``msgs[pos]`` gather costs per
+#: *row* gathered, ``reduceat`` per byte reduced, and they cross at 16
+#: float32 (segmented max of (160 K, w) over 4000 rows, ms, reduceat /
+#: bucketed: w=4 1.0 / 6.0, w=8 2.2 / 6.5, w=16 6.7 / 6.4, w=64 63.6 / 9.0)
+_BUCKET_MIN_WIDTH = 16
 
 #: minimum edge-values in a chunk before sharding it across workers beats
 #: the dispatch cost of waking the pool
@@ -385,7 +393,8 @@ def _heuristic_select(shape: ChunkShape, workers: int) -> str:
     """The hand-tuned cold-start thresholds (pre-calibration behavior)."""
     if shape.n_edges == 0:
         return "reduceat"
-    if shape.values >= _BUCKET_WORK_PER_DEGREE * shape.n_distinct:
+    if (shape.width >= _BUCKET_MIN_WIDTH
+            and shape.values >= _BUCKET_WORK_PER_DEGREE * shape.n_distinct):
         return "bucketed"
     if workers > 1 and shape.values >= _PARALLEL_MIN_WORK:
         return "parallel"
@@ -402,7 +411,8 @@ def select_strategy(degrees: Sequence[int], width: int,
     the cold-start heuristic estimates whether degree-bucketing's
     per-distinct-degree Python dispatch is amortized by the vectorized
     work it unlocks (``nnz * width`` edge-values across ``distinct``
-    buckets); failing that, large chunks shard across an available
+    buckets) and requires rows at least ``_BUCKET_MIN_WIDTH`` wide;
+    failing that, large chunks shard across an available
     multi-worker pool; everything else stays on ``reduceat``.
     """
     shape = _shape_from_degrees(degrees, width)

@@ -43,7 +43,9 @@ the plan layer the same static safety net:
     Negative indices are rejected too -- numpy would wrap them silently.
     A plan's row pointer (``GatherPlan.indptr``, what chunk segments are
     read off) must be non-decreasing, span exactly the gathered edges and
-    expand to ``dst`` wherever the plan carries both.
+    expand to ``dst`` wherever the plan carries both; a plan that claims
+    positional edge ids (``GatherPlan.eid_positional``, what lets a
+    scatter sink write a chunk as one block) must have ``eid == arange``.
 
 :func:`verify_plan` runs the checks over one plan; :func:`verify_kernel`
 lowers a bound kernel to its plan first (this is what the compile
@@ -413,8 +415,10 @@ def _check_chunk_strategies(ctx: _Ctx, ti: int, task) -> None:
 
 
 def _check_determinism(ctx: _Ctx) -> None:
-    """FG007: one classification per distinct (strategy, reducer) pair,
-    counting every effective per-chunk strategy of heterogeneous plans."""
+    """FG007: one classification per sink and distinct (strategy, reducer)
+    pair it combines through -- the sinks of one fused chain resolve
+    separately -- counting every effective per-chunk strategy of
+    heterogeneous plans."""
     seen = set()
     for ti, task, st, sink in _aggregate_sinks(ctx.plan):
         names = {strat.name
@@ -422,11 +426,11 @@ def _check_determinism(ctx: _Ctx) -> None:
         if not names:
             names = {sink.strategy.name}
         for name in sorted(names):
-            key = (name, sink.reducer.name)
+            key = (st.name, name, sink.reducer.name)
             if key in seen:
                 continue
             seen.add(key)
-            label = classify_reduction(*key)
+            label = classify_reduction(name, sink.reducer)
             severity = (Severity.WARNING if label == NONDETERMINISTIC
                         else Severity.INFO)
             ctx.add("FG007", f"task[{ti}].{st.name}",
@@ -535,6 +539,12 @@ def _check_gather_bounds(ctx: _Ctx, ti: int, task) -> None:
         if hi >= dst_ext:
             ctx.add("FG010", f"{loc}.gather.dst",
                     f"index {hi} escapes the dst extent {dst_ext}")
+    if gather.eid_positional and not np.array_equal(
+            gather.eid, np.arange(len(gather.eid))):
+        ctx.add("FG010", f"{loc}.gather.eid",
+                "plan claims positional edge ids but eid is not "
+                "arange(edges): a scatter sink would write each chunk to "
+                "rows [c0, c1) instead of its edges' own rows")
     for name, arr, extent in checks:
         arr = np.asarray(arr)
         if arr.size == 0:
@@ -852,7 +862,9 @@ def iter_suite(suite: str, pool=None):
     each; ``u_mul_e`` with a scalar and with a per-head edge weight),
     ``copy_u`` under every reducer, every builtin edge function,
     and the staged + fused edge softmax -- under every pinned strategy and
-    under the default request (``"default"``: per-sink resolution);
+    under the default request (``"default"``: per-sink resolution), whose
+    fused softmax-aggregate chain is also linted at GAT's head counts on
+    a regular graph (the FG007 notes say what each sink resolved to);
     ``all`` adds nothing yet but mirrors the analysis CLI's flag shape.
     """
     from repro import tensorir as T
@@ -908,6 +920,20 @@ def iter_suite(suite: str, pool=None):
         yield (f"softmax/fused/{tag}", tag,
                lambda s=strat: EdgeSoftmax(adj, num_heads=2, fused=True,
                                            agg_strategy=s))
+
+    # the selector's width rule: 64 rows of degree 8 pass bucketing's work
+    # threshold at any width, so a max sink selected at OUT's 16 x heads
+    # would bucket; at its own heads-wide rows it must not
+    from repro.core.fusion import FusedEdgeSoftmax
+    from repro.graph.sparse import from_edges
+
+    dst = np.repeat(np.arange(64), 8)
+    regular = from_edges(64, 64, (dst * 5 + np.tile(np.arange(8), 64)) % 64,
+                         dst)
+    for heads in (1, 4):
+        yield (f"softmax/fused-aggregate/heads{heads}/default", "default",
+               lambda h=heads: FusedEdgeSoftmax(
+                   regular, h, feat_shape=(h, 16)).kernel)
 
     # heterogeneous plans: cost-model-driven per-chunk selection, plus an
     # explicit mixed per-chunk cycle; chunk_edges is small enough that the

@@ -33,6 +33,12 @@ Optimizations applied while lowering:
   the weight (MLP aggregation is the motivating case); any other reduce
   keeps the vector or loop form, and ``ProgramStats.reduce_forms`` records
   which form each reduce took and why;
+- **feature-axis sums** -- the vector form of a float ``sum`` of a batched
+  value over its trailing dimensions is one ``np.matmul`` of the value
+  flattened to ``(-1, K)`` with a compile-time ``ones(K)`` (form
+  ``gemv``): ``ufunc.reduce`` over a short trailing axis pays per output
+  element, a GEMV per byte (dot-product attention's ``(B, heads, 16)``
+  block is the motivating case: batched x batched, so no contraction);
 - **loop-invariant code motion** -- instructions inside a (fallback)
   reduction loop that do not depend on the loop variable are hoisted out;
 - **in-place buffer reuse** -- an elementwise op whose operand buffer dies
@@ -41,18 +47,19 @@ Optimizations applied while lowering:
 - **flat gathers** -- tensor reads indexed by batch variables and output
   axes lower to a single row-gather-plus-slice (``XV[src, lo:hi]``) instead
   of pointwise broadcast fancy-indexing, which is both faster and moves
-  fewer index bytes.
+  fewer index bytes; whole rows gathered by one batch variable go through
+  :func:`~repro.tensorir.runtime.take_rows` (``np.take`` where it can).
 
 The generated program mirrors :func:`evaluate_batched` -- same numpy
 ufuncs, same dtype promotion -- so the interpreter doubles as the
 differential-testing oracle.  Elementwise programs and ``max``/``min``
 reductions are bit-identical; vectorized ``sum``/``prod`` reductions use
-numpy's pairwise combine order, and ``sum`` contractions BLAS's blocked
-one, instead of the interpreter's sequential one, so they agree to float
-rounding (well inside the suite's 1e-5 tolerance).  Expressions the
-compiler cannot handle raise :class:`VectorizeError`, which kernel
-construction propagates: there is no interpreted execution path to fall
-back to.
+numpy's pairwise combine order, and ``sum`` contractions and feature-axis
+sums BLAS's blocked one, instead of the interpreter's sequential one, so
+they agree to float rounding (well inside the suite's 1e-5 tolerance).
+Expressions the compiler cannot handle raise :class:`VectorizeError`,
+which kernel construction propagates: there is no interpreted execution
+path to fall back to.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.tensorir import expr as E
+from repro.tensorir.runtime import take_rows
 
 __all__ = [
     "VectorizeError",
@@ -158,9 +166,10 @@ class ProgramStats:
     fast_gathers: int = 0       #: of those, flat row-gather specializations
     hoisted_gathers: int = 0    #: reduce-indexed reads pre-gathered as rows
     loops: int = 0              #: Python reduction loops emitted
-    vector_reduces: int = 0     #: reductions lowered to one ufunc.reduce
+    vector_reduces: int = 0     #: reductions lowered to one reduce / GEMV
     contractions: int = 0       #: sum-of-products reductions lowered to GEMM
-    #: (axis names, "gemm" | "vector" | "loop", reason) per emitted reduce
+    #: (axis names, "gemm" | "gemv" | "vector" | "loop", reason) per
+    #: emitted reduce
     reduce_forms: list = field(default_factory=list)
     #: (itemsize, reads_batch, axes, trip, tensor) per gather, for bytes
     #: accounting; ``tensor`` lets the fused executor exclude chain buffers
@@ -316,6 +325,8 @@ class _Compiler:
         self._gemm: dict[int, tuple | str] = {}
         #: id(Reduce) -> why it takes the loop form
         self._why_loop: dict[int, str] = {}
+        #: name -> array constants the program's namespace carries
+        self.consts: dict[str, np.ndarray] = {}
         self._assign_reduce_positions(op.body)
         self.n_red = len(self.red_extents)
 
@@ -879,11 +890,11 @@ class _Compiler:
         for (kind, info), v in zip(kinds, idx):
             if kind == "loopvar":
                 lo, hi = self._loop_doms[v.name]
-                pre_toks.append(f"{lo}:{hi}")
+                pre_toks.append((lo, hi))
                 slice_kinds.append(("loop", v, lo))
                 extra_extent *= hi - lo
             elif kind == "grid":
-                pre_toks.append(f"_lo{info}:_hi{info}")
+                pre_toks.append((f"_lo{info}", f"_hi{info}"))
                 slice_kinds.append(("grid", info, 0))
             elif kind == "batch":
                 pre_toks.append(f"_f_{info}")
@@ -892,7 +903,8 @@ class _Compiler:
                 pre_toks.append(self._tok(v))
                 pre_ops.append(v)
 
-        pre_template = f"{base}[{', '.join(pre_toks)}]"
+        pre_template = _gather_template(base, kinds[0][0] == "batch",
+                                        pre_toks)
         pre_block = self._target_block(pre_ops)
         memo_key = (pre_template, id(pre_block))
         pre = self._pre_memo.get(memo_key)
@@ -950,16 +962,16 @@ class _Compiler:
         rgrid_cov = {}
         for (kind, info), v in zip(kinds, idx):
             if kind == "grid":
-                toks.append(f"_lo{info}:_hi{info}")
+                toks.append((f"_lo{info}", f"_hi{info}"))
             elif kind == "rgrid":
                 pos, lo, hi = info
-                toks.append(f"{lo}:{hi}")
+                toks.append((lo, hi))
                 rgrid_cov[pos] = hi - lo
             elif kind == "batch":
                 toks.append(f"_f_{info}")
             else:
                 toks.append(self._tok(v))
-        template = f"{base}[{', '.join(toks)}]"
+        template = _gather_template(base, kinds[0][0] == "batch", toks)
         # Advanced dims (the broadcast (B,) of flats+scalars) lead, slice
         # dims follow in positional order -- reshape to full rank unless
         # the natural layout already is the full-rank shape.
@@ -1133,11 +1145,14 @@ class _Compiler:
                                [a, w])
 
     def _vector_reduce(self, node: E.Reduce, why: str) -> _Value:
-        """Lower a small-domain reduction to one ``ufunc.reduce`` over
-        extra array dimensions.  ``max``/``min`` are exact; ``sum`` and
-        ``prod`` use numpy's pairwise order (float rounding only)."""
+        """Lower a small-domain reduction to one call over extra array
+        dimensions: ``ufunc.reduce`` (``max``/``min`` exact, ``sum`` and
+        ``prod`` in numpy's pairwise order), or -- a float ``sum`` of a
+        batched value over its trailing dimensions -- one GEMV with a
+        vector of ones (BLAS's order; float rounding only either way)."""
         positions = self._reduce_grids(node)
         self._note_form(node, "vector", why)
+        form_slot = len(self.stats.reduce_forms) - 1
 
         val = self.compile(node.source)
         trip = 1
@@ -1157,10 +1172,33 @@ class _Compiler:
         result = val
         covered = sorted(p for p in positions if p in val.mask)
         if covered:
-            dims = tuple(1 + p for p in covered)
-            template = (f"{_COMBINE_UFUNC[node.combiner]}.reduce("
-                        f"{self._tok(val)}, axis={dims!r}, keepdims=True, "
-                        f"dtype=np.{val.np_dtype.name})")
+            tail = [p for p in val.mask if p >= covered[0]]
+            if (node.combiner == "sum" and val.np_dtype.kind == "f"
+                    and _BATCH in val.mask and len(tail) == len(covered)):
+                # ufunc.reduce pays per output element when the reduced
+                # rows are short; flattened to 2-D the same sum is one
+                # GEMV ((B, h, K) @ (K,) would be B stacked h x K ones)
+                k = 1
+                for p in covered:
+                    k *= self.red_extents[p - self.n]
+                ones = f"_ones{k}_{val.np_dtype.name}"
+                self.consts[ones] = np.ones(k, dtype=val.np_dtype)
+                keep = 1 + covered[0]
+                unit = (1,) * (1 + self.n + self.n_red - keep)
+                tok = self._tok(val)
+                template = (f"np.matmul({tok}.reshape((-1, {k})), {ones})"
+                            f".reshape({tok}.shape[:{keep}] + {unit!r})")
+                lead = "".join(f"\u00b7{self.op.axis[p].extent}"
+                               for p in sorted(val.mask - {_BATCH})
+                               if p < self.n)
+                self.stats.reduce_forms[form_slot] = (
+                    self.stats.reduce_forms[form_slot][0], "gemv",
+                    f"{why}: (B{lead}, {k}) @ ({k},)")
+            else:
+                dims = tuple(1 + p for p in covered)
+                template = (f"{_COMBINE_UFUNC[node.combiner]}.reduce("
+                            f"{self._tok(val)}, axis={dims!r}, "
+                            f"keepdims=True, dtype=np.{val.np_dtype.name})")
             result = self._emit_expr(template, val.np_dtype,
                                      val.mask - frozenset(positions),
                                      [val])
@@ -1179,6 +1217,18 @@ class _Compiler:
                 result = self._emit_ufunc("np.power", np.power,
                                           [result, self._const(missing)])
         return result
+
+
+def _gather_template(base: str, batch_leads: bool, toks: list) -> str:
+    """Source of a flat gather; ``toks`` holds an index expression per
+    dimension, ``(lo, hi)`` for a slice.  Whole rows gathered by the batch
+    variable alone -- it leads, every other index is a slice -- go through
+    :func:`~repro.tensorir.runtime.take_rows`."""
+    if batch_leads and all(isinstance(t, tuple) for t in toks[1:]):
+        windows = "".join(f", ({lo}, {hi})" for lo, hi in toks[1:])
+        return f"take_rows({base}, {toks[0]}{windows})"
+    return "{}[{}]".format(base, ", ".join(
+        t if isinstance(t, str) else f"{t[0]}:{t[1]}" for t in toks))
 
 
 def _np_dtype(dtype: str):
@@ -1450,8 +1500,14 @@ def compile_batched(tensor: E.Tensor) -> VectorProgram:
     lines.append(body_text)
     source = "\n".join(lines) + "\n"
 
-    namespace = {"np": np, "inf": float("inf"), "nan": float("nan")}
-    code = compile(source, f"<vectorize:{tensor.name}>", "exec")
+    namespace = {"np": np, "inf": float("inf"), "nan": float("nan"),
+                 "take_rows": take_rows, **compiler.consts}
+    # shape and reduce extents in the pseudo-filename keep one UDF's
+    # programs apart in a profile (GAT's 4-head and 1-head u_dot_v)
+    shape = "".join(f"{ax.extent}," for ax in op.axis)
+    reds = "".join(f"k{ax.extent}" for ax in op.reduce_axis)
+    code = compile(source, f"<vectorize:{tensor.name}({shape}){reds}>",
+                   "exec")
     exec(code, namespace)
 
     return VectorProgram(

@@ -41,6 +41,7 @@ __all__ = [
     "run_strategy_trial",
     "run_sanitize_trial",
     "run_trials",
+    "width_probe",
     "shrink",
     "replay_command",
 ]
@@ -78,6 +79,8 @@ class TrialResult:
     stage: str = "done"   # "build" | "run" | "oracle" | "reference" | "analysis"
     max_abs_diff: float = 0.0
     message: str = ""
+    #: strategy / sanitize oracles: what the default request resolved to
+    picked: str = ""
 
 
 @dataclass
@@ -147,6 +150,28 @@ def _clamp_options(cfg: TrialConfig) -> TrialConfig:
 
 def sample_graph_spec(rnd: random.Random) -> dict:
     return G.sample_graph_spec(rnd)
+
+
+#: reducers whose default request goes through the selector (float sums go
+#: to spblas whatever the width)
+_SELECTED_AGGREGATIONS = ("max", "min", "prod")
+
+
+def width_probe(cfg: TrialConfig) -> TrialConfig:
+    """The config the strategy and sanitizer oracles run for ``cfg``.
+
+    The selector buckets only rows at least 16 wide, and sampled ``f`` is
+    1..6: every other ``max``/``min``/``prod`` config is lifted to ``32 f``
+    so default requests land on both sides of the rule (wide enough that
+    the few dozen edges of a fuzz graph also pass bucketing's work
+    threshold).  Decided by the config's own data seed -- no extra draw,
+    so the sampled sequence of a ``(seed, trials)`` pair is unchanged --
+    and idempotent once lifted."""
+    f = cfg.dims.get("f", 16)
+    if (cfg.kind != "spmm" or cfg.aggregation not in _SELECTED_AGGREGATIONS
+            or f >= 16 or cfg.data_seed % 2 == 0):
+        return cfg
+    return replace(cfg, dims={**cfg.dims, "f": 32 * f})
 
 
 def build_bindings(instance: G.UDFInstance, aggregation: str | None,
@@ -454,6 +479,11 @@ def run_strategy_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
     must ``spblas`` wherever it delegates (any reducer but sum/mean, any
     message dtype but float32/float64).
 
+    The default request (no pin) runs too: whatever the lowering resolves
+    it to must match the oracle and be bit-identical to the pinned run of
+    the same name (``strategy:default``); the pick is reported as
+    ``TrialResult.picked``.
+
     Heterogeneous plans run the same gauntlet: each map in
     :data:`MIXED_STRATEGY_MAPS` is pinned as a per-chunk assignment and
     checked against the oracle, with bit-parity to ``reduceat`` whenever
@@ -504,6 +534,21 @@ def run_strategy_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
                     message=f"strategy {name} vs edge-loop oracle: max abs "
                             f"diff {worst:.3g} > atol {atol:g}")
             outputs[name] = got
+
+        # the default request: resolved per sink by the lowering
+        try:
+            kernel = _build_kernel(cfg, csr, instance)
+            got = kernel.run(bindings)
+            picked = kernel.exec_stats.agg_strategy
+        except Exception as exc:  # noqa: BLE001
+            return TrialResult(False, stage="strategy:default",
+                               message=f"{type(exc).__name__}: {exc}")
+        if picked not in outputs or not np.array_equal(
+                got, outputs[picked], equal_nan=True):
+            return TrialResult(
+                False, stage="strategy:default",
+                message=f"default request resolved to {picked!r} but is not "
+                        "bit-identical to that strategy pinned")
 
         # heterogeneous plans: explicit per-chunk maps, then adaptive
         for names in MIXED_STRATEGY_MAPS:
@@ -581,7 +626,7 @@ def run_strategy_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
             False, stage="strategy:parity", max_abs_diff=worst,
             message=f"spblas delegates {cfg.aggregation} to reduceat but "
                     f"is not bit-identical to it (max abs diff {worst:.3g})")
-    return TrialResult(True, stage="strategy")
+    return TrialResult(True, stage="strategy", picked=picked)
 
 
 def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
@@ -602,8 +647,9 @@ def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
 
     SpMM configs run once per segment-reduction strategy (pinned via
     ``agg_strategy``; ``parallel`` gets a 4-worker pool) so every strategy's
-    static contract is exercised; SDDMM configs run once.  Failure stages
-    are ``sanitize:<strategy>`` / ``sanitize:sddmm``.
+    static contract is exercised, and once under the default request;
+    SDDMM configs run once.  Failure stages are ``sanitize:<strategy>`` /
+    ``sanitize:default`` / ``sanitize:sddmm``.
     """
     from repro.runtime.strategies import STRATEGY_NAMES
     from repro.runtime.verify import SanitizerError, sanitizing
@@ -624,19 +670,21 @@ def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
         (csr.nnz,) + instance.out_shape)
     if cfg.kind == "spmm":
         ref = aggregate_edges(msgs, rows, csr.shape[0], cfg.aggregation)
-        names = STRATEGY_NAMES
+        requests = {**{name: name for name in STRATEGY_NAMES},
+                    "default": None}
         pool = WorkPool(4)
     else:
         ref = np.zeros((csr.nnz,) + instance.out_shape, dtype=np.float32)
         ref[csr.edge_ids] = msgs
-        names = (None,)
+        requests = {"sddmm": None}
         pool = None
 
+    picked = ""
     try:
-        for name in names:
-            stage = f"sanitize:{name}" if name else "sanitize:sddmm"
-            scfg = (replace(cfg, options={**cfg.options, "agg_strategy": name})
-                    if name else cfg)
+        for name, request in requests.items():
+            stage = f"sanitize:{name}"
+            scfg = replace(cfg, options={**cfg.options,
+                                         "agg_strategy": request})
             try:
                 kernel = _build_kernel(scfg, csr, instance)
                 with sanitizing():
@@ -662,10 +710,12 @@ def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
                     message=f"sanitized run diverged from the independent "
                             f"reference: max abs diff {worst:.3g} > atol "
                             f"{atol:g} (instrumentation perturbed execution)")
+            if name == "default":
+                picked = kernel.exec_stats.agg_strategy
     finally:
         if pool is not None:
             pool.shutdown()
-    return TrialResult(True, stage="sanitize")
+    return TrialResult(True, stage="sanitize", picked=picked)
 
 
 def run_trials(trials: int, seed: int, atol: float = DEFAULT_ATOL,
@@ -685,7 +735,10 @@ def run_trials(trials: int, seed: int, atol: float = DEFAULT_ATOL,
     With ``sanitize_oracle=True``, every config additionally runs under the
     dynamic sanitizer executor (:func:`run_sanitize_trial`), cross-checking
     the plan verifier's static verdicts against instrumented execution;
-    coverage gains a ``"sanitize"`` axis.
+    coverage gains a ``"sanitize"`` axis.  Both of those run the config's
+    :func:`width_probe` (a failure is recorded with the probed config, so
+    its replay command reproduces it) and count what default requests
+    resolved to (``default=<strategy>``).
     """
     rnd = random.Random(seed)
     failures = []
@@ -701,6 +754,11 @@ def run_trials(trials: int, seed: int, atol: float = DEFAULT_ATOL,
         failures.append((cfg, res))
         if on_failure is not None:
             on_failure(cfg, res)
+
+    def count_pick(axis, res):
+        if res.picked:
+            key = f"default={res.picked}"
+            coverage[axis][key] = coverage[axis].get(key, 0) + 1
 
     for _ in range(trials):
         cfg = sample_config(rnd)
@@ -722,19 +780,22 @@ def run_trials(trials: int, seed: int, atol: float = DEFAULT_ATOL,
                     record(cfg, fres)
             else:
                 coverage["fused"]["skipped"] += 1
+        probe = width_probe(cfg)
         if strategy_oracle:
             if cfg.kind == "spmm":
                 coverage["strategy"]["checked"] += 1
-                sres = run_strategy_trial(cfg, atol=atol, registry=registry)
+                sres = run_strategy_trial(probe, atol=atol, registry=registry)
                 if not sres.ok:
-                    record(cfg, sres)
+                    record(probe, sres)
+                count_pick("strategy", sres)
             else:
                 coverage["strategy"]["skipped"] += 1
         if sanitize_oracle:
             coverage["sanitize"]["checked"] += 1
-            zres = run_sanitize_trial(cfg, atol=atol, registry=registry)
+            zres = run_sanitize_trial(probe, atol=atol, registry=registry)
             if not zres.ok:
-                record(cfg, zres)
+                record(probe, zres)
+            count_pick("sanitize", zres)
     return FuzzReport(trials=trials, failures=failures, coverage=coverage)
 
 

@@ -31,7 +31,12 @@ The same oracle then runs heterogeneous plans: per-chunk strategy maps
 whenever the map is order-preserving, and the adaptive cost-model
 selector.  A strategy failure pins the offending strategy -- or the whole
 per-chunk map -- into the config's options (``agg_strategy``) before
-shrinking, so the minimal repro replays with the same assignment.
+shrinking, so the minimal repro replays with the same assignment.  The
+default request runs as well (``strategy:default``), and every other
+``max``/``min``/``prod`` config runs these oracles 32 times as wide
+(:func:`repro.testing.differential.width_probe`), so the selector's
+width rule is exercised on both sides; the coverage table counts what the
+default requests resolved to.
 
 With ``--sanitize``, every config additionally runs under the dynamic
 sanitizer executor (:func:`repro.testing.differential.run_sanitize_trial`):
@@ -148,7 +153,7 @@ def main(argv=None) -> int:
                     c, atol=args.atol).ok)
             elif res.stage.startswith("strategy"):
                 name = res.stage.split(":", 1)[-1]
-                if name in ("parity", "build"):
+                if name in ("parity", "build", "default"):
                     cfg = shrink(cfg, lambda c: not run_strategy_trial(
                         c, atol=args.atol).ok)
                 else:

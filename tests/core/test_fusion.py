@@ -189,11 +189,69 @@ class TestPerSinkStrategies:
         fused = FusedEdgeSoftmax(adj, 2, cache=KernelCache(),
                                  feat_shape=(2, 3), chunk_edges=27)
         plan = self._plan(fused)
-        pick = select_strategy(np.diff(adj.indptr), 2 * 3)
+        # at the max sink's own rows (heads wide), not OUT's heads x 3
+        pick = select_strategy(np.diff(adj.indptr), 2)
         assert self._sink_strategies(plan) == {
             "MAXV": pick, "SUMV": "spblas", "OUT": "spblas"}
         assert plan.strategy == f"{pick}+spblas"
         assert plan.tasks[0].chunk_strategies is None
+
+    @pytest.mark.usefixtures("cold_start_selector")
+    def test_max_sink_is_selected_at_its_own_width(self):
+        """GAT's shape: 4-wide MAXV beside a 64-wide OUT.  Selected at
+        OUT's width the regular graph below says bucketed; at its own 16
+        bytes a row, bucketing's per-row gather loses to reduceat."""
+        from repro.runtime.strategies import select_strategy
+
+        n, deg, h, d = 250, 8, 4, 16
+        dst = np.repeat(np.arange(n), deg)                # 2000 edges
+        src = (dst * 7 + np.tile(np.arange(deg), n)) % n
+        adj = from_edges(n, n, src, dst)
+        assert select_strategy(np.diff(adj.indptr), h * d) == "bucketed"
+        fused = FusedEdgeSoftmax(adj, h, cache=KernelCache(),
+                                 feat_shape=(h, d))
+        plan = self._plan(fused)
+        assert plan.strategy in ("reduceat+spblas", "parallel+spblas")
+        assert self._sink_strategies(plan)["MAXV"] \
+            == select_strategy(np.diff(adj.indptr), h)
+        # either pick is the reduceat oracle bit for bit (FG007)
+        rng = np.random.default_rng(8)
+        scores = rng.standard_normal((adj.nnz, h)).astype(np.float32)
+        z = rng.standard_normal((n, h, d)).astype(np.float32)
+        out, _ = fused.run_aggregate(scores, z)
+        fused.kernel.agg_strategy = "bucketed"
+        pinned, _ = fused.run_aggregate(scores, z)
+        assert np.allclose(out, pinned, rtol=1e-5, atol=1e-6)
+
+    def test_scores_reach_the_programs_without_a_copy(self):
+        """The ES binding is only read: float32 C-contiguous scores are
+        bound as they are, anything else is converted, and the caller's
+        array is never written."""
+        adj = _dense_graph(5)
+        fused = FusedEdgeSoftmax(adj, 2, cache=KernelCache(),
+                                 feat_shape=(2, 3))
+        rng = np.random.default_rng(9)
+        scores = rng.standard_normal((adj.nnz, 2)).astype(np.float32)
+        es, squeeze = fused._scores(scores)
+        assert np.shares_memory(es, scores) and not squeeze
+        flat, squeeze = FusedEdgeSoftmax(adj, 1, cache=KernelCache())._scores(
+            scores[:, 0].copy())
+        assert flat.shape == (adj.nnz, 1) and squeeze
+        wide = scores.astype(np.float64)
+        es64, _ = fused._scores(wide)
+        assert es64.dtype == np.float32 and not np.shares_memory(es64, wide)
+        seen = {}
+        real_run = fused.kernel.run
+        fused.kernel.run = lambda b, **kw: (seen.update(b), real_run(b, **kw))[1]
+        z = rng.standard_normal((5, 2, 3)).astype(np.float32)
+        before = scores.copy()
+        out32, alpha = fused.run_aggregate(scores, z, need_alpha=True)
+        assert np.shares_memory(seen["ES"], scores)
+        assert scores.tobytes() == before.tobytes()
+        out64, _ = fused.run_aggregate(wide, z)
+        assert wide.dtype == np.float64 and np.array_equal(wide, before)
+        assert np.array_equal(out32, out64)
+        assert not np.shares_memory(alpha, scores)
 
     def test_copy_u_chain_labels_spblas(self):
         from repro.core.fusion import FusedCopyUAggregate

@@ -170,6 +170,15 @@ class TestStrategySelection:
         degrees = np.full(4096, 8)  # one distinct degree, plenty of work
         assert select_strategy(degrees, 16) == "bucketed"
 
+    @pytest.mark.parametrize("width,bucketed", [
+        (1, False), (4, False), (8, False), (16, True), (64, True)])
+    def test_bucketing_needs_rows_at_least_16_wide(self, width, bucketed):
+        """Its gather pays per row, reduceat per byte: narrower than 16
+        float32 the work threshold alone must not select it."""
+        degrees = np.full(4096, 8)
+        pick = select_strategy(degrees, width)
+        assert (pick == "bucketed") is bucketed, pick
+
     def test_auto_falls_back_to_reduceat_on_irregular_small(self):
         degrees = np.arange(1, 40)  # distinct degrees ~ rows, little work
         assert select_strategy(degrees, 1) == "reduceat"
@@ -267,6 +276,115 @@ class TestExecStatsAccounting:
         Executor().run(ExecutionPlan([task], finalize=lambda: order.append(
             "finalize")))
         assert order == ["stage", "finalize"]
+
+
+class TestScatterSinkOnPositionalEdgeIds:
+    """A plan whose edge ids are the gather positions writes each chunk as
+    one block ``out[c0:c1]``; any other plan keeps the indexed scatter."""
+
+    M, F = 23, 6
+
+    def _scatter(self, gather, bounds, tile=None):
+        out = np.full((self.M, self.F), -7.0, np.float32)
+        vals = np.random.default_rng(5).standard_normal(
+            (self.M, self.F)).astype(np.float32)
+        width = slice(None) if tile is None else slice(*tile)
+        for c0, c1 in bounds:
+            before = out.copy()
+            ScatterSink(out, tile=tile).apply(vals[c0:c1, width],
+                                              ChunkCtx(c0, c1, gather))
+            touched = np.zeros(self.M, bool)
+            touched[gather.eid[c0:c1]] = True
+            assert np.array_equal(out[~touched], before[~touched])
+        return out, vals
+
+    @pytest.mark.parametrize("step", [1, 4, 7, 23])
+    @pytest.mark.parametrize("tile", [None, (2, 5)])
+    def test_equals_the_indexed_scatter_for_every_chunking(self, step, tile):
+        eid = np.arange(self.M)
+        zeros = np.zeros(self.M, np.int64)
+        bounds = [(c, min(self.M, c + step)) for c in range(0, self.M, step)]
+        fast, vals = self._scatter(
+            GatherPlan(zeros, zeros, eid, eid_positional=True), bounds, tile)
+        slow, _ = self._scatter(GatherPlan(zeros, zeros, eid), bounds, tile)
+        assert np.array_equal(fast, slow)
+        width = slice(None) if tile is None else slice(*tile)
+        assert np.array_equal(fast[:, width], vals[:, width])
+
+    def test_chunk_rows_are_a_slice_only_when_the_plan_says_so(self):
+        eid = np.arange(self.M)
+        zeros = np.zeros(self.M, np.int64)
+        assert ChunkCtx(4, 9, GatherPlan(zeros, zeros, eid,
+                                         eid_positional=True)).eid_rows \
+            == slice(4, 9)
+        rows = ChunkCtx(4, 9, GatherPlan(zeros, zeros, eid)).eid_rows
+        assert np.array_equal(rows, np.arange(4, 9))
+
+    def test_csr_remembers_whether_its_edge_ids_are_positions(self):
+        from repro.graph.sparse import CSRMatrix
+
+        rng = np.random.default_rng(3)
+        adj = from_edges(9, 9, rng.integers(0, 9, 40), rng.integers(0, 9, 40))
+        assert not adj.positional_edge_ids()        # insertion order
+        canon = CSRMatrix(adj.shape, adj.indptr, adj.indices)
+        assert canon._positional is True            # known without comparing
+        given = CSRMatrix(adj.shape, adj.indptr, adj.indices,
+                          np.arange(adj.nnz))
+        assert given._positional is None
+        assert given.positional_edge_ids() and given._positional is True
+        assert canon.fingerprint() == given.fingerprint()
+
+    def test_sddmm_takes_the_block_path_only_in_csr_order(self):
+        from repro.core.api import sddmm
+        from repro.graph.sparse import CSRMatrix
+
+        rng = np.random.default_rng(4)
+        n, m, f = 12, 60, 4
+        adj = from_edges(n, n, rng.integers(0, n, m), rng.integers(0, n, m))
+        canon = CSRMatrix(adj.shape, adj.indptr, adj.indices)
+        XA = T.placeholder((n, f), name="XA")
+        XB = T.placeholder((n, f), name="XB")
+
+        def edgefunc(src, dst, eid):
+            return T.compute((f,), lambda i: XA[src, i] * XB[dst, i],
+                             name="umv")
+
+        b = {"XA": rng.standard_normal((n, f)).astype(np.float32),
+             "XB": rng.standard_normal((n, f)).astype(np.float32)}
+        outs = {}
+        for label, A, hilbert, positional in [
+                ("canonical", canon, False, True),
+                ("hilbert", canon, True, False),
+                ("permuted", adj, False, False)]:
+            k = sddmm(spmat(A), edgefunc, hilbert=hilbert, chunk_edges=16)
+            plan = k.execution_plan(np.empty((m, f), np.float32))
+            assert all(t.gather.eid_positional is positional
+                       for t in plan.tasks), label
+            outs[label] = k.run(b)
+        assert np.array_equal(outs["canonical"], outs["hilbert"])
+        # a permuted-edge-id CSR scatters to the same edges' own ids
+        want = np.empty((m, f), np.float32)
+        want[adj.edge_ids] = outs["canonical"]
+        assert np.array_equal(outs["permuted"], want)
+
+    def test_verifier_rejects_a_false_positional_claim(self):
+        from repro.runtime.verify import verify_plan
+
+        eid = np.arange(8)[::-1].copy()
+        zeros = np.zeros(8, np.int64)
+        out = np.zeros((8, 2), np.float32)
+        for claim, clean in [(False, True), (True, False)]:
+            task = EdgeTask(
+                GatherPlan(zeros, zeros, eid, eid_positional=claim),
+                [(0, 8)],
+                [Stage("s", lambda b, ctx: (np.zeros((8, 2)), 0),
+                       ScatterSink(out))],
+                needs_segments=False)
+            report = verify_plan(ExecutionPlan([task]))
+            assert report.has_errors is not clean
+            if not clean:
+                assert any(d.rule == "FG010" and "positional" in d.message
+                           for d in report.errors)
 
 
 def _same_segments(a, b):

@@ -301,6 +301,28 @@ class TestVerifyKernelPlumbing:
         kinds = {label.split("/")[0] for label, _, _ in labels}
         assert kinds == {"spmm", "sddmm", "softmax"}
 
+    @pytest.mark.usefixtures("cold_start_selector")
+    def test_lint_reports_the_softmax_chain_sink_by_sink(self):
+        """At GAT's head counts, on a graph regular enough to pass
+        bucketing's work threshold: every sink gets its own FG007 note,
+        and the max sink resolves at its own heads-wide rows."""
+        thunks = {label: thunk for label, _, thunk in iter_suite("builtins")
+                  if label.startswith("softmax/fused-aggregate/")}
+        assert sorted(thunks) == [
+            "softmax/fused-aggregate/heads1/default",
+            "softmax/fused-aggregate/heads4/default"]
+        for thunk in thunks.values():
+            with use_kernel_cache(KernelCache()):
+                report = verify_kernel(thunk())
+            assert not report.has_errors
+            notes = {d.loc.split(".")[-1]: d.message
+                     for d in report.diagnostics if d.rule == "FG007"}
+            assert notes == {
+                "MAXV": "reduction max via strategy reduceat: "
+                        + BIT_IDENTICAL,
+                "SUMV": "reduction sum via strategy spblas: " + REASSOCIATED,
+                "OUT": "reduction sum via strategy spblas: " + REASSOCIATED}
+
 
 # ----------------------------------------------------------------------
 # the sanitizer executor

@@ -144,7 +144,10 @@ class TestVectorizedReductions:
         prog = compile_batched(out)
         assert prog.stats.vector_reduces == 1
         assert prog.stats.loops == 0
-        assert "np.add.reduce" in prog.source
+        # a float sum over the trailing axis is one GEMV with ones(16)
+        assert prog.source.count("np.matmul") == 1
+        assert ".reshape((-1, 16)), _ones16_float32)" in prog.source
+        assert "np.add.reduce" not in prog.source
         b = {"src": RNG.integers(0, n, 13), "dst": RNG.integers(0, n, 13)}
         got = prog.run(bindings, b)
         ref = evaluate_batched(out, bindings, b)
@@ -373,7 +376,7 @@ class TestContractions:
         prog = compile_batched(out)
         assert prog.stats.vector_reduces == 1 and prog.stats.contractions == 0
         assert prog.stats.reduce_forms == [
-            (("k",), "vector", "batched\u00d7batched")]
+            (("k",), "gemv", "batched\u00d7batched: (B, 16) @ (16,)")]
 
     def test_int32_operands_keep_interpreter_arithmetic(self):
         n, d1, f = 9, 8, 64
@@ -396,6 +399,395 @@ class TestContractions:
         assert prog.stats.contractions == 0 and prog.stats.loops == 1
         assert prog.stats.reduce_forms == [
             (("k",), "loop", "trip 8192 > 4096")]
+
+
+def _fuzz_family(name, **dims):
+    """A fuzzer UDF family's traced output and seeded bindings."""
+    from repro.testing.generators import UDF_FAMILIES
+
+    inst = UDF_FAMILIES[name].make(dims)
+    out = inst.udf(T.Var("src"), T.Var("dst"), T.Var("eid"))
+    bindings = {k: RNG.standard_normal(shape).astype(np.float32)
+                for k, shape in inst.placeholders.items()}
+    return out, bindings
+
+
+class TestGemvReduces:
+    """A float ``sum`` of a batched value over its trailing dimensions is
+    one ``np.matmul`` of the value flattened to ``(-1, K)`` with
+    ``ones(K)``; every other vector reduce keeps ``ufunc.reduce``."""
+
+    @pytest.mark.parametrize("family,dims,shape", [
+        ("dot", dict(n=9, m=20, d=16), "(B, 16) @ (16,)"),
+        ("multihead_dot", dict(n=9, m=20, h=4, d=16),
+         "(B\u00b74, 16) @ (16,)"),
+    ])
+    def test_fuzzer_dot_families_are_one_gemv(self, family, dims, shape):
+        out, bindings = _fuzz_family(family, **dims)
+        prog, got, ref = _run_both(out, bindings, _batch(9, 20, b=37))
+        assert prog.source.count("np.matmul") == 1
+        assert "np.add.reduce" not in prog.source
+        assert prog.stats.reduce_forms == [
+            (("k",), "gemv", f"batched\u00d7batched: {shape}")]
+        assert prog.stats.vector_reduces == 1
+        assert prog.stats.contractions == 0 and prog.stats.loops == 0
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+
+    def test_flattened_to_two_dimensions(self):
+        """(B, h, K) @ (K,) would be B stacked h x K GEMVs."""
+        out, _ = _fuzz_family("multihead_dot", n=9, m=20, h=4, d=16)
+        line = next(ln for ln in compile_batched(out).source.splitlines()
+                    if "np.matmul" in ln)
+        assert ".reshape((-1, 16)), _ones16_float32)" in line
+
+    def test_ones_are_built_at_compile_time(self):
+        out, bindings = _fuzz_family("dot", n=9, m=20, d=16)
+        prog = compile_batched(out)
+        ones = prog._fn.__globals__["_ones16_float32"]
+        assert ones.dtype == np.float32 and np.array_equal(ones, np.ones(16))
+        prog.run(bindings, _batch(9, 20))
+        assert prog._fn.__globals__["_ones16_float32"] is ones
+        assert "np.ones" not in prog.source
+
+    def test_any_elementwise_body_not_only_products(self):
+        n, d = 9, 12
+        XV = T.placeholder((n, d), name="XV")
+        src, dst = T.Var("src"), T.Var("dst")
+        k = T.reduce_axis((0, d), name="k")
+        out = T.compute(
+            (1,), lambda i: T.sum_reduce(
+                (XV[src, k] - XV[dst, k]) * (XV[src, k] - XV[dst, k]),
+                axis=k), name="sqdist")
+        prog, got, ref = _run_both(
+            out, {"XV": RNG.standard_normal((n, d)).astype(np.float32)},
+            _batch(n, 5))
+        assert prog.stats.reduce_forms[0][1] == "gemv"
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+
+    def test_float64_sum_runs_in_float64(self):
+        n, h, d = 9, 3, 8
+        QH = T.placeholder((n, h, d), name="QH", dtype="float64")
+        src, dst = T.Var("src"), T.Var("dst")
+        k = T.reduce_axis((0, d), name="k")
+        out = T.compute(
+            (h,), lambda j: T.sum_reduce(QH[src, j, k] * QH[dst, j, k],
+                                         axis=k), name="mh64")
+        bindings = {"QH": RNG.standard_normal((n, h, d))}
+        prog = compile_batched(out)
+        assert "_ones8_float64" in prog.source
+        batch = _batch(n, 5)
+        raw = prog._fn(bindings, {k: np.asarray(v, np.int64)
+                                  for k, v in batch.items()}, [(0, h)], 13)
+        assert raw.dtype == np.float64
+        np.testing.assert_allclose(
+            prog.run(bindings, batch), evaluate_batched(out, bindings, batch),
+            rtol=1e-5, atol=1e-5)
+
+    def test_two_axis_reduce_is_one_gemv_over_their_product(self):
+        n, h, a, b = 7, 2, 3, 4
+        XV = T.placeholder((n, h, a, b), name="XV")
+        YV = T.placeholder((n, h, a, b), name="YV")
+        src, dst = T.Var("src"), T.Var("dst")
+        k1 = T.reduce_axis((0, a), name="k1")
+        k2 = T.reduce_axis((0, b), name="k2")
+        out = T.compute(
+            (h,), lambda j: T.sum_reduce(
+                XV[src, j, k1, k2] * YV[dst, j, k1, k2], axis=[k1, k2]),
+            name="two")
+        bindings = {
+            "XV": RNG.standard_normal((n, h, a, b)).astype(np.float32),
+            "YV": RNG.standard_normal((n, h, a, b)).astype(np.float32)}
+        prog, got, ref = _run_both(out, bindings, _batch(n, 5))
+        assert prog.stats.reduce_forms == [
+            (("k1", "k2"), "gemv",
+             "batched\u00d7batched: (B\u00b72, 12) @ (12,)")]
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+
+    def test_axis_the_body_does_not_span_still_multiplies(self):
+        n, a, b = 7, 3, 4
+        XV = T.placeholder((n, a), name="XV")
+        k1 = T.reduce_axis((0, a), name="k1")
+        k2 = T.reduce_axis((0, b), name="k2")
+        out = T.compute(
+            (1,), lambda i: T.sum_reduce(XV[T.Var("src"), k1],
+                                         axis=[k1, k2]), name="part")
+        prog, got, ref = _run_both(
+            out, {"XV": RNG.standard_normal((n, a)).astype(np.float32)},
+            {"src": RNG.integers(0, n, 9)})
+        assert prog.stats.reduce_forms[0][1] == "gemv"
+        assert "_ones3_float32" in prog.source
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("tile", [(0, 1), (1, 3), (3, 4), (0, 4)])
+    def test_partial_axis_ranges_tile(self, tile):
+        out, bindings = _fuzz_family("multihead_dot", n=9, m=20, h=4, d=16)
+        prog = compile_batched(out)
+        batch = _batch(9, 20, b=11)
+        ranges = {out.op.axis[0].name: tile}
+        got = prog.run(bindings, batch, axis_ranges=ranges)
+        ref = evaluate_batched(out, bindings, batch, axis_ranges=ranges)
+        assert got.shape == (11, tile[1] - tile[0])
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("b,d", [(1, 16), (13, 1), (1, 1)])
+    def test_single_item_batch_and_unit_extent(self, b, d):
+        out, bindings = _fuzz_family("multihead_dot", n=9, m=20, h=3, d=d)
+        prog, got, ref = _run_both(out, bindings, _batch(9, 20, b=b))
+        assert prog.stats.reduce_forms[0][1] == "gemv"
+        assert got.shape == (b, 3)
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+
+    def test_nan_and_inf_propagate_like_add_reduce(self):
+        n, d = 6, 16
+        XV = T.placeholder((n, d), name="XV")
+        k = T.reduce_axis((0, d), name="k")
+        out = T.compute(
+            (1,), lambda i: T.sum_reduce(XV[T.Var("src"), k], axis=k),
+            name="rowsum")
+        x = RNG.standard_normal((n, d)).astype(np.float32)
+        x[1, 3] = np.nan
+        x[2, 5] = np.inf
+        x[3, 0], x[3, 9] = np.inf, -np.inf
+        x[4, 15] = -np.inf
+        with np.errstate(invalid="ignore"):     # inf - inf, on purpose
+            prog, got, ref = _run_both(out, {"XV": x}, {"src": np.arange(n)})
+            want = np.add.reduce(x, axis=1, keepdims=True)
+        assert prog.stats.reduce_forms[0][1] == "gemv"
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+        assert np.isnan(got[[1, 3], 0]).all()
+        assert got[2, 0] == np.inf and got[4, 0] == -np.inf
+        assert np.isfinite(got[[0, 5], 0]).all()
+
+    # -- negative cases: ufunc.reduce, bit-identical where it was ---------
+    @pytest.mark.parametrize("reduce_", ["max_reduce", "min_reduce",
+                                         "prod_reduce"])
+    def test_other_combiners_keep_ufunc_reduce(self, reduce_):
+        n, h, d = 7, 3, 5
+        QH = T.placeholder((n, h, d), name="QH")
+        k = T.reduce_axis((0, d), name="k")
+        out = T.compute(
+            (h,), lambda j: getattr(T, reduce_)(QH[T.Var("src"), j, k],
+                                                axis=k), name="other")
+        prog, got, ref = _run_both(
+            out, {"QH": RNG.standard_normal((n, h, d)).astype(np.float32)},
+            {"src": RNG.integers(0, n, 9)})
+        assert "np.matmul" not in prog.source and ".reduce(" in prog.source
+        assert prog.stats.reduce_forms[0][1] == "vector"
+        if reduce_ == "prod_reduce":
+            np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-6)
+        else:
+            np.testing.assert_array_equal(got, ref)
+
+    def test_int64_sum_keeps_ufunc_reduce(self):
+        n, d = 5, 6
+        IV = T.placeholder((n, d), name="IV", dtype="int64")
+        k = T.reduce_axis((0, d), name="k")
+        out = T.compute(
+            (1,), lambda i: T.sum_reduce(IV[T.Var("src"), k], axis=k),
+            name="isum64")
+        prog, got, ref = _run_both(
+            out, {"IV": RNG.integers(-99, 99, (n, d))},
+            {"src": RNG.integers(0, n, 4)})
+        assert "np.matmul" not in prog.source
+        assert "np.add.reduce" in prog.source
+        assert prog.stats.reduce_forms == [(("k",), "vector", "not a product")]
+        np.testing.assert_array_equal(got, ref)
+
+    def test_batch_free_sum_keeps_ufunc_reduce(self):
+        n, d, f = 5, 6, 4
+        XV = T.placeholder((n, f), name="XV")
+        W = T.placeholder((d, f), name="W")
+        k = T.reduce_axis((0, d), name="k")
+        out = T.compute(
+            (f,), lambda i: XV[T.Var("src"), i] + T.sum_reduce(W[k, i],
+                                                              axis=k),
+            name="bias")
+        prog, got, ref = _run_both(
+            out, {"XV": RNG.standard_normal((n, f)).astype(np.float32),
+                  "W": RNG.standard_normal((d, f)).astype(np.float32)},
+            {"src": RNG.integers(0, n, 9)})
+        assert "np.matmul" not in prog.source
+        assert "np.add.reduce" in prog.source
+        np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-6)
+
+    def test_sum_over_a_non_trailing_axis_keeps_ufunc_reduce(self):
+        """One IterVar shared by two sibling reduces is numbered by the
+        first one visited; inside the other it then sits before a later
+        axis of the value, so flattening would sum the wrong elements."""
+        n, a, b = 6, 3, 4
+        XV = T.placeholder((n, a), name="XV")
+        YV = T.placeholder((n, a, b), name="YV")
+        src = T.Var("src")
+        k = T.reduce_axis((0, a), name="k")
+        j = T.reduce_axis((0, b), name="j")
+        out = T.compute(
+            (1,), lambda i: (
+                T.max_reduce(T.sum_reduce(YV[src, k, j], axis=k), axis=j)
+                + T.sum_reduce(XV[src, k], axis=k)), name="shared")
+        bindings = {"XV": RNG.standard_normal((n, a)).astype(np.float32),
+                    "YV": RNG.standard_normal((n, a, b)).astype(np.float32)}
+        batch = {"src": RNG.integers(0, n, 9)}
+        prog, got, ref = _run_both(out, bindings, batch)
+        forms = {axes: form for axes, form, _ in prog.stats.reduce_forms}
+        assert forms[("j",)] == "vector"
+        # the trailing one is a GEMV, the one with j behind it is not
+        assert sorted(form for axes, form, _ in prog.stats.reduce_forms
+                      if axes == ("k",)) == ["gemv", "vector"]
+        assert prog.source.count("np.matmul") == 1
+        assert prog.source.count("np.add.reduce") == 1
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+        y = bindings["YV"][batch["src"]]
+        want = y.sum(axis=1).max(axis=1) + bindings["XV"][batch["src"]].sum(1)
+        np.testing.assert_allclose(got[:, 0], want, rtol=1e-5, atol=1e-5)
+
+
+class TestProgramsInAProfile:
+    def test_pseudo_filename_carries_shape_and_reduce_extents(self):
+        """cProfile keys rows by (filename, line, name): two programs of
+        one UDF must not collapse into one."""
+        from repro.core.builtins import u_dot_v_edge
+
+        def prog(shape):
+            XA = T.placeholder((9,) + shape, name="XA")
+            XB = T.placeholder((9,) + shape, name="XB")
+            return compile_batched(u_dot_v_edge(XA, XB)(
+                T.Var("src"), T.Var("dst"), T.Var("eid")))
+
+        heads, single = prog((4, 16)), prog((64,))
+        names = [p._fn.__code__.co_filename for p in (heads, single)]
+        assert names == ["<vectorize:u_dot_v(4,)k16>",
+                         "<vectorize:u_dot_v(1,)k64>"]
+        assert heads.name == single.name == "u_dot_v"
+
+    def test_no_reduce_no_suffix(self):
+        XV = T.placeholder((4, 2, 3), name="XV")
+        out = T.compute((2, 3), lambda i, j: XV[T.Var("src"), i, j],
+                        name="cp")
+        assert compile_batched(out)._fn.__code__.co_filename \
+            == "<vectorize:cp(2,3,)>"
+
+
+class TestTakeRows:
+    """``take_rows(table, index, *windows)`` is ``table[index, lo:hi, ...]``
+    bit for bit, through ``np.take`` when it gathers whole rows of a
+    contiguous table."""
+
+    TABLES = {
+        "(n,)": lambda dt: RNG.standard_normal(11).astype(dt),
+        "(n,4)": lambda dt: RNG.standard_normal((11, 4)).astype(dt),
+        "(n,4,16)": lambda dt: RNG.standard_normal((11, 4, 16)).astype(dt),
+    }
+
+    @staticmethod
+    def _windows(table, partial):
+        full = [(0, n) for n in table.shape[1:]]
+        if not partial or not full:
+            return full
+        return [(1, full[0][1] - 1)] + full[1:]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("kind", sorted(TABLES))
+    def test_equals_the_indexed_gather(self, kind, partial, dtype):
+        from repro.tensorir.runtime import take_rows
+
+        table = self.TABLES[kind](dtype)
+        index = np.array([3, 0, -1, 10, 3, -11, 7], dtype=np.int64)
+        windows = self._windows(table, partial)
+        want = table[(index, *(slice(lo, hi) for lo, hi in windows))]
+        got = take_rows(table, index, *windows)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not np.shares_memory(got, table)
+        assert got.flags.writeable and got.flags.c_contiguous
+
+    def test_whole_contiguous_rows_go_through_np_take(self, monkeypatch):
+        from repro.tensorir import runtime
+
+        calls = []
+        real = np.take
+        monkeypatch.setattr(
+            runtime.np, "take",
+            lambda *a, **k: calls.append(a[0].shape) or real(*a, **k))
+        index = np.array([2, 5, 2], dtype=np.int64)
+        table = RNG.standard_normal((8, 4, 6)).astype(np.float32)
+        runtime.take_rows(table, index, (0, 4), (0, 6))
+        runtime.take_rows(table, index)
+        assert calls == [(8, 4, 6)] * 2
+        # a feature tile and a strided table keep the indexed gather:
+        # np.take would copy the whole strided table per call
+        runtime.take_rows(table, index, (0, 2), (0, 6))
+        runtime.take_rows(table[:, :, ::2], index, (0, 4), (0, 3))
+        runtime.take_rows(table[::2], index[:1], (0, 4), (0, 6))
+        assert len(calls) == 2
+
+    def test_strided_tables(self):
+        from repro.tensorir.runtime import take_rows
+
+        big = RNG.standard_normal((12, 8)).astype(np.float32)
+        index = np.array([0, 3, -1, 2], dtype=np.int64)
+        for table in (big[:, ::2], big[::3], big.T):
+            windows = [(0, table.shape[1])]
+            assert np.array_equal(take_rows(table, index, *windows),
+                                  table[index])
+            assert not np.shares_memory(take_rows(table, index, *windows),
+                                        big)
+
+    @pytest.mark.parametrize("bad", [11, -12])
+    def test_out_of_range_raises_index_error(self, bad):
+        from repro.tensorir.runtime import take_rows
+
+        table = RNG.standard_normal((11, 4)).astype(np.float32)
+        index = np.array([0, bad], dtype=np.int64)
+        with pytest.raises(IndexError):
+            take_rows(table, index, (0, 4))
+        with pytest.raises(IndexError):
+            take_rows(table, index, (1, 3))
+        with pytest.raises(IndexError):
+            take_rows(table[:, ::2], index, (0, 2))
+
+    def test_programs_gather_through_it_and_never_write_the_table(self):
+        """``out=`` reuse retires the gathered block: it must be a copy."""
+        from repro.core.builtins import u_mul_e_msg
+
+        n, m, h, d = 9, 20, 4, 16
+        XV = T.placeholder((n, h, d), name="XV")
+        EW = T.placeholder((m, h), name="EW")
+        out = u_mul_e_msg(XV, EW)(T.Var("src"), T.Var("dst"), T.Var("eid"))
+        prog = compile_batched(out)
+        assert "take_rows(_t0, _f_src, (_lo0, _hi0), (_lo1, _hi1))" \
+            in prog.source
+        assert "take_rows(_t1, _f_eid, (_lo0, _hi0))" in prog.source
+        assert "out=t1" in prog.source
+        bindings = {"XV": RNG.standard_normal((n, h, d)).astype(np.float32),
+                    "EW": RNG.standard_normal((m, h)).astype(np.float32)}
+        before = {k: v.copy() for k, v in bindings.items()}
+        batch = _batch(n, m, b=31)
+        first = prog.run(bindings, batch)
+        second = prog.run(bindings, batch)
+        for name, arr in bindings.items():
+            assert arr.tobytes() == before[name].tobytes()
+            assert not np.shares_memory(first, arr)
+        assert np.array_equal(first, second)
+        np.testing.assert_array_equal(
+            first, evaluate_batched(out, bindings, batch))
+        # a feature tile of the same program takes the indexed path
+        ax = out.op.axis[0].name
+        np.testing.assert_array_equal(
+            prog.run(bindings, batch, axis_ranges={ax: (1, 3)}),
+            evaluate_batched(out, bindings, batch, axis_ranges={ax: (1, 3)}))
+        assert bindings["XV"].tobytes() == before["XV"].tobytes()
+
+    def test_other_gather_shapes_keep_the_subscript(self):
+        """Only the batch variable leading over slices gathers whole rows."""
+        n, h, f = 6, 3, 4
+        XV = T.placeholder((n, h, f), name="XV")
+        out = T.compute((f,), lambda i: XV[T.Var("src"), 2, i], name="head2")
+        prog, got, ref = _run_both(
+            out, {"XV": RNG.standard_normal((n, h, f)).astype(np.float32)},
+            {"src": RNG.integers(0, n, 9)})
+        assert "take_rows" not in prog.source and "_t0[_f_src, " in prog.source
+        np.testing.assert_array_equal(got, ref)
 
 
 class TestProgramContract:

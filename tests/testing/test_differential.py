@@ -132,6 +132,66 @@ class TestAggregateEdges:
         assert out[0, 0] == 0.0  # empty row zeroed, not identity 1
 
 
+class TestWidthProbe:
+    """The strategy and sanitizer oracles see the selector's width rule
+    (bucketed only at rows >= 16 wide) from both sides."""
+
+    # the width rule is the cold-start heuristic's
+    pytestmark = pytest.mark.usefixtures("cold_start_selector")
+
+    @staticmethod
+    def _cfg(aggregation, f=3, data_seed=1, kind="spmm"):
+        return D.TrialConfig(
+            kind=kind, target="cpu",
+            graph={"family": "random", "n_src": 9, "n_dst": 8, "m": 30,
+                   "seed": 5},
+            udf="copy_u", dims={"f": f},
+            aggregation=aggregation if kind == "spmm" else None, fds=None,
+            data_seed=data_seed)
+
+    @pytest.mark.parametrize("agg", ["max", "min", "prod"])
+    def test_every_other_selected_config_is_lifted_past_16(self, agg):
+        wide = D.width_probe(self._cfg(agg, f=3, data_seed=1))
+        assert wide.dims == {"f": 96}
+        assert D.width_probe(wide) == wide                  # idempotent
+        even = self._cfg(agg, data_seed=2)
+        assert D.width_probe(even) is even
+
+    def test_sums_sddmm_and_f_free_families_are_left_alone(self):
+        for cfg in (self._cfg("sum"), self._cfg("mean"),
+                    self._cfg(None, kind="sddmm")):
+            assert D.width_probe(cfg) is cfg
+        dot = D.TrialConfig(**{**self._cfg("max").__dict__, "udf": "dot",
+                               "dims": {"d": 4}})
+        assert D.width_probe(dot) is dot
+
+    def test_no_extra_draw_the_sampled_sequence_is_unchanged(self):
+        rnd_a, rnd_b = random.Random(4), random.Random(4)
+        for _ in range(12):
+            D.width_probe(D.sample_config(rnd_a))
+            D.sample_config(rnd_b)
+        assert rnd_a.random() == rnd_b.random()
+
+    def test_default_request_lands_on_both_sides(self):
+        narrow = self._cfg("max", f=3, data_seed=2)
+        wide = D.width_probe(self._cfg("max", f=3, data_seed=1))
+        for oracle in (D.run_strategy_trial, D.run_sanitize_trial):
+            res_n, res_w = oracle(narrow), oracle(wide)
+            assert res_n.ok and res_w.ok, (res_n.message, res_w.message)
+            assert res_n.picked == "reduceat"
+            assert res_w.picked == "bucketed"
+        assert D.run_strategy_trial(self._cfg("sum")).picked == "spblas"
+
+    def test_coverage_counts_default_picks(self):
+        report = D.run_trials(40, seed=0, strategy_oracle=True)
+        assert report.ok, [r.message for _, r in report.failures]
+        picks = {k: v for k, v in report.coverage["strategy"].items()
+                 if k.startswith("default=")}
+        assert {"default=reduceat", "default=bucketed",
+                "default=spblas"} <= set(picks)
+        assert sum(picks.values()) == report.coverage["strategy"]["checked"]
+
+
 class TestFuzzCLI:
     def test_replay_pass_exit_zero(self, capsys):
         cfg = D.sample_config(random.Random(1))
