@@ -6,7 +6,10 @@ Asserts the three properties the mini-batch engine promises:
    the layer kernels, every subsequent batch's fresh sampled blocks perform
    zero expression-building / FDS-fusion / lowering / vectorization work --
    the pipeline pass counters stay frozen and kernels are served by cheap
-   per-topology binds.
+   per-topology binds.  A block's topology is seen once, so a training
+   batch pays for a reverse graph in full: the input-side block -- the
+   big one, whose features need no gradient -- is never transposed and
+   nothing is bound for its backward.
 2. **Analyzer-clean block kernels**: every kernel the run left in the cache
    (including bound ones) passes the static analyzer with no error-severity
    diagnostics for its target.
@@ -21,11 +24,13 @@ Usage::
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
 import numpy as np
 
 from repro.core.compile import KernelCache, use_kernel_cache
 from repro.graph.datasets import planted_partition
+from repro.graph.sparse import CSRMatrix
 from repro.minidgl.autograd import Tensor
 from repro.minidgl.backends import get_backend
 from repro.minidgl.models import GraphSage
@@ -38,41 +43,68 @@ from repro.tensorir.analysis import analyze_ir
 FRONT_AND_LOWER_PASSES = ("build_expr", "fuse_fds", "lower", "vectorize")
 
 
+def _bound(stats: dict) -> int:
+    return stats["binds"] + stats["fused_binds"]
+
+
 def check_kernel_reuse(ds, log=print):
     model = GraphSage(ds.features.shape[1], 4, hidden=16, dropout=0.0, seed=1)
     backend = get_backend("featgraph")
     train_ids = np.nonzero(ds.train_mask)[0]
+    fanouts = [5, 5]
+    transposed: list[tuple[int, int]] = []
+    input_blocks: list[tuple[int, int]] = []
+    real_transpose = CSRMatrix.transpose
+
+    def counting_transpose(self):
+        transposed.append(self.shape)
+        return real_transpose(self)
+
     with use_kernel_cache(KernelCache()) as cache:
-        loader = BlockLoader(ds.adj, train_ids, 64, [5, 5],
+        loader = BlockLoader(ds.adj, train_ids, 64, fanouts,
                              rng=np.random.default_rng(0), prefetch=2)
-        after_first = None
+        first = None          # cache.stats() once the first batch is done
         batches = 0
-        for seeds, blocks in loader:
-            x = Tensor(blocks[0].gather_src_features(ds.features))
-            logits = model.forward_blocks(blocks, x, backend)
-            # backward too: reverse-graph kernels must also be template hits
-            loss = cross_entropy(logits, ds.labels[seeds],
-                                 np.ones(len(seeds), dtype=bool))
-            loss.backward()
-            batches += 1
-            if after_first is None:
-                counts = cache.stats()["pass_counts"]
-                after_first = {p: counts.get(p, 0)
-                               for p in FRONT_AND_LOWER_PASSES}
+        with mock.patch.object(CSRMatrix, "transpose", counting_transpose):
+            for seeds, blocks in loader:
+                input_blocks.append(blocks[0].adj.shape)
+                x = Tensor(blocks[0].gather_src_features(ds.features))
+                logits = model.forward_blocks(blocks, x, backend)
+                # backward too: reverse-graph kernels must also be template
+                # hits, and the input-side block must not need one
+                loss = cross_entropy(logits, ds.labels[seeds],
+                                     np.ones(len(seeds), dtype=bool))
+                loss.backward()
+                batches += 1
+                if first is None:
+                    first = cache.stats()
         assert batches > 1, "need multiple batches to exercise reuse"
 
         s = cache.stats()
+        assert len(transposed) == batches * (len(fanouts) - 1), (
+            f"{len(transposed)} blocks transposed over {batches} batches, "
+            f"expected every block but the input-side one")
+        assert not set(transposed) & set(input_blocks), (
+            f"training transposed an input-side block: "
+            f"{sorted(set(transposed) & set(input_blocks))[:4]}")
+        per_batch = (_bound(s) - _bound(first)) / (batches - 1)
+        assert per_batch == 2 * len(fanouts) - 1, (
+            f"{per_batch} binds per batch, expected a forward kernel for "
+            f"each of the {len(fanouts)} blocks and a reverse one for every "
+            f"block but the input-side one")
         for p in FRONT_AND_LOWER_PASSES:
-            assert s["pass_counts"].get(p, 0) == after_first[p], (
+            before, after = (c["pass_counts"].get(p, 0) for c in (first, s))
+            assert after == before, (
                 f"pass {p!r} re-ran after the first batch: "
-                f"{after_first[p]} -> {s['pass_counts'].get(p, 0)}")
-        assert s["binds"] > 0, "fresh blocks should re-bind cached templates"
-        served = s["hits"] + s["binds"] + s["template_hits"]
+                f"{before} -> {after}")
+        served = (s["hits"] + _bound(s) + s["template_hits"]
+                  + s["fused_template_hits"])
         assert served > s["pipeline_runs"], (
             f"cache barely used: {served} served vs "
             f"{s['pipeline_runs']} pipeline runs")
         log(f"  reuse: {batches} batches, {s['pipeline_runs']} pipeline "
-            f"runs, {s['binds']} binds, pass_counts frozen after batch 1")
+            f"runs, {_bound(s)} binds ({per_batch:g} per batch), no "
+            f"input-side block transposed, pass_counts frozen after batch 1")
 
         # analyzer gate on everything the run compiled or bound
         checked = 0

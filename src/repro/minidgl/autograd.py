@@ -6,8 +6,8 @@ closure; :meth:`Tensor.backward` runs a topological sweep.  Broadcasting is
 handled by summing gradients back to the parent shape.
 
 Everything the paper's three GNN models need is here: matmul, element-wise
-arithmetic, ReLU/LeakyReLU/ELU, exp/log, reshape, row gather/scatter,
-reductions, log-softmax and masked cross-entropy.
+arithmetic, ReLU/LeakyReLU/ELU, exp/log, reshape, row gather/scatter and
+row prefix, reductions, log-softmax and masked cross-entropy.
 """
 
 from __future__ import annotations
@@ -285,6 +285,21 @@ class Tensor:
                 self._accumulate(acc)
 
         return Tensor._make(out_data, (self,), bwd)
+
+    def prefix_rows(self, n: int) -> "Tensor":
+        """The first ``n`` rows -- ``gather_rows(arange(n))`` as a slice: a
+        view forward, a block write into zeros backward (no index copy, no
+        ``np.add.at``)."""
+        if not 0 <= n <= len(self.data):
+            raise IndexError(f"prefix of {n} rows from {len(self.data)}")
+
+        def bwd(g):
+            if self.requires_grad:
+                acc = np.zeros_like(self.data)
+                acc[:n] = g
+                self._accumulate(acc)
+
+        return Tensor._make(self.data[:n], (self,), bwd)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
         x = self.data

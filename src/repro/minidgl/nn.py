@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from repro.minidgl.autograd import Tensor
+from repro.minidgl.autograd import Tensor, is_grad_enabled
 from repro.minidgl.graph import (
     Graph,
     copy_u_mean,
@@ -163,11 +163,15 @@ class Dropout(Module):
 
 
 class GCNConv(Module):
-    """Graph convolution: ``H' = act(D^-1 A (X W) + b)``.
+    """Graph convolution: ``H' = act(D^-1 A (X W + b))``.
 
     Sum aggregation of transformed source features (generalized SpMM in both
     forward and backward, as the paper notes for GCN), normalized by
-    in-degree.
+    in-degree.  The bias sits *inside* the mean: a vertex with neighbours
+    gets ``mean(X_u W) + b`` either way, but one without gets 0, not ``b``.
+    That is also why this layer does not pick its order the way
+    :class:`SAGEConv` does -- ``(D^-1 A X) W + b`` would differ on exactly
+    those empty rows.
     """
 
     def __init__(self, in_dim: int, out_dim: int,
@@ -182,9 +186,58 @@ class GCNConv(Module):
         return copy_u_mean(graph, h, backend)
 
 
+#: dense multiply-accumulates that cost what one swept edge-element (one
+#: edge x one feature column of an SpMM) costs.  Measured on the 2-vCPU
+#: reference box, one BLAS thread, float32: GEMM at the layer's shapes
+#: (2.6 K-14 K rows, 128 x 64) 49-59 GMAC/s; a copy-u sweep 2.0-3.4 G
+#: edge-elements/s inside ``csr_matvecs`` and 1.4-2.6 G through the whole
+#: fused call at 64-128 columns -- a ratio of 17-40.  The benchmark's block
+#: shapes decide the same way for every value from 13 up
+#: (docs/minibatch.md has the table).
+EDGE_ELEMENT_MACS = 24
+
+
+def aggregate_first(n_dst: int, n_src: int, n_edges: int, in_dim: int,
+                    out_dim: int, *, grad: bool, x_grad: bool) -> bool:
+    """Whether ``(mean_N X) W`` is cheaper than ``mean_N (X W)``.
+
+    The two are the same function (the mean is linear and ``W`` carries no
+    bias), so the order is free and only its cost differs: whichever runs
+    second works at the other's output size.  Counted per order, in MACs:
+
+    - dense: ``rows x in_dim x out_dim`` per GEMM -- the forward one, the
+      weight gradient when ``grad`` (autograd is recording), the input
+      gradient when ``x_grad`` -- over ``n_src`` rows when the transform
+      runs first and ``n_dst`` when the aggregation does;
+    - sparse: :data:`EDGE_ELEMENT_MACS` ``x n_edges x width`` per sweep --
+      the forward one, and the reverse one only when the sweep's *input*
+      needs a gradient: the transformed features always do under ``grad``,
+      the raw ones only when ``x_grad`` -- at width ``out_dim`` when the
+      transform runs first and ``in_dim`` when the aggregation does.
+
+    On a square graph the dense terms are equal, and with equal sweep
+    counts the rule is DGL's ``in_dim > out_dim`` => transform first; a
+    training layer fed raw features (``grad`` without ``x_grad``) saves its
+    reverse sweep by aggregating first, so there the bound is
+    ``in_dim >= 2 * out_dim``.  On a sampled block the frontier (``n_src``)
+    is several times the seeds (``n_dst``) and the dense terms decide.
+    Ties keep the transform first.
+    """
+    dense = (1 + grad + x_grad) * in_dim * out_dim
+    sweep = EDGE_ELEMENT_MACS * n_edges
+    transform = dense * n_src + sweep * out_dim * (1 + grad)
+    aggregate = dense * n_dst + sweep * in_dim * (1 + x_grad)
+    return aggregate < transform
+
+
 class SAGEConv(Module):
     """GraphSage convolution with mean aggregation:
-    ``H' = act(X W_self + mean_{u in N(v)} X_u W_neigh)``."""
+    ``H' = act(X W_self + mean_{u in N(v)} X_u W_neigh)``.
+
+    ``W_neigh`` and the mean commute, so each call runs them in the order
+    :func:`aggregate_first` counts as cheaper for this graph's shape and
+    this call's gradient needs; the two orders agree to float rounding.
+    """
 
     def __init__(self, in_dim: int, out_dim: int,
                  rng: np.random.Generator | None = None):
@@ -194,15 +247,18 @@ class SAGEConv(Module):
         self.w_neigh = Linear(in_dim, out_dim, bias=False, rng=rng)
 
     def forward(self, graph: Graph, x: Tensor, backend) -> Tensor:
-        # Transform before aggregating (legal for mean aggregation since the
-        # two commute); keeps the SpMM feature width at out_dim, the same
-        # optimization DGL's SAGEConv applies when in_dim > out_dim.
-        mean = copy_u_mean(graph, self.w_neigh(x), backend)
+        n_dst = graph.adj.shape[0]
+        grad = is_grad_enabled()
+        if aggregate_first(n_dst, x.shape[0], graph.num_edges,
+                           *self.w_neigh.weight.shape, grad=grad,
+                           x_grad=grad and x.requires_grad):
+            mean = self.w_neigh(copy_u_mean(graph, x, backend))
+        else:
+            mean = copy_u_mean(graph, self.w_neigh(x), backend)
         # On a bipartite block the adjacency is (num_dst, num_src) and the
         # self-term only applies to the destination vertices, which by the
         # Block convention are the first num_dst source rows.
-        n_dst = graph.adj.shape[0]
-        x_dst = x if x.shape[0] == n_dst else x.gather_rows(np.arange(n_dst))
+        x_dst = x if x.shape[0] == n_dst else x.prefix_rows(n_dst)
         return self.w_self(x_dst) + mean
 
 

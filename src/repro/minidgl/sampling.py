@@ -84,9 +84,12 @@ def _quantize_keys(keys: np.ndarray) -> np.ndarray:
     return (keys * float(1 << 32)).astype(np.uint64)
 
 
-def _check_seeds(seeds: np.ndarray, fanout: int) -> np.ndarray:
+def _check_fanout(fanout: int) -> None:
     if fanout < 1:
         raise ValueError("fanout must be >= 1")
+
+
+def _unique_seeds(seeds: np.ndarray) -> np.ndarray:
     seeds = np.asarray(seeds, dtype=np.int64)
     if len(np.unique(seeds)) != len(seeds):
         raise ValueError("seeds must be unique")
@@ -131,7 +134,14 @@ def sample_neighbors(adj: CSRMatrix, seeds: np.ndarray, fanout: int,
     its ``fanout`` smallest keys -- equivalent to a per-row
     ``choice(deg, fanout, replace=False)`` but with no Python loop.
     """
-    seeds = _check_seeds(seeds, fanout)
+    _check_fanout(fanout)
+    return _sample(adj, _unique_seeds(seeds), fanout, rng)
+
+
+def _sample(adj: CSRMatrix, seeds: np.ndarray, fanout: int,
+            rng: np.random.Generator) -> Block:
+    """:func:`sample_neighbors` past its checks: ``seeds`` is a unique
+    int64 array and ``fanout >= 1``."""
     lo = adj.indptr[seeds]
     deg = adj.indptr[seeds + 1] - lo
     total = int(deg.sum())
@@ -168,7 +178,8 @@ def sample_neighbors_reference(adj: CSRMatrix, seeds: np.ndarray, fanout: int,
     the vectorized sampler.  Kept as the equivalence oracle for tests and
     the baseline for ``benchmarks/bench_minibatch.py``.
     """
-    seeds = _check_seeds(seeds, fanout)
+    _check_fanout(fanout)
+    seeds = _unique_seeds(seeds)
     lo = adj.indptr[seeds]
     deg = adj.indptr[seeds + 1] - lo
     total = int(deg.sum())
@@ -213,9 +224,12 @@ def build_blocks(adj: CSRMatrix, seeds: np.ndarray, fanouts: list[int],
     the original seeds.
     """
     blocks: list[Block] = []
-    current = np.asarray(seeds, dtype=np.int64)
+    # only the caller's seeds can repeat: every inner layer is seeded with
+    # the previous block's src_ids, which _make_block builds duplicate-free
+    current = _unique_seeds(seeds)
     for fanout in reversed(fanouts):
-        block = sample_neighbors(adj, current, fanout, rng)
+        _check_fanout(fanout)
+        block = _sample(adj, current, fanout, rng)
         blocks.append(block)
         current = block.src_ids
     blocks.reverse()

@@ -124,6 +124,34 @@ class TestShapeOps:
         idx = np.array([0, 2, 2, 1])
         check_op(lambda a: a.gather_rows(idx), (4, 3), seed=9)
 
+    def test_prefix_rows(self):
+        check_op(lambda a: a.prefix_rows(3), (5, 2), seed=10)
+
+    @pytest.mark.parametrize("n", [0, 3, 7])
+    def test_prefix_rows_is_gather_rows_of_arange(self, n):
+        """Same values and the same gradient as the indexed form it
+        replaces in SAGEConv, from a view forward and a block write
+        backward."""
+        r = np.random.default_rng(11)
+        data = r.standard_normal((7, 2, 3)).astype(np.float32)
+        coef = Tensor(r.standard_normal((n, 2, 3)).astype(np.float32))
+        a = Tensor(data.copy(), requires_grad=True)
+        b = Tensor(data.copy(), requires_grad=True)
+        sliced, gathered = a.prefix_rows(n), b.gather_rows(np.arange(n))
+        assert np.array_equal(sliced.data, gathered.data)
+        assert np.shares_memory(sliced.data, a.data) or n == 0
+        (sliced * coef).sum().backward()
+        (gathered * coef).sum().backward()
+        assert np.array_equal(a.grad, b.grad)
+        assert np.all(a.grad[n:] == 0)
+
+    def test_prefix_rows_rejects_a_prefix_longer_than_the_tensor(self):
+        a = Tensor(np.ones((4, 2)))
+        with pytest.raises(IndexError):
+            a.prefix_rows(5)
+        with pytest.raises(IndexError):
+            a.prefix_rows(-1)
+
 
 class TestEngine:
     def test_backward_requires_scalar(self):

@@ -5,11 +5,14 @@ SpMM gradients are SDDMMs and vice versa)."""
 import numpy as np
 import pytest
 
-from repro.graph.sparse import from_edges
+from repro.core.compile import KernelCache, use_kernel_cache
+from repro.core.fusion import use_fusion
+from repro.graph.sparse import CSRMatrix, from_edges
 from repro.minidgl.autograd import Tensor, no_grad
 from repro.minidgl.backends import FeatGraphDGLBackend, MinigunBackend, get_backend
 from repro.minidgl.graph import (
     Graph,
+    copy_u_mean,
     copy_u_sum,
     edge_add,
     edge_softmax,
@@ -61,6 +64,127 @@ class TestCopyUSum:
         # gradient of sum-aggregation w.r.t. x[u] is u's out-degree
         out_deg = np.bincount(graph.src_of_edge(), minlength=30)
         assert np.allclose(x.grad, np.repeat(out_deg[:, None], 4, 1), atol=1e-4)
+
+
+class TestCopyUBackward:
+    """The input gradient of both copy-u aggregations is ``A^T g``, the
+    copy-sum over ``graph.reverse``, on either backend."""
+
+    @staticmethod
+    def _graph(kind):
+        r = np.random.default_rng(31)
+        if kind == "block":                # frontier 4x the destinations
+            n_src, n_dst, m = 40, 10, 60
+            src, dst = r.integers(0, n_src, m), r.integers(0, n_dst, m)
+        elif kind == "square":
+            n_src = n_dst = 20
+            src, dst = r.integers(0, 20, 90), r.integers(0, 20, 90)
+        else:                              # rows 0-2 and 15.. have no in-edge,
+            n_src = n_dst = 20             # sources 12.. no out-edge
+            src, dst = r.integers(0, 12, 70), r.integers(3, 15, 70)
+        return Graph(from_edges(n_src, n_dst, src, dst))
+
+    @pytest.mark.parametrize("fuse", [False, True])
+    @pytest.mark.parametrize("op", [copy_u_sum, copy_u_mean])
+    @pytest.mark.parametrize("kind", ["block", "square", "zero_degree"])
+    def test_backends_and_finite_differences_agree(self, kind, op, fuse):
+        g = self._graph(kind)
+        n_dst, n_src = g.adj.shape
+        r = np.random.default_rng(32)
+        data = r.standard_normal((n_src, 3)).astype(np.float32)
+        coef = r.standard_normal((n_dst, 3)).astype(np.float32)
+        grads = {}
+        with use_fusion(fuse):
+            for name in ("featgraph", "minigun"):
+                x = Tensor(data.copy(), requires_grad=True)
+                (op(g, x, get_backend(name)) * Tensor(coef)).sum().backward()
+                grads[name] = x.grad
+
+            probe = Tensor(data.copy())
+            backend = get_backend("featgraph")
+
+            def f():
+                with no_grad():
+                    return float((op(g, probe, backend).data * coef).sum())
+
+            numeric = _numeric_grad(f, probe.data)
+        assert np.allclose(grads["featgraph"], grads["minigun"],
+                           rtol=1e-5, atol=1e-5)
+        # the op is linear in x, so central differences only carry rounding
+        assert np.allclose(grads["featgraph"], numeric, atol=2e-3)
+        if kind == "zero_degree":
+            assert np.all(grads["featgraph"][12:] == 0)
+
+    def test_three_dimensional_features(self):
+        g = self._graph("block")
+        r = np.random.default_rng(33)
+        data = r.standard_normal((40, 2, 3)).astype(np.float32)
+        grads = []
+        for name in ("featgraph", "minigun"):
+            x = Tensor(data.copy(), requires_grad=True)
+            copy_u_mean(g, x, get_backend(name)).sum().backward()
+            grads.append(x.grad)
+        assert grads[0].shape == (40, 2, 3)
+        assert np.allclose(grads[0], grads[1], rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("fuse", [False, True])
+    def test_a_minibatch_step_never_reverses_its_input_block(
+            self, fuse, monkeypatch):
+        """A sampled block's topology is seen once, so a reverse graph is
+        built, hashed and bound in full every step.  The input-side block
+        is the big one and its features need no gradient: ``SAGEConv``
+        aggregates them before it transforms, so nothing flows back through
+        that sweep and only the output-side block is ever reversed."""
+        from repro.graph.datasets import planted_partition
+        from repro.minidgl.models import GraphSage
+        from repro.minidgl.sampling import build_blocks
+        from repro.minidgl.train import cross_entropy
+
+        transposed = []
+        real = CSRMatrix.transpose
+
+        def spy(self):
+            transposed.append(self.shape)
+            return real(self)
+
+        monkeypatch.setattr(CSRMatrix, "transpose", spy)
+        ds = planted_partition(n=300, num_classes=4, feature_dim=16,
+                               avg_degree=10, seed=0)
+        model = GraphSage(16, 4, hidden=8, dropout=0.0, seed=1)
+        backend = get_backend("featgraph")
+        rng = np.random.default_rng(0)
+        made = ("binds", "fused_binds", "pipeline_runs", "fused_compiles")
+
+        def step(cache, first_seed, backward):
+            """What one step on fresh blocks adds to the cache counters,
+            and the shape of its output-side block."""
+            before = cache.stats()
+            seeds = np.arange(first_seed, first_seed + 64)
+            blocks = build_blocks(ds.adj, seeds, [5, 5], rng)
+            x = Tensor(blocks[0].gather_src_features(ds.features))
+            logits = model.forward_blocks(blocks, x, backend)
+            if backward:
+                model.zero_grad()
+                cross_entropy(logits, ds.labels[seeds],
+                              np.ones(len(seeds), dtype=bool)).backward()
+            after = cache.stats()
+            return ({k: after[k] - before[k] for k in made},
+                    blocks[-1].adj.shape)
+
+        with use_kernel_cache(KernelCache()) as cache, use_fusion(fuse):
+            step(cache, 0, backward=True)            # compiles the templates
+            forward_only, _ = step(cache, 64, backward=False)
+            del transposed[:]
+            trained, last_block = step(cache, 128, backward=True)
+        # one sweep per block, bound from its template, nothing compiled
+        assert forward_only["binds"] + forward_only["fused_binds"] == 2
+        assert forward_only["pipeline_runs"] == 0
+        assert forward_only["fused_compiles"] == 0
+        # training adds the one reverse kernel of the output-side block
+        assert trained == {**forward_only,
+                           "binds": forward_only["binds"] + 1}
+        assert transposed == [last_block]
+        assert all(p.grad is not None for p in model.parameters())
 
 
 class TestUMulESum:

@@ -85,6 +85,49 @@ class TestBuildBlocks:
         # layer boundary: block i's sources are block i+1's... destinations
         assert np.array_equal(blocks[0].dst_ids, blocks[1].src_ids)
 
+    @pytest.mark.parametrize("fanouts", [[3, 4], [50, 2, 5], [1 << 30] * 2])
+    def test_equals_layer_by_layer_public_sampling(self, graph, fanouts):
+        """The caller's seeds are validated once; each inner layer is
+        seeded with the previous block's ``src_ids`` (unique by
+        construction) and skips the check.  Same rng stream, same blocks
+        as running the checked public sampler per layer."""
+        seeds = np.array([17, 3, 99, 42, 0, 64])
+        blocks = build_blocks(graph, seeds, fanouts,
+                              np.random.default_rng(12))
+        rng = np.random.default_rng(12)
+        current = seeds
+        for block, fanout in zip(reversed(blocks), reversed(fanouts)):
+            want = sample_neighbors(graph, current, fanout, rng)
+            assert np.array_equal(block.src_ids, want.src_ids)
+            assert np.array_equal(block.dst_ids, want.dst_ids)
+            assert np.array_equal(block.adj.indptr, want.adj.indptr)
+            assert np.array_equal(block.adj.indices, want.adj.indices)
+            assert np.array_equal(block.adj.edge_ids, want.adj.edge_ids)
+            assert len(np.unique(block.src_ids)) == block.num_src
+            current = want.src_ids
+
+    def test_duplicate_caller_seeds_and_bad_fanouts_rejected(self, graph):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="unique"):
+            build_blocks(graph, np.array([4, 9, 4]), [3, 3], rng)
+        with pytest.raises(ValueError, match="fanout"):
+            build_blocks(graph, np.arange(4), [3, 0], rng)
+        with pytest.raises(ValueError, match="fanout"):      # inner layer
+            build_blocks(graph, np.arange(4), [0, 3], rng)
+
+    def test_duplicate_ids_rejected_by_infer_minibatch(self):
+        from repro.graph.datasets import planted_partition
+        from repro.minidgl.backends import get_backend
+        from repro.minidgl.models import GraphSage
+        from repro.minidgl.train import infer_minibatch
+
+        ds = planted_partition(n=120, num_classes=4, feature_dim=8,
+                               avg_degree=6, seed=1)
+        model = GraphSage(8, 4, hidden=8, dropout=0.0, seed=0)
+        with pytest.raises(ValueError, match="unique"):
+            infer_minibatch(model, ds, get_backend("featgraph"),
+                            np.array([5, 7, 5]))
+
     def test_frontier_grows_inward(self, graph):
         rng = np.random.default_rng(7)
         blocks = build_blocks(graph, np.arange(5), fanouts=[8, 8], rng=rng)
