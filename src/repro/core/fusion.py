@@ -68,13 +68,12 @@ from repro.core.compile import (PassTiming, compile_sddmm, compile_spmm,
                                 get_kernel_cache)
 from repro.core.spmm import resolve_aggregation, row_gather_evaluate
 from repro.runtime.engine import AggregateSink, Executor, ScatterSink
-from repro.runtime.histogram import chunk_bounds, chunk_shapes
+from repro.runtime.histogram import chunk_bounds
 from repro.runtime.plan import (EdgeTask, ExecutionPlan, GatherPlan, Stage,
                                 effective_chunk_edges)
 from repro.runtime.reducers import AGG_IDENTITY, get_reducer
-from repro.runtime.strategies import (SparseBlasStrategy, make_strategy,
-                                      resolve_request, resolve_sink_strategy,
-                                      select_chunk_strategies)
+from repro.runtime.strategies import (SparseBlasStrategy,
+                                      resolve_sink_strategy)
 from repro.tensorir import expr as E
 from repro.tensorir import ir as I
 from repro.tensorir.analysis import AnalysisError, analyze_ir, strict_enabled
@@ -373,7 +372,7 @@ def plan_fusion(graph: KernelGraph, cache=None) -> FusionPlan:
     if len(defs) < 2 and not (len(defs) == 1 and defs[0].kind == "spmm"):
         # a lone spmm stage is a legal "chain": message + aggregate in one
         # sweep (the GCN/SAGE copy-u path) still buys the chunked fused
-        # executor and its per-chunk adaptive strategies
+        # executor
         raise FusionError(
             f"fusion needs at least two stages, got {len(defs)}")
     if graph.target != "cpu":
@@ -800,45 +799,30 @@ class FusedKernel:
         between stages through the chunk context.
 
         The aggregation request resolves exactly as on the staged SpMM
-        template: without one every aggregating stage's sink gets its own
-        strategy from its reducer and its program's output dtype (the
-        edge-softmax chain's ``max`` sink keeps the selector's pick at its
-        own ``heads``-wide rows, its exp-sum and aggregate sinks combine
-        through ``spblas``; the plan label joins the distinct names in
-        stage order, e.g. ``reduceat+spblas``) and an aggregating
+        template, sink by sink: a name in ``self.agg_strategy`` pins that
+        strategy for every sink of the sweep; without one every
+        aggregating stage's sink gets its own strategy from its reducer,
+        its program's output dtype and its own row width (the
+        edge-softmax chain's ``max`` sink stays on ``reduceat`` at its
+        ``heads``-wide rows, its exp-sum and aggregate sinks combine
+        through ``spblas``).  The plan label joins the distinct names in
+        stage order, e.g. ``reduceat+spblas``.  An aggregating
         stage that is a pure row gather (:meth:`_gather_free`: the copy-u
         chain's only stage, the softmax chain's ``OUT``) hands its sink a
         :class:`~repro.runtime.plan.RowGather` instead of a message block,
-        so only the other stages' worksets bound the chunk; a concrete name
-        pins one strategy for the sweep, ``"adaptive"`` assigns per chunk
-        from the chunk's shape statistics (the adaptive executor applies
-        **inside** fused plans), a name sequence pins an explicit per-chunk
-        cycle."""
+        so only the other stages' worksets bound the chunk."""
         csr = self.A.csr
         aggregating = [st for st in self.plan.stages if st.kind == "spmm"]
-        # a per-chunk assignment serves every sink of the chunk, so it is
-        # ranked at the widest; a default request resolves each sink at
-        # its own width
-        spmm_width = max((st.width for st in aggregating), default=1)
-        mode, names = resolve_request(self.agg_strategy)
         keep = set(keep)
-        if mode == "auto":
-            sink_strategy = {
-                st.name: resolve_sink_strategy(
-                    _agg_base(st.aggregation), st.prog.out_dtype, csr,
-                    st.width, pool)
-                for st in aggregating}
-            plan_label = "+".join(dict.fromkeys(
-                s.name for s in sink_strategy.values())) or None
-        else:
-            strategy = make_strategy(
-                names[0] if mode == "single" else "reduceat", pool=pool)
-            plan_label = {"single": strategy.name,
-                          "adaptive": "adaptive"}.get(mode, "mixed")
-            sink_strategy = {st.name: strategy for st in aggregating}
+        sink_strategy = {
+            st.name: resolve_sink_strategy(
+                self.agg_strategy, _agg_base(st.aggregation),
+                st.prog.out_dtype, csr, st.width, pool)
+            for st in aggregating}
+        plan_label = "+".join(dict.fromkeys(
+            s.name for s in sink_strategy.values())) or None
         # stages whose message is never gathered hold no per-edge buffer,
-        # so only the other stages' worksets bound the chunk (per-chunk
-        # requests default their sinks to reduceat, so they have none)
+        # so only the other stages' worksets bound the chunk
         lazy = {st.name for st in aggregating
                 if self._gather_free(st, sink_strategy[st.name], keep)}
         target = self.chunk_edges
@@ -846,19 +830,6 @@ class FusedKernel:
             if st.name not in lazy:
                 target = min(target, effective_chunk_edges(self.chunk_edges,
                                                            st.prog))
-        bounds = chunk_bounds(csr, target)
-        chunk_strats = None
-        if mode in ("adaptive", "map"):
-            if mode == "adaptive":
-                assigned = select_chunk_strategies(
-                    chunk_shapes(csr, target, spmm_width), pool)
-            else:
-                assigned = [names[i % len(names)]
-                            for i in range(len(bounds))]
-            instances = {"reduceat": strategy}
-            chunk_strats = [
-                instances.setdefault(n, make_strategy(n, pool=pool))
-                for n in assigned]
 
         stages = []
         oracles: dict[str, Callable] = {}
@@ -923,9 +894,8 @@ class FusedKernel:
             gather=GatherPlan(csr.indices, None, csr.edge_ids,
                               indptr=csr.indptr,
                               eid_positional=csr.positional_edge_ids()),
-            bounds=bounds,
-            stages=stages,
-            chunk_strategies=chunk_strats)
+            bounds=chunk_bounds(csr, target),
+            stages=stages)
         chain = "->".join(st.name for st in self.plan.stages)
         # Chain-read metadata for the plan verifier's FG008 def-before-use
         # check: which earlier-stage values each stage consumes through the
@@ -1204,10 +1174,10 @@ class FusedCopyUAggregate:
     feature row per edge and segment-reduce into destinations.  Staged
     execution runs it through ``GeneralizedSpMM`` with a separate degree
     normalization afterwards; this chain runs the same computation through
-    the fused executor, so the adaptive per-chunk strategies apply and the
-    mean divide folds into the plan's finalize.  The single stage reuses
-    :func:`~repro.core.builtins.copy_u_msg`'s ``udf_key``, so the chain
-    caches as a fused template and rebinds across sampled blocks.
+    the fused executor, so the mean divide folds into the plan's finalize.
+    The single stage reuses :func:`~repro.core.builtins.copy_u_msg`'s
+    ``udf_key``, so the chain caches as a fused template and rebinds across
+    sampled blocks.
     """
 
     def __init__(self, A, feat_shape, aggregation: str = "sum",

@@ -37,11 +37,10 @@ from repro.runtime.plan import (CHUNK_WORKSET_BYTES, MIN_CHUNK_EDGES,
                                 ChunkPolicy, EdgeTask, ExecutionPlan,
                                 GatherPlan, RowGather, Stage,
                                 effective_chunk_edges, row_aligned_chunks)
-from repro.runtime.histogram import chunk_bounds, chunk_shapes
+from repro.runtime.histogram import chunk_bounds
 from repro.runtime.reducers import AGG_IDENTITY, AGG_UFUNC, resolve_reducer
-from repro.runtime.strategies import (SparseBlasStrategy, make_strategy,
-                                      resolve_request, resolve_sink_strategy,
-                                      select_chunk_strategies)
+from repro.runtime.strategies import (SparseBlasStrategy,
+                                      resolve_sink_strategy)
 from repro.tensorir.runtime import ExecStats, WorkPool, take_rows
 from repro.core.fds import FDS, FDSInfo, default_fds
 from repro.graph.partition import Partition1D, feature_tiles, partition_1d
@@ -229,10 +228,9 @@ class GeneralizedSpMM:
         if int(chunk_edges) < 1:
             raise ValueError("chunk_edges must be >= 1")
         self.chunk_edges = int(chunk_edges)
-        #: aggregation-strategy request for this kernel (None = auto):
-        #: a concrete name, ``"adaptive"`` (per-chunk cost-model
-        #: selection), or a sequence of names (explicit per-chunk cycle);
-        #: not part of the cache identity -- a bound kernel can be retargeted
+        #: aggregation-strategy request for this kernel: ``None`` (resolved
+        #: per sink) or one name of ``STRATEGY_NAMES``; not part of the
+        #: cache identity -- a bound kernel can be retargeted
         self.agg_strategy = None
         self._partitions: list[Partition1D] | None = None
 
@@ -314,55 +312,27 @@ class GeneralizedSpMM:
         per-edge buffer, chunks are ``chunk_edges`` long whatever the
         width, and the compiled program is only the sanitizer's oracle.
         ``num_feature_partitions``, the lowered IR, ``cost()`` and the CUDA
-        source still follow the FDS.  The aggregation request is
-        ``self.agg_strategy``; without one the sink's strategy follows from
-        its reducer and the program's output dtype
+        source still follow the FDS.  A name in ``self.agg_strategy`` pins
+        one strategy for the whole kernel; without one the sink's strategy
+        follows from its reducer, the program's output dtype and the
+        graph's degree histogram
         (:func:`~repro.runtime.strategies.resolve_sink_strategy`: float
         ``sum``/``mean`` combine through ``spblas``, anything else through
-        the selector's pick).  A concrete name
-        pins one strategy for the whole kernel, ``"adaptive"`` assigns a
-        strategy **per chunk** from each chunk's shape statistics
-        (cost-model-driven when calibrated), and a sequence of names pins
-        an explicit per-chunk cycle.  Heterogeneous assignments land on
-        :attr:`~repro.runtime.plan.EdgeTask.chunk_strategies`; chunk
-        bounds, degree histograms, and per-chunk shapes come from the
-        fingerprint-keyed caches in :mod:`repro.runtime.histogram`.
+        ``bucketed`` or ``reduceat`` by row width).  Chunk bounds and the
+        histogram come from the fingerprint-keyed caches in
+        :mod:`repro.runtime.histogram`.
         """
         reducer, _ = resolve_reducer(self.aggregation)
         prog = self.vector_program()
-        mode, names = resolve_request(self.agg_strategy)
-        per_chunk = None
-        if mode == "auto":
-            strategy = resolve_sink_strategy(
-                reducer.name, prog.out_dtype, self.A.csr, self.feature_len,
-                pool)
-            plan_label = strategy.name
-        elif mode == "single":
-            strategy = make_strategy(names[0], pool=pool)
-            plan_label = strategy.name
-        else:
-            # heterogeneous plan: every chunk carries its own assignment,
-            # the sink default (reduceat) is never consulted
-            strategy = make_strategy("reduceat", pool=pool)
-            plan_label = "adaptive" if mode == "adaptive" else "mixed"
-            instances = {"reduceat": strategy}
-
-            def per_chunk(csr, n_chunks):
-                if mode == "adaptive":
-                    assigned = select_chunk_strategies(
-                        chunk_shapes(csr, target, self.feature_len), pool)
-                else:
-                    assigned = [names[i % len(names)]
-                                for i in range(n_chunks)]
-                return [instances.setdefault(n, make_strategy(n, pool=pool))
-                        for n in assigned]
+        strategy = resolve_sink_strategy(
+            self.agg_strategy, reducer.name, prog.out_dtype, self.A.csr,
+            self.feature_len, pool)
 
         # A pure row-gather message under a sink that ``spblas`` reduces
         # natively needs no message at all: the sink multiplies the graph's
         # own CSR into the feature table.  Nothing per edge is held, so
         # the workset does not bound the chunk and tiling has nothing to
-        # shrink.  Every other request runs the compiled program (the sink
-        # default of a per-chunk request is reduceat).
+        # shrink.  Every other request runs the compiled program.
         gather_free = (self.row_gather is not None
                        and isinstance(strategy, SparseBlasStrategy)
                        and strategy.owns(reducer.name, prog.out_dtype))
@@ -413,18 +383,15 @@ class GeneralizedSpMM:
                 csr = part.csr
                 if csr.nnz == 0:
                     continue
-                bounds = chunk_bounds(csr, target)
                 tasks.append(EdgeTask(
                     gather=GatherPlan(csr.indices, None, csr.edge_ids,
                                       indptr=csr.indptr),
-                    bounds=bounds,
+                    bounds=chunk_bounds(csr, target),
                     stages=[Stage(self.msg.name, evaluate, sink,
-                                  compiled=True)],
-                    chunk_strategies=(per_chunk(csr, len(bounds))
-                                      if per_chunk is not None else None)))
+                                  compiled=True)]))
         base = "sum" if self.aggregation == "mean" else self.aggregation
         return ExecutionPlan(
-            tasks, label=f"spmm[{self.msg.name}]", strategy=plan_label,
+            tasks, label=f"spmm[{self.msg.name}]", strategy=strategy.name,
             finalize=lambda: self._finalize(acc, base),
             # role extents + compiled program for the plan verifier
             # (:mod:`repro.runtime.verify`): FG010 checks gathers against

@@ -23,17 +23,9 @@ it to the :class:`Executor` here, which owns the loop once:
 
 Chunks of a task are row-aligned (disjoint destination rows), so running
 them on a :class:`~repro.tensorir.runtime.WorkPool` is race-free; the
-executor skips chunk-level pooling when any chunk of a task combines
+executor skips chunk-level pooling when a sink of the task combines
 through the ``parallel`` strategy -- the parallelism then lives *inside*
 the combine, and nesting both on one pool could starve it.
-
-Heterogeneous plans assign a strategy **per chunk**
-(:attr:`~repro.runtime.plan.EdgeTask.chunk_strategies`): the engine
-threads each chunk's assignment through its :class:`ChunkCtx`, and
-:class:`AggregateSink` combines through the context strategy when one is
-set, falling back to its own default otherwise.  Combine order within a
-chunk stays strategy-deterministic and chunks of a task touch disjoint
-rows, so FG007 determinism verdicts hold per chunk.
 """
 
 from __future__ import annotations
@@ -63,9 +55,9 @@ class ChunkCtx:
     """
 
     __slots__ = ("c0", "c1", "_gather", "_batch", "_segments", "_local_eid",
-                 "values", "strategy")
+                 "values")
 
-    def __init__(self, c0: int, c1: int, gather, strategy=None):
+    def __init__(self, c0: int, c1: int, gather):
         self.c0 = int(c0)
         self.c1 = int(c1)
         self._gather = gather
@@ -73,9 +65,6 @@ class ChunkCtx:
         self._segments: SegmentInfo | None = None
         self._local_eid: np.ndarray | None = None
         self.values: dict[str, np.ndarray] = {}
-        #: per-chunk aggregation-strategy override (heterogeneous plans);
-        #: None means the sink's default strategy combines this chunk
-        self.strategy = strategy
 
     @property
     def size(self) -> int:
@@ -143,8 +132,7 @@ class AggregateSink:
 
     def apply(self, vals: np.ndarray, ctx: ChunkCtx) -> int:
         seg = ctx.segments
-        strategy = ctx.strategy if ctx.strategy is not None else self.strategy
-        strategy.combine(self.acc, seg, vals, self.reducer)
+        self.strategy.combine(self.acc, seg, vals, self.reducer)
         if self.guard_zero:
             # row-aligned chunks touch each row exactly once per sweep, so
             # guarding the combined rows here matches a per-row guard
@@ -231,33 +219,24 @@ class Executor:
         use_pool = (self.pool is not None and len(bounds) > 1
                     and not self._combines_on_pool(task))
         if use_pool:
-            self.pool.map(lambda ib: self._run_chunk(task, bindings, ib[1],
-                                                     ci=ib[0]),
-                          list(enumerate(bounds)))
+            self.pool.map(lambda b: self._run_chunk(task, bindings, b),
+                          bounds)
         else:
-            for ci, b in enumerate(bounds):
-                self._run_chunk(task, bindings, b, ci=ci)
+            for b in bounds:
+                self._run_chunk(task, bindings, b)
 
     @staticmethod
     def _combines_on_pool(task: EdgeTask) -> bool:
-        """Whether any chunk of ``task`` combines through the ``parallel``
+        """Whether a sink of ``task`` combines through the ``parallel``
         strategy -- the parallelism then lives *inside* the combine, so
-        chunk-level pooling must stand down.  Per-chunk assignments take
-        precedence over the sink default for the chunks they cover."""
-        if not any(isinstance(st.sink, AggregateSink) for st in task.stages):
-            return False
-        default_parallel = any(isinstance(st.sink, AggregateSink)
-                               and st.sink.strategy.name == "parallel"
-                               for st in task.stages)
-        if task.chunk_strategies is None:
-            return default_parallel
-        return any(default_parallel if s is None else s.name == "parallel"
-                   for s in task.chunk_strategies)
+        chunk-level pooling must stand down."""
+        return any(isinstance(st.sink, AggregateSink)
+                   and st.sink.strategy.name == "parallel"
+                   for st in task.stages)
 
     def _run_chunk(self, task: EdgeTask, bindings,
-                   bounds: tuple[int, int], ci: int = 0) -> None:
-        ctx = ChunkCtx(bounds[0], bounds[1], task.gather,
-                       strategy=task.strategy_for_chunk(ci))
+                   bounds: tuple[int, int]) -> None:
+        ctx = ChunkCtx(bounds[0], bounds[1], task.gather)
         eval_s = agg_s = 0.0
         chunk_bytes = 0
         compiled = True

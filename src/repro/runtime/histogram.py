@@ -1,12 +1,11 @@
 """Fingerprint-keyed caches of degree histograms and chunk boundaries.
 
 Strategy selection and plan lowering both interrogate the topology --
-degree histogram for :func:`~repro.runtime.strategies.select_strategy`,
+degree histogram for :func:`~repro.runtime.strategies.resolve_sink_strategy`,
 row-aligned chunk bounds for the
-:class:`~repro.runtime.plan.ChunkPolicy`, per-chunk shape statistics for
-the adaptive per-chunk selector.  All of it is pure function of the CSR
-structure, yet it used to be recomputed on **every kernel invocation** --
-repeated mini-batch inference over one graph paid the
+:class:`~repro.runtime.plan.ChunkPolicy`.  Both are pure functions of the
+CSR structure, yet they used to be recomputed on **every kernel
+invocation** -- repeated mini-batch inference over one graph paid the
 ``np.unique``/``searchsorted`` tax per call.
 
 This module memoizes those derivations keyed by
@@ -23,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cost import ChunkShape
 from repro.runtime.plan import row_aligned_chunks
 
-__all__ = ["DegreeStats", "degree_stats", "chunk_bounds", "chunk_shapes",
-           "cache_info", "clear_caches"]
+__all__ = ["DegreeStats", "degree_stats", "chunk_bounds", "cache_info",
+           "clear_caches"]
 
 #: distinct (fingerprint, params) entries kept per cache
 _CACHE_SIZE = 32
@@ -47,28 +45,28 @@ class _LRU(OrderedDict):
 
 _degree_cache = _LRU()
 _bounds_cache = _LRU()
-_shapes_cache = _LRU()
 
 
 @dataclass(frozen=True)
 class DegreeStats:
-    """Whole-graph degree-histogram facts the selector consumes."""
+    """The degree-histogram facts strategy selection consumes."""
 
-    degrees: np.ndarray   # per-destination in-degree (all rows)
-    nnz: int              # total edges (nonzero-degree sum)
-    n_segments: int       # rows with at least one edge
+    nnz: int              # total edges
     n_distinct: int       # distinct nonzero degrees
+
+    @classmethod
+    def of(cls, degrees) -> "DegreeStats":
+        """The facts of one per-destination in-degree vector."""
+        degrees = np.asarray(degrees)
+        nonzero = degrees[degrees > 0]
+        return cls(nnz=int(nonzero.sum()),
+                   n_distinct=int(len(np.unique(nonzero))))
 
 
 def degree_stats(csr) -> DegreeStats:
     """Degree histogram of ``csr``, cached on its fingerprint."""
-    def compute():
-        degrees = np.diff(csr.indptr).astype(np.int64)
-        nonzero = degrees[degrees > 0]
-        return DegreeStats(degrees=degrees, nnz=int(nonzero.sum()),
-                           n_segments=int(len(nonzero)),
-                           n_distinct=int(len(np.unique(nonzero))))
-    return _degree_cache.get_or_compute(csr.fingerprint(), compute)
+    return _degree_cache.get_or_compute(
+        csr.fingerprint(), lambda: DegreeStats.of(np.diff(csr.indptr)))
 
 
 def chunk_bounds(csr, target: int) -> list[tuple[int, int]]:
@@ -80,42 +78,11 @@ def chunk_bounds(csr, target: int) -> list[tuple[int, int]]:
                                         compute)
 
 
-def chunk_shapes(csr, target: int, width: int) -> list[ChunkShape]:
-    """Per-chunk :class:`~repro.core.cost.ChunkShape` statistics for the
-    row-aligned chunking of ``csr`` at ``target``.
-
-    Chunk bounds fall on CSR row boundaries, so each chunk covers a
-    contiguous row range recoverable by ``searchsorted`` on ``indptr``;
-    the chunk's histogram is then a slice of the degree vector.  The
-    shape list is cached width-independently (width is stamped on the
-    cached zero-width shapes per call -- it varies per kernel while the
-    structure facts do not).
-    """
-    def compute():
-        indptr = np.asarray(csr.indptr)
-        stats = []
-        for c0, c1 in chunk_bounds(csr, target):
-            r0 = int(np.searchsorted(indptr, c0, side="left"))
-            r1 = int(np.searchsorted(indptr, c1, side="left"))
-            deg = np.diff(indptr[r0:r1 + 1])
-            nonzero = deg[deg > 0]
-            stats.append((int(c1 - c0), int(len(nonzero)),
-                          int(len(np.unique(nonzero)))))
-        return stats
-    key = (csr.fingerprint(), int(target))
-    raw = _shapes_cache.get_or_compute(key, compute)
-    w = max(1, int(width))
-    return [ChunkShape(n_edges=e, n_segments=s, n_distinct=d, width=w)
-            for e, s, d in raw]
-
-
 def cache_info() -> dict:
     """Entry counts per cache (diagnostics / tests)."""
-    return {"degree": len(_degree_cache), "bounds": len(_bounds_cache),
-            "shapes": len(_shapes_cache)}
+    return {"degree": len(_degree_cache), "bounds": len(_bounds_cache)}
 
 
 def clear_caches() -> None:
     _degree_cache.clear()
     _bounds_cache.clear()
-    _shapes_cache.clear()

@@ -324,20 +324,6 @@ class EdgeTask:
     stages: Sequence[Stage]
     #: segments are computed lazily per chunk only when a sink needs them
     needs_segments: bool = True
-    #: per-chunk aggregation-strategy assignments, aligned index-for-index
-    #: with ``bounds`` (heterogeneous / adaptive plans).  ``None`` means
-    #: every chunk combines through its sink's default strategy.  The
-    #: engine delivers the assignment through the chunk context, so one
-    #: sink (shared across tasks by the spmm feature tiling) can serve
-    #: chunks with different strategies; FG006/FG007 verify the
-    #: assignments (:mod:`repro.runtime.verify`).
-    chunk_strategies: Sequence | None = None
-
-    def strategy_for_chunk(self, ci: int):
-        """The strategy assigned to chunk ``ci``, or None (sink default)."""
-        if self.chunk_strategies is None:
-            return None
-        return self.chunk_strategies[ci]
 
 
 @dataclass
@@ -346,8 +332,9 @@ class ExecutionPlan:
 
     tasks: Sequence[EdgeTask]
     label: str = ""
-    #: name of the aggregation strategy the plan's sinks use (None for
-    #: pure scatter plans); surfaced through ExecStats for benchmarks
+    #: names of the aggregation strategies the plan's sinks use, distinct
+    #: ones joined by ``+`` in stage order (None for pure scatter plans);
+    #: surfaced through ExecStats for benchmarks
     strategy: str | None = None
     finalize: Callable | None = None
     extras: dict = field(default_factory=dict)

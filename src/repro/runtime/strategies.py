@@ -67,41 +67,35 @@ message dtype): it agrees with the oracle inside the sanitizer's FG007
 reassociation tolerance (rtol 1e-4, atol 1e-5) and is ``reduceat`` bit
 for bit wherever it delegates.
 
-A kernel's ``agg_strategy`` request pins a strategy.  Without one the
-lowerings resolve the strategy **per sink** (:func:`resolve_sink_strategy`):
-a ``sum``/``mean`` sink over float32/float64 messages combines through
-``spblas``; every other sink (``max``/``min``/``prod``, integer messages)
-through :func:`select_strategy`'s pick among the three ufunc strategies,
-from the degree histogram and feature width.
+A kernel's ``agg_strategy`` request -- ``None`` or one name of
+:data:`STRATEGY_NAMES` -- pins a strategy for every sink of the kernel.
+Without one the lowerings resolve the strategy **per sink**
+(:func:`resolve_sink_strategy`) from what they can see of it, by one rule:
 
-That selection is **cost-model-driven when calibrated**: if
-:func:`repro.core.cost.load_profile` finds a valid machine profile
-(written once by ``python -m repro.runtime.calibrate``), both
-:func:`select_strategy` and the per-chunk
-:func:`select_chunk_strategies` rank strategies by predicted combine
-seconds; without a profile they cold-start on the hand-tuned thresholds
-below.  The ``"adaptive"`` request (kernel ``agg_strategy``) asks the
-lowering to assign a strategy **per chunk** from each chunk's own shape
-statistics -- power-law graphs mix hub regions where ``bucketed`` wins
-with long-tail regions where ``reduceat`` is already optimal, and one
-whole-kernel choice forfeits one of the two.  The cost model, the
-calibration grid and ``"adaptive"`` rank only the ufunc strategies
-(:data:`UFUNC_STRATEGIES`).
+- a ``sum``/``mean`` sink over float32/float64 messages combines through
+  ``spblas``;
+- any other sink (``max``/``min``/``prod``, integer messages) through
+  ``bucketed`` when its rows are at least :data:`_BUCKET_MIN_WIDTH` values
+  wide and the graph backs every distinct degree with
+  :data:`_BUCKET_WORK_PER_DEGREE` edge-values, else through ``reduceat``
+  (:func:`select_strategy`).
+
+The rule reads the graph's cached degree histogram and the sink's width,
+nothing else: no worker count, no file and no environment variable changes
+a pick.  ``parallel`` is never selected -- it runs only when pinned.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
+from repro.runtime.histogram import DegreeStats, degree_stats
 from repro.runtime.plan import RowGather, SegmentInfo
 from repro.runtime.reducers import Reducer
 from repro.runtime.spblas import _blocked_sum, segment_sum
 from repro.tensorir.runtime import WorkPool, default_pool
 
 __all__ = [
-    "ADAPTIVE",
     "AggregationStrategy",
     "ReduceatStrategy",
     "DegreeBucketedStrategy",
@@ -110,24 +104,15 @@ __all__ = [
     "STRATEGY_NAMES",
     "UFUNC_STRATEGIES",
     "make_strategy",
-    "cost_model",
-    "reset_cost_model_cache",
     "select_strategy",
-    "select_chunk_strategies",
-    "resolve_request",
     "resolve_strategy",
     "resolve_sink_strategy",
 ]
 
-#: the strategies that reduce with numpy ufuncs -- what the selector, the
-#: cost model and the calibration grid rank
+#: the strategies that reduce with numpy ufuncs
 UFUNC_STRATEGIES = ("reduceat", "bucketed", "parallel")
 
 STRATEGY_NAMES = UFUNC_STRATEGIES + ("spblas",)
-
-#: the per-chunk request name -- not a concrete strategy: lowering expands
-#: it into per-chunk assignments (EdgeTask.chunk_strategies)
-ADAPTIVE = "adaptive"
 
 #: estimated ufunc work (edge-values) that must back each distinct degree
 #: for bucketing's per-bucket Python dispatch to pay for itself
@@ -138,10 +123,6 @@ _BUCKET_WORK_PER_DEGREE = 512
 #: float32 (segmented max of (160 K, w) over 4000 rows, ms, reduceat /
 #: bucketed: w=4 1.0 / 6.0, w=8 2.2 / 6.5, w=16 6.7 / 6.4, w=64 63.6 / 9.0)
 _BUCKET_MIN_WIDTH = 16
-
-#: minimum edge-values in a chunk before sharding it across workers beats
-#: the dispatch cost of waking the pool
-_PARALLEL_MIN_WORK = 1 << 18
 
 #: below this many edges a parallel combine runs inline (serial reduceat)
 _PARALLEL_MIN_EDGES = 4096
@@ -347,161 +328,52 @@ def make_strategy(name: str, pool: WorkPool | None = None
         f"(known: {'/'.join(STRATEGY_NAMES)})")
 
 
-#: process-wide cost-model cache: [loaded_flag, CostModel | None].  The
-#: profile is read from disk at most once per process; tests repoint
-#: ``FEATGRAPH_COST_PROFILE`` and call :func:`reset_cost_model_cache`.
-_COST_MODEL_CACHE: list = [False, None]
-
-
-def cost_model():
-    """The calibrated :class:`~repro.core.cost.CostModel`, or ``None`` on
-    cold start (no valid profile for this machine)."""
-    if not _COST_MODEL_CACHE[0]:
-        # lazy: repro.core.cost lives under the package that imports this
-        # module during its own init (core/__init__ -> spmm -> strategies)
-        from repro.core.cost import load_profile
-
-        _COST_MODEL_CACHE[1] = load_profile()
-        _COST_MODEL_CACHE[0] = True
-    return _COST_MODEL_CACHE[1]
-
-
-def reset_cost_model_cache() -> None:
-    """Forget the cached profile (tests; after re-calibration)."""
-    _COST_MODEL_CACHE[0] = False
-    _COST_MODEL_CACHE[1] = None
-
-
-def _pool_workers(pool: WorkPool | None) -> int:
-    """Workers a ``parallel`` combine would really get: ``pool=None`` runs
-    on :func:`default_pool`, exactly as :attr:`ParallelStrategy.pool`."""
-    return (pool if pool is not None else default_pool()).num_workers
-
-
-def _shape_from_degrees(degrees, width: int):
-    from repro.core.cost import ChunkShape
-
-    degrees = np.asarray(degrees)
-    nonzero = degrees[degrees > 0]
-    return ChunkShape(n_edges=int(nonzero.sum()),
-                      n_segments=int(len(nonzero)),
-                      n_distinct=int(len(np.unique(nonzero))),
-                      width=max(1, int(width)))
-
-
-def _heuristic_select(shape: ChunkShape, workers: int) -> str:
-    """The hand-tuned cold-start thresholds (pre-calibration behavior)."""
-    if shape.n_edges == 0:
-        return "reduceat"
-    if (shape.width >= _BUCKET_MIN_WIDTH
-            and shape.values >= _BUCKET_WORK_PER_DEGREE * shape.n_distinct):
+def _rule(stats: DegreeStats, width: int) -> str:
+    """``bucketed`` where its per-row gather and its per-distinct-degree
+    Python dispatch are both paid for, else ``reduceat``."""
+    work = stats.nnz * width
+    if (work and width >= _BUCKET_MIN_WIDTH
+            and work >= _BUCKET_WORK_PER_DEGREE * stats.n_distinct):
         return "bucketed"
-    if workers > 1 and shape.values >= _PARALLEL_MIN_WORK:
-        return "parallel"
     return "reduceat"
 
 
-def select_strategy(degrees: Sequence[int], width: int,
-                    pool: WorkPool | None = None) -> str:
-    """Pick a strategy name from the degree histogram and feature width.
+def select_strategy(degrees, width: int) -> str:
+    """Pick a ufunc strategy name from a degree histogram and the width of
+    the rows reduced.
 
-    ``degrees`` is the per-destination in-degree of the topology (or the
-    portion of it one pass covers).  With a calibrated profile on disk
-    the choice is the cost model's argmin over predicted combine seconds;
-    the cold-start heuristic estimates whether degree-bucketing's
-    per-distinct-degree Python dispatch is amortized by the vectorized
-    work it unlocks (``nnz * width`` edge-values across ``distinct``
-    buckets) and requires rows at least ``_BUCKET_MIN_WIDTH`` wide;
-    failing that, large chunks shard across an available
-    multi-worker pool; everything else stays on ``reduceat``.
+    ``degrees`` is the per-destination in-degree of the topology.
+    Degree-bucketing must amortize one Python dispatch per distinct degree
+    over the vectorized work it unlocks (``nnz * width`` edge-values) and
+    needs rows at least ``_BUCKET_MIN_WIDTH`` wide; everything else,
+    and an empty graph, stays on ``reduceat``.
     """
-    shape = _shape_from_degrees(degrees, width)
-    if shape.n_edges == 0:
-        return "reduceat"
-    workers = _pool_workers(pool)
-    model = cost_model()
-    if model is not None:
-        return model.select(shape, workers)
-    return _heuristic_select(shape, workers)
-
-
-def select_chunk_strategies(shapes: Sequence[ChunkShape],
-                            pool: WorkPool | None = None) -> list[str]:
-    """Per-chunk strategy names for a row-aligned chunking.
-
-    One name per :class:`~repro.core.cost.ChunkShape`, chosen by the
-    calibrated cost model when a profile is loaded, else by the same
-    cold-start thresholds as :func:`select_strategy` applied chunk-wise.
-    """
-    workers = _pool_workers(pool)
-    model = cost_model()
-    if model is not None:
-        return [model.select(s, workers) for s in shapes]
-    return [_heuristic_select(s, workers) for s in shapes]
-
-
-def resolve_request(requested) -> tuple[str, tuple | None]:
-    """Classify a kernel's aggregation request (``None`` = auto).
-
-    Returns ``(mode, names)``:
-
-    - ``("auto", None)`` -- whole-kernel selection (the default);
-    - ``("single", (name,))`` -- one pinned concrete strategy;
-    - ``("adaptive", None)`` -- per-chunk cost-model selection;
-    - ``("map", names)`` -- an explicit per-chunk assignment cycle
-      (chunk ``i`` combines through ``names[i % len(names)]``; the
-      fuzzer's mixed-strategy trials pin plans this way).
-    """
-    if requested is None:
-        return ("auto", None)
-    if isinstance(requested, str):
-        if requested == ADAPTIVE:
-            return ("adaptive", None)
-        if requested not in STRATEGY_NAMES:
-            raise ValueError(
-                f"unknown aggregation strategy {requested!r} "
-                f"(known: {'/'.join(STRATEGY_NAMES)}/{ADAPTIVE})")
-        return ("single", (requested,))
-    names = tuple(requested)
-    if not names:
-        raise ValueError("strategy map must name at least one strategy")
-    for name in names:
-        if name not in STRATEGY_NAMES:
-            raise ValueError(
-                f"unknown aggregation strategy {name!r} in map "
-                f"(known: {'/'.join(STRATEGY_NAMES)})")
-    return ("map", names)
+    return _rule(DegreeStats.of(degrees), width)
 
 
 def resolve_strategy(requested: str | None, degrees, width: int,
                      pool: WorkPool | None = None) -> AggregationStrategy:
-    """The explicitly requested strategy, else the selector's pick.
-
-    An :data:`ADAPTIVE` request degrades to auto-selection here: this
-    resolver serves lowerings that pin one concrete strategy for a whole
-    pass; per-chunk expansion happens in the plan lowering
-    (``spmm``/``fusion``) via :func:`resolve_request` +
-    :func:`select_chunk_strategies`.
-    """
-    if requested == ADAPTIVE:
-        requested = None
-    name = requested or select_strategy(degrees, width, pool)
-    return make_strategy(name, pool=pool)
+    """The explicitly requested strategy, else the selector's pick."""
+    if requested is None:
+        requested = select_strategy(degrees, width)
+    return make_strategy(requested, pool=pool)
 
 
-def resolve_sink_strategy(reducer_name: str, dtype, csr, width: int,
-                          pool: WorkPool | None = None
+def resolve_sink_strategy(requested: str | None, reducer_name: str, dtype,
+                          csr, width: int, pool: WorkPool | None = None
                           ) -> AggregationStrategy:
-    """The default-request strategy of one aggregating sink.
+    """The strategy of one aggregating sink.
 
-    Decided from what the lowering can observe about the sink: a ``sum``
-    (``mean`` is ``sum`` + finalize) over float32/float64 messages goes to
-    ``spblas``; any other reducer or message dtype keeps the selector's
-    pick (:func:`select_strategy`) from ``csr``'s degree histogram.
+    A request (the kernel's ``agg_strategy``) is taken as it is; anything
+    but a name of :data:`STRATEGY_NAMES` is :func:`make_strategy`'s
+    ``ValueError``.  Without one the pick follows from what the lowering
+    can observe about the sink: a ``sum`` (``mean`` is ``sum`` + finalize)
+    over float32/float64 messages goes to ``spblas``; any other reducer or
+    message dtype to ``bucketed`` or ``reduceat`` by the width rule of
+    :func:`select_strategy`, read off ``csr``'s cached degree histogram.
     """
+    if requested is not None:
+        return make_strategy(requested, pool=pool)
     if SparseBlasStrategy.owns(reducer_name, np.dtype(dtype)):
         return SparseBlasStrategy()
-    # lazy: histogram imports repro.core.cost (see cost_model above)
-    from repro.runtime.histogram import degree_stats
-
-    return resolve_strategy(None, degree_stats(csr).degrees, width, pool)
+    return make_strategy(_rule(degree_stats(csr), width))

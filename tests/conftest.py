@@ -41,20 +41,6 @@ def rng(request) -> np.random.Generator:
     return np.random.default_rng(_seed_for(request.node.nodeid))
 
 
-@pytest.fixture()
-def cold_start_selector(monkeypatch, tmp_path):
-    """Strategy selection on the hand-tuned cold-start thresholds: a
-    calibrated cost profile on this machine must not decide the picks a
-    test asserts."""
-    from repro.core.cost import COST_PROFILE_ENV
-    from repro.runtime.strategies import reset_cost_model_cache
-
-    monkeypatch.setenv(COST_PROFILE_ENV, str(tmp_path / "absent.json"))
-    reset_cost_model_cache()
-    yield
-    reset_cost_model_cache()
-
-
 def make_graph(n_src: int, n_dst: int, m: int, seed: int = 0) -> CSRMatrix:
     """Random multigraph in pull layout (rows = destinations)."""
     r = np.random.default_rng(seed)

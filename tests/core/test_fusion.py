@@ -194,9 +194,7 @@ class TestPerSinkStrategies:
         assert self._sink_strategies(plan) == {
             "MAXV": pick, "SUMV": "spblas", "OUT": "spblas"}
         assert plan.strategy == f"{pick}+spblas"
-        assert plan.tasks[0].chunk_strategies is None
 
-    @pytest.mark.usefixtures("cold_start_selector")
     def test_max_sink_is_selected_at_its_own_width(self):
         """GAT's shape: 4-wide MAXV beside a 64-wide OUT.  Selected at
         OUT's width the regular graph below says bucketed; at its own 16
@@ -211,10 +209,9 @@ class TestPerSinkStrategies:
         fused = FusedEdgeSoftmax(adj, h, cache=KernelCache(),
                                  feat_shape=(h, d))
         plan = self._plan(fused)
-        assert plan.strategy in ("reduceat+spblas", "parallel+spblas")
+        assert plan.strategy == "reduceat+spblas"
         assert self._sink_strategies(plan)["MAXV"] \
             == select_strategy(np.diff(adj.indptr), h)
-        # either pick is the reduceat oracle bit for bit (FG007)
         rng = np.random.default_rng(8)
         scores = rng.standard_normal((adj.nnz, h)).astype(np.float32)
         z = rng.standard_normal((n, h, d)).astype(np.float32)
@@ -272,22 +269,6 @@ class TestPerSinkStrategies:
         plan = self._plan(fused)
         assert plan.strategy == request_
         assert set(self._sink_strategies(plan).values()) == {request_}
-
-    def test_maps_and_adaptive_assign_per_chunk_as_before(self):
-        from repro.runtime.strategies import UFUNC_STRATEGIES
-
-        fused = FusedEdgeSoftmax(_dense_graph(9), 2, cache=KernelCache(),
-                                 feat_shape=(2, 3), chunk_edges=9)
-        fused.kernel.agg_strategy = ["bucketed", "reduceat"]
-        plan = self._plan(fused)
-        names = [s.name for s in plan.tasks[0].chunk_strategies]
-        assert plan.strategy == "mixed" and len(names) == 9
-        assert names == ["bucketed", "reduceat"] * 4 + ["bucketed"]
-        fused.kernel.agg_strategy = "adaptive"
-        plan = self._plan(fused)
-        assert plan.strategy == "adaptive"
-        assert {s.name for s in plan.tasks[0].chunk_strategies} \
-            <= set(UFUNC_STRATEGIES)
 
     def test_sanitizer_classifies_each_sink_by_its_own_strategy(self):
         """FG007 notes name (strategy, reducer) per sink, and the
@@ -428,9 +409,7 @@ class TestGatherFreeStages:
         for got in outs[1:]:
             assert np.array_equal(got, outs[0])
 
-    @pytest.mark.parametrize("request_", ["reduceat", "bucketed", "parallel",
-                                          "adaptive",
-                                          ("spblas", "reduceat")])
+    @pytest.mark.parametrize("request_", ["reduceat", "bucketed", "parallel"])
     def test_other_requests_keep_the_program(self, request_):
         from repro.core.fusion import FusedCopyUAggregate
 

@@ -410,7 +410,6 @@ class TestDefaultStrategyResolution:
             sinks = {id(t.stages[0].sink): t.stages[0].sink
                      for t in plan.tasks}
             assert {s.strategy.name for s in sinks.values()} == {"spblas"}
-            assert all(t.chunk_strategies is None for t in plan.tasks)
 
     @pytest.mark.parametrize("agg", ["max", "min", "prod"])
     def test_other_reducers_keep_the_selectors_pick(self, setup, agg):
@@ -451,30 +450,6 @@ class TestDefaultStrategyResolution:
         plan = self._plan(k)
         assert plan.strategy == name
         assert {t.stages[0].sink.strategy.name for t in plan.tasks} == {name}
-        assert all(t.chunk_strategies is None for t in plan.tasks)
-
-    def test_maps_and_adaptive_never_pick_spblas_on_their_own(self, setup):
-        from repro.runtime.histogram import chunk_shapes
-        from repro.runtime.strategies import (UFUNC_STRATEGIES,
-                                              select_chunk_strategies)
-
-        adj, _, _, n, _ = setup
-        k = _copy_kernel(adj, n, 12, chunk_edges=64)
-        k.agg_strategy = ["bucketed", "reduceat", "parallel"]
-        plan = self._plan(k)
-        assert plan.strategy == "mixed"
-        for task in plan.tasks:
-            names = [s.name for s in task.chunk_strategies]
-            assert names == [k.agg_strategy[i % 3]
-                             for i in range(len(names))]
-        k.agg_strategy = "adaptive"
-        plan = self._plan(k)
-        assert plan.strategy == "adaptive"
-        for task, part in zip(plan.tasks, k.partitions):
-            names = [s.name for s in task.chunk_strategies]
-            assert set(names) <= set(UFUNC_STRATEGIES)
-            assert names == select_chunk_strategies(
-                chunk_shapes(part.csr, 64, k.feature_len))
 
     @pytest.mark.parametrize("agg", ["sum", "mean"])
     def test_bit_identical_across_chunk_sizes_and_worker_counts(self, agg):
@@ -640,9 +615,7 @@ class TestGatherFreePlans:
         want = self._materialised(k, lambda src, eid: x[src] * wide[eid])
         assert np.array_equal(out, want) or _ulps(out, want) <= 1.0
 
-    @pytest.mark.parametrize("request_", [
-        "reduceat", "bucketed", "parallel", "adaptive",
-        ("spblas", "bucketed")])
+    @pytest.mark.parametrize("request_", ["reduceat", "bucketed", "parallel"])
     def test_other_requests_run_the_program_on_the_old_grid(
             self, big, request_):
         from repro.core import kernels

@@ -6,13 +6,22 @@ loops), strategy auto-selection/override resolution, and the unified
 ``ExecStats`` accounting every kernel family now shares.
 """
 
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.runtime
 from repro import tensorir as T
 from repro.core.api import spmat, spmm
-from repro.graph.sparse import from_edges
+from repro.core.compile import KernelCache, use_kernel_cache
+from repro.graph.sparse import CSRMatrix, from_edges
 from repro.runtime import (
+    STRATEGY_NAMES,
     AggregateSink,
     ChunkCtx,
     ChunkPolicy,
@@ -24,13 +33,15 @@ from repro.runtime import (
     Stage,
     get_reducer,
     make_strategy,
+    resolve_sink_strategy,
     resolve_strategy,
     row_aligned_chunks,
     row_segments,
     segment_info,
     select_strategy,
 )
-from repro.tensorir.runtime import ExecStats
+from repro.runtime.histogram import cache_info, clear_caches, degree_stats
+from repro.tensorir.runtime import ExecStats, WorkPool
 
 
 def _copy_kernel(adj, n, f, **opts):
@@ -153,19 +164,24 @@ class TestChunkCtx:
         assert np.all(out == 3.0)
 
 
+def _csr_of(degrees, n_src=64):
+    degrees = np.asarray(degrees, dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(degrees)])
+    indices = np.random.default_rng(3).integers(0, n_src, int(indptr[-1]))
+    return CSRMatrix((len(degrees), n_src), indptr, indices)
+
+
+@pytest.fixture(params=[1, 4])
+def default_workers(request, monkeypatch):
+    """Lowerings called with ``pool=None`` see a default pool this wide."""
+    from repro.tensorir import runtime
+
+    with runtime.WorkPool(request.param) as pool:
+        monkeypatch.setattr(runtime, "_default", pool)
+        yield request.param
+
+
 class TestStrategySelection:
-    @pytest.fixture(autouse=True)
-    def _no_cost_profile(self, monkeypatch, tmp_path):
-        # These tests assert the hand-tuned cold-start thresholds; a real
-        # calibrated profile on this machine must not perturb them.
-        from repro.core.cost import COST_PROFILE_ENV
-        from repro.runtime.strategies import reset_cost_model_cache
-
-        monkeypatch.setenv(COST_PROFILE_ENV, str(tmp_path / "absent.json"))
-        reset_cost_model_cache()
-        yield
-        reset_cost_model_cache()
-
     def test_auto_prefers_bucketed_on_regular_graphs(self):
         degrees = np.full(4096, 8)  # one distinct degree, plenty of work
         assert select_strategy(degrees, 16) == "bucketed"
@@ -183,37 +199,87 @@ class TestStrategySelection:
         degrees = np.arange(1, 40)  # distinct degrees ~ rows, little work
         assert select_strategy(degrees, 1) == "reduceat"
 
-    def test_auto_picks_parallel_when_pool_is_wide(self):
-        from repro.tensorir.runtime import WorkPool
-        # every degree distinct (bucketing can't amortize) but enough
-        # total work to shard: sum(1..724) = 262450 >= 1<<18
-        degrees = np.arange(1, 725)
-        with WorkPool(4) as pool:
-            assert select_strategy(degrees, 1, pool) == "parallel"
-
     def test_empty_graph_selects_reduceat(self):
         assert select_strategy(np.zeros(10, np.int64), 8) == "reduceat"
-
-    def test_selector_counts_the_pool_parallel_would_run_on(self,
-                                                            monkeypatch):
-        # pool=None combines on default_pool(), which honours
-        # FEATGRAPH_NUM_WORKERS: one worker means `parallel` would run
-        # inline as reduceat, so the selector must never report it
-        from repro.tensorir import runtime
-
-        monkeypatch.setenv("FEATGRAPH_NUM_WORKERS", "1")
-        monkeypatch.setattr(runtime, "_default", None)
-        degrees = np.arange(1, 725)  # above _PARALLEL_MIN_WORK, see above
-        for width in (1, 8, 64):
-            assert select_strategy(degrees, width) != "parallel"
 
     def test_resolution_order(self):
         degrees = np.full(4096, 8)
         # an explicit request beats auto (auto says bucketed here)
         assert resolve_strategy("reduceat", degrees, 16).name == "reduceat"
         assert resolve_strategy(None, degrees, 16).name == "bucketed"
-        # "adaptive" has no whole-kernel meaning: degrades to auto
-        assert resolve_strategy("adaptive", degrees, 16).name == "bucketed"
+
+    # The pins below hold on a one-worker and on a four-worker default pool
+    # (``default_workers``): the rule reads a sink's reducer, message dtype
+    # and row width and the graph's degree histogram, nothing else.
+
+    @staticmethod
+    def _pick(csr, width, reducer="max", dtype=np.float32, pool=None):
+        return resolve_sink_strategy(None, reducer, dtype, csr, width,
+                                     pool).name
+
+    @pytest.mark.parametrize("degrees,width,want", [
+        (np.full(4096, 8), 15, "reduceat"),     # both sides of width 16
+        (np.full(4096, 8), 16, "bucketed"),
+        # the work-per-degree refusal: 512 edge-values must back every
+        # distinct degree
+        (np.arange(1, 40), 16, "reduceat"),     # 780 * 16 < 512 * 39
+        (np.arange(1, 40), 64, "bucketed"),     # 780 * 64 >= 512 * 39
+        (np.zeros(10), 64, "reduceat"),         # empty graph
+    ])
+    def test_width_and_work_decide(self, default_workers, degrees,
+                                   width, want):
+        csr = _csr_of(degrees)
+        for reducer, dtype in (("max", np.float32), ("min", np.float64),
+                               ("prod", np.float32), ("sum", np.int32)):
+            assert self._pick(csr, width, reducer, dtype) == want
+        assert select_strategy(degrees, width) == want
+
+    @pytest.mark.parametrize("width", [1, 16, 64])
+    def test_float_sums_go_to_spblas_whatever_the_shape(
+            self, default_workers, width):
+        for degrees in (np.full(4096, 8), np.arange(1, 40), np.zeros(10)):
+            for dtype in (np.float32, np.float64):
+                assert self._pick(_csr_of(degrees), width, "sum",
+                                  dtype) == "spblas"
+
+    def test_no_worker_count_yields_parallel(self, default_workers):
+        """Every degree distinct (bucketing cannot amortize) and
+        sum(1..724) = 262450 edge-values: where auto-selection used to
+        shard across a wide pool.  An explicit pool changes nothing."""
+        degrees = np.arange(1, 725)
+        csr = _csr_of(degrees)
+        with WorkPool(4) as wide:
+            for width in (1, 8, 64):
+                assert select_strategy(degrees, width) != "parallel"
+                for pool in (None, wide):
+                    assert self._pick(csr, width, pool=pool) != "parallel"
+
+    @pytest.mark.parametrize("f", [32, 64])
+    def test_mlp_aggregation_on_the_benchmark_graph_buckets(
+            self, default_workers, f):
+        from repro.core import kernels
+        from repro.graph.datasets import load
+
+        adj = load("reddit", scale=1 / 2048, seed=0).adj
+        with use_kernel_cache(KernelCache()):
+            k = kernels.mlp_aggregation(adj, adj.shape[0], 8, f)
+        acc = np.zeros((adj.shape[0], f), np.float32)
+        assert k.execution_plan(acc).strategy == "bucketed"
+
+    def test_gat_softmax_max_on_the_benchmark_graph_stays_on_reduceat(
+            self, default_workers):
+        from repro.core.fusion import FusedEdgeSoftmax
+        from repro.graph.datasets import planted_partition
+
+        adj = planted_partition(n=4000, num_classes=16, feature_dim=4,
+                                avg_degree=40, seed=0).adj
+        fused = FusedEdgeSoftmax(adj, 4, cache=KernelCache(),
+                                 feat_shape=(4, 16))
+        rng = np.random.default_rng(0)
+        fused.run_aggregate(
+            rng.standard_normal((adj.nnz, 4)).astype(np.float32),
+            rng.standard_normal((4000, 4, 16)).astype(np.float32))
+        assert fused.kernel.exec_stats.agg_strategy == "reduceat+spblas"
 
     def test_kernel_attribute_pins_strategy(self, graph):
         adj, *_ = graph
@@ -225,6 +291,112 @@ class TestStrategySelection:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             make_strategy("quantum")
+
+
+class TestRequestsThatAreNoStrategyName:
+    """``agg_strategy`` is ``None`` or one name of ``STRATEGY_NAMES``:
+    anything else is the unknown-strategy ``ValueError`` when the kernel
+    lowers, before a chunk has run or a buffer was written."""
+
+    BAD = ["adaptive", ["reduceat", "bucketed"], ("spblas", "bucketed")]
+
+    @pytest.fixture(autouse=True)
+    def _fresh_kernel_cache(self):
+        with use_kernel_cache(KernelCache()):
+            yield
+
+    @staticmethod
+    def _raises():
+        return pytest.raises(ValueError, match="unknown aggregation strategy"
+                             ".*" + "/".join(STRATEGY_NAMES))
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize("aggregation", ["sum", "max"])
+    def test_spmm(self, graph, bad, aggregation):
+        adj, *_ = graph
+        k = _copy_kernel(spmat(adj), 30, 4, aggregation=aggregation)
+        k.agg_strategy = bad
+        with self._raises():
+            k.execution_plan(np.zeros((30, 4), np.float32))
+        out = np.full((30, 4), -7.0, np.float32)
+        with self._raises():
+            k.run({"XV": np.ones((30, 4), np.float32)}, out=out)
+        assert np.all(out == -7.0) and k.exec_stats.chunks == 0
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_fused_kernel(self, graph, bad):
+        from repro.core.fusion import FusedCopyUAggregate
+
+        adj, *_ = graph
+        fused = FusedCopyUAggregate(adj, (4,), "sum", cache=KernelCache())
+        fused.kernel.agg_strategy = bad
+        vbufs = {"COUT": np.full((30, 4), -7.0, np.float32)}
+        with self._raises():
+            fused.kernel.execution_plan(vbufs, {})
+        with self._raises():
+            fused.run(np.ones((30, 4), np.float32))
+        assert np.all(vbufs["COUT"] == -7.0)
+        assert fused.kernel.exec_stats.chunks == 0
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_edge_softmax(self, graph, bad, fused):
+        from repro.core.softmax import EdgeSoftmax
+
+        adj, *_ = graph
+        sm = EdgeSoftmax(adj, num_heads=2, fused=fused, agg_strategy=bad)
+        with self._raises():
+            sm.run(np.ones((adj.nnz, 2), np.float32))
+        assert all(stats["chunks"] == 0
+                   for stats in sm.exec_stats().values())
+
+
+class TestHistogramCaches:
+    @staticmethod
+    def _graph():
+        return _csr_of(np.concatenate([np.full(128, 4),
+                                       np.tile(np.arange(1, 9), 32)]))
+
+    def test_degree_stats_cached_by_fingerprint(self):
+        clear_caches()
+        csr = self._graph()
+        a = degree_stats(csr)
+        b = degree_stats(csr)
+        assert a is b
+        assert a.nnz == csr.nnz
+        # same structure, different object: same cache entry
+        clone = CSRMatrix(csr.shape, csr.indptr.copy(), csr.indices.copy())
+        assert degree_stats(clone) is a
+        assert cache_info()["degree"] == 1
+
+    def test_different_edges_graph_forks_the_entry(self):
+        clear_caches()
+        csr = self._graph()
+        other = CSRMatrix(csr.shape, csr.indptr,
+                          (csr.indices + 1) % csr.shape[1])
+        degree_stats(csr)
+        degree_stats(other)
+        assert cache_info()["degree"] == 2
+
+    def test_selection_reads_the_histogram_it_cached(self, graph,
+                                                     monkeypatch):
+        """Only the first lowering over a graph pays for ``np.unique``."""
+        adj, *_ = graph
+        with use_kernel_cache(KernelCache()):
+            k = _copy_kernel(spmat(adj), 30, 16, aggregation="max")
+        x = np.random.default_rng(0).random((30, 16)).astype(np.float32)
+        clear_caches()
+        first = k.run({"XV": x})
+        pick = k.exec_stats.agg_strategy
+        calls = []
+        real = np.unique
+        monkeypatch.setattr(np, "unique",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        again = k.run({"XV": x})
+        assert calls == []
+        assert k.exec_stats.agg_strategy == pick
+        assert pick in ("reduceat", "bucketed")
+        assert np.array_equal(first, again)
 
 
 class TestExecStatsAccounting:
@@ -493,3 +665,17 @@ class TestEndToEndParity:
         # a later instance without a pin clears the cached kernels' pin
         sm2 = EdgeSoftmax(spmat(adj), num_heads=2, fused=False)
         assert sm2._max_kernel.agg_strategy is None
+
+
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.iter_modules(repro.runtime.__path__)))
+def test_runtime_module_is_importable_first(module):
+    """``repro.core`` imports ``repro.runtime``, never the reverse at
+    module level: each runtime module loads as a fresh interpreter's first
+    import."""
+    src = Path(repro.runtime.__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, "-c", f"import repro.runtime.{module}"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr

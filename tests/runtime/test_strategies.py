@@ -34,7 +34,6 @@ from repro.runtime.strategies import (
     ReduceatStrategy,
     SparseBlasStrategy,
     make_strategy,
-    resolve_request,
 )
 from repro.tensorir.runtime import WorkPool
 
@@ -237,13 +236,9 @@ class TestSparseBlas:
     def test_registered_but_not_ranked(self):
         assert STRATEGY_NAMES == UFUNC_STRATEGIES + ("spblas",)
         assert isinstance(make_strategy("spblas"), SparseBlasStrategy)
-        assert resolve_request("spblas") == ("single", ("spblas",))
-        assert resolve_request(["spblas", "reduceat"])[0] == "map"
-        for bad in ("quantum", ["reduceat", "quantum"]):
+        for bad in ("quantum", "adaptive", ["spblas", "reduceat"]):
             with pytest.raises(ValueError, match="spblas"):
-                resolve_request(bad)
-        with pytest.raises(ValueError, match="spblas"):
-            make_strategy("quantum")
+                make_strategy(bad)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("feat", [(6,), (4, 3)])

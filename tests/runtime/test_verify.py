@@ -294,14 +294,11 @@ class TestVerifyKernelPlumbing:
     def test_lint_suite_covers_every_strategy(self):
         labels = list(iter_suite("builtins"))
         strategies = {strat for _, strat, _ in labels}
-        # every concrete strategy, the default per-sink resolution, and
-        # the heterogeneous plan shapes
-        assert strategies == set(STRATEGY_NAMES) | {"default", "adaptive",
-                                                    "mixed"}
+        # every concrete strategy and the default per-sink resolution
+        assert strategies == set(STRATEGY_NAMES) | {"default"}
         kinds = {label.split("/")[0] for label, _, _ in labels}
         assert kinds == {"spmm", "sddmm", "softmax"}
 
-    @pytest.mark.usefixtures("cold_start_selector")
     def test_lint_reports_the_softmax_chain_sink_by_sink(self):
         """At GAT's head counts, on a graph regular enough to pass
         bucketing's work threshold: every sink gets its own FG007 note,

@@ -136,9 +136,6 @@ class TestWidthProbe:
     """The strategy and sanitizer oracles see the selector's width rule
     (bucketed only at rows >= 16 wide) from both sides."""
 
-    # the width rule is the cold-start heuristic's
-    pytestmark = pytest.mark.usefixtures("cold_start_selector")
-
     @staticmethod
     def _cfg(aggregation, f=3, data_seed=1, kind="spmm"):
         return D.TrialConfig(
