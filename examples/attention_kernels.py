@@ -66,7 +66,7 @@ def mh_edgefunc(src_v, dst_v, eid):
                                            axis=k))
 
 
-MultiHead = featgraph.sddmm(A, mh_edgefunc, target="cpu")  # Hilbert traversal on
+MultiHead = featgraph.sddmm(A, mh_edgefunc, target="cpu")  # Hilbert traversal modelled
 xh = rng.standard_normal((n, heads, head_dim)).astype(np.float32)
 mh_scores = MultiHead.run({"XH": xh})
 assert np.allclose(mh_scores, np.einsum("ehk,ehk->eh", xh[src], xh[dst]),

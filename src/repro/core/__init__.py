@@ -56,7 +56,6 @@ from repro.core import kernels
 from repro.core.tuner import AnnealingTuner, GridTuner, RandomTuner, TuneResult
 
 from repro.core.softmax import EdgeSoftmax
-from repro.core.program import KernelProgram
 from repro.core.transfer import TunedConfig, TuningCache, transfer_config
 from repro.core.verify import verify_sddmm, verify_spmm
 from repro.core.bindings import BindingError
@@ -106,7 +105,6 @@ __all__ = [
     "set_kernel_cache",
     "use_kernel_cache",
     "EdgeSoftmax",
-    "KernelProgram",
     "TunedConfig",
     "TuningCache",
     "transfer_config",

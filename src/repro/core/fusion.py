@@ -45,14 +45,14 @@ own namespace and ``fused_*`` counters in :class:`~repro.core.compile.
 KernelCache`): a fused chain over a freshly sampled block is a cheap
 ``fused_bind``, never a recompile.
 
-The whole path sits behind the ``FEATGRAPH_FUSE`` gate (default off);
-:func:`use_fusion` flips it per-scope for tests and benchmarks.
+Fused chains are the FeatGraph backend's default route through minidgl;
+``use_fusion(False)`` scopes the staged kernels back in, which is how tests
+run the oracle the fused chains are checked against.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -83,7 +83,6 @@ from repro.tensorir.runtime import ExecStats, take_rows
 from repro.tensorir.validate import validate_ir
 
 __all__ = [
-    "FUSE_ENV",
     "fuse_enabled",
     "use_fusion",
     "FusionError",
@@ -97,9 +96,6 @@ __all__ = [
     "FusedEdgeSoftmax",
     "FusedCopyUAggregate",
 ]
-
-#: environment gate for the fused execution paths (softmax.py, minidgl)
-FUSE_ENV = "FEATGRAPH_FUSE"
 
 _FUSE_OVERRIDE: list = []  # scoped overrides pushed by use_fusion()
 
@@ -126,20 +122,19 @@ _BINOP_UFUNC = {
 }
 
 #: the fused-pipeline pass ledger (KernelCache.note_timings names)
-FUSED_PASSES = ("fuse_stages", "fuse_plan", "fuse_lower", "fuse_validate",
-                "fuse_analyze", "fuse_codegen")
+FUSED_PASSES = ("fuse_stages", "fuse_lower", "fuse_validate", "fuse_analyze")
 
 
 def fuse_enabled() -> bool:
-    """Whether fused execution paths are on (``FEATGRAPH_FUSE`` gate)."""
-    if _FUSE_OVERRIDE:
-        return _FUSE_OVERRIDE[-1]
-    return os.environ.get(FUSE_ENV, "").lower() in ("1", "true", "on")
+    """Whether minidgl routes through the fused chains: the innermost
+    :func:`use_fusion` scope decides, and outside any scope they are on."""
+    return _FUSE_OVERRIDE[-1] if _FUSE_OVERRIDE else True
 
 
 @contextlib.contextmanager
 def use_fusion(flag: bool = True):
-    """Scoped override of the ``FEATGRAPH_FUSE`` gate."""
+    """Scoped choice of route: ``use_fusion(False)`` runs the staged
+    kernels (the oracle), ``use_fusion(True)`` the fused chains."""
     _FUSE_OVERRIDE.append(bool(flag))
     try:
         yield
@@ -270,8 +265,6 @@ class FusionPlan:
     elided: dict = field(default_factory=dict)
     #: (stage, mode, source-stage) per cross-kernel CSE reuse
     cse: tuple = ()
-    #: ScheduleCodeGen-style call wrapper (generated text artifact)
-    source: str = ""
 
     def stage(self, name: str) -> PlannedStage:
         for s in self.stages:
@@ -501,10 +494,8 @@ def plan_fusion(graph: KernelGraph, cache=None) -> FusionPlan:
         if st.kind == "sddmm" and st.name not in outputs:
             st.elided = True
             elided[st.name] = st.width * 4  # float32 bytes per edge
-    plan = FusionPlan(stages=stages, outputs=outputs, target=graph.target,
+    return FusionPlan(stages=stages, outputs=outputs, target=graph.target,
                       elided=elided, cse=tuple(cse))
-    plan.source = _codegen_call(plan)
-    return plan
 
 
 # ----------------------------------------------------------------------
@@ -587,72 +578,6 @@ def fused_loop_nest(plan: FusionPlan, A) -> I.Stmt:
 
 
 # ----------------------------------------------------------------------
-# call-wrapper codegen (the ScheduleCodeGen-style text artifact)
-# ----------------------------------------------------------------------
-
-def _codegen_call(plan: FusionPlan) -> str:
-    """Generate the outer "call" wrapper as readable source text.
-
-    The wrapper is the human-auditable contract of the fused program: which
-    outputs get allocated (only survivors), which buffers are elided, and
-    in what order the stages run inside the single chunked edge sweep.
-    The executor (:meth:`FusedKernel.run`) is the interpreter of the same
-    plan; tests diff this text for the elision/CSE accounting.
-    """
-    lines = [
-        "def fused_call(A, bindings, keep=()):",
-        f"    # fused chain [{plan.target}]: "
-        + " -> ".join(st.name for st in plan.stages),
-    ]
-    for st in plan.stages:
-        feat = "".join(f", {d}" for d in st.feat_shape)
-        if st.kind == "spmm":
-            guard = ", zero-guard" if st.guard_zero else ""
-            lines.append(
-                f"    {st.name} = full((n_dst{feat}), "
-                f"{AGG_IDENTITY[_agg_base(st.aggregation)]!r})"
-                f"  # vertex accumulator ({st.aggregation}{guard})")
-        elif not st.elided:
-            lines.append(f"    {st.name} = empty((m{feat}))"
-                         f"  # surviving edge output")
-    for name, nbytes in plan.elided.items():
-        lines.append(f"    # elided: {name} ({nbytes} B/edge) -- "
-                     "chunk-local, never materialized")
-    lines.append("    for c0, c1 in row_aligned_chunks(A.indptr, "
-                 "chunk_edges):")
-    lines.append("        chunk = edges[c0:c1]; segs = run_starts(chunk.dst)")
-    for st in plan.stages:
-        v = st.name.lower()
-        if st.mode == "alias":
-            rhs = f"vals[{st.alias_of}]  # CSE: alias"
-        elif st.mode == "binop":
-            tname, lead, src_is_rhs = st.binop_operand
-            a = f"vals[{st.alias_of}]"
-            b = f"{tname}[chunk.{lead}]"
-            expr = f"{b} {st.binop_op} {a}" if src_is_rhs else \
-                f"{a} {st.binop_op} {b}"
-            rhs = f"{expr}  # CSE: binop reuse of {st.alias_of}"
-        else:
-            batch = "local_eid" if st.chain_edge_reads else "chunk"
-            rhs = f"eval[{st.name}](bindings, {batch})"
-        lines.append(f"        vals[{st.name}] = {rhs}")
-        if st.kind == "spmm":
-            lines.append(
-                f"        {st.name}[segs.rows] "
-                f"{{{st.aggregation}}}= reduceat(vals[{st.name}], segs)")
-            if st.guard_zero:
-                lines.append(
-                    f"        {st.name}[segs.rows] = where(== 0, 1.0, .)")
-        elif not st.elided:
-            lines.append(
-                f"        {st.name}[chunk.eid] = vals[{st.name}]")
-    lines.append("    finalize(deg == 0 rows)")
-    rets = ", ".join(plan.outputs)
-    lines.append(f"    return {{{rets}}} | keep")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
 # the fused executor
 # ----------------------------------------------------------------------
 
@@ -681,10 +606,6 @@ class FusedKernel:
         self._plan_verify = None
 
     # -- artifacts ------------------------------------------------------
-    @property
-    def call_source(self) -> str:
-        return self.plan.source
-
     def lowered_ir(self) -> I.Stmt:
         if self._lowered is None:
             self._lowered = fused_loop_nest(self.plan, self.A)
@@ -1006,7 +927,7 @@ def compile_fused(graph: KernelGraph, *, cache=None,
 
     Resolution order mirrors the single-kernel pipeline: fused-template
     prekey hit -> ``fused_bind`` (zero compile passes); otherwise the fused
-    pass ledger runs (``fuse_stages`` .. ``fuse_codegen``) and the result
+    pass ledger runs (``fuse_stages`` .. ``fuse_verify``) and the result
     is stored as a fused template when every stage UDF carries a
     ``udf_key``.
     """
@@ -1033,16 +954,12 @@ def compile_fused(graph: KernelGraph, *, cache=None,
         return out
 
     plan = timed("fuse_stages", lambda: plan_fusion(graph, cache))
-    # fuse_plan is the legality/CSE/elision decision record; planning runs
-    # inside plan_fusion, so the entry carries its bookkeeping cost (~0)
-    timings.append(PassTiming("fuse_plan", 0.0))
     stmt = timed("fuse_lower", lambda: fused_loop_nest(plan, graph.A))
     timed("fuse_validate", lambda: validate_ir(stmt))
     report = timed("fuse_analyze",
                    lambda: analyze_ir(stmt, target=graph.target))
     if strict_enabled() and report.has_errors:
         raise AnalysisError(report)
-    timed("fuse_codegen", lambda: plan.source)
 
     kernel = FusedKernel(graph.A, plan, chunk_edges=chunk_edges, bound=False)
     kernel.timings = timings

@@ -5,9 +5,13 @@ dot-product attention (Fig. 4a) or multi-head attention (Fig. 4b).
 
 Template-side optimizations:
 
-- **Hilbert-curve traversal** (CPU, Sec. III-C1): edges are visited in
-  Hilbert order of their (dst, src) coordinates so both endpoint feature
-  reads stay cache-local across a spectrum of granularities;
+- **Hilbert-curve traversal** (CPU, Sec. III-C1): visiting edges in Hilbert
+  order of their (dst, src) coordinates keeps both endpoint feature reads
+  cache-local across a spectrum of granularities.  The order is *modelled*
+  -- ``hilbert`` prices it in :meth:`GeneralizedSDDMM.cost` and annotates
+  the lowered loop nest -- not executed: the numpy executor walks CSR
+  order, where an edge-wise map's values are the same and numpy shows no
+  cache effect to win;
 - **feature-dimension tiling** composes with the traversal;
 - on GPU, the Fig. 7b parallelization: edges across blocks, the dot-product
   reduction across the threads of a block via **tree reduction** when the
@@ -25,7 +29,6 @@ from repro.core import cost as cost_analysis
 from repro.core.api import SparseMat
 from repro.core.bindings import validate_bindings
 from repro.core.fds import FDS, FDSInfo, default_fds
-from repro.graph.hilbert import hilbert_order
 from repro.graph.partition import feature_tiles
 from repro.hwsim import cpu as cpu_model
 from repro.hwsim import gpu as gpu_model
@@ -119,13 +122,13 @@ class GeneralizedSDDMM:
             self.num_feature_partitions = max(1, int(num_feature_partitions))
         self.num_feature_partitions = min(self.num_feature_partitions, f0)
 
-        # Hilbert traversal defaults on for CPU edge-wise kernels.
+        # Hilbert traversal (modelled, see the module docstring) defaults
+        # on for CPU edge-wise kernels.
         self.hilbert = (target == "cpu") if hilbert is None else bool(hilbert)
         self.num_cuda_blocks = num_cuda_blocks
         if int(chunk_edges) < 1:
             raise ValueError("chunk_edges must be >= 1")
         self.chunk_edges = int(chunk_edges)
-        self._order: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -139,19 +142,10 @@ class GeneralizedSDDMM:
         return graph_axis_roles(self.edge_out)
 
     def _gather_plan(self) -> GatherPlan:
-        """(src, dst, eid) in traversal order: CSR order keeps the graph's
-        edge ids where they are (positional, if they were), Hilbert order
-        permutes them."""
+        """(src, dst, eid) in CSR order, which keeps the graph's edge ids
+        where they are (positional, if they were)."""
         csr = self.A.csr
-        dst = csr.row_of_edge()
-        src = csr.indices
-        eid = csr.edge_ids
-        if self.hilbert:
-            if self._order is None:
-                self._order = hilbert_order(dst, src, csr.shape[0], csr.shape[1])
-            o = self._order
-            return GatherPlan(src[o], dst[o], eid[o])
-        return GatherPlan(src, dst, eid,
+        return GatherPlan(csr.indices, csr.row_of_edge(), csr.edge_ids,
                           eid_positional=csr.positional_edge_ids())
 
     def run(self, bindings: Mapping[str, np.ndarray],
@@ -185,7 +179,7 @@ class GeneralizedSDDMM:
         """Lower this bound kernel to an execution plan writing ``result``.
 
         One :class:`~repro.runtime.plan.EdgeTask` per feature tile over
-        flat (non-row-aligned) chunks of the traversal-ordered edge list;
+        flat (non-row-aligned) chunks of the CSR-ordered edge list;
         each stage scatters its values into the tile's column window of the
         edge-id-indexed output.  Chunks are sized so that no single
         gathered block exceeds a quarter of ``CHUNK_WORKSET_BYTES``.

@@ -15,11 +15,9 @@ paper's two patterns:
 No per-edge tensor other than the output is materialized.  ``cost()`` sums
 the three phases' machine-model times.
 
-When the ``FEATGRAPH_FUSE`` gate is on (see :mod:`repro.core.fusion`), the
-three phases additionally compile as **one** fused kernel chain that walks
-the CSR once, computing ``exp(s - M)`` a single time (cross-kernel CSE)
-instead of once per consuming phase; ``run()`` dispatches to it and
-``run_staged()`` keeps the three-kernel path available as the oracle.
+This three-kernel form is the oracle and the cost model; the single-sweep
+form that walks the CSR once and computes ``exp(s - M)`` a single time
+(cross-kernel CSE) is :class:`repro.core.fusion.FusedEdgeSoftmax`.
 """
 
 from __future__ import annotations
@@ -34,11 +32,11 @@ __all__ = ["EdgeSoftmax"]
 
 
 class EdgeSoftmax:
-    """Fused edge softmax over incoming edges, with ``num_heads`` channels."""
+    """Three-kernel edge softmax over incoming edges, with ``num_heads``
+    channels."""
 
     def __init__(self, A, num_heads: int = 1, target: str = "cpu",
-                 cache=None, fused: bool | None = None,
-                 agg_strategy: str | None = None):
+                 cache=None, agg_strategy: str | None = None):
         if num_heads < 1:
             raise ValueError("num_heads must be >= 1")
         self.A = spmat(A)
@@ -87,38 +85,11 @@ class EdgeSoftmax:
         self._max_kernel.agg_strategy = agg_strategy
         self._sum_kernel.agg_strategy = agg_strategy
 
-        # The single-sweep fused chain (opt-in): the staged kernels above
-        # always exist as the differential oracle and the fallback.
-        if fused is None:
-            from repro.core.fusion import fuse_enabled
-            fused = fuse_enabled() and target == "cpu"
-        self._fused = None
-        if fused:
-            from repro.core.fusion import FusedEdgeSoftmax
-            self._fused = FusedEdgeSoftmax(self.A, self.num_heads,
-                                           target=target, cache=cache)
-            self._fused.kernel.agg_strategy = agg_strategy
-
-    @property
-    def fused(self):
-        """The :class:`~repro.core.fusion.FusedEdgeSoftmax` chain, or None
-        when running staged."""
-        return self._fused
-
     def run(self, scores: np.ndarray, pool=None) -> np.ndarray:
-        """Normalize ``scores`` (shape ``(m,)`` or ``(m, num_heads)``).
-
-        Dispatches to the fused single-sweep chain when enabled, else to
-        the three staged kernels.  ``pool`` (a
+        """Normalize ``scores`` (shape ``(m,)`` or ``(m, num_heads)``)
+        through the three phase kernels.  ``pool`` (a
         :class:`~repro.tensorir.runtime.WorkPool`) is passed through.
         """
-        if self._fused is not None:
-            return self._fused.run(scores, pool=pool)
-        return self.run_staged(scores, pool=pool)
-
-    def run_staged(self, scores: np.ndarray, pool=None) -> np.ndarray:
-        """The three-kernel reference path (always available: it is the
-        oracle fused execution is checked against)."""
         squeeze = scores.ndim == 1
         es = scores.reshape(self.A.nnz, self.num_heads).astype(np.float32)
         maxv = self._max_kernel.run({"ES": es}, pool=pool)
@@ -132,14 +103,11 @@ class EdgeSoftmax:
     def exec_stats(self) -> dict:
         """Runtime counters (eval/aggregate seconds, bytes moved, chunk
         counts) of the three phase kernels, by phase name."""
-        stats = {
+        return {
             "max": self._max_kernel.exec_stats.as_dict(),
             "expsum": self._sum_kernel.exec_stats.as_dict(),
             "normalize": self._norm_kernel.exec_stats.as_dict(),
         }
-        if self._fused is not None:
-            stats["fused"] = self._fused.kernel.exec_stats.as_dict()
-        return stats
 
     def cost(self, spec=None, *, stats=None, threads: int = 1) -> CostReport:
         """Sum of the three phases' machine-model times."""
@@ -149,8 +117,7 @@ class EdgeSoftmax:
 
     def verify_report(self):
         """Merged plan-verifier report (FG006-FG008, FG010) over the three
-        phase kernels plus the fused chain when enabled -- the whole softmax's
-        execution plans in one report."""
+        phase kernels -- the whole softmax's execution plans in one report."""
         from repro.runtime.verify import verify_kernel
 
         return verify_kernel(self)

@@ -176,7 +176,8 @@ class FeatGraphDGLBackend:
         return k.run(x)
 
     def edge_softmax(self, adj: CSRMatrix, scores: np.ndarray) -> np.ndarray:
-        """Fused three-pass edge softmax (no per-edge materialization)."""
+        """Three-kernel edge softmax (no per-edge intermediate): the staged
+        route, which GATConv reaches only where the fused chain is off."""
         heads = scores.shape[1] if scores.ndim > 1 else 1
         return self._softmax(adj, heads).run(scores)
 

@@ -8,8 +8,8 @@ scores, weights) are indexed in that order, so segment operations over
 The message-passing ops implement the paper's Sec. II-A calculus:
 
 - :func:`copy_u_sum` -- generalized SpMM; its input gradient is another SpMM
-  on the reverse graph.  Behind ``FEATGRAPH_FUSE`` the forward routes
-  through the backend's fused copy-u chain (one edge sweep).
+  on the reverse graph.  The forward routes through the backend's fused
+  copy-u chain (one edge sweep) when it has one.
 - :func:`copy_u_mean` -- mean aggregation as one kernel: fused, the
   in-degree divide happens in the chain's finalize step instead of a
   separate elementwise pass over the output.
@@ -20,8 +20,12 @@ The message-passing ops implement the paper's Sec. II-A calculus:
   pattern.
 - :func:`edge_softmax` -- per-destination softmax over incoming edges.
 - :func:`edge_softmax_mul_sum` -- softmax + weighted aggregation as **one
-  fused kernel chain** (behind the ``FEATGRAPH_FUSE`` gate): the GAT hot
-  path without materializing the attention tensor in inference.
+  fused kernel chain**: the GAT hot path without materializing the
+  attention tensor in inference.
+
+The fused routes are the default on a CPU backend that exposes them;
+``repro.core.fusion.use_fusion(False)`` scopes the staged kernels back in
+(the oracle the fused chains are tested against).
 
 All ops take a kernel backend (Minigun-like or FeatGraph) so end-to-end
 training exercises exactly the integration surface of the paper's Sec. IV-B.
@@ -103,9 +107,9 @@ def _fused_copy_u_enabled(backend) -> bool:
 def copy_u_sum(graph: Graph, x: Tensor, backend) -> Tensor:
     """``out[v] = sum_{u in N(v)} x[u]`` -- generalized SpMM (GCN pattern).
 
-    With fusion enabled (``FEATGRAPH_FUSE``) and a backend exposing
-    ``fused_copy_u_aggregate``, the forward runs through the fused copy-u
-    chain; the backward is the reverse-graph SpMM either way.
+    On a backend exposing ``fused_copy_u_aggregate`` the forward runs
+    through the fused copy-u chain; the backward is the reverse-graph SpMM
+    either way.
     """
     if _fused_copy_u_enabled(backend):
         out_data = backend.fused_copy_u_aggregate(graph.adj, x.data, "sum")
@@ -209,8 +213,8 @@ def edge_add(graph: Graph, a_src: Tensor, a_dst: Tensor) -> Tensor:
 def edge_softmax(graph: Graph, scores: Tensor, backend=None) -> Tensor:
     """Softmax of per-edge scores over each destination's incoming edges.
 
-    With a backend exposing ``edge_softmax`` (the FeatGraph backend's fused
-    three-pass pipeline), the forward pass routes through it; otherwise the
+    With a backend exposing ``edge_softmax`` (the FeatGraph backend's
+    three-kernel pipeline), the forward pass routes through it; otherwise the
     vectorized segment implementation runs.  The backward formula is shared.
     """
     if backend is not None and hasattr(backend, "edge_softmax"):
@@ -233,11 +237,11 @@ def edge_softmax_mul_sum(graph: Graph, scores: Tensor, z: Tensor,
                          backend) -> Tensor:
     """``out[v] = sum_u softmax_v(s)[uv] * z[u]`` -- the GAT attention block.
 
-    With fusion enabled (``FEATGRAPH_FUSE``) and a backend exposing
-    ``fused_softmax_aggregate``, the forward pass runs the whole chain
-    (max / exp-sum / normalize / aggregate) as one fused edge sweep; the
-    normalized attention tensor is only materialized when a backward pass
-    will need it, so inference elides the full ``(m, heads)`` buffer.
+    On a backend exposing ``fused_softmax_aggregate``, the forward pass
+    runs the whole chain (max / exp-sum / normalize / aggregate) as one
+    fused edge sweep; the normalized attention tensor is only materialized
+    when a backward pass will need it, so inference elides the full
+    ``(m, heads)`` buffer.
     Otherwise this is exactly ``u_mul_e_sum(graph, z,
     edge_softmax(graph, scores, backend), backend)``.
 

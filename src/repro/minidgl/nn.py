@@ -181,8 +181,8 @@ class GCNConv(Module):
 
     def forward(self, graph: Graph, x: Tensor, backend) -> Tensor:
         h = self.linear(x)
-        # D^-1 A h is exactly the neighbor mean: one kernel, and behind
-        # FEATGRAPH_FUSE one fused edge sweep with the divide in finalize
+        # D^-1 A h is exactly the neighbor mean: one kernel, on a fusing
+        # backend one fused edge sweep with the divide in finalize
         return copy_u_mean(graph, h, backend)
 
 
@@ -299,7 +299,7 @@ class GATConv(Module):
         el = (z * self.attn_l).sum(axis=2)   # (n_src, heads)
         er = (z * self.attn_r).sum(axis=2)
         logits = edge_add(graph, el, er).leaky_relu(self.negative_slope)  # (m, heads)
-        # softmax + weighted aggregation; one fused sweep when FEATGRAPH_FUSE
-        # is on, the staged edge_softmax + u_mul_e_sum pair otherwise
+        # softmax + weighted aggregation: one fused sweep on a fusing
+        # backend, the staged edge_softmax + u_mul_e_sum pair otherwise
         out = edge_softmax_mul_sum(graph, logits, z, backend)  # (n_dst, heads, head_dim)
         return out.reshape(n_dst, self.num_heads * self.head_dim)

@@ -599,10 +599,9 @@ def verify_kernel(kernel, pool=None) -> AnalysisReport:
                                           dtype=np.float32)
         return verify_plan(kernel.execution_plan(vbufs, ebufs, pool=pool))
     if isinstance(kernel, EdgeSoftmax):
-        parts = [kernel._max_kernel, kernel._sum_kernel, kernel._norm_kernel]
-        if kernel.fused is not None:
-            parts.append(kernel.fused.kernel)
-        return _merge(verify_kernel(k, pool=pool) for k in parts)
+        return _merge(verify_kernel(k, pool=pool)
+                      for k in (kernel._max_kernel, kernel._sum_kernel,
+                                kernel._norm_kernel))
     raise TypeError(f"cannot verify {type(kernel).__name__}: not a plan-"
                     "lowering kernel family")
 
@@ -813,6 +812,7 @@ def iter_suite(suite: str, pool=None):
     from repro.core import builtins as dgl_builtins
     from repro.core.api import sddmm as make_sddmm
     from repro.core.api import spmm as make_spmm
+    from repro.core.fusion import FusedEdgeSoftmax
     from repro.core.softmax import EdgeSoftmax
 
     adj = _adj()
@@ -825,12 +825,12 @@ def iter_suite(suite: str, pool=None):
             return (XV, T.placeholder((_M,), name="EW"))
         return (XV,)
 
+    def _pinned(kernel, strat):
+        kernel.agg_strategy = strat
+        return kernel
+
     def _spmm_thunk(factory, args, agg, strat):
-        def thunk():
-            k = make_spmm(adj, factory(*args), agg)
-            k.agg_strategy = strat
-            return k
-        return thunk
+        return lambda: _pinned(make_spmm(adj, factory(*args), agg), strat)
 
     for strat in (*STRATEGY_NAMES, None):
         tag = strat or "default"
@@ -857,16 +857,14 @@ def iter_suite(suite: str, pool=None):
                    lambda f=factory, a=XA, b=XB:
                    make_sddmm(adj, f(a, b)))
         yield (f"softmax/staged/{tag}", tag,
-               lambda s=strat: EdgeSoftmax(adj, num_heads=2, fused=False,
+               lambda s=strat: EdgeSoftmax(adj, num_heads=2,
                                            agg_strategy=s))
         yield (f"softmax/fused/{tag}", tag,
-               lambda s=strat: EdgeSoftmax(adj, num_heads=2, fused=True,
-                                           agg_strategy=s))
+               lambda s=strat: _pinned(FusedEdgeSoftmax(adj, 2).kernel, s))
 
     # the selector's width rule: 64 rows of degree 8 pass bucketing's work
     # threshold at any width, so a max sink selected at OUT's 16 x heads
     # would bucket; at its own heads-wide rows it must not
-    from repro.core.fusion import FusedEdgeSoftmax
     from repro.graph.sparse import from_edges
 
     dst = np.repeat(np.arange(64), 8)

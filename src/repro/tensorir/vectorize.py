@@ -820,12 +820,17 @@ class _Compiler:
                      for k, info in kinds if k in ("grid", "rgrid")]
         grids_ok = all(a < b for a, b in zip(slice_pos, slice_pos[1:]))
         no_general = not any(k == "general" for k, _ in kinds)
+        # the flat forms expect numpy's broadcast (B,) dimension first,
+        # which only a leading batch index guarantees: behind a slice
+        # (``W[i, src]``) numpy leaves it where it stands
+        flat_ok = (no_general and grids_ok
+                   and (not has_batch or kinds[0][0] == "batch"))
         loopvars = [v for k, v in kinds if k == "loopvar"]
         mask = frozenset()
         for v in idx:
             mask |= v.mask
 
-        if (loopvars and no_general and grids_ok and not rgrid_info
+        if (loopvars and flat_ok and not rgrid_info
                 and self._hoistable(kinds)):
             return self._hoisted_gather(base, dtype, kinds, idx,
                                         has_batch, grid_axes)
@@ -837,7 +842,7 @@ class _Compiler:
             self._record_load(dtype, False, (), trip)
             return self._emit_expr(template, dtype, (), idx, block=block)
 
-        if no_general and grids_ok:
+        if flat_ok:
             return self._fast_gather(base, dtype, kinds, mask, idx, block,
                                      trip, has_batch, grid_axes)
 

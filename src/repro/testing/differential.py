@@ -386,8 +386,7 @@ def run_fused_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
         score_kernel = sddmm(adj, instance.udf, target="cpu", cache=cache)
         scores = np.asarray(score_kernel.run(bindings),
                             dtype=np.float32).reshape(m, w)
-        alpha_ref = EdgeSoftmax(adj, w, cache=cache,
-                                fused=False).run(scores).reshape(m, w)
+        alpha_ref = EdgeSoftmax(adj, w, cache=cache).run(scores).reshape(m, w)
         ZV = T.placeholder((n_src, w), name="ZV")
         AL = T.placeholder((m, w), name="AL")
         out_ref = spmm(adj, u_mul_e_msg(ZV, AL), "sum", cache=cache).run(

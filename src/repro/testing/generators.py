@@ -193,6 +193,23 @@ def _u_mul_v(dims: dict) -> UDFInstance:
         (f,))
 
 
+def _transposed_u_mul_v(dims: dict) -> UDFInstance:
+    """``XT[i, src] * YV[dst, i]``: the source table is stored feature-major,
+    so its batch index is not the leading subscript."""
+    n, f = dims["n"], dims["f"]
+    XT = T.placeholder((f, n), name="XT")
+    YV = T.placeholder((n, f), name="YV")
+
+    def udf(src, dst, eid):
+        return T.compute((f,), lambda i: XT[i, src] * YV[dst, i],
+                         name="tumv")
+
+    return UDFInstance(
+        udf, {"XT": (f, n), "YV": (n, f)},
+        lambda b, s, d, e: b["XT"][:, s].T * b["YV"][d],
+        (f,))
+
+
 def _u_add_v_scaled(dims: dict) -> UDFInstance:
     n, f = dims["n"], dims["f"]
     XV = T.placeholder((n, f), name="XV")
@@ -298,6 +315,8 @@ UDF_FAMILIES: dict[str, UDFFamily] = {
         UDFFamily("copy_e", ("spmm", "sddmm"), _copy_e, dims=("f",)),
         UDFFamily("u_mul_e", ("spmm",), _u_mul_e, dims=("f", "h", "w")),
         UDFFamily("u_mul_v", ("spmm", "sddmm"), _u_mul_v, dims=("f",)),
+        UDFFamily("transposed_u_mul_v", ("spmm", "sddmm"),
+                  _transposed_u_mul_v, dims=("f",)),
         UDFFamily("u_add_v_scaled", ("spmm", "sddmm"), _u_add_v_scaled,
                   dims=("f",)),
         UDFFamily("mlp", ("spmm",), _mlp, has_reduction=True,

@@ -13,6 +13,7 @@ Two acceptance properties:
    (mirroring tests/core/test_block_kernel_reuse.py for the fused layer).
 """
 
+import contextlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.graph.sparse import from_edges
 from repro.minidgl.autograd import Tensor
 from repro.minidgl.backends import FeatGraphDGLBackend
 from repro.minidgl.graph import Graph
+from repro.minidgl.models import GAT, GCN, GraphSage
 from repro.minidgl.nn import GATConv
 from repro.minidgl.sampling import sample_neighbors
 from tests.core.test_block_kernel_reuse import EXPENSIVE_PASSES
@@ -33,8 +35,8 @@ from tests.core.test_spmm import _peak_bytes
 from tests.runtime.test_strategies import _ulps
 
 #: fused-pipeline passes that must not re-run once the fused template exists
-FUSED_PASSES = ("fuse_stages", "fuse_plan", "fuse_lower", "fuse_validate",
-                "fuse_analyze", "fuse_codegen")
+FUSED_PASSES = ("fuse_stages", "fuse_lower", "fuse_validate", "fuse_analyze",
+                "fuse_verify")
 
 
 def _dense_graph(n=6):
@@ -69,7 +71,7 @@ class TestFusedEqualsStaged:
         rng = np.random.default_rng(0)
         scores = rng.standard_normal((adj.nnz, heads)).astype(np.float32)
         cache = KernelCache()
-        staged = EdgeSoftmax(adj, heads, cache=cache, fused=False)
+        staged = EdgeSoftmax(adj, heads, cache=cache)
         fused = FusedEdgeSoftmax(adj, heads, cache=cache)
         assert np.allclose(fused.run(scores), staged.run(scores), atol=1e-5)
 
@@ -115,7 +117,7 @@ class TestFusedEqualsStaged:
         z = rng.standard_normal((adj.shape[1], h, d)).astype(np.float32)
 
         cache = KernelCache()
-        staged = EdgeSoftmax(adj, h, cache=cache, fused=False)
+        staged = EdgeSoftmax(adj, h, cache=cache)
         alpha_ref = staged.run(scores)
         fused = FusedEdgeSoftmax(adj, h, cache=cache, feat_shape=(h, d))
         out, alpha = fused.run_aggregate(scores, z, need_alpha=True)
@@ -518,19 +520,52 @@ class TestGATConvFusedRoute:
         for a, b in zip(pg_f, pg_s):
             assert np.allclose(a, b, atol=1e-4)
 
-    def test_gate_defaults_off(self, monkeypatch):
-        monkeypatch.delenv("FEATGRAPH_FUSE", raising=False)
-        assert not fuse_enabled()
-        with use_fusion(True):
-            assert fuse_enabled()
-        monkeypatch.setenv("FEATGRAPH_FUSE", "1")
+    def test_gate_defaults_on(self, monkeypatch):
+        """Fusion is on outside any scope; the innermost ``use_fusion``
+        decides inside one, and no environment variable is read."""
+        monkeypatch.setenv("FEATGRAPH_FUSE", "0")
         assert fuse_enabled()
+        with use_fusion(False):
+            assert not fuse_enabled()
+            with use_fusion(True):
+                assert fuse_enabled()
+            assert not fuse_enabled()
+        assert fuse_enabled()
+
+    @pytest.mark.parametrize("model_cls", [GCN, GraphSage, GAT],
+                             ids=lambda c: c.__name__)
+    def test_default_route_is_fused_and_staged_is_the_oracle(self, model_cls):
+        """With no override the FeatGraph backend runs the fused chains
+        (the fused counters move) and gives ``use_fusion(True)``'s bits;
+        ``use_fusion(False)`` runs the staged kernels and agrees."""
+        ds = planted_partition(n=120, num_classes=3, feature_dim=6,
+                               avg_degree=6, seed=4)
+
+        def run(scope):
+            cache = KernelCache()
+            backend = FeatGraphDGLBackend("cpu", cache=cache)
+            model = model_cls(6, 3, hidden=8, dropout=0.0, seed=2)
+            x = Tensor(ds.features.astype(np.float32), requires_grad=True)
+            with scope:
+                out = model(Graph(ds.adj), x, backend)
+                out.sum().backward()
+            stats = cache.stats()
+            return (out.data, x.grad.copy(),
+                    stats["fused_compiles"] + stats["fused_binds"])
+
+        out_d, grad_d, fused_d = run(contextlib.nullcontext())
+        out_f, grad_f, fused_f = run(use_fusion(True))
+        out_s, grad_s, fused_s = run(use_fusion(False))
+        assert fused_d > 0 and fused_d == fused_f
+        assert fused_s == 0
+        assert np.array_equal(out_d, out_f)
+        assert np.array_equal(grad_d, grad_f)
+        assert np.allclose(out_d, out_s, atol=1e-5)
+        assert np.allclose(grad_d, grad_s, atol=1e-4)
 
     def test_forward_blocks_takes_fused_route(self):
         """Mini-batch GAT over sampled blocks runs the fused chain (the
         backend's fused counters move) and matches the staged result."""
-        from repro.minidgl.models import GAT
-
         ds = planted_partition(n=150, num_classes=3, feature_dim=6,
                                avg_degree=8, seed=1)
         rng = np.random.default_rng(7)
@@ -588,7 +623,7 @@ class TestFusedZeroRecompile:
         hit/miss counters (the Fix satellite)."""
         adj = _dense_graph(5)
         with use_kernel_cache(KernelCache()) as cache:
-            EdgeSoftmax(adj, 2, fused=False)           # single-kernel only
+            EdgeSoftmax(adj, 2)                        # single-kernel only
             s0 = cache.stats()
             assert s0["fused_compiles"] == 0
             assert s0["fused_binds"] == 0

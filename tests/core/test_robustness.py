@@ -98,12 +98,13 @@ class TestDeterminism:
         b = k.run({"XV": x})
         assert np.array_equal(a, b)
 
-    def test_hilbert_order_cached_and_stable(self, medium_graph):
+    def test_hilbert_kernel_walks_csr_order_and_is_stable(self,
+                                                          medium_graph):
         n = medium_graph.shape[1]
         kern = kernels.dot_attention(medium_graph, n, 8)
+        assert kern.hilbert
         x = np.random.default_rng(3).random((n, 8)).astype(np.float32)
         a = kern.run({"XV": x})
-        order_ref = kern._order
         b = kern.run({"XV": x})
-        assert kern._order is order_ref
         assert np.array_equal(a, b)
+        assert np.array_equal(kern._gather_plan().src, medium_graph.indices)

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core as featgraph
 from repro import tensorir as T
-from repro.graph.sparse import from_edges
+from repro.core.builtins import u_dot_v_edge
+from repro.graph.sparse import CSRMatrix, from_edges
+from repro.tensorir.ir import stmt_to_str
 
 
 def _dot_kernel(adj, n, f, **opts):
@@ -98,6 +100,54 @@ class TestDotAttention:
         adj, src, dst, n, x, ref = setup
         k = _dot_kernel(adj, n, 10)
         assert k.feature_len == 10 and k.out_width == 1
+
+
+def _u_add_v(XA, XB):
+    def edgefunc(s, d, e):
+        return T.compute(XA.shape[1:], lambda i: XA[s, i] + XB[d, i])
+    return edgefunc
+
+
+class TestHilbertIsModelled:
+    """``hilbert`` prices the Sec. III-C1 traversal and annotates the
+    lowered nest; the numpy executor walks CSR order either way."""
+
+    @pytest.mark.parametrize("positional", [True, False],
+                             ids=["positional-eids", "permuted-eids"])
+    @pytest.mark.parametrize("edge,shape", [
+        (u_dot_v_edge, (10,)), (u_dot_v_edge, (3, 5)), (_u_add_v, (10,))],
+        ids=["u_dot_v", "multihead_dot", "u_add_v"])
+    def test_same_bits_either_way(self, edge, shape, positional):
+        rng = np.random.default_rng(5)
+        n, m = 40, 300
+        adj = from_edges(n, n, rng.integers(0, n, m), rng.integers(0, n, m))
+        if positional:
+            adj = CSRMatrix(adj.shape, adj.indptr, adj.indices)
+        assert adj.positional_edge_ids() is positional
+        XA = T.placeholder((n,) + shape, name="XA")
+        XB = T.placeholder((n,) + shape, name="XB")
+        bindings = {"XA": rng.standard_normal((n,) + shape).astype(np.float32),
+                    "XB": rng.standard_normal((n,) + shape).astype(np.float32)}
+        on, off = (featgraph.sddmm(adj, edge(XA, XB), hilbert=h,
+                                   chunk_edges=64) for h in (True, False))
+        assert np.array_equal(on.run(bindings), off.run(bindings))
+        walk = on._gather_plan()
+        assert np.array_equal(walk.src, adj.indices)
+        assert np.array_equal(walk.eid, adj.edge_ids)
+
+    def test_cost_and_ir_keep_the_flag(self, setup):
+        from repro.graph.datasets import paper_stats
+
+        adj, src, dst, n, x, ref = setup
+        on = _dot_kernel(adj, n, 64, hilbert=True)
+        off = _dot_kernel(adj, n, 64, hilbert=False)
+        big = paper_stats("rand-100K")
+        assert on.cost(stats=big).detail["hilbert"] is True
+        assert off.cost(stats=big).detail["hilbert"] is False
+        assert on.cost(stats=big).seconds < off.cost(stats=big).seconds
+        assert "hilbert(dst, src) order" in stmt_to_str(on.lowered_ir())
+        assert "CSR edge order" in stmt_to_str(off.lowered_ir())
+        assert "hilbert=True" in repr(on)
 
 
 class TestMultiHead:

@@ -6,6 +6,7 @@ import pytest
 import repro.core as featgraph
 from repro import tensorir as T
 from repro.core.verify import VerificationError, verify_sddmm, verify_spmm
+from repro.runtime.plan import GatherPlan
 
 
 class TestVerifySpMM:
@@ -82,8 +83,10 @@ class TestVerifySDDMM:
                                                           axis=k))
 
         kern = featgraph.sddmm(adj, edgefunc, hilbert=True)
-        # poison the cached Hilbert order with a non-permutation
-        kern._order = np.zeros(adj.nnz, dtype=np.int64)
+        # poison the traversal: every edge reads the same source row
+        walk = kern._gather_plan()
+        kern._gather_plan = lambda: GatherPlan(
+            np.zeros_like(walk.src), walk.dst, walk.eid)
         x = np.random.default_rng(4).standard_normal((n, 8)).astype(np.float32)
         with pytest.raises(VerificationError, match="SDDMM disagrees"):
             verify_sddmm(kern, {"XV": x})

@@ -341,10 +341,15 @@ class TestRequestsThatAreNoStrategyName:
     @pytest.mark.parametrize("bad", BAD, ids=repr)
     @pytest.mark.parametrize("fused", [False, True])
     def test_edge_softmax(self, graph, bad, fused):
+        from repro.core.fusion import FusedEdgeSoftmax
         from repro.core.softmax import EdgeSoftmax
 
         adj, *_ = graph
-        sm = EdgeSoftmax(adj, num_heads=2, fused=fused, agg_strategy=bad)
+        if fused:
+            sm = FusedEdgeSoftmax(adj, 2)
+            sm.kernel.agg_strategy = bad
+        else:
+            sm = EdgeSoftmax(adj, num_heads=2, agg_strategy=bad)
         with self._raises():
             sm.run(np.ones((adj.nnz, 2), np.float32))
         assert all(stats["chunks"] == 0
@@ -526,7 +531,8 @@ class TestScatterSinkOnPositionalEdgeIds:
         outs = {}
         for label, A, hilbert, positional in [
                 ("canonical", canon, False, True),
-                ("hilbert", canon, True, False),
+                # the Hilbert order is modelled, not walked: CSR order
+                ("hilbert", canon, True, True),
                 ("permuted", adj, False, False)]:
             k = sddmm(spmat(A), edgefunc, hilbert=hilbert, chunk_edges=16)
             plan = k.execution_plan(np.empty((m, f), np.float32))
@@ -654,8 +660,7 @@ class TestEndToEndParity:
         from repro.core.softmax import EdgeSoftmax
 
         adj, *_ = graph
-        sm = EdgeSoftmax(spmat(adj), num_heads=2, fused=False,
-                         agg_strategy="bucketed")
+        sm = EdgeSoftmax(spmat(adj), num_heads=2, agg_strategy="bucketed")
         assert sm._max_kernel.agg_strategy == "bucketed"
         assert sm._sum_kernel.agg_strategy == "bucketed"
         scores = np.random.default_rng(2).random(
@@ -663,7 +668,7 @@ class TestEndToEndParity:
         alpha = sm.run(scores)
         assert alpha.shape == (adj.nnz, 2)
         # a later instance without a pin clears the cached kernels' pin
-        sm2 = EdgeSoftmax(spmat(adj), num_heads=2, fused=False)
+        sm2 = EdgeSoftmax(spmat(adj), num_heads=2)
         assert sm2._max_kernel.agg_strategy is None
 
 

@@ -18,6 +18,7 @@ from repro import tensorir as T
 from repro.core import builtins as dgl_builtins
 from repro.core.api import sddmm, spmm
 from repro.core.compile import KernelCache, use_kernel_cache
+from repro.core.fusion import FusedEdgeSoftmax
 from repro.core.softmax import EdgeSoftmax
 from repro.graph.sparse import from_edges
 from repro.runtime.engine import AggregateSink, Executor, ScatterSink
@@ -265,12 +266,11 @@ class TestFamiliesVerifyClean:
 
     def test_softmax_staged_and_fused(self, strat):
         with use_kernel_cache(KernelCache()), strict():
-            staged = EdgeSoftmax(_adj(), num_heads=2, fused=False,
-                                 agg_strategy=strat)
-            fused = EdgeSoftmax(_adj(), num_heads=2, fused=True,
-                                agg_strategy=strat)
+            staged = EdgeSoftmax(_adj(), num_heads=2, agg_strategy=strat)
+            fused = FusedEdgeSoftmax(_adj(), 2).kernel
+        fused.agg_strategy = strat
         assert not staged.verify_report().has_errors
-        assert not fused.verify_report().has_errors
+        assert not verify_kernel(fused).has_errors
 
 
 class TestVerifyKernelPlumbing:

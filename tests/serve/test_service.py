@@ -254,6 +254,11 @@ class TestFeatureCacheIntegration:
                 assert np.allclose(got, want, atol=1e-6)
 
 
+def _binds(stats) -> int:
+    """Template binds of single kernels and of fused chains together."""
+    return stats["binds"] + stats["fused_binds"]
+
+
 class TestZeroRecompileSteadyState:
     def test_100_served_batches_are_pure_binds(self, dataset, backend):
         """THE serving acceptance check: after a one-batch warmup, 100
@@ -267,8 +272,9 @@ class TestZeroRecompileSteadyState:
                           rng=np.random.default_rng(1)) as svc:
                 svc.infer(np.array([0, 1, 2, 3]))  # warmup compiles
                 frozen = dict(cache.stats()["pass_counts"])
+                frozen_fused = cache.stats()["fused_compiles"]
                 runs = cache.stats()["pipeline_runs"]
-                binds_before = cache.stats()["binds"]
+                binds_before = _binds(cache.stats())
                 for _ in range(100):
                     seeds = rng.choice(300, size=4, replace=False)
                     logits, _ = svc.infer(seeds)
@@ -279,7 +285,8 @@ class TestZeroRecompileSteadyState:
                 assert stats["pass_counts"].get(p, 0) == frozen.get(p, 0), (
                     f"pass {p!r} re-ran during steady-state serving")
             assert stats["pipeline_runs"] == runs
-            assert stats["binds"] > binds_before  # served by rebinding
+            assert stats["fused_compiles"] == frozen_fused
+            assert _binds(stats) > binds_before  # served by rebinding
 
 
 class TestConcurrentClients:

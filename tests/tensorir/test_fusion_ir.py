@@ -186,13 +186,17 @@ class TestCseAndElision:
         assert fes.kernel.plan.elided == {}
         assert not fes.kernel.plan.stage("ALPHA").elided
 
-    def test_call_source_records_decisions(self):
+    def test_plan_records_decisions(self):
+        """The plan itself is the record of what the sweep does: which
+        buffer it elides, which stage reuses which, and how each runs."""
         fes = FusedEdgeSoftmax(_graph(), 2, cache=KernelCache(),
                                feat_shape=(2, 3))
-        src = fes.kernel.call_source
-        assert "elided: ALPHA" in src
-        assert "CSE: binop reuse of SUMV" in src
-        assert "row_aligned_chunks" in src
+        plan = fes.kernel.plan
+        assert plan.elided == {"ALPHA": 8}
+        assert plan.cse == (("ALPHA", "binop", "SUMV"),)
+        assert {st.name: st.mode for st in plan.stages} == {
+            "MAXV": "program", "SUMV": "program", "ALPHA": "binop",
+            "OUT": "program"}
 
 
 class TestFusedLoopNest:

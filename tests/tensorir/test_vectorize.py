@@ -790,6 +790,47 @@ class TestTakeRows:
         np.testing.assert_array_equal(got, ref)
 
 
+class TestBatchIndexBehindASlice:
+    """``W[i, src]``: numpy leaves a batch index that follows a slice in
+    place, so the gather comes out ``(f, B)``; the flat forms assume
+    ``(B, f)`` and the gather must take the general subscript instead."""
+
+    @pytest.mark.parametrize("agg", ["sum", "max"])
+    def test_spmm_matches_the_reference(self, agg):
+        from repro.core.api import spmat, spmm
+        from repro.core.verify import reference_spmm
+        from repro.graph.sparse import from_edges
+
+        n, m, f = 10, 40, 5
+        adj = from_edges(n, n, RNG.integers(0, n, m), RNG.integers(0, n, m))
+        W = T.placeholder((f, n), name="W")
+        k = spmm(spmat(adj), lambda s, d, e: T.compute(
+            (f,), lambda i: W[i, s], name="wt"), agg)
+        k.agg_strategy = "reduceat"                   # run the program
+        bindings = {"W": RNG.standard_normal((f, n)).astype(np.float32)}
+        np.testing.assert_allclose(k.run(bindings),
+                                   reference_spmm(k, bindings),
+                                   rtol=1e-6, atol=1e-6)
+
+    def test_scalar_then_batch_and_hoisted_reads(self):
+        n, f, d = 6, 4, 5000                          # d > _VEC_TRIP_LIMIT
+        W = T.placeholder((f, n), name="W")
+        WT = T.placeholder((d, n), name="WT")
+        src, dst = T.Var("src"), T.Var("dst")
+        bindings = {"W": RNG.standard_normal((f, n)).astype(np.float32),
+                    "WT": RNG.standard_normal((d, n)).astype(np.float32)}
+        batch = {"src": RNG.integers(0, n, 9), "dst": RNG.integers(0, n, 9)}
+        pair = T.compute((f,), lambda i: W[2, src] * W[i, dst], name="pair")
+        _, got, ref = _run_both(pair, bindings, batch)
+        np.testing.assert_array_equal(got, ref)
+        k = T.reduce_axis((0, d), name="k")
+        peak = T.compute((1,), lambda i: T.max_reduce(WT[k, src], axis=k),
+                         name="peak")
+        prog, got, ref = _run_both(peak, bindings, batch)
+        assert prog.stats.reduce_forms[0][1] == "loop"
+        np.testing.assert_array_equal(got, ref)
+
+
 class TestProgramContract:
     def test_rejects_non_compute_tensor(self):
         XV = T.placeholder((4, 4), name="XV")
