@@ -680,8 +680,7 @@ class FusedKernel:
         return placeholders.values()
 
     # -- execution ------------------------------------------------------
-    def run(self, bindings: Mapping[str, np.ndarray], keep=(),
-            pool=None) -> dict:
+    def run(self, bindings: Mapping[str, np.ndarray], keep=()) -> dict:
         keep = tuple(keep)
         unknown = set(keep) - {st.name for st in self.plan.stages}
         if unknown:
@@ -703,16 +702,16 @@ class FusedKernel:
                 ebufs[st.name] = np.empty((m,) + st.feat_shape,
                                           dtype=np.float32)
 
-        plan = self.execution_plan(vbufs, ebufs, keep, pool=pool)
-        Executor(stats=self.exec_stats, pool=pool).run(plan, bindings)
+        plan = self.execution_plan(vbufs, ebufs, keep)
+        Executor(stats=self.exec_stats).run(plan, bindings)
 
         result = {}
         for name in want:
             result[name] = vbufs[name] if name in vbufs else ebufs[name]
         return result
 
-    def execution_plan(self, vbufs: dict, ebufs: dict, keep=(),
-                       pool=None) -> ExecutionPlan:
+    def execution_plan(self, vbufs: dict, ebufs: dict,
+                       keep=()) -> ExecutionPlan:
         """Lower the fused chain to a single multi-stage
         :class:`~repro.runtime.plan.EdgeTask`: one row-aligned chunked
         sweep whose per-chunk segment boundaries are computed once and
@@ -738,7 +737,7 @@ class FusedKernel:
         sink_strategy = {
             st.name: resolve_sink_strategy(
                 self.agg_strategy, _agg_base(st.aggregation),
-                st.prog.out_dtype, csr, st.width, pool)
+                st.prog.out_dtype, csr, st.width)
             for st in aggregating}
         plan_label = "+".join(dict.fromkeys(
             s.name for s in sink_strategy.values())) or None
@@ -1051,16 +1050,16 @@ class FusedEdgeSoftmax:
             np.float32, copy=False)
         return es, squeeze
 
-    def run(self, scores: np.ndarray, pool=None) -> np.ndarray:
+    def run(self, scores: np.ndarray) -> np.ndarray:
         """Normalized attention, one fused sweep (``feat_shape=None``)."""
         if self.feat_shape is not None:
             raise ValueError("this chain aggregates; use run_aggregate()")
         es, squeeze = self._scores(scores)
-        alpha = self.kernel.run({"ES": es}, pool=pool)["ALPHA"]
+        alpha = self.kernel.run({"ES": es})["ALPHA"]
         return alpha[:, 0] if squeeze else alpha
 
     def run_aggregate(self, scores: np.ndarray, z: np.ndarray,
-                      need_alpha: bool = False, pool=None):
+                      need_alpha: bool = False):
         """``(out, alpha_or_None)``: softmax + weighted aggregation in one
         sweep.  ``alpha`` is only materialized on request -- in inference
         the ``(m, heads)`` buffer is fully elided."""
@@ -1069,7 +1068,7 @@ class FusedEdgeSoftmax:
         es, _ = self._scores(scores)
         z = np.ascontiguousarray(z, dtype=np.float32)
         keep = ("ALPHA",) if need_alpha else ()
-        res = self.kernel.run({"ES": es, "XV": z}, keep=keep, pool=pool)
+        res = self.kernel.run({"ES": es, "XV": z}, keep=keep)
         return res["OUT"], res.get("ALPHA")
 
     def exec_stats(self) -> dict:
@@ -1117,10 +1116,10 @@ class FusedCopyUAggregate:
         self.graph = g
         self.kernel = compile_fused(g, cache=cache, chunk_edges=chunk_edges)
 
-    def run(self, x: np.ndarray, pool=None) -> np.ndarray:
+    def run(self, x: np.ndarray) -> np.ndarray:
         """Aggregated ``(n_dst, *feat_shape)`` output for features ``x``."""
         x = np.ascontiguousarray(x, dtype=np.float32)
-        return self.kernel.run({"XV": x}, pool=pool)["COUT"]
+        return self.kernel.run({"XV": x})["COUT"]
 
     def exec_stats(self) -> dict:
         return {"fused": self.kernel.exec_stats.as_dict()}

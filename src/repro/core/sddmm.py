@@ -38,7 +38,7 @@ from repro.runtime.engine import Executor, ScatterSink
 from repro.runtime.plan import (ChunkPolicy, EdgeTask, ExecutionPlan,
                                 GatherPlan, Stage, effective_chunk_edges)
 from repro.tensorir.expr import ComputeOp, Tensor, Var
-from repro.tensorir.runtime import ExecStats, WorkPool
+from repro.tensorir.runtime import ExecStats
 from repro.tensorir.vectorize import compile_batched
 
 __all__ = ["GeneralizedSDDMM"]
@@ -149,15 +149,12 @@ class GeneralizedSDDMM:
                           eid_positional=csr.positional_edge_ids())
 
     def run(self, bindings: Mapping[str, np.ndarray],
-            out: np.ndarray | None = None,
-            pool: "WorkPool | None" = None) -> np.ndarray:
+            out: np.ndarray | None = None) -> np.ndarray:
         """Execute the kernel: returns ``(nnz, *out_shape)`` float32,
         indexed by original edge id.
 
-        With ``pool``, each feature tile's edge chunks are dispatched
-        across the workers -- one tile at a time, preserving the
-        cooperative one-partition-at-a-time order (Sec. IV-A).  Chunks
-        write disjoint edge-id rows, so they are race-free.
+        One feature tile at a time, each tile's edge chunks in order on the
+        calling thread; every chunk writes its own edge-id rows.
         """
         validate_bindings(self.edge_out, bindings,
                           f"sddmm[{self.edge_out.name}]",
@@ -172,7 +169,7 @@ class GeneralizedSDDMM:
         if result.shape != (m,) + self.out_shape:
             raise ValueError("out has wrong shape")
         plan = self.execution_plan(result)
-        Executor(stats=self.exec_stats, pool=pool).run(plan, bindings)
+        Executor(stats=self.exec_stats).run(plan, bindings)
         return result
 
     def execution_plan(self, result: np.ndarray) -> ExecutionPlan:

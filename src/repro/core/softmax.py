@@ -85,19 +85,16 @@ class EdgeSoftmax:
         self._max_kernel.agg_strategy = agg_strategy
         self._sum_kernel.agg_strategy = agg_strategy
 
-    def run(self, scores: np.ndarray, pool=None) -> np.ndarray:
+    def run(self, scores: np.ndarray) -> np.ndarray:
         """Normalize ``scores`` (shape ``(m,)`` or ``(m, num_heads)``)
-        through the three phase kernels.  ``pool`` (a
-        :class:`~repro.tensorir.runtime.WorkPool`) is passed through.
-        """
+        through the three phase kernels."""
         squeeze = scores.ndim == 1
         es = scores.reshape(self.A.nnz, self.num_heads).astype(np.float32)
-        maxv = self._max_kernel.run({"ES": es}, pool=pool)
-        sumv = self._sum_kernel.run({"ES": es, "MAXV": maxv}, pool=pool)
+        maxv = self._max_kernel.run({"ES": es})
+        sumv = self._sum_kernel.run({"ES": es, "MAXV": maxv})
         # guard isolated-destination rows against divide-by-zero
         sumv = np.where(sumv == 0, 1.0, sumv).astype(np.float32)
-        alpha = self._norm_kernel.run({"ES": es, "MAXV": maxv, "SUMV": sumv},
-                                      pool=pool)
+        alpha = self._norm_kernel.run({"ES": es, "MAXV": maxv, "SUMV": sumv})
         return alpha[:, 0] if squeeze else alpha
 
     def exec_stats(self) -> dict:

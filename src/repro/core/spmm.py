@@ -41,7 +41,7 @@ from repro.runtime.histogram import chunk_bounds
 from repro.runtime.reducers import AGG_IDENTITY, AGG_UFUNC, resolve_reducer
 from repro.runtime.strategies import (SparseBlasStrategy,
                                       resolve_sink_strategy)
-from repro.tensorir.runtime import ExecStats, WorkPool, take_rows
+from repro.tensorir.runtime import ExecStats, take_rows
 from repro.core.fds import FDS, FDSInfo, default_fds
 from repro.graph.partition import Partition1D, feature_tiles, partition_1d
 from repro.hwsim import cpu as cpu_model
@@ -99,7 +99,7 @@ def row_gather_evaluate(form: tuple, dtype, row_bytes: int,
     """
     table_name, var, weight_name = form
     operands: dict = {}
-    lock = threading.Lock()     # chunks of one plan may run on a pool
+    lock = threading.Lock()     # a plan is not tied to one thread
 
     def operand(bindings, name):
         arr = operands.get(name)
@@ -265,18 +265,15 @@ class GeneralizedSpMM:
 
     # ------------------------------------------------------------------
     def run(self, bindings: Mapping[str, np.ndarray],
-            out: np.ndarray | None = None,
-            pool: "WorkPool | None" = None) -> np.ndarray:
+            out: np.ndarray | None = None) -> np.ndarray:
         """Execute the kernel: returns ``(num_dst, *msg_shape)`` float32.
 
         The kernel lowers to an :class:`~repro.runtime.plan.ExecutionPlan`
         (one task per feature tile x graph partition, or per graph
         partition when tiling would only replay the gathers or the message
         is never gathered) and the shared
-        :class:`~repro.runtime.engine.Executor` runs it.  With ``pool``,
-        partitions are processed cooperatively: all workers share one
-        partition's chunks at a time (the LLC-contention-avoiding schedule
-        of Sec. IV-A).
+        :class:`~repro.runtime.engine.Executor` runs it, one partition at a
+        time and each partition's chunks in order on the calling thread.
         """
         validate_bindings(self.msg, bindings, f"spmm[{self.msg.name}]",
                           graph_dims=self._graph_dims(),
@@ -284,21 +281,19 @@ class GeneralizedSpMM:
         reducer, _ = resolve_reducer(self.aggregation)
         acc = np.full((self.A.num_dst,) + self.msg_shape, reducer.identity,
                       dtype=np.float32)
-        plan = self.execution_plan(acc, pool=pool)
-        Executor(stats=self.exec_stats, pool=pool).run(plan, bindings)
+        plan = self.execution_plan(acc)
+        Executor(stats=self.exec_stats).run(plan, bindings)
         if out is not None:
             out[...] = acc
             return out
         return acc
 
-    def execution_plan(self, acc: np.ndarray,
-                       pool: WorkPool | None = None) -> ExecutionPlan:
+    def execution_plan(self, acc: np.ndarray) -> ExecutionPlan:
         """Lower this bound kernel to an execution plan over ``acc``.
 
         One :class:`~repro.runtime.plan.EdgeTask` per (feature tile, graph
         partition) pass, each row-aligned-chunked -- chunk rows are disjoint
-        and sorted, so segmented reduction is vectorized and chunks are
-        race-free under cooperative threading.  A UDF none of whose
+        and sorted, so segmented reduction is vectorized.  A UDF none of whose
         batch-gathered loads spans output axis 0 (MLP aggregation: both
         ``XV`` gathers span only the reduce axis) gets one full-width task
         per graph partition instead: its tiles would each repeat the same
@@ -326,7 +321,7 @@ class GeneralizedSpMM:
         prog = self.vector_program()
         strategy = resolve_sink_strategy(
             self.agg_strategy, reducer.name, prog.out_dtype, self.A.csr,
-            self.feature_len, pool)
+            self.feature_len)
 
         # A pure row-gather message under a sink that ``spblas`` reduces
         # natively needs no message at all: the sink multiplies the graph's

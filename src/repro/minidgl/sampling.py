@@ -270,17 +270,19 @@ class BlockLoader:
 
     Iterating yields ``(seeds, blocks)`` pairs: ``seeds`` is one batch of
     ids from :func:`minibatches` and ``blocks`` is :func:`build_blocks` over
-    them.  With ``prefetch > 0``, sampling runs on a producer thread (or a
-    ``WorkPool`` worker when ``pool`` is given) through a bounded queue of
-    that depth, so the next batch's blocks are sampled while the consumer
-    trains on the current ones -- the standard sampling/compute overlap of
-    mini-batch GNN systems.  ``prefetch=0`` samples synchronously in the
+    them.  With ``prefetch > 0``, sampling runs on the loader's own
+    producer thread through a bounded queue of that depth, so the next
+    batch's blocks are sampled while the consumer trains on the current
+    ones -- the standard sampling/compute overlap of mini-batch GNN
+    systems.  ``prefetch=0`` samples synchronously in the
     consumer; both modes draw from the single ``rng`` stream in batch
     order, so they produce identical blocks for the same seed.
 
     Each ``__iter__`` is one epoch and keeps consuming the same ``rng``
     stream, so successive epochs see different shuffles/samples while the
-    loader as a whole stays reproducible from the initial seed.
+    loader as a whole stays reproducible from the initial seed.  Closing
+    the iterator (or leaving its loop early) joins the producer, so no
+    sampling outlives the epoch and the next epoch has the ``rng`` alone.
 
     Accounting: ``sample_seconds`` accumulates producer-side time spent
     sampling, ``wait_seconds`` consumer-side time blocked on the queue (the
@@ -292,7 +294,6 @@ class BlockLoader:
                  rng: np.random.Generator | None = None,
                  shuffle: bool = True,
                  prefetch: int | None = None,
-                 pool=None,
                  drop_last: bool = False):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -305,7 +306,6 @@ class BlockLoader:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.shuffle = bool(shuffle)
         self.prefetch = DEFAULT_PREFETCH if prefetch is None else int(prefetch)
-        self.pool = pool
         self.drop_last = bool(drop_last)
         self.sample_seconds = 0.0
         self.wait_seconds = 0.0
@@ -341,8 +341,8 @@ class BlockLoader:
             stopped.  Every producer-side put -- items, the terminal "end",
             and error propagation -- must go through this: an unconditional
             ``out.put`` blocks forever when the consumer abandoned the loop
-            with the queue full, leaking the thread (and, with a ``pool``,
-            deadlocking the consumer's ``finally: future.result()``)."""
+            with the queue full, leaking the thread and deadlocking the
+            consumer's ``finally: producer.join()``."""
             while not stop.is_set():
                 try:
                     out.put(msg, timeout=0.1)
@@ -361,12 +361,9 @@ class BlockLoader:
             except BaseException as exc:  # propagate to the consumer
                 put_or_stop(("error", exc))
 
-        if self.pool is not None:
-            future = self.pool.submit(produce)
-        else:
-            future = None
-            threading.Thread(target=produce, daemon=True,
-                             name="repro-block-loader").start()
+        producer = threading.Thread(target=produce, daemon=True,
+                                    name="repro-block-loader")
+        producer.start()
         try:
             while True:
                 t0 = time.perf_counter()
@@ -378,6 +375,6 @@ class BlockLoader:
                     raise payload
                 yield payload
         finally:
+            # the producer leaves within one sample plus one put timeout
             stop.set()
-            if future is not None:
-                future.result()
+            producer.join()

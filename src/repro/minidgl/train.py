@@ -222,14 +222,14 @@ def train_minibatch(model, dataset: Dataset, backend, *,
                     batch_size: int = 128, epochs: int = 10,
                     lr: float = 1e-2, weight_decay: float = 5e-4,
                     seed: int = 0, prefetch: int | None = None,
-                    pool=None, drop_last: bool = False,
+                    drop_last: bool = False,
                     verbose: bool = False) -> MinibatchResult:
     """Sampled mini-batch training (GraphSage's training mode).
 
     Each epoch shuffles the train ids, samples one block per layer per
     batch through a :class:`~repro.minidgl.sampling.BlockLoader` (with
-    ``prefetch`` batches sampled ahead on a worker thread -- default 2),
-    and steps Adam on the seed vertices' loss.
+    ``prefetch`` batches sampled ahead on its producer thread -- default
+    2), and steps Adam on the seed vertices' loss.
     Because compiled kernels are topology-independent, every fresh block
     after the first batch re-binds cached kernel templates instead of
     recompiling.  Final accuracies come from :func:`infer_minibatch` with
@@ -245,8 +245,7 @@ def train_minibatch(model, dataset: Dataset, backend, *,
     labels = dataset.labels
     rng = np.random.default_rng(seed)
     loader = BlockLoader(dataset.adj, train_ids, batch_size, list(fanouts),
-                         rng=rng, prefetch=prefetch, pool=pool,
-                         drop_last=drop_last)
+                         rng=rng, prefetch=prefetch, drop_last=drop_last)
     opt = Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
     losses: list[float] = []
     epoch_times: list[float] = []

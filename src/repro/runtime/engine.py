@@ -21,11 +21,9 @@ it to the :class:`Executor` here, which owns the loop once:
   identically across kernel families: evaluate wall-clock vs. sink
   wall-clock, bytes, and the compiled-chunk count.
 
-Chunks of a task are row-aligned (disjoint destination rows), so running
-them on a :class:`~repro.tensorir.runtime.WorkPool` is race-free; the
-executor skips chunk-level pooling when a sink of the task combines
-through the ``parallel`` strategy -- the parallelism then lives *inside*
-the combine, and nesting both on one pool could starve it.
+Chunks run in order on the calling thread.  The one place threads enter
+the numeric path is *inside* a combine: a sink pinned to the ``parallel``
+strategy shards its rows across the default pool.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import numpy as np
 from repro.runtime.plan import EdgeTask, ExecutionPlan, SegmentInfo
 from repro.runtime.reducers import Reducer
 from repro.runtime.strategies import AggregationStrategy
-from repro.tensorir.runtime import ExecStats, WorkPool
+from repro.tensorir.runtime import ExecStats
 
 __all__ = ["ChunkCtx", "AggregateSink", "ScatterSink", "Executor"]
 
@@ -178,17 +176,13 @@ class ScatterSink:
 class Executor:
     """Runs an :class:`~repro.runtime.plan.ExecutionPlan`.
 
-    Tasks run in order (the cooperative one-partition-at-a-time schedule);
-    a task's chunks are dispatched to ``pool`` when one is given and the
-    plan's combine is not itself pool-parallel.  All stats land in one
-    :class:`~repro.tensorir.runtime.ExecStats` -- the same object the
-    owning kernel and its compile record share.
+    Tasks run in order (one partition at a time) and so do a task's
+    chunks.  All stats land in one :class:`~repro.tensorir.runtime.ExecStats`
+    -- the same object the owning kernel and its compile record share.
     """
 
-    def __init__(self, stats: ExecStats | None = None,
-                 pool: WorkPool | None = None):
+    def __init__(self, stats: ExecStats | None = None):
         self.stats = stats if stats is not None else ExecStats()
-        self.pool = pool
 
     def run(self, plan: ExecutionPlan, bindings=None) -> None:
         """Execute ``plan``; under ``FEATGRAPH_SANITIZE`` the run is
@@ -208,31 +202,10 @@ class Executor:
         if plan.strategy is not None:
             self.stats.note_strategy(plan.strategy)
         for task in plan.tasks:
-            self._run_task(task, bindings)
+            for b in task.bounds:
+                self._run_chunk(task, bindings, b)
         if plan.finalize is not None:
             plan.finalize()
-
-    def _run_task(self, task: EdgeTask, bindings) -> None:
-        bounds = list(task.bounds)
-        if not bounds:
-            return
-        use_pool = (self.pool is not None and len(bounds) > 1
-                    and not self._combines_on_pool(task))
-        if use_pool:
-            self.pool.map(lambda b: self._run_chunk(task, bindings, b),
-                          bounds)
-        else:
-            for b in bounds:
-                self._run_chunk(task, bindings, b)
-
-    @staticmethod
-    def _combines_on_pool(task: EdgeTask) -> bool:
-        """Whether a sink of ``task`` combines through the ``parallel``
-        strategy -- the parallelism then lives *inside* the combine, so
-        chunk-level pooling must stand down."""
-        return any(isinstance(st.sink, AggregateSink)
-                   and st.sink.strategy.name == "parallel"
-                   for st in task.stages)
 
     def _run_chunk(self, task: EdgeTask, bindings,
                    bounds: tuple[int, int]) -> None:

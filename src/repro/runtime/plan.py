@@ -158,7 +158,7 @@ class GatherPlan:
     @property
     def dst(self) -> np.ndarray:
         if self._dst is None:
-            # idempotent: pool threads racing here expand twice at worst
+            # idempotent: two threads sharing a plan expand twice at worst
             self._dst = np.repeat(
                 np.arange(len(self.indptr) - 1, dtype=np.int64),
                 np.diff(self.indptr))
@@ -315,8 +315,8 @@ class EdgeTask:
     SpMM kernels emit one task per (feature tile x graph partition) -- per
     graph partition alone when no gather spans the tiled axis; SDDMM one
     per feature tile; fused chains a single multi-stage task.
-    Tasks run in order -- the cooperative one-partition-at-a-time schedule
-    -- while chunks within a task may run on a WorkPool.
+    Tasks run in order -- one partition at a time -- and so do the chunks
+    within a task.
     """
 
     gather: GatherPlan

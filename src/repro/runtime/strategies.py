@@ -24,7 +24,8 @@ histogram decides which shape of vectorization wins:
     byte: below 16 values a row ``reduceat`` is cheaper).
 
 ``parallel``
-    Rows sharded across :class:`~repro.tensorir.runtime.WorkPool` workers,
+    Rows sharded across the workers of the default
+    :class:`~repro.tensorir.runtime.WorkPool`,
     segment-aligned, each worker reducing its shard with ``reduceat`` into
     a per-worker slice of a partial buffer; the combine into the
     accumulator is one vectorized step after all shards land.  Because
@@ -200,7 +201,8 @@ class DegreeBucketedStrategy(AggregationStrategy):
 
 
 class ParallelStrategy(AggregationStrategy):
-    """Segment-aligned row shards reduced concurrently on a WorkPool.
+    """Segment-aligned row shards reduced concurrently on a WorkPool --
+    :func:`~repro.tensorir.runtime.default_pool` unless one is given.
 
     Every worker fills its own slice of one per-chunk partial buffer
     (per-worker partial accumulators), then the main thread folds the
@@ -312,15 +314,14 @@ class SparseBlasStrategy(AggregationStrategy):
         return out.reshape((len(lengths),) + feat)
 
 
-def make_strategy(name: str, pool: WorkPool | None = None
-                  ) -> AggregationStrategy:
+def make_strategy(name: str) -> AggregationStrategy:
     """Instantiate a strategy by name."""
     if name == "reduceat":
         return ReduceatStrategy()
     if name == "bucketed":
         return DegreeBucketedStrategy()
     if name == "parallel":
-        return ParallelStrategy(pool=pool)
+        return ParallelStrategy()
     if name == "spblas":
         return SparseBlasStrategy()
     raise ValueError(
@@ -351,17 +352,16 @@ def select_strategy(degrees, width: int) -> str:
     return _rule(DegreeStats.of(degrees), width)
 
 
-def resolve_strategy(requested: str | None, degrees, width: int,
-                     pool: WorkPool | None = None) -> AggregationStrategy:
+def resolve_strategy(requested: str | None, degrees,
+                     width: int) -> AggregationStrategy:
     """The explicitly requested strategy, else the selector's pick."""
     if requested is None:
         requested = select_strategy(degrees, width)
-    return make_strategy(requested, pool=pool)
+    return make_strategy(requested)
 
 
 def resolve_sink_strategy(requested: str | None, reducer_name: str, dtype,
-                          csr, width: int, pool: WorkPool | None = None
-                          ) -> AggregationStrategy:
+                          csr, width: int) -> AggregationStrategy:
     """The strategy of one aggregating sink.
 
     A request (the kernel's ``agg_strategy``) is taken as it is; anything
@@ -373,7 +373,7 @@ def resolve_sink_strategy(requested: str | None, reducer_name: str, dtype,
     :func:`select_strategy`, read off ``csr``'s cached degree histogram.
     """
     if requested is not None:
-        return make_strategy(requested, pool=pool)
+        return make_strategy(requested)
     if SparseBlasStrategy.owns(reducer_name, np.dtype(dtype)):
         return SparseBlasStrategy()
     return make_strategy(_rule(degree_stats(csr), width))

@@ -9,12 +9,13 @@ the plan layer the same static safety net:
 ``FG006`` **shard disjointness.**  A task's chunk bounds must partition
     the gathered edge domain, and -- whenever any stage aggregates --
     every destination row's edges must land in exactly one chunk (chunk
-    boundaries on segment boundaries), so pool-parallel chunks and the
-    per-sweep ``guard_zero`` substitution are race-free.  For the
-    ``parallel`` strategy the shard cuts are additionally checked per
-    chunk, symbolically from the chunk's segments (``GatherPlan.segments``):
-    cuts must cover the segment index space without overlap and must
-    never split a destination segment across workers.
+    boundaries on segment boundaries), so no two chunks combine into one
+    accumulator row and the per-sweep ``guard_zero`` substitution sees
+    each row once.  For the ``parallel`` strategy the shard cuts are
+    additionally checked per chunk, symbolically from the chunk's
+    segments (``GatherPlan.segments``): cuts must cover the segment index
+    space without overlap and must never split a destination segment
+    across workers.
 
 ``FG007`` **determinism classification.**  Every (strategy, reducer)
     pair a plan aggregates through is labeled ``bit-identical`` /
@@ -31,7 +32,7 @@ the plan layer the same static safety net:
     be kept; sink buffers of one task must not alias each other; and
     a compiled vector program's ``out=`` buffer reuse must only ever
     retire program-local registers that were previously assigned --
-    never an input binding, which pool-parallel chunks share.
+    never an input binding, which every chunk of a plan reads.
 
 ``FG010`` **gather bounds.**  ``GatherPlan`` index arrays are checked
     against the extents their graph-axis roles imply (``n_src`` /
@@ -68,7 +69,7 @@ lowering's decision not to gather is itself under test.  The fuzzer's
 Lint CLI::
 
     python -m repro.runtime.verify [--suite builtins|all] [--json]
-                                   [--verbose] [--workers N]
+                                   [--verbose]
 
 verifies every registered kernel family (spmm builtins x reducers,
 sddmm builtins, staged + fused edge softmax) under every segment-
@@ -122,7 +123,7 @@ _ORDER_PRESERVING = ("reduceat", "parallel")
 
 #: shard counts the FG006 cut check simulates per chunk; disjointness
 #: must hold for *any* worker count, so a small and a large count are
-#: probed in addition to the actual pool width
+#: probed in addition to the strategy's pool width
 _PROBE_SHARDS = (2, 3, 7)
 
 
@@ -260,8 +261,8 @@ def _check_bounds_structure(ctx: _Ctx, ti: int, task) -> bool:
         if c0 < prev_end:
             ctx.add("FG006", f"{loc}.chunk[{ci}]",
                     f"chunk [{c0}, {c1}) overlaps the previous chunk "
-                    f"(ends at {prev_end}): two workers can write the same "
-                    "destination rows")
+                    f"(ends at {prev_end}): two chunks combine into the "
+                    "same destination rows")
             ok = False
         elif c0 > prev_end:
             ctx.add("FG006", f"{loc}.chunk[{ci}]",
@@ -329,8 +330,8 @@ def _check_row_alignment(ctx: _Ctx, ti: int, task) -> None:
         if c0 > 0 and dst[c0 - 1] == dst[c0]:
             ctx.add("FG006", f"{loc}.chunk[{ci}]",
                     f"chunk boundary at edge {c0} splits destination row "
-                    f"{int(dst[c0])} across chunks: pool-parallel chunks "
-                    "would combine the same accumulator row concurrently")
+                    f"{int(dst[c0])} across chunks: two chunks would "
+                    "combine into the same accumulator row")
 
 
 def _check_parallel_cuts(ctx: _Ctx, ti: int, task, strategy) -> None:
@@ -344,11 +345,10 @@ def _check_parallel_cuts(ctx: _Ctx, ti: int, task, strategy) -> None:
     boundary.
     """
     loc = f"task[{ti}]"
-    pool_workers = getattr(getattr(strategy, "pool", None), "num_workers",
-                           None)
     probes = set(_PROBE_SHARDS)
-    if pool_workers and pool_workers > 1:
-        probes.add(int(pool_workers))
+    workers = strategy.pool.num_workers
+    if workers > 1:
+        probes.add(workers)
     for ci, (c0, c1) in enumerate(task.bounds):
         seg = task.gather.segments(c0, c1)
         n_seg = len(seg.starts)
@@ -402,7 +402,7 @@ _LHS_RE = re.compile(r"^\s*(\w+)\s*=[^=]")
 def _check_program_source(ctx: _Ctx, name: str, prog) -> None:
     """FG008: ``out=`` retirement in a compiled program must only target
     program-local registers already assigned -- never an input binding
-    (shared by concurrent chunks) and never an undefined name."""
+    (read by every chunk) and never an undefined name."""
     source = getattr(prog, "source", None)
     if not source:
         return
@@ -415,7 +415,7 @@ def _check_program_source(ctx: _Ctx, name: str, prog) -> None:
             if target in external:
                 ctx.add("FG008", f"program[{name}]:{lineno}",
                         f"out={target} writes into input binding "
-                        f"{target!r}: concurrent chunks share bindings, "
+                        f"{target!r}: every chunk reads the bindings, "
                         "so in-place retirement would corrupt them")
             elif target not in assigned and \
                     not (lhs and lhs.group(1) == target):
@@ -559,7 +559,7 @@ def _merge(reports) -> AnalysisReport:
     return AnalysisReport(diagnostics=tuple(diags), target=target)
 
 
-def verify_kernel(kernel, pool=None) -> AnalysisReport:
+def verify_kernel(kernel) -> AnalysisReport:
     """Lower ``kernel`` to its execution plan(s) and verify them.
 
     Accepts every kernel family: :class:`~repro.core.spmm.GeneralizedSpMM`
@@ -578,7 +578,7 @@ def verify_kernel(kernel, pool=None) -> AnalysisReport:
     if isinstance(kernel, GeneralizedSpMM):
         acc = np.empty((kernel.A.num_dst,) + kernel.msg_shape,
                        dtype=np.float32)
-        return verify_plan(kernel.execution_plan(acc, pool=pool))
+        return verify_plan(kernel.execution_plan(acc))
     if isinstance(kernel, GeneralizedSDDMM):
         result = np.empty((kernel.A.nnz,) + kernel.out_shape,
                           dtype=np.float32)
@@ -597,9 +597,9 @@ def verify_kernel(kernel, pool=None) -> AnalysisReport:
             elif not st.elided:
                 ebufs[st.name] = np.empty((m,) + st.feat_shape,
                                           dtype=np.float32)
-        return verify_plan(kernel.execution_plan(vbufs, ebufs, pool=pool))
+        return verify_plan(kernel.execution_plan(vbufs, ebufs))
     if isinstance(kernel, EdgeSoftmax):
-        return _merge(verify_kernel(k, pool=pool)
+        return _merge(verify_kernel(k)
                       for k in (kernel._max_kernel, kernel._sum_kernel,
                                 kernel._norm_kernel))
     raise TypeError(f"cannot verify {type(kernel).__name__}: not a plan-"
@@ -670,8 +670,8 @@ class _AggregateProxy:
                     "task at runtime; the static shard-disjointness check "
                     "passed, so the plan mutated after verification")
             self._seen[rows] = True
-        # disjoint rows across concurrent chunks make the before/after
-        # slices race-free even under a thread pool
+        # chunks own disjoint rows, so the before/after slices see only
+        # this chunk's combine
         before = self.sink.acc[rows].copy() if rows.size else None
         ret = self.sink.apply(vals, ctx)
         if before is not None:
@@ -795,7 +795,7 @@ def _adj(seed: int = 0):
                       rng.integers(0, _N, _M))
 
 
-def iter_suite(suite: str, pool=None):
+def iter_suite(suite: str):
     """Yield ``(label, strategy, kernel_thunk)`` over registered kernel
     families x segment-reduction strategies.
 
@@ -876,45 +876,39 @@ def iter_suite(suite: str, pool=None):
                    regular, h, feat_shape=(h, 16)).kernel)
 
 
-def lint(suite: str, *, verbose: bool, as_json: bool, workers: int,
-         out=None) -> int:
+def lint(suite: str, *, verbose: bool, as_json: bool, out=None) -> int:
     """Verify the suite; returns the number of kernels with FG006+
     errors.  ``--json`` emits one machine-readable report object."""
     import json
     import sys
 
     from repro.core.compile import KernelCache, use_kernel_cache
-    from repro.tensorir.runtime import WorkPool
 
     out = out if out is not None else sys.stdout
     failed = 0
     counts = {Severity.ERROR: 0, Severity.WARNING: 0, Severity.INFO: 0}
     records = []
-    pool = WorkPool(workers)
-    try:
-        with use_kernel_cache(KernelCache()):
-            for label, strat, thunk in iter_suite(suite, pool):
-                kernel = thunk()
-                report = verify_kernel(kernel, pool=pool)
-                for d in report.diagnostics:
-                    counts[d.severity] += 1
-                bad = report.has_errors
-                failed += bad
-                if as_json:
-                    records.append({"kernel": label, "strategy": strat,
-                                    **report.as_dict()})
-                elif bad:
-                    print(f"FAIL {label}", file=out)
-                    for d in report.sorted():
-                        print(f"  {d.render()}", file=out)
-                elif verbose:
-                    n = len(report.diagnostics)
-                    print(f"ok   {label} ({n} diagnostic"
-                          f"{'s' if n != 1 else ''})", file=out)
-                    for d in report.sorted():
-                        print(f"  {d.render()}", file=out)
-    finally:
-        pool.shutdown()
+    with use_kernel_cache(KernelCache()):
+        for label, strat, thunk in iter_suite(suite):
+            kernel = thunk()
+            report = verify_kernel(kernel)
+            for d in report.diagnostics:
+                counts[d.severity] += 1
+            bad = report.has_errors
+            failed += bad
+            if as_json:
+                records.append({"kernel": label, "strategy": strat,
+                                **report.as_dict()})
+            elif bad:
+                print(f"FAIL {label}", file=out)
+                for d in report.sorted():
+                    print(f"  {d.render()}", file=out)
+            elif verbose:
+                n = len(report.diagnostics)
+                print(f"ok   {label} ({n} diagnostic"
+                      f"{'s' if n != 1 else ''})", file=out)
+                for d in report.sorted():
+                    print(f"  {d.render()}", file=out)
     if as_json:
         json.dump({"suite": suite, "kernels": records,
                    "errors": counts[Severity.ERROR],
@@ -944,12 +938,8 @@ def main(argv=None) -> int:
                     help="emit one machine-readable JSON report")
     ap.add_argument("--verbose", "-v", action="store_true",
                     help="also print clean kernels and their notes")
-    ap.add_argument("--workers", type=int, default=4,
-                    help="WorkPool width handed to the parallel strategy "
-                         "(default 4)")
     ns = ap.parse_args(argv)
-    failed = lint(ns.suite, verbose=ns.verbose, as_json=ns.as_json,
-                  workers=ns.workers)
+    failed = lint(ns.suite, verbose=ns.verbose, as_json=ns.as_json)
     return 1 if failed else 0
 
 

@@ -21,8 +21,8 @@ listings exercise:
   compute body once into a straight-line vectorized numpy program (constant
   folding, CSE, dead-branch pruning, buffer reuse); the execution engine
   used by FeatGraph's sparse templates.
-- :mod:`repro.tensorir.runtime` -- a persistent worker pool modeled on TVM's
-  customized thread pool, plus runtime execution counters.
+- :mod:`repro.tensorir.runtime` -- runtime execution counters, the row
+  gather, and the thread pool the ``parallel`` aggregation strategy maps on.
 - :mod:`repro.tensorir.validate` -- schedule legality checking and
   structural IR validation, run by :func:`lower` before/after lowering.
 """

@@ -8,10 +8,9 @@ what the schedule produced -- the moral equivalent of TVM's
 
 Two targets:
 
-- ``"cpu"`` -- plain nested Python loops; ``parallel`` loops dispatch chunks
-  to the runtime worker pool; ``vectorize`` loops execute as-written (the
-  SIMD benefit is accounted by the CPU machine model, not by the
-  interpreter).
+- ``"cpu"`` -- plain nested Python loops; ``parallel`` and ``vectorize``
+  loops execute as-written, serially (thread scaling and the SIMD benefit
+  are accounted by the CPU machine model, not by the interpreter).
 - ``"gpu"`` -- axes bound to ``block.*``/``thread.*`` become grid dimensions;
   the kernel body is generated as a device function over
   ``(block_idx, thread_idx)`` and the host-side ``__call__`` iterates the

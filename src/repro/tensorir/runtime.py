@@ -1,15 +1,12 @@
-"""Worker pool modeled on TVM's customized runtime thread pool.
+"""Runtime support: execution counters, the row gather, a thread pool.
 
 The paper parallelizes CPU kernels "using the customized thread pool in TVM
-runtime, which is lightweight and particularly efficient in handling the kind
-of embarrassingly parallel workloads", and assigns multiple threads to
-collectively work on *one graph partition at a time* to avoid LLC contention.
-
-:class:`WorkPool` provides exactly that shape of API: a persistent pool with
-``parallel_for`` (static chunking over an index range) and
-``cooperative_for`` (all workers share one task's range).  Numpy releases the
-GIL for large array operations, so threads give real concurrency for the
-vectorized per-chunk work the templates dispatch.
+runtime" and assigns multiple threads to collectively work on *one graph
+partition at a time* to avoid LLC contention; that schedule is modelled in
+:mod:`repro.hwsim`.  Kernels here run their chunks in order on the calling
+thread.  :class:`WorkPool` is a persistent ``map`` pool whose one library
+user is the pinned-only ``parallel`` aggregation strategy
+(:func:`default_pool`).
 
 :func:`take_rows` is the one row gather compiled programs, stage evaluates
 and the minidgl ops share.
@@ -17,7 +14,6 @@ and the minidgl ops share.
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -105,29 +101,21 @@ class ExecStats:
 
 
 class WorkPool:
-    """A persistent worker pool with static-chunked parallel-for.
+    """A persistent thread pool of ``min(16, cpu_count)`` workers unless
+    ``num_workers`` says otherwise; threads start on the first concurrent
+    :meth:`map`."""
 
-    The worker count defaults to the ``FEATGRAPH_NUM_WORKERS`` environment
-    variable when set, else ``min(16, cpu_count)``.
-    """
-
-    #: the one worker kind; reported by :meth:`stats`
+    #: the one worker kind
     backend = "thread"
 
     def __init__(self, num_workers: int | None = None):
         if num_workers is None:
-            env = os.environ.get("FEATGRAPH_NUM_WORKERS")
-            if env:
-                num_workers = int(env)
-            else:
-                num_workers = min(16, os.cpu_count() or 1)
+            num_workers = min(16, os.cpu_count() or 1)
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
         self._executor: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
-        self._chunks_dispatched = 0
-        self._worker_chunks: dict[str, int] = {}
 
     def _ensure(self) -> ThreadPoolExecutor:
         with self._lock:
@@ -137,96 +125,12 @@ class WorkPool:
                     thread_name_prefix="repro-pool")
             return self._executor
 
-    def _count_worker(self, worker: str, n: int = 1) -> None:
-        with self._lock:
-            self._worker_chunks[worker] = \
-                self._worker_chunks.get(worker, 0) + n
-
-    def _traced(self, fn: Callable) -> Callable:
-        """Wrapper booking which worker thread ran each call."""
-
-        @functools.wraps(fn)
-        def wrapped(*args, **kwargs):
-            self._count_worker(threading.current_thread().name)
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    def parallel_for(self, n: int, fn: Callable[[int, int], None],
-                     num_chunks: int | None = None) -> None:
-        """Run ``fn(lo, hi)`` over a static partition of ``range(n)``.
-
-        ``fn`` receives half-open chunk bounds.  With one worker (or a tiny
-        range) the call is executed inline, like TVM's serial fallback.
-        """
-        if n <= 0:
-            return
-        chunks = num_chunks or self.num_workers
-        chunks = max(1, min(chunks, n))
-        if chunks == 1 or self.num_workers == 1:
-            with self._lock:
-                self._chunks_dispatched += 1
-            self._count_worker("inline")
-            fn(0, n)
-            return
-        bounds = [(i * n) // chunks for i in range(chunks + 1)]
-        ex = self._ensure()
-        run = self._traced(fn)
-        futures = [
-            ex.submit(run, bounds[i], bounds[i + 1])
-            for i in range(chunks)
-            if bounds[i + 1] > bounds[i]
-        ]
-        with self._lock:
-            self._chunks_dispatched += len(futures)
-        for f in futures:
-            f.result()
-
-    def cooperative_for(self, tasks: Sequence, n_of: Callable, fn: Callable) -> None:
-        """Process ``tasks`` one at a time, all workers sharing each task.
-
-        For each task ``t``, ``fn(t, lo, hi)`` is invoked over chunks of
-        ``range(n_of(t))``.  This is the LLC-contention-avoiding execution
-        order: the pool never works on two graph partitions concurrently.
-        """
-        for t in tasks:
-            self.parallel_for(n_of(t), lambda lo, hi, _t=t: fn(_t, lo, hi))
-
-    def submit(self, fn: Callable, *args, **kwargs):
-        """Schedule ``fn(*args, **kwargs)`` on the pool; returns a Future.
-
-        The asynchronous entry point behind the mini-batch
-        :class:`~repro.minidgl.sampling.BlockLoader`: sampling the next
-        batch's blocks runs here while the main thread computes on the
-        current batch.  Works with a single worker too (the one worker
-        alternates), though overlap then needs the GIL-releasing numpy ops
-        to dominate.
-        """
-        with self._lock:
-            self._chunks_dispatched += 1
-        return self._ensure().submit(self._traced(fn), *args, **kwargs)
-
     def map(self, fn: Callable, items: Sequence) -> list:
-        """Apply ``fn`` to items concurrently and return results in order."""
-        with self._lock:
-            self._chunks_dispatched += len(items)
+        """Apply ``fn`` to items concurrently and return results in order;
+        inline with one worker or at most one item."""
         if self.num_workers == 1 or len(items) <= 1:
-            self._count_worker("inline", len(items))
             return [fn(x) for x in items]
-        return list(self._ensure().map(self._traced(fn), items))
-
-    def stats(self) -> dict:
-        """Pool accounting: worker count, backend, chunks dispatched, and
-        per-worker chunk counts (thread names, or ``inline`` for serial
-        fallbacks)."""
-        with self._lock:
-            return {
-                "workers": self.num_workers,
-                "backend": self.backend,
-                "chunks_dispatched": self._chunks_dispatched,
-                "worker_chunks": dict(self._worker_chunks),
-                "active": self._executor is not None,
-            }
+        return list(self._ensure().map(fn, items))
 
     def shutdown(self) -> None:
         with self._lock:

@@ -1337,8 +1337,7 @@ class VectorProgram:
     bindings for placeholders, 1-D int64 batch variables of equal length,
     optional per-axis ``axis_ranges`` tiling, and a ``(B, *shape)`` result.
     Programs are immutable and thread-safe: execution touches only local
-    buffers, so chunks may run concurrently under a
-    :class:`~repro.tensorir.runtime.WorkPool`.
+    buffers.
     """
 
     def __init__(self, name, fn, source, stats, axes, out_dtype,

@@ -460,8 +460,7 @@ def run_strategy_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
     ``bucketed`` / ``parallel`` / ``spblas``, pinned via the kernel's
     ``agg_strategy`` override) and checks each output against the plain
     Python edge-loop oracle (:func:`aggregate_edges`).  The parallel run
-    gets a 4-worker pool so the sharded path is exercised whenever chunks
-    are big enough.
+    shards on the default pool whenever chunks are big enough.
 
     On top of per-strategy correctness, the cross-strategy parity contract
     is enforced: ``parallel`` must be bit-identical to ``reduceat`` (same
@@ -481,7 +480,6 @@ def run_strategy_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
     """
     from repro.runtime.reducers import resolve_reducer
     from repro.runtime.strategies import STRATEGY_NAMES, SparseBlasStrategy
-    from repro.tensorir.runtime import WorkPool
 
     if cfg.kind != "spmm":
         return TrialResult(True, stage="strategy-skipped")
@@ -498,43 +496,38 @@ def run_strategy_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
     ref = aggregate_edges(msgs, rows, csr.shape[0], cfg.aggregation)
 
     outputs = {}
-    pool = WorkPool(4)
-    try:
-        for name in STRATEGY_NAMES:
-            scfg = replace(cfg, options={**cfg.options, "agg_strategy": name})
-            try:
-                kernel = _build_kernel(scfg, csr, instance)
-                got = kernel.run(
-                    bindings, pool=pool if name == "parallel" else None)
-            except Exception as exc:  # noqa: BLE001
-                return TrialResult(False, stage=f"strategy:{name}",
-                                   message=f"{type(exc).__name__}: {exc}")
-            if not np.allclose(got, ref, atol=atol, rtol=atol,
-                               equal_nan=True):
-                worst = (float(np.nanmax(np.abs(got - ref)))
-                         if got.size else 0.0)
-                return TrialResult(
-                    False, stage=f"strategy:{name}", max_abs_diff=worst,
-                    message=f"strategy {name} vs edge-loop oracle: max abs "
-                            f"diff {worst:.3g} > atol {atol:g}")
-            outputs[name] = got
-
-        # the default request: resolved per sink by the lowering
+    for name in STRATEGY_NAMES:
+        scfg = replace(cfg, options={**cfg.options, "agg_strategy": name})
         try:
-            kernel = _build_kernel(cfg, csr, instance)
+            kernel = _build_kernel(scfg, csr, instance)
             got = kernel.run(bindings)
-            picked = kernel.exec_stats.agg_strategy
         except Exception as exc:  # noqa: BLE001
-            return TrialResult(False, stage="strategy:default",
+            return TrialResult(False, stage=f"strategy:{name}",
                                message=f"{type(exc).__name__}: {exc}")
-        if picked not in outputs or not np.array_equal(
-                got, outputs[picked], equal_nan=True):
+        if not np.allclose(got, ref, atol=atol, rtol=atol,
+                           equal_nan=True):
+            worst = (float(np.nanmax(np.abs(got - ref)))
+                     if got.size else 0.0)
             return TrialResult(
-                False, stage="strategy:default",
-                message=f"default request resolved to {picked!r} but is not "
-                        "bit-identical to that strategy pinned")
-    finally:
-        pool.shutdown()
+                False, stage=f"strategy:{name}", max_abs_diff=worst,
+                message=f"strategy {name} vs edge-loop oracle: max abs "
+                        f"diff {worst:.3g} > atol {atol:g}")
+        outputs[name] = got
+
+    # the default request: resolved per sink by the lowering
+    try:
+        kernel = _build_kernel(cfg, csr, instance)
+        got = kernel.run(bindings)
+        picked = kernel.exec_stats.agg_strategy
+    except Exception as exc:  # noqa: BLE001
+        return TrialResult(False, stage="strategy:default",
+                           message=f"{type(exc).__name__}: {exc}")
+    if picked not in outputs or not np.array_equal(
+            got, outputs[picked], equal_nan=True):
+        return TrialResult(
+            False, stage="strategy:default",
+            message=f"default request resolved to {picked!r} but is not "
+                    "bit-identical to that strategy pinned")
 
     if not np.array_equal(outputs["parallel"], outputs["reduceat"]):
         worst = float(np.max(np.abs(outputs["parallel"]
@@ -583,15 +576,15 @@ def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
     wrong -- and fails the trial.
 
     SpMM configs run once per segment-reduction strategy (pinned via
-    ``agg_strategy``; ``parallel`` gets a 4-worker pool) so every strategy's
-    static contract is exercised, and once under the default request;
+    ``agg_strategy``; ``parallel`` shards on the default pool) so every
+    strategy's static contract is exercised, and once under the default
+    request;
     SDDMM configs run once.  Failure stages are ``sanitize:<strategy>`` /
     ``sanitize:default`` / ``sanitize:sddmm``.
     """
     from repro.runtime.strategies import STRATEGY_NAMES
     from repro.runtime.verify import SanitizerError, sanitizing
     from repro.tensorir.analysis import AnalysisError
-    from repro.tensorir.runtime import WorkPool
 
     try:
         csr, instance = _materialize(cfg, registry)
@@ -609,49 +602,42 @@ def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
         ref = aggregate_edges(msgs, rows, csr.shape[0], cfg.aggregation)
         requests = {**{name: name for name in STRATEGY_NAMES},
                     "default": None}
-        pool = WorkPool(4)
     else:
         ref = np.zeros((csr.nnz,) + instance.out_shape, dtype=np.float32)
         ref[csr.edge_ids] = msgs
         requests = {"sddmm": None}
-        pool = None
 
     picked = ""
-    try:
-        for name, request in requests.items():
-            stage = f"sanitize:{name}"
-            scfg = replace(cfg, options={**cfg.options,
-                                         "agg_strategy": request})
-            try:
-                kernel = _build_kernel(scfg, csr, instance)
-                with sanitizing():
-                    got = kernel.run(
-                        bindings, pool=pool if name == "parallel" else None)
-            except SanitizerError as exc:
-                return TrialResult(
-                    False, stage=stage,
-                    message=f"static verdict contradicted at runtime: {exc}")
-            except AnalysisError as exc:
-                return TrialResult(
-                    False, stage=stage,
-                    message=f"plan verifier rejected the plan: {exc}")
-            except Exception as exc:  # noqa: BLE001
-                return TrialResult(False, stage=stage,
-                                   message=f"{type(exc).__name__}: {exc}")
-            if not np.allclose(got, ref, atol=atol, rtol=atol,
-                               equal_nan=True):
-                worst = (float(np.nanmax(np.abs(got - ref)))
-                         if got.size else 0.0)
-                return TrialResult(
-                    False, stage=stage, max_abs_diff=worst,
-                    message=f"sanitized run diverged from the independent "
-                            f"reference: max abs diff {worst:.3g} > atol "
-                            f"{atol:g} (instrumentation perturbed execution)")
-            if name == "default":
-                picked = kernel.exec_stats.agg_strategy
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for name, request in requests.items():
+        stage = f"sanitize:{name}"
+        scfg = replace(cfg, options={**cfg.options,
+                                     "agg_strategy": request})
+        try:
+            kernel = _build_kernel(scfg, csr, instance)
+            with sanitizing():
+                got = kernel.run(bindings)
+        except SanitizerError as exc:
+            return TrialResult(
+                False, stage=stage,
+                message=f"static verdict contradicted at runtime: {exc}")
+        except AnalysisError as exc:
+            return TrialResult(
+                False, stage=stage,
+                message=f"plan verifier rejected the plan: {exc}")
+        except Exception as exc:  # noqa: BLE001
+            return TrialResult(False, stage=stage,
+                               message=f"{type(exc).__name__}: {exc}")
+        if not np.allclose(got, ref, atol=atol, rtol=atol,
+                           equal_nan=True):
+            worst = (float(np.nanmax(np.abs(got - ref)))
+                     if got.size else 0.0)
+            return TrialResult(
+                False, stage=stage, max_abs_diff=worst,
+                message=f"sanitized run diverged from the independent "
+                        f"reference: max abs diff {worst:.3g} > atol "
+                        f"{atol:g} (instrumentation perturbed execution)")
+        if name == "default":
+            picked = kernel.exec_stats.agg_strategy
     return TrialResult(True, stage="sanitize", picked=picked)
 
 

@@ -1,4 +1,4 @@
-"""Binding validation and pooled (multithreaded) kernel execution."""
+"""Binding validation, and kernels that stay on the calling thread."""
 
 import numpy as np
 import pytest
@@ -63,33 +63,65 @@ class TestBindingValidation:
             kern.run({"XV": np.zeros((n, 7), np.float32)})
 
 
-class TestPooledExecution:
-    def test_pool_matches_serial(self, medium_graph):
-        n = medium_graph.shape[1]
-        k = _gcn(medium_graph, n, 16)
-        # tiny chunks force several parallel work items
-        k.chunk_edges = 97
-        x = np.random.default_rng(0).random((n, 16)).astype(np.float32)
-        serial = k.run({"XV": x})
+class TestDefaultPathStartsNoThread:
+    """Kernels run their chunks on the calling thread: training, mini-batch
+    steps and the benchmark's kernels start no thread and never spin up
+    the default pool.  Pinning ``agg_strategy="parallel"`` is the one way
+    to put the numeric path on threads."""
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        from repro.tensorir import runtime
+
         with WorkPool(4) as pool:
-            parallel = k.run({"XV": x}, pool=pool)
-        assert np.allclose(serial, parallel, atol=1e-4)
+            monkeypatch.setattr(runtime, "_default", pool)
+            yield pool
 
-    def test_pool_with_partitions_and_tiles(self, medium_graph):
-        n = medium_graph.shape[1]
-        XV = T.placeholder((n, 12), name="XV")
+    @staticmethod
+    def _reddit_kernels():
+        from repro.core import kernels as K
+        from repro.graph.datasets import load
 
-        def msgfunc(src, dst, eid):
-            return T.compute((12,), lambda i: XV[src, i] * 2.0)
+        adj = load("reddit", scale=1 / 16384, seed=0).adj
+        n = adj.shape[0]
+        rng = np.random.default_rng(0)
+        runs = []
+        for f in (8, 16):
+            x = rng.random((n, f), dtype=np.float32)
+            runs.append((K.gcn_aggregation(adj, n, f), {"XV": x}))
+            runs.append((K.dot_attention(adj, n, f), {"XV": x}))
+            runs.append((K.mlp_aggregation(adj, n, 8, f),
+                         {"XV": rng.random((n, 8), dtype=np.float32),
+                          "W": rng.random((8, f), dtype=np.float32)}))
+        return runs
 
-        k = featgraph.spmm(medium_graph, msgfunc, "max",
-                           num_graph_partitions=4, num_feature_partitions=3,
-                           chunk_edges=53)
-        x = np.random.default_rng(1).standard_normal((n, 12)).astype(np.float32)
-        serial = k.run({"XV": x})
-        with WorkPool(3) as pool:
-            parallel = k.run({"XV": x}, pool=pool)
-        assert np.allclose(serial, parallel, atol=1e-4)
+    def test_training_and_kernels_stay_on_the_calling_thread(self, pool):
+        import threading
+
+        from repro.graph.datasets import planted_partition
+        from repro.minidgl.backends import FeatGraphDGLBackend
+        from repro.minidgl.models import GAT, GCN, GraphSage
+        from repro.minidgl.train import train_minibatch, train_model
+
+        ds = planted_partition(n=200, num_classes=3, feature_dim=8,
+                               avg_degree=6, seed=0)
+        backend = FeatGraphDGLBackend()
+        before = threading.active_count()
+        train_model(GCN(8, 3, hidden=8, dropout=0.0), ds, backend, epochs=1)
+        train_model(GAT(8, 3, hidden=8, num_heads=2, dropout=0.0), ds,
+                    backend, epochs=1)
+        train_minibatch(GraphSage(8, 3, hidden=8, dropout=0.0), ds, backend,
+                        fanouts=[3, 3], batch_size=64, epochs=1, prefetch=0)
+        for kernel, bindings in self._reddit_kernels():
+            kernel.run(bindings)
+        assert threading.active_count() == before
+        assert pool._executor is None
+
+    def test_pinned_parallel_is_what_starts_the_pool(self, pool):
+        kernel, bindings = self._reddit_kernels()[0]
+        kernel.agg_strategy = "parallel"
+        kernel.run(bindings)
+        assert pool._executor is not None
 
 
 class TestRunLeavesNothingForTheCollector:

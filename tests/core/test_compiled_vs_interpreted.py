@@ -170,21 +170,18 @@ class TestTemplatesCompiledVsInterpreted:
             assert stats["compiled_chunks"] == stats["chunks"]
             _agree(got, reference_sddmm(k, bindings))
 
-    def test_sddmm_pool_matches_serial(self):
-        from repro.tensorir.runtime import WorkPool
-
+    def test_sddmm_bit_identical_across_chunk_sizes(self):
         csr = self._graph(303)
         n = max(csr.shape)
         fam = G.UDF_FAMILIES["u_mul_v"]
         instance = fam.make({"n": n, "m": max(csr.nnz, 1), "f": 4})
         bindings = build_bindings(instance, None, 77)
-        with use_kernel_cache(KernelCache()):
-            k = sddmm(spmat(csr), instance.udf, chunk_edges=4)
-        serial = k.run(bindings)
-        with WorkPool(num_workers=4) as pool:
-            threaded = k.run(bindings, pool=pool)
-            assert pool.stats()["chunks_dispatched"] >= 1 or csr.nnz == 0
-        np.testing.assert_array_equal(serial, threaded)
+        outs = []
+        for chunk_edges in (1 << 17, 4):
+            with use_kernel_cache(KernelCache()):
+                k = sddmm(spmat(csr), instance.udf, chunk_edges=chunk_edges)
+            outs.append(k.run(bindings))
+        np.testing.assert_array_equal(outs[0], outs[1])
 
 
 class TestVectorProgramReuse:

@@ -380,9 +380,9 @@ class TestDefaultStrategyResolution:
     else -> the selector's pick.  Requests behave as they always did."""
 
     @staticmethod
-    def _plan(kernel, pool=None):
+    def _plan(kernel):
         acc = np.zeros((kernel.A.num_dst,) + kernel.msg_shape, np.float32)
-        return kernel.execution_plan(acc, pool=pool)
+        return kernel.execution_plan(acc)
 
     @staticmethod
     def _selector_pick(kernel):
@@ -452,11 +452,9 @@ class TestDefaultStrategyResolution:
         assert {t.stages[0].sink.strategy.name for t in plan.tasks} == {name}
 
     @pytest.mark.parametrize("agg", ["sum", "mean"])
-    def test_bit_identical_across_chunk_sizes_and_worker_counts(self, agg):
+    def test_bit_identical_across_chunk_sizes(self, agg):
         """Each row is reduced in one fixed order whatever chunk it lands
-        in and whichever thread runs the chunk."""
-        from repro.tensorir.runtime import WorkPool
-
+        in."""
         rng = np.random.default_rng(11)
         n, m = 200, 30_000
         dst = np.concatenate([rng.integers(0, n, m - 4000),
@@ -469,9 +467,6 @@ class TestDefaultStrategyResolution:
                              num_graph_partitions=1)
             assert self._plan(k).strategy == "spblas"
             outs.append(k.run({"XV": x}))
-            for workers in (2, 5):
-                with WorkPool(workers) as pool:
-                    outs.append(k.run({"XV": x}, pool=pool))
         for got in outs[1:]:
             assert np.array_equal(got, outs[0])
 
@@ -529,9 +524,9 @@ class TestGatherFreePlans:
         return adj, x
 
     @staticmethod
-    def _plan(kernel, pool=None):
+    def _plan(kernel):
         acc = np.zeros((kernel.A.num_dst,) + kernel.msg_shape, np.float32)
-        return kernel.execution_plan(acc, pool=pool)
+        return kernel.execution_plan(acc)
 
     @staticmethod
     def _lazy(plan):
@@ -700,13 +695,12 @@ class TestGatherFreePlans:
             "sum")
         assert k.row_gather == ("XV", "src", "EW")      # either order
 
-    def test_bit_identical_across_chunkings_pools_and_table_layouts(self):
+    def test_bit_identical_across_chunkings_and_table_layouts(self):
         """A bipartite block bound from a template (``n_src > n_dst``,
         ``XV`` with spare rows), zero-degree rows, two graph partitions,
         a strided and a float64 ``XV``: every run gives the bits of the
         materialised block."""
         from repro.core import kernels
-        from repro.tensorir.runtime import WorkPool
 
         rng = np.random.default_rng(13)
         n_src, n_dst, m, f = 300, 120, 30_000, 12
@@ -730,10 +724,6 @@ class TestGatherFreePlans:
                 if want is None:
                     want = self._materialised(k, lambda src, eid: x32[src])
                 assert np.array_equal(k.run({"XV": x}), want), what
-                for workers in (2, 5):
-                    with WorkPool(workers) as pool:
-                        assert np.array_equal(k.run({"XV": x}, pool=pool),
-                                              want), (what, workers)
             assert np.all(want[1::2] == 0)
 
     def test_program_is_still_built_verified_and_the_oracle(self, big):

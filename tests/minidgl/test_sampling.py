@@ -311,12 +311,12 @@ class TestMinibatchesOrderAndDropLast:
 
 
 class TestBlockLoader:
-    def _collect(self, graph, prefetch, pool=None, seed=8):
+    def _collect(self, graph, prefetch, seed=8):
         from repro.minidgl.sampling import BlockLoader
 
         loader = BlockLoader(graph, np.arange(60), 16, [3, 3],
                              rng=np.random.default_rng(seed),
-                             prefetch=prefetch, pool=pool)
+                             prefetch=prefetch)
         out = list(loader)
         return loader, out
 
@@ -333,14 +333,6 @@ class TestBlockLoader:
         _, sync = self._collect(graph, prefetch=0)
         _, pre = self._collect(graph, prefetch=3)
         self._assert_runs_equal(sync, pre)
-
-    def test_workpool_producer_matches_thread_producer(self, graph):
-        from repro.tensorir.runtime import WorkPool
-
-        with WorkPool(2) as pool:
-            _, pooled = self._collect(graph, prefetch=2, pool=pool)
-        _, threaded = self._collect(graph, prefetch=2)
-        self._assert_runs_equal(pooled, threaded)
 
     def test_epochs_differ_but_runs_reproduce(self, graph):
         from repro.minidgl.sampling import BlockLoader
@@ -403,12 +395,12 @@ class TestBlockLoaderShutdown:
     """Regression (PR-10): the producer's terminal ``end``/``error`` puts
     must be stop-aware.  Pre-fix, a consumer that left the loop mid-epoch
     with the queue full stranded the producer forever in
-    ``out.put(("end", None))`` -- a leaked thread on the thread backend and,
-    with a ``pool``, a consumer deadlock in the generator's
-    ``finally: future.result()``.
+    ``out.put(("end", None))`` -- a leaked thread, and a consumer deadlock
+    once the generator's ``finally`` joins the producer.  Closing the
+    iterator joins the producer, so nothing samples after ``close()``.
     """
 
-    def _make_loader(self, graph, pool=None):
+    def _make_loader(self, graph):
         from repro.minidgl.sampling import BlockLoader
 
         # exactly 2 batches with prefetch=1: after the consumer takes batch
@@ -416,7 +408,7 @@ class TestBlockLoaderShutdown:
         # next put is the terminal "end" -- the pre-fix hang site
         return BlockLoader(graph, np.arange(20), 10, [3],
                            rng=np.random.default_rng(1), prefetch=1,
-                           shuffle=False, pool=pool)
+                           shuffle=False)
 
     def _wait_until_end_put(self, loader, timeout=5.0):
         """Block until the producer has sampled every batch (its next queue
@@ -446,25 +438,35 @@ class TestBlockLoaderShutdown:
         assert self._no_producer_threads(), \
             "producer thread still blocked on its terminal put"
 
-    def test_early_break_with_pool_does_not_deadlock(self, graph):
-        from repro.tensorir.runtime import WorkPool
+    def test_close_joins_the_producer(self, graph, monkeypatch):
+        """Right after ``close()`` -- no polling -- the producer is gone and
+        sampling has stopped, so the next epoch is the only thread drawing
+        from the loader's ``rng``.  Slowed sampling keeps the producer
+        mid-sample when the consumer closes."""
+        from repro.minidgl import sampling
+        from repro.minidgl.sampling import BlockLoader
 
-        done = threading.Event()
+        real = sampling.build_blocks
 
-        def consume():
-            with WorkPool(1) as pool:
-                loader = self._make_loader(graph, pool=pool)
-                it = iter(loader)
-                next(it)
-                self._wait_until_end_put(loader)
-                it.close()  # pre-fix: deadlocks in finally future.result()
-            done.set()
+        def slow_build_blocks(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
 
-        t = threading.Thread(target=consume, daemon=True)
-        t.start()
-        t.join(10.0)
-        assert done.is_set(), \
-            "early break deadlocked the consumer with a pool producer"
+        monkeypatch.setattr(sampling, "build_blocks", slow_build_blocks)
+        assert self._no_producer_threads(), "stale producers from other tests"
+        loader = BlockLoader(graph, np.arange(100), 5, [3],
+                             rng=np.random.default_rng(2), prefetch=16)
+        it = iter(loader)
+        next(it)
+        closer = threading.Thread(target=it.close)
+        closer.start()
+        closer.join(10.0)
+        assert not closer.is_alive(), "close() never joined the producer"
+        assert not [t for t in threading.enumerate()
+                    if t.name == "repro-block-loader"]
+        produced = loader.batches_produced
+        time.sleep(0.2)
+        assert loader.batches_produced == produced
 
 
 class TestEmptyIdsContract:

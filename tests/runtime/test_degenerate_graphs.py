@@ -21,7 +21,6 @@ from repro.graph.sparse import from_edges
 from repro.runtime.plan import row_aligned_chunks, segment_info
 from repro.runtime.strategies import STRATEGY_NAMES
 from repro.runtime.verify import BIT_IDENTICAL, classify_reduction
-from repro.tensorir.runtime import WorkPool
 
 N, F = 32, 4
 
@@ -48,14 +47,14 @@ GRAPHS = {"empty": _empty, "isolated": _mostly_isolated,
           "mega-hub": _mega_hub}
 
 
-def _run(adj, agg, strategy, x, pool=None):
+def _run(adj, agg, strategy, x):
     XV = T.placeholder((N, F), name="XV")
     with use_kernel_cache(KernelCache()):
         k = spmm(adj, dgl_builtins.copy_u_msg(XV), agg,
                  chunk_edges=32)  # force multi-chunk where edges allow
     k.agg_strategy = strategy
     assert not k.verify_report().has_errors
-    return k.run({"XV": x}, pool=pool)
+    return k.run({"XV": x})
 
 
 def _reference(adj, agg, x):
@@ -78,12 +77,7 @@ class TestDegenerateShapes:
         adj = GRAPHS[shape]()
         x = np.random.default_rng(7).standard_normal((N, F)).astype(
             np.float32)
-        pool = WorkPool(4) if strategy == "parallel" else None
-        try:
-            got = _run(adj, agg, strategy, x, pool=pool)
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        got = _run(adj, agg, strategy, x)
         np.testing.assert_allclose(got, _reference(adj, agg, x),
                                    rtol=1e-5, atol=1e-5)
 
@@ -94,12 +88,7 @@ class TestDegenerateShapes:
         adj = GRAPHS[shape]()
         x = np.random.default_rng(8).standard_normal((N, F)).astype(
             np.float32)
-        pool = WorkPool(4) if strategy == "parallel" else None
-        try:
-            got = _run(adj, agg, strategy, x, pool=pool)
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        got = _run(adj, agg, strategy, x)
         oracle = _run(adj, agg, "reduceat", x)
         np.testing.assert_array_equal(got, oracle)
 

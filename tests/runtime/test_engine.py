@@ -41,7 +41,7 @@ from repro.runtime import (
     select_strategy,
 )
 from repro.runtime.histogram import cache_info, clear_caches, degree_stats
-from repro.tensorir.runtime import ExecStats, WorkPool
+from repro.tensorir.runtime import ExecStats
 
 
 def _copy_kernel(adj, n, f, **opts):
@@ -173,7 +173,7 @@ def _csr_of(degrees, n_src=64):
 
 @pytest.fixture(params=[1, 4])
 def default_workers(request, monkeypatch):
-    """Lowerings called with ``pool=None`` see a default pool this wide."""
+    """Lowerings see a default pool this wide."""
     from repro.tensorir import runtime
 
     with runtime.WorkPool(request.param) as pool:
@@ -213,9 +213,8 @@ class TestStrategySelection:
     # and row width and the graph's degree histogram, nothing else.
 
     @staticmethod
-    def _pick(csr, width, reducer="max", dtype=np.float32, pool=None):
-        return resolve_sink_strategy(None, reducer, dtype, csr, width,
-                                     pool).name
+    def _pick(csr, width, reducer="max", dtype=np.float32):
+        return resolve_sink_strategy(None, reducer, dtype, csr, width).name
 
     @pytest.mark.parametrize("degrees,width,want", [
         (np.full(4096, 8), 15, "reduceat"),     # both sides of width 16
@@ -245,14 +244,12 @@ class TestStrategySelection:
     def test_no_worker_count_yields_parallel(self, default_workers):
         """Every degree distinct (bucketing cannot amortize) and
         sum(1..724) = 262450 edge-values: where auto-selection used to
-        shard across a wide pool.  An explicit pool changes nothing."""
+        shard across a wide pool."""
         degrees = np.arange(1, 725)
         csr = _csr_of(degrees)
-        with WorkPool(4) as wide:
-            for width in (1, 8, 64):
-                assert select_strategy(degrees, width) != "parallel"
-                for pool in (None, wide):
-                    assert self._pick(csr, width, pool=pool) != "parallel"
+        for width in (1, 8, 64):
+            assert select_strategy(degrees, width) != "parallel"
+            assert self._pick(csr, width) != "parallel"
 
     @pytest.mark.parametrize("f", [32, 64])
     def test_mlp_aggregation_on_the_benchmark_graph_buckets(

@@ -16,8 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-SURVIVORS = {"FEATGRAPH_ANALYSIS_STRICT", "FEATGRAPH_NUM_WORKERS",
-             "FEATGRAPH_SANITIZE"}
+SURVIVORS = {"FEATGRAPH_ANALYSIS_STRICT", "FEATGRAPH_SANITIZE"}
 
 
 def _is_environ(node) -> bool:
