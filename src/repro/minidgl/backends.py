@@ -1,7 +1,7 @@
 """Kernel backends for minidgl message passing.
 
-Two implementations of the same three primitives, mirroring the paper's
-Table VI comparison:
+Two implementations of the same primitives, mirroring the paper's Table VI
+comparison:
 
 - :class:`MinigunBackend` ("DGL w/o FeatGraph"): the Minigun-style default.
   For anything beyond plain copy+sum it **materializes the per-edge message
@@ -14,6 +14,10 @@ Table VI comparison:
   compiled once per (graph, shape) and cached -- "FeatGraph generates kernel
   codes for a specific graph topology; the compilation cost is amortized"
   (Sec. IV-B).
+
+Both compute the transpose product ``spmm_sum_t`` (``Aᵀ(w ⊙ x)``, every
+backward SpMM) on the *forward* CSR through
+:func:`repro.runtime.spblas.scatter_sum`: no reverse graph is built.
 """
 
 from __future__ import annotations
@@ -27,8 +31,15 @@ from repro.core.api import spmm as fg_spmm
 from repro.core.fds import default_fds_for
 from repro.graph.segment import segment_reduce
 from repro.graph.sparse import CSRMatrix
+from repro.runtime.spblas import scatter_sum
 
 __all__ = ["MinigunBackend", "FeatGraphDGLBackend", "get_backend"]
+
+
+def _edge_weight(w: np.ndarray, ndim: int) -> np.ndarray:
+    """A per-edge weight ``(m, *prefix)`` broadcast over ``ndim``-D
+    per-edge messages."""
+    return w.reshape(w.shape + (1,) * (ndim - w.ndim))
 
 
 class MinigunBackend:
@@ -47,12 +58,20 @@ class MinigunBackend:
 
     def spmm_mul_sum(self, adj: CSRMatrix, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         gathered = x[adj.indices]
-        if w.ndim == gathered.ndim:
-            msgs = gathered * w
-        else:
-            msgs = gathered * w.reshape(w.shape + (1,) * (gathered.ndim - w.ndim))
+        msgs = gathered * _edge_weight(w, gathered.ndim)
         self.materialized_bytes += msgs.nbytes
         return segment_reduce(msgs, adj.indptr, op="sum")
+
+    def spmm_sum_t(self, adj: CSRMatrix, x: np.ndarray,
+                   w: np.ndarray | None = None) -> np.ndarray:
+        """``Aᵀ(w ⊙ x)``: the ``(m, ...)`` messages ``w[e] * x[dst(e)]``
+        materialized, then scattered onto their sources."""
+        msgs = x[adj.row_of_edge()]
+        if w is not None:
+            msgs = msgs * _edge_weight(w, msgs.ndim)
+        self.materialized_bytes += msgs.nbytes
+        return scatter_sum(np.arange(adj.nnz + 1), adj.indices, msgs,
+                           adj.shape[1])
 
     def sddmm_dot(self, adj: CSRMatrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         lhs = a[adj.indices]
@@ -196,6 +215,15 @@ class FeatGraphDGLBackend:
     def spmm_mul_sum(self, adj: CSRMatrix, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         k = self._mul_sum(adj, x.shape[1:], w.ndim)
         return k.run({"XV": x, "EW": w})
+
+    def spmm_sum_t(self, adj: CSRMatrix, x: np.ndarray,
+                   w: np.ndarray | None = None) -> np.ndarray:
+        """``out[u] = sum_{e = (u, v)} w[e] * x[v]`` -- ``Aᵀ(w ⊙ x)``, the
+        input gradient of every SpMM, swept on the forward CSR: nothing is
+        gathered per edge and no reverse graph is built.  ``x`` is
+        ``(n_dst, *feat)``; ``w`` is ``None``, ``(m,)`` or a per-head
+        ``(m, *heads)`` prefix of ``feat``."""
+        return scatter_sum(adj.indptr, adj.indices, x, adj.shape[1], weight=w)
 
     def sddmm_dot(self, adj: CSRMatrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         k = self._dot(adj, a.shape[1:])

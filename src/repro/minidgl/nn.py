@@ -13,12 +13,7 @@ import math
 import numpy as np
 
 from repro.minidgl.autograd import Tensor, is_grad_enabled
-from repro.minidgl.graph import (
-    Graph,
-    copy_u_mean,
-    edge_add,
-    edge_softmax_mul_sum,
-)
+from repro.minidgl.graph import Graph, copy_u_mean, gat_attention
 
 __all__ = ["Module", "Linear", "Dropout", "GCNConv", "SAGEConv", "GATConv"]
 
@@ -298,8 +293,9 @@ class GATConv(Module):
         z = self.fc(x).reshape(n_src, self.num_heads, self.head_dim)
         el = (z * self.attn_l).sum(axis=2)   # (n_src, heads)
         er = (z * self.attn_r).sum(axis=2)
-        logits = edge_add(graph, el, er).leaky_relu(self.negative_slope)  # (m, heads)
-        # softmax + weighted aggregation: one fused sweep on a fusing
-        # backend, the staged edge_softmax + u_mul_e_sum pair otherwise
-        out = edge_softmax_mul_sum(graph, logits, z, backend)  # (n_dst, heads, head_dim)
+        # logits, softmax and weighted aggregation as one op: one fused
+        # sweep forward and three SpMMs backward on a fusing backend, the
+        # staged edge_add / edge_softmax / u_mul_e_sum chain otherwise
+        out = gat_attention(graph, el, er, z, self.negative_slope,
+                            backend)  # (n_dst, heads, head_dim)
         return out.reshape(n_dst, self.num_heads * self.head_dim)

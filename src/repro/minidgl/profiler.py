@@ -35,7 +35,7 @@ class OpRecord:
 class ProfiledBackend:
     """A transparent profiling proxy around a minidgl kernel backend."""
 
-    _PRIMITIVES = ("spmm_copy_sum", "spmm_mul_sum", "sddmm_dot")
+    _PRIMITIVES = ("spmm_copy_sum", "spmm_mul_sum", "spmm_sum_t", "sddmm_dot")
 
     def __init__(self, inner):
         self.inner = inner
@@ -63,6 +63,12 @@ class ProfiledBackend:
         width = int(np.prod(x.shape[1:]))
         return self._timed("spmm_mul_sum", adj, width,
                            lambda: self.inner.spmm_mul_sum(adj, x, w))
+
+    def spmm_sum_t(self, adj: CSRMatrix, x: np.ndarray,
+                   w: np.ndarray | None = None) -> np.ndarray:
+        width = int(np.prod(x.shape[1:]))
+        return self._timed("spmm_sum_t", adj, width,
+                           lambda: self.inner.spmm_sum_t(adj, x, w))
 
     def sddmm_dot(self, adj: CSRMatrix, a: np.ndarray,
                   b: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from repro.minidgl.graph import (
     copy_u_sum,
     edge_add,
     edge_softmax,
+    gat_attention,
     u_dot_v,
     u_mul_e_sum,
 )
@@ -68,7 +69,7 @@ class TestCopyUSum:
 
 class TestCopyUBackward:
     """The input gradient of both copy-u aggregations is ``A^T g``, the
-    copy-sum over ``graph.reverse``, on either backend."""
+    transpose product on the forward CSR, on either backend."""
 
     @staticmethod
     def _graph(kind):
@@ -130,11 +131,11 @@ class TestCopyUBackward:
     @pytest.mark.parametrize("fuse", [False, True])
     def test_a_minibatch_step_never_reverses_its_input_block(
             self, fuse, monkeypatch):
-        """A sampled block's topology is seen once, so a reverse graph is
-        built, hashed and bound in full every step.  The input-side block
-        is the big one and its features need no gradient: ``SAGEConv``
-        aggregates them before it transforms, so nothing flows back through
-        that sweep and only the output-side block is ever reversed."""
+        """A sampled block's topology is seen once, so a reverse graph
+        would be built, hashed and bound in full every step.  None is:
+        ``Aᵀ g`` runs on the block's forward CSR, so no block -- input side
+        or output side -- is ever transposed, and a training step binds
+        exactly the forward kernels an inference step binds."""
         from repro.graph.datasets import planted_partition
         from repro.minidgl.models import GraphSage
         from repro.minidgl.sampling import build_blocks
@@ -156,8 +157,7 @@ class TestCopyUBackward:
         made = ("binds", "fused_binds", "pipeline_runs", "fused_compiles")
 
         def step(cache, first_seed, backward):
-            """What one step on fresh blocks adds to the cache counters,
-            and the shape of its output-side block."""
+            """What one step on fresh blocks adds to the cache counters."""
             before = cache.stats()
             seeds = np.arange(first_seed, first_seed + 64)
             blocks = build_blocks(ds.adj, seeds, [5, 5], rng)
@@ -168,23 +168,170 @@ class TestCopyUBackward:
                 cross_entropy(logits, ds.labels[seeds],
                               np.ones(len(seeds), dtype=bool)).backward()
             after = cache.stats()
-            return ({k: after[k] - before[k] for k in made},
-                    blocks[-1].adj.shape)
+            return {k: after[k] - before[k] for k in made}
 
         with use_kernel_cache(KernelCache()) as cache, use_fusion(fuse):
             step(cache, 0, backward=True)            # compiles the templates
-            forward_only, _ = step(cache, 64, backward=False)
-            del transposed[:]
-            trained, last_block = step(cache, 128, backward=True)
+            forward_only = step(cache, 64, backward=False)
+            trained = step(cache, 128, backward=True)
         # one sweep per block, bound from its template, nothing compiled
         assert forward_only["binds"] + forward_only["fused_binds"] == 2
         assert forward_only["pipeline_runs"] == 0
         assert forward_only["fused_compiles"] == 0
-        # training adds the one reverse kernel of the output-side block
-        assert trained == {**forward_only,
-                           "binds": forward_only["binds"] + 1}
-        assert transposed == [last_block]
+        # the backward binds nothing: its Aᵀ products need no kernel
+        assert trained == forward_only
+        assert transposed == []
         assert all(p.grad is not None for p in model.parameters())
+
+
+class TestGatAttention:
+    """The fused backward -- three weighted SpMMs on the forward CSR, no
+    SDDMM -- against the staged composition it replaces (``use_fusion(False)``
+    and Minigun) and against central differences."""
+
+    KINDS = ["square", "block", "zero_in_degree", "zero_out_degree",
+             "single_edge", "empty"]
+
+    @staticmethod
+    def _graph(kind):
+        r = np.random.default_rng(41)
+        if kind == "square":
+            n_src = n_dst = 24
+            src, dst = r.integers(0, 24, 150), r.integers(0, 24, 150)
+        elif kind == "block":              # frontier 4x the destinations
+            n_src, n_dst = 32, 8
+            src, dst = r.integers(0, 32, 70), r.integers(0, 8, 70)
+        elif kind == "zero_in_degree":     # rows 0-2 and 15.. have no in-edge
+            n_src = n_dst = 20
+            src, dst = r.integers(0, 20, 60), r.integers(3, 15, 60)
+        elif kind == "zero_out_degree":    # sources 12.. have no out-edge
+            n_src = n_dst = 20
+            src, dst = r.integers(0, 12, 60), r.integers(0, 20, 60)
+        elif kind == "single_edge":
+            n_src = n_dst = 5
+            src, dst = np.array([3]), np.array([1])
+        else:
+            n_src = n_dst = 6
+            src = dst = np.empty(0, np.int64)
+        return Graph(from_edges(n_src, n_dst, src, dst))
+
+    @staticmethod
+    def _inputs(g, heads, d=3):
+        """``el``, ``er``, ``z`` and the loss coefficients.  The endpoint
+        scores put every logit on either side of 0 and at least 0.2 away
+        from it, so a central difference never straddles the kink."""
+        r = np.random.default_rng(42 + heads)
+        n_dst, n_src = g.adj.shape
+        el = r.choice([-1.0, 1.0], (n_src, heads)) * r.uniform(
+            0.4, 1.0, (n_src, heads))
+        er = r.uniform(-0.2, 0.2, (n_src, heads))
+        z = r.standard_normal((n_src, heads, d))
+        coef = r.standard_normal((n_dst, heads, d))
+        return [a.astype(np.float32) for a in (el, er, z, coef)]
+
+    @staticmethod
+    def _run(g, arrays, backend, fuse=True):
+        el, er, z, coef = arrays
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (el, er, z)]
+        with use_fusion(fuse):
+            out = gat_attention(g, *leaves, 0.2, backend)
+            (out * Tensor(coef)).sum().backward()
+        return out.data, [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_grads_match_the_staged_oracles(self, kind, heads):
+        g = self._graph(kind)
+        arrays = self._inputs(g, heads)
+        out, grads = self._run(g, arrays, get_backend("featgraph"))
+        for backend, fuse in ((get_backend("featgraph"), False),
+                              (get_backend("minigun"), True)):
+            want_out, want = self._run(g, arrays, backend, fuse)
+            assert np.allclose(out, want_out, rtol=1e-5, atol=1e-6)
+            for got, ref in zip(grads, want):
+                assert got.shape == ref.shape
+                assert np.allclose(got, ref, rtol=1e-4, atol=1e-5)
+        n_dst, n_src = g.adj.shape
+        if n_src > n_dst:    # er's rows past the destinations are no dst
+            assert not grads[1][n_dst:].any()
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_grads_match_central_differences(self, kind, heads):
+        g = self._graph(kind)
+        el, er, z, coef = self._inputs(g, heads)
+        scores = el[g.src_of_edge()] + er[g.dst_of_edge()]
+        assert g.num_edges < 2 or (scores > 0).any() and (scores < 0).any()
+        _, grads = self._run(g, [el, er, z, coef], get_backend("featgraph"))
+        backend = get_backend("featgraph")
+
+        def f():
+            with no_grad():
+                out = gat_attention(g, Tensor(el), Tensor(er), Tensor(z),
+                                    0.2, backend)
+            return float((out.data.astype(np.float64) * coef).sum())
+
+        for got, arr in zip(grads, (el, er, z)):
+            assert np.allclose(got, _numeric_grad(f, arr), atol=2e-3)
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_inference_logits_are_the_composition_bit_for_bit(self, heads):
+        """Under fusion the forward is ``edge_add -> leaky_relu ->
+        fused_softmax_aggregate`` exactly as the ops compose it."""
+        g = self._graph("square")
+        el, er, z, _ = self._inputs(g, heads)
+        el = el * np.float32(0.3)          # and logits near 0 as well
+        backend = get_backend("featgraph")
+        with no_grad():
+            got = gat_attention(g, Tensor(el), Tensor(er), Tensor(z), 0.2,
+                                backend).data
+            logits = edge_add(g, Tensor(el), Tensor(er)).leaky_relu(0.2)
+        want, alpha = backend.fused_softmax_aggregate(g.adj, logits.data, z)
+        assert alpha is None
+        assert np.array_equal(got, want)
+
+    def test_negative_slope_outside_unit_interval_is_refused(self):
+        g = self._graph("square")
+        el, er, z, _ = (Tensor(a) for a in self._inputs(g, 1))
+        for slope in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="slope"):
+                gat_attention(g, el, er, z, slope, get_backend("featgraph"))
+
+
+class TestNoReverseGraph:
+    @pytest.mark.parametrize("model_name", ["GCN", "GAT", "GraphSage"])
+    def test_a_training_step_never_transposes(self, model_name, monkeypatch):
+        """Every ``Aᵀ`` of a training step runs on the forward CSR: no
+        ``CSRMatrix.transpose`` on the full graph or on sampled blocks, and
+        GAT's backward computes no SDDMM."""
+        from repro.graph.datasets import planted_partition
+        from repro.minidgl.models import MODELS
+        from repro.minidgl.sampling import build_blocks
+        from repro.minidgl.train import cross_entropy
+
+        ds = planted_partition(n=200, num_classes=3, feature_dim=8,
+                               avg_degree=8, seed=3)
+
+        def refuse(*_):
+            raise AssertionError("a training step called it")
+
+        monkeypatch.setattr(CSRMatrix, "transpose", refuse)
+        monkeypatch.setattr(FeatGraphDGLBackend, "sddmm_dot", refuse)
+        model = MODELS[model_name](8, 3, hidden=8, dropout=0.0, seed=1)
+        backend = get_backend("featgraph")
+        seeds = np.arange(32)
+        blocks = build_blocks(ds.adj, seeds, [4, 4],
+                              np.random.default_rng(0))
+        for logits, labels in (
+                (model(Graph(ds.adj), Tensor(ds.features), backend),
+                 ds.labels),
+                (model.forward_blocks(blocks, Tensor(
+                    blocks[0].gather_src_features(ds.features)), backend),
+                 ds.labels[seeds])):
+            model.zero_grad()
+            cross_entropy(logits, labels,
+                          np.ones(len(labels), dtype=bool)).backward()
+            assert all(p.grad is not None for p in model.parameters())
 
 
 class TestUMulESum:
@@ -417,6 +564,29 @@ class TestBackendParity:
         mg.spmm_copy_sum(graph.adj, x)
         fg.spmm_copy_sum(graph.adj, x)
         assert mg.materialized_bytes == graph.num_edges * 7 * 4
+        assert fg.materialized_bytes == 0
+
+    @pytest.mark.parametrize("weight", [None, "edge", "head"])
+    def test_transpose_product_agrees_and_minigun_materializes(
+            self, graph, weight):
+        """``spmm_sum_t = Aᵀ(w ⊙ x)``: FeatGraph sweeps the forward CSR,
+        Minigun materializes the ``(m, ...)`` messages first."""
+        r = np.random.default_rng(14)
+        m = graph.num_edges
+        x = r.random((30, 2, 3)).astype(np.float32)
+        w = {None: None, "edge": r.random(m).astype(np.float32),
+             "head": r.random((m, 2)).astype(np.float32)}[weight]
+        mg, fg = MinigunBackend(), FeatGraphDGLBackend()
+        msgs = x[graph.dst_of_edge()].astype(np.float64)
+        if w is not None:
+            msgs *= w.reshape(w.shape + (1,) * (3 - w.ndim))
+        ref = np.zeros((30, 2, 3))
+        np.add.at(ref, graph.src_of_edge(), msgs)
+        for backend in (mg, fg):
+            got = backend.spmm_sum_t(graph.adj, x, w)
+            assert got.shape == (30, 2, 3)
+            assert np.allclose(got, ref, rtol=1e-5, atol=1e-5)
+        assert mg.materialized_bytes == m * 6 * 4
         assert fg.materialized_bytes == 0
 
     def test_get_backend_factory(self):

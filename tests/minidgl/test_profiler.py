@@ -63,14 +63,17 @@ class TestProfiledBackend:
 
 class TestEndToEndProfiling:
     def test_gcn_epoch_kernel_counts(self):
-        """2-layer GCN: 2 forward SpMMs + 2 backward SpMMs per epoch."""
+        """2-layer GCN: 2 forward SpMMs + 2 backward transpose products
+        (``Aᵀ g`` on the forward CSR) per epoch."""
         ds = planted_partition(n=150, num_classes=3, feature_dim=8,
                                avg_degree=6, seed=7)
         prof = ProfiledBackend(get_backend("featgraph"))
         train_model(GCN(8, 3, hidden=8, dropout=0.0, seed=1), ds, prof,
                     epochs=2)
-        # 2 epochs x 4 + 2 for the final inference pass
-        assert prof.records["spmm_copy_sum"].calls == 2 * 4 + 2
+        # 2 epochs x 2 + 2 for the final inference pass
+        assert prof.records["spmm_copy_sum"].calls == 2 * 2 + 2
+        assert prof.records["spmm_sum_t"].calls == 2 * 2
+        assert prof.total_calls() == 2 * 4 + 2
 
     def test_gat_uses_all_primitives(self):
         ds = planted_partition(n=120, num_classes=3, feature_dim=8,
@@ -78,5 +81,7 @@ class TestEndToEndProfiling:
         prof = ProfiledBackend(get_backend("featgraph"))
         train_model(GAT(8, 3, hidden=8, num_heads=2, dropout=0.0, seed=2),
                     ds, prof, epochs=1)
+        # the profiler hides the fused chains, so GAT runs staged
         assert prof.records["spmm_mul_sum"].calls > 0
+        assert prof.records["spmm_sum_t"].calls > 0
         assert prof.records["sddmm_dot"].calls > 0

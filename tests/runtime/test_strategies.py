@@ -25,7 +25,7 @@ from repro.runtime.reducers import (
     get_reducer,
     resolve_reducer,
 )
-from repro.runtime.spblas import BLOCK, segment_sum
+from repro.runtime.spblas import BLOCK, scatter_sum, segment_sum
 from repro.runtime.strategies import (
     STRATEGY_NAMES,
     UFUNC_STRATEGIES,
@@ -479,6 +479,22 @@ class TestSegmentSum:
             got, segment_sum(np.array([0, m]),
                              table[index] * weight[:, None])[0])
 
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_per_head_weights_scale_their_own_columns(self, rng, indexed):
+        """``(items, heads)`` weights over ``(rows, heads, d)`` rows: each
+        head is the scalar-weight sum of its own columns, bit for bit."""
+        indptr = np.concatenate(([0], np.cumsum([0, 50, 300, 1, 0, 149, 0])))
+        n_items = int(indptr[-1])
+        index = rng.integers(0, 60, n_items) if indexed else None
+        table = rng.standard_normal(
+            (60 if indexed else n_items, 4, 3)).astype(np.float32)
+        weight = rng.standard_normal((n_items, 4)).astype(np.float32)
+        got = segment_sum(indptr, table, index=index, weight=weight)
+        assert got.shape == (len(indptr) - 1, 4, 3)
+        for k in range(4):
+            assert np.array_equal(got[:, k], segment_sum(
+                indptr, table[:, k], index=index, weight=weight[:, k]))
+
     def test_rejects_a_weight_of_the_wrong_length(self):
         table = np.ones((4, 2), np.float32)
         with pytest.raises(ValueError, match="weight"):
@@ -488,6 +504,132 @@ class TestSegmentSum:
                         weight=np.ones(4))
         with pytest.raises(ValueError, match="weight"):
             segment_sum(np.array([0, 4]), table, weight=np.ones((4, 2)))
+        with pytest.raises(ValueError, match="weight"):
+            segment_sum(np.array([0, 4]), np.ones((4, 2, 3), np.float32),
+                        weight=np.ones((3, 2)))
+
+
+def _scatter_oracle(indptr, indices, table, n_out, weight=None):
+    """``out[indices[p]] += weight[p] * table[row(p)]`` in float64 by
+    ``np.add.at``."""
+    msgs = table[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))]
+    msgs = msgs.astype(np.float64)
+    if weight is not None:
+        w = np.asarray(weight, np.float64)
+        msgs *= w.reshape(w.shape + (1,) * (msgs.ndim - w.ndim))
+    out = np.zeros((n_out,) + table.shape[1:])
+    np.add.at(out, indices, msgs)
+    return out
+
+
+class TestScatterSum:
+    """``scatter_sum`` is ``Aᵀ(w ⊙ x)`` on the forward CSR: each item ``p``
+    of row ``i`` adds ``weight[p] * table[i]`` to output row
+    ``indices[p]``."""
+
+    @staticmethod
+    def _csr(rng, n_rows=12, n_out=9, m=300):
+        """Rows 0 and 5 and outputs 7, 8 without items; row 3 over BLOCK."""
+        lengths = rng.multinomial(m - BLOCK - 10, np.ones(n_rows) / n_rows)
+        lengths[[0, 5]] = 0
+        lengths[3] += BLOCK + 10
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        return indptr, rng.integers(0, n_out - 2, int(indptr[-1])), n_out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("feat", [(), (3,), (2, 5)])
+    def test_equals_the_scatter_add(self, rng, dtype, weighted, feat):
+        indptr, indices, n_out = self._csr(rng)
+        table = rng.standard_normal((len(indptr) - 1,) + feat).astype(dtype)
+        weight = (rng.standard_normal(len(indices)).astype(dtype)
+                  if weighted else None)
+        got = scatter_sum(indptr, indices, table, n_out, weight=weight)
+        assert got.dtype == dtype and got.shape == (n_out,) + feat
+        assert np.allclose(got, _scatter_oracle(indptr, indices, table,
+                                                n_out, weight), **FG007_TOL)
+        assert np.all(got[n_out - 2:] == 0)
+
+    @pytest.mark.parametrize("heads,feat", [((4,), (4, 3)), ((2,), (2, 3, 2)),
+                                            ((2, 3), (2, 3, 4)),
+                                            ((1,), (1, 5))])
+    def test_per_head_weights_scale_their_own_columns(self, rng, heads,
+                                                      feat):
+        indptr, indices, n_out = self._csr(rng)
+        table = rng.standard_normal((len(indptr) - 1,) + feat).astype(
+            np.float32)
+        weight = rng.standard_normal((len(indices),) + heads).astype(
+            np.float32)
+        got = scatter_sum(indptr, indices, table, n_out, weight=weight)
+        assert got.shape == (n_out,) + feat
+        assert np.allclose(got, _scatter_oracle(indptr, indices, table,
+                                                n_out, weight), **FG007_TOL)
+        # head k alone is the scalar-weight product on its own columns
+        flat = table.reshape(len(table), -1, int(np.prod(feat[len(heads):])))
+        head0 = scatter_sum(indptr, indices, np.ascontiguousarray(
+            flat[:, 0]), n_out, weight=weight.reshape(len(indices), -1)[:, 0])
+        assert np.array_equal(got.reshape(n_out, flat.shape[1], -1)[:, 0],
+                              head0)
+
+    def test_a_ten_thousand_item_column(self):
+        """One output row gathers 12 000 items, summed sequentially in
+        float32: still within float32 tolerance of the float64 sum."""
+        rng = np.random.default_rng(7)
+        n_rows, m = 3000, 20_000
+        indptr = np.concatenate(([0], np.sort(rng.integers(0, m, n_rows - 1)),
+                                 [m]))
+        indices = np.where(rng.random(m) < 0.6, 5, rng.integers(0, 40, m))
+        assert np.count_nonzero(indices == 5) >= 10_000
+        table = rng.random((n_rows, 8)).astype(np.float32)
+        weight = rng.random(m).astype(np.float32)
+        got = scatter_sum(indptr, indices, table, 40, weight=weight)
+        assert np.allclose(got, _scatter_oracle(indptr, indices, table, 40,
+                                                weight), **FG007_TOL)
+
+    def test_a_per_item_table_is_one_item_per_row(self, rng):
+        m = 500
+        indices = rng.integers(0, 30, m)
+        table = rng.standard_normal((m, 4)).astype(np.float32)
+        got = scatter_sum(np.arange(m + 1), indices, table, 30)
+        ref = np.zeros((30, 4))
+        np.add.at(ref, indices, table.astype(np.float64))
+        assert np.allclose(got, ref, **FG007_TOL)
+
+    @pytest.mark.parametrize("itype", [np.int32, np.int64, np.uint16])
+    def test_index_dtypes_change_no_bit(self, rng, itype):
+        indptr, indices, n_out = self._csr(rng)
+        table = rng.standard_normal((len(indptr) - 1, 3)).astype(np.float32)
+        want = scatter_sum(indptr, indices.astype(np.int64), table, n_out)
+        assert np.array_equal(
+            scatter_sum(indptr.astype(itype), indices.astype(itype), table,
+                        n_out), want)
+
+    def test_no_items(self):
+        table = np.ones((3, 2), np.float32)
+        got = scatter_sum(np.zeros(4, np.int64), np.empty(0, np.int64),
+                          table, 5)
+        assert got.shape == (5, 2) and not got.any()
+        assert scatter_sum(np.zeros(1), np.empty(0, np.int64),
+                           np.empty((0, 4, 2)), 0,
+                           weight=np.empty((0, 4))).shape == (0, 4, 2)
+
+    def test_rejects_what_it_cannot_pass_to_native_code(self):
+        table = np.ones((2, 3), np.float32)
+        indptr, indices = np.array([0, 1, 3]), np.array([0, 2, 1])
+        with pytest.raises(TypeError, match="float32/float64"):
+            scatter_sum(indptr, indices, table.astype(np.int32), 3)
+        with pytest.raises(IndexError, match="index"):
+            scatter_sum(indptr, np.array([0, 3, 1]), table, 3)
+        with pytest.raises(IndexError, match="index"):
+            scatter_sum(indptr, np.array([0, -1, 1]), table, 3)
+        with pytest.raises(ValueError, match="weight"):
+            scatter_sum(indptr, indices, table, 3, weight=np.ones(2))
+        with pytest.raises(ValueError, match="weight"):
+            scatter_sum(indptr, indices, table, 3, weight=np.ones((3, 2)))
+        with pytest.raises(ValueError, match="indptr"):
+            scatter_sum(np.array([0, 3, 1]), indices, table, 3)
+        with pytest.raises(ValueError, match="row"):
+            scatter_sum(indptr, indices, np.ones((3, 3), np.float32), 3)
 
 
 def _ulps(a, b):
