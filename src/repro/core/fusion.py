@@ -751,9 +751,20 @@ class FusedKernel:
                 target = min(target, effective_chunk_edges(self.chunk_edges,
                                                            st.prog))
 
+        # ``value_reads``: the earlier stages' values a stage reads through
+        # the chunk context; a value is dropped from it once its last
+        # reader has run, so a chunk holds only what is still to be read
+        value_reads = {st.name: [st.alias_of] if st.mode in ("alias", "binop")
+                       else list(st.chain_edge_reads)
+                       for st in self.plan.stages}
+        last_read = {}
+        for i, st in enumerate(self.plan.stages):
+            for name in [st.name, *value_reads[st.name]]:
+                last_read[name] = i
+
         stages = []
         oracles: dict[str, Callable] = {}
-        for st in self.plan.stages:
+        for i, st in enumerate(self.plan.stages):
             if st.mode == "alias":
                 def evaluate(bindings, ctx, source=st.alias_of):
                     return ctx.values[source], 0
@@ -808,7 +819,9 @@ class FusedKernel:
                 buf = ebufs.get(st.name)
                 sink = None if buf is None else ScatterSink(
                     buf, count_bytes=st.mode != "program")
-            stages.append(Stage(st.name, evaluate, sink, compiled=True))
+            stages.append(Stage(st.name, evaluate, sink, compiled=True,
+                                frees=tuple(name for name, j in
+                                            last_read.items() if j == i)))
 
         task = EdgeTask(
             gather=GatherPlan(csr.indices, None, csr.edge_ids,
@@ -826,18 +839,13 @@ class FusedKernel:
         # stage -> its compiled program's evaluate, the sanitizer's oracle)
         # has no such value to read or keep.
         chain_reads: dict[str, list] = {}
-        value_reads: dict[str, list] = {}
         programs: dict[str, object] = {}
         for st in self.plan.stages:
-            if st.mode in ("alias", "binop"):
-                value_reads[st.name] = [st.alias_of]
-                reads = [st.alias_of]
-                if st.mode == "binop" and st.binop_operand[0] in vbufs:
-                    reads.append(st.binop_operand[0])
-            else:
-                value_reads[st.name] = list(st.chain_edge_reads)
-                reads = list(st.chain_edge_reads) + \
-                    list(st.chain_vertex_reads)
+            reads = list(value_reads[st.name])
+            if st.mode == "binop" and st.binop_operand[0] in vbufs:
+                reads.append(st.binop_operand[0])
+            if st.mode not in ("alias", "binop"):
+                reads += list(st.chain_vertex_reads)
                 programs[st.name] = st.prog
             chain_reads[st.name] = reads
         return ExecutionPlan(

@@ -223,5 +223,7 @@ class Executor:
             ctx.values[st.name] = vals
             if st.sink is not None:
                 chunk_bytes += int(st.sink.apply(vals, ctx))
+            for name in st.frees:
+                del ctx.values[name]
             agg_s += time.perf_counter() - t0
         self.stats.add_chunk(eval_s, agg_s, chunk_bytes, compiled=compiled)

@@ -299,13 +299,16 @@ class Stage:
     ``evaluate(bindings, ctx)`` returns ``(values, bytes_moved)``; the
     engine stores the values under ``name`` in the chunk context (later
     stages of a fused chain read them) and hands them to ``sink``.
-    ``compiled`` feeds the ExecStats compiled-chunk counter.
+    ``compiled`` feeds the ExecStats compiled-chunk counter.  ``frees``
+    names the chunk values no later stage reads: the engine drops them
+    once this stage's sink has run.
     """
 
     name: str
     evaluate: Callable          # (bindings, ChunkCtx) -> (ndarray, int)
     sink: object | None = None  # engine.AggregateSink / engine.ScatterSink
     compiled: bool = False
+    frees: tuple[str, ...] = ()
 
 
 @dataclass

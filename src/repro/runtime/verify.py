@@ -756,7 +756,8 @@ def _instrumented(plan: ExecutionPlan, violations: _Violations,
                 sink = _AggregateProxy(sink, loc, violations, dense=dense)
             elif isinstance(sink, ScatterSink):
                 sink = _ScatterProxy(sink, loc, violations)
-            stages.append(Stage(st.name, st.evaluate, sink, st.compiled))
+            stages.append(Stage(st.name, st.evaluate, sink, st.compiled,
+                                st.frees))
         tasks.append(EdgeTask(task.gather, task.bounds, stages,
                               task.needs_segments))
     return ExecutionPlan(tasks, label=plan.label, strategy=plan.strategy,

@@ -316,6 +316,24 @@ class TestGatherFreeStages:
     def _lazy(plan):
         return sorted(plan.extras["verify"]["row_gather"])
 
+    def test_each_chunk_value_is_freed_after_its_last_reader(self, big):
+        """A chunk holds a stage's per-edge values only until the last
+        stage that reads them (``value_reads``) has run: every value is
+        freed exactly once, by that stage."""
+        fused = FusedEdgeSoftmax(big, 4, cache=KernelCache(),
+                                 feat_shape=(4, 8))
+        plan = self._plan(fused)
+        (task,) = plan.tasks
+        reads = plan.extras["verify"]["value_reads"]
+        names = [st.name for st in task.stages]
+        assert sorted(n for st in task.stages for n in st.frees) == \
+            sorted(names)
+        for i, st in enumerate(task.stages):
+            for name in st.frees:
+                assert i == max([names.index(name)] + [
+                    j for j, reader in enumerate(names)
+                    if name in reads[reader]])
+
     @pytest.mark.parametrize("agg", ["sum", "mean"])
     def test_copy_u_chain_holds_no_message_block(self, big, agg):
         from repro.core.fusion import FusedCopyUAggregate

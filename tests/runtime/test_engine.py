@@ -163,6 +163,33 @@ class TestChunkCtx:
         Executor().run(ExecutionPlan([task]))
         assert np.all(out == 3.0)
 
+    def test_a_value_leaves_the_chunk_after_its_last_reader(self):
+        """``Stage.frees``: once a stage's sink has run, the values no
+        later stage reads are dropped, chunk by chunk."""
+        gather = GatherPlan(src=np.arange(6), dst=np.zeros(6, np.int64),
+                            eid=np.arange(6))
+        out = np.zeros((6, 2), np.float32)
+        held = []
+
+        def first(bindings, ctx):
+            return np.ones((ctx.size, 2), np.float32), 0
+
+        def second(bindings, ctx):
+            return ctx.values["a"] * 3.0, 0
+
+        def third(bindings, ctx):
+            held.append(sorted(ctx.values))
+            return ctx.values["b"] + 1.0, 0
+
+        task = EdgeTask(gather=gather, bounds=[(0, 4), (4, 6)], stages=[
+            Stage("a", first),
+            Stage("b", second, frees=("a",)),
+            Stage("c", third, ScatterSink(out), frees=("b", "c")),
+        ])
+        Executor().run(ExecutionPlan([task]))
+        assert np.all(out == 4.0)
+        assert held == [["b"], ["b"]]
+
 
 def _csr_of(degrees, n_src=64):
     degrees = np.asarray(degrees, dtype=np.int64)
