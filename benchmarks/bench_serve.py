@@ -4,22 +4,25 @@ A fleet of closed-loop clients hammers an
 :class:`~repro.serve.InferenceService` with single-seed inference
 requests; we report throughput and p50/p99 latency for ``batch_size=1``
 serving (window 0, one seed per batch -- every request pays a full
-sample + forward) against dynamic micro-batching at several batch
-windows, plus the steady-state compile ledger.  Results go to
-``BENCH_PR10.json``.
+sample + forward) against dynamic micro-batching under several
+``batch_window_ms`` ceilings, plus the steady-state compile ledger.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_serve.py            # measure
-    PYTHONPATH=src python benchmarks/bench_serve.py --check    # CI gate:
-        # micro-batching >= 2x batch_size=1 throughput at equal-or-better
-        # p99; zero kernel recompiles after warmup; batched throughput
-        # within 4x of the committed baseline
+    PYTHONPATH=src python benchmarks/bench_serve.py            # measure,
+        # and rewrite the committed results JSON (RESULT_PATH)
+    PYTHONPATH=src python benchmarks/bench_serve.py --check    # CI gate,
+        # writes nothing: micro-batching >= 2x batch_size=1 throughput at
+        # equal-or-better p99; zero kernel recompiles after warmup;
+        # batched throughput within 4x of the committed baseline
 
-The gate compares the *best* batch window, mirroring how an operator
-would tune ``batch_window_ms`` (docs/serving.md discusses the
-trade-off: a longer window raises occupancy and throughput but puts its
-own length on every request's latency).
+``batch_window_ms`` only caps how long the batcher waits for more
+arrivals; it waits only while waiting pays (docs/serving.md, "When the
+batcher waits").  On a saturated closed loop the queue refills during
+every batch, so the throughput should not depend on the ceiling; the
+gate takes the best of them.  The committed results JSON is frozen
+history (measured under the fixed window this gate once tuned), so
+``--check`` leaves it alone.
 
 Also collectable by pytest: the smoke test runs a miniature workload and
 checks the gate invariants without touching the committed JSON.
@@ -217,7 +220,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--check", action="store_true",
                     help="fail unless batching >= 2x at equal-or-better "
-                         "p99 with zero steady-state recompiles")
+                         "p99 with zero steady-state recompiles; writes "
+                         "nothing")
     ap.add_argument("--clients", type=int, default=8)
     ap.add_argument("--requests", type=int, default=100,
                     help="requests per client per configuration")
@@ -226,8 +230,9 @@ def main(argv=None):
     print("PR-10 serving benchmark (closed-loop load, single-seed requests)")
     payload = bench_serve(clients=args.clients,
                           requests_per_client=args.requests)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"  wrote {RESULT_PATH.relative_to(ROOT)}")
+    if not args.check:
+        RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"  wrote {RESULT_PATH.relative_to(ROOT)}")
 
     baseline = (json.loads(BASELINE_PATH.read_text())
                 if BASELINE_PATH.exists() else None)

@@ -2,7 +2,7 @@
 
 Turns :func:`repro.minidgl.train.infer_minibatch` into a product surface:
 an async request queue with per-request deadlines, dynamic micro-batching
-(one sampled block per batch window), admission control, graceful drain,
+(one sampled block per batch), admission control, graceful drain,
 and a pinned-budget LRU feature-row cache -- all riding the two-level
 kernel cache so steady-state serving performs zero recompiles.
 """

@@ -1,7 +1,9 @@
-"""Serving-layer coverage (ISSUE 10): correctness of scattered logits,
-micro-batch coalescing of duplicate seeds, deadlines, admission control,
-graceful shutdown, and the zero-recompile steady state."""
+"""Serving-layer coverage: correctness of scattered logits, micro-batch
+coalescing of duplicate seeds, the batcher's wait rule, deadlines, admission
+control, graceful shutdown, counter consistency under concurrent clients,
+seeded interleavings, and the zero-recompile steady state."""
 
+import sys
 import threading
 import time
 
@@ -17,8 +19,10 @@ from repro.serve import (
     DeadlineExceeded,
     InferenceService,
     Overloaded,
+    ServeFuture,
     ServiceClosed,
 )
+from repro.serve.service import _BatchCycle
 
 #: topology-independent pipeline passes that must never re-run once the
 #: serving templates are warm (same ledger as tests/core/test_block_kernel_reuse)
@@ -132,20 +136,127 @@ class TestMicroBatching:
         assert np.isnan(stats.cache_hit_rate)  # no cache configured
 
 
+class TestWaitRule:
+    """The batcher waits on an empty queue only while ``(k + 1) * gap <
+    service``, with ``batch_window_ms`` as the ceiling."""
+
+    def test_rule_arithmetic(self):
+        cycle = _BatchCycle()
+        assert not cycle.waiting_pays(1)        # nothing measured yet
+        cycle.formed(0.0, arrivals=5)
+        assert cycle.gap is None                # one formation is no cycle
+        cycle.service = 0.3
+        assert not cycle.waiting_pays(1)
+        cycle.formed(1.0, arrivals=13)          # 8 arrivals in 1 s
+        assert cycle.gap == 0.125
+        assert cycle.waiting_pays(1)            # 0.25 < 0.3
+        assert not cycle.waiting_pays(2)        # 0.375 >= 0.3
+        cycle.service = 0.375
+        assert not cycle.waiting_pays(2)        # equality does not wait
+        assert cycle.waiting_pays(1)
+        # a cycle with no admitted request reads its whole length as gap
+        cycle.formed(3.0, arrivals=13)
+        assert cycle.gap == 2.0
+        assert not cycle.waiting_pays(1)
+
+    def test_sparse_stream_never_waits_out_the_window(self, model, dataset,
+                                                      backend):
+        """Two requests 20 ms apart under a 100 ms ceiling: each runs alone
+        as soon as it is queued."""
+        with _service(model, dataset, backend) as warm:
+            warm.infer(1)  # compile outside the measured service
+        with _service(model, dataset, backend,
+                      batch_window_ms=100.0) as svc:
+            first = svc.submit(1)
+            first.result(10.0)
+            time.sleep(0.02)
+            second = svc.submit(2)
+            second.result(10.0)
+            stats = svc.stats()
+        for fut in (first, second):
+            assert fut.stats().batch_requests == 1
+            assert fut.stats().queue_seconds < 0.05
+        assert stats["batches"] == 2
+        assert stats["waited_batches"] == 0
+        assert stats["arrival_gap_ms"] >= 20.0
+
+    def test_zero_window_never_waits(self, model, dataset, backend):
+        svc = _service(model, dataset, backend, batch_window_ms=0.0,
+                       max_queue_depth=256, start=False)
+        svc._cycle.gap, svc._cycle.service = 1e-6, 1.0   # waiting would pay
+        svc.start()
+
+        def client():
+            for seed in range(20):
+                svc.infer(seed, timeout=10.0)
+
+        try:
+            threads = [threading.Thread(target=client) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+                assert not t.is_alive()
+        finally:
+            svc.close()
+        assert svc.stats()["served"] == 80
+        assert svc.stats()["waited_batches"] == 0
+
+    def test_waits_while_the_rule_says_it_pays(self, model, dataset,
+                                               backend):
+        """With a 1 ms gap and a 2.5 ms service, one rider waits for a
+        second and two riders dispatch at once -- the rule is re-evaluated
+        on each arrival, long before the 10 s ceiling."""
+        svc = _service(model, dataset, backend, batch_window_ms=10_000.0,
+                       start=False)
+        svc._cycle.gap, svc._cycle.service = 1e-3, 2.5e-3
+        svc.start()
+        try:
+            first = svc.submit(1)
+            time.sleep(0.05)
+            second = svc.submit(2)
+            first.result(10.0)
+            second.result(10.0)
+        finally:
+            svc.close()
+        assert first.stats().batch_requests == 2
+        assert first.stats().queue_seconds < 5.0
+        assert svc.stats()["waited_batches"] == 1
+
+    def test_empty_requests_are_not_arrivals(self, model, dataset, backend):
+        with _service(model, dataset, backend,
+                      batch_window_ms=100.0) as svc:
+            svc.infer(1)
+            for _ in range(10):
+                svc.infer(np.array([], dtype=np.int64))
+            time.sleep(0.02)
+            svc.infer(2)
+            stats = svc.stats()
+        # one admitted request between the two formations, not eleven
+        assert stats["arrival_gap_ms"] >= 20.0
+        assert stats["batch_service_ms"] > 0.0
+
+
 class TestDeadlines:
     def test_expired_request_gets_timely_error(self, model, dataset, backend):
         """A request whose deadline passes while it waits is failed with
         DeadlineExceeded when its batch forms -- promptly, not at the end
         of the queue's natural drain."""
-        with _service(model, dataset, backend, batch_window_ms=50.0) as svc:
+        svc = _service(model, dataset, backend, start=False)
+        try:
             t0 = time.perf_counter()
             fut = svc.submit(np.array([3]), deadline_s=1e-4)
+            time.sleep(2e-3)  # the deadline passes while it is queued
+            svc.start()
             with pytest.raises(DeadlineExceeded):
                 fut.result(10.0)
             assert time.perf_counter() - t0 < 2.0
             assert svc.stats()["expired"] == 1
             # the failure still carries queue accounting
             assert fut.stats().compute_seconds == 0.0
+            assert fut.stats().queue_seconds > 1e-4
+        finally:
+            svc.close()
 
     def test_expired_request_does_not_poison_batchmates(self, model, dataset,
                                                         backend):
@@ -153,6 +264,7 @@ class TestDeadlines:
                        start=False)
         ok = svc.submit(np.array([1, 2]))
         doomed = svc.submit(np.array([5]), deadline_s=1e-4)
+        time.sleep(2e-3)  # the deadline passes while it is queued
         svc.start()
         try:
             got = ok.result(10.0)
@@ -227,6 +339,107 @@ class TestShutdown:
         svc.close()
         with pytest.raises(ServiceClosed):
             svc.submit(np.array([1]))
+
+
+class TestCounters:
+    def test_mixed_empty_and_real_requests_lose_no_update(self, model,
+                                                         dataset, backend):
+        """Empty requests are counted on the client threads, real ones on
+        the batcher: under a short switch interval no ``+=`` is lost."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _service(model, dataset, backend, max_queue_depth=256,
+                          batch_window_ms=1.0) as svc:
+                def client(cid):
+                    for i in range(40):
+                        seeds = (np.array([], dtype=np.int64) if i % 2
+                                 else np.array([cid * 40 + i]))
+                        svc.infer(seeds, timeout=30.0)
+
+                threads = [threading.Thread(target=client, args=(c,))
+                           for c in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60.0)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        stats = svc.stats()
+        assert stats["accepted"] == 240
+        assert stats["served"] == stats["accepted"]
+
+
+class TestSeededInterleavings:
+    """A seeded schedule of submits (1-3 seeds, duplicates), already-due
+    deadlines, sparse and burst arrivals and a final drain or cancel: every
+    future settles exactly once, the counters add up, answers match the
+    offline harness and no batcher thread outlives ``close``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_schedule(self, seed, model, dataset, backend, monkeypatch):
+        settled: dict[int, int] = {}
+
+        def counting(method):
+            def wrapped(fut, *args, **kwargs):
+                settled[id(fut)] = settled.get(id(fut), 0) + 1
+                return method(fut, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(ServeFuture, "_resolve",
+                            counting(ServeFuture._resolve))
+        monkeypatch.setattr(ServeFuture, "_fail",
+                            counting(ServeFuture._fail))
+        want, _ = infer_minibatch(model, dataset, backend, np.arange(300))
+        rng = np.random.default_rng(seed)
+        svc = _service(model, dataset, backend,
+                       batch_window_ms=float(rng.choice([0.0, 2.0, 20.0])),
+                       max_batch_seeds=int(rng.choice([4, 64])),
+                       max_queue_depth=int(rng.choice([6, 64])))
+        futs, doomed, rejected = [], set(), 0
+        for _ in range(60):
+            seeds = rng.integers(0, 300, size=int(rng.integers(1, 4)))
+            if rng.random() < 0.2:
+                seeds[-1] = seeds[0]                     # a duplicate
+            due_now = rng.random() < 0.15
+            try:
+                fut = svc.submit(seeds,
+                                 deadline_s=0.0 if due_now else None)
+            except Overloaded:
+                rejected += 1
+                continue
+            futs.append(fut)
+            if due_now:
+                doomed.add(id(fut))
+            if rng.random() < 0.4:                       # sparse, else burst
+                time.sleep(float(rng.uniform(1e-3, 5e-3)))
+        drain = bool(rng.integers(2))
+        svc.close(drain=drain, timeout=30.0)
+
+        assert not svc._thread.is_alive()
+        assert not any(t.name == "repro-serve-batcher" and t.is_alive()
+                       for t in threading.enumerate())
+        stats = svc.stats()
+        assert stats["rejected"] == rejected
+        assert stats["accepted"] == len(futs)
+        assert (stats["served"] + stats["expired"] + stats["cancelled"]
+                == stats["accepted"])
+        served = 0
+        for fut in futs:
+            assert fut.done()
+            assert settled[id(fut)] == 1
+            try:
+                got = fut.result(0.0)
+            except DeadlineExceeded:
+                assert id(fut) in doomed
+            except ServiceClosed:
+                assert not drain
+            else:
+                assert id(fut) not in doomed
+                assert np.allclose(got, want[fut.seeds], atol=1e-5)
+                served += 1
+        assert served == stats["served"]
 
 
 class TestFeatureCacheIntegration:
