@@ -9,14 +9,11 @@ the union of the queued seeds is deduplicated, sampled once with
 ``forward_blocks``, and the logits rows are scattered back to each
 request's future in request order.
 
-When the queue runs dry before the batch is full, the batcher waits for the
-next arrival only while waiting pays: with ``k`` requests aboard, a mean
-arrival gap ``gap`` and a per-batch service time ``service`` (both measured
-over its last batch cycle), it waits while ``(k + 1) * gap < service`` --
-the ``k`` riders' delay is smaller than what the next arrival would lose
-queueing behind this batch for a batch of its own.  ``batch_window_ms`` is
-the ceiling on that wait (``0`` never waits); the first batch has no
-measurement yet and does not wait.
+The batcher never waits for arrivals: a batch is whatever is queued when
+the batcher comes free.  Requests that arrive while a batch runs queue up
+and ride the next one, so batches grow with the load by themselves
+(docs/serving.md, "Why the batcher never waits").  ``batch_window_ms`` is
+still accepted and reported but no longer changes anything.
 
 Because compiled kernels are topology-independent
 (:mod:`repro.core.compile`), every fresh per-batch block after warmup
@@ -34,9 +31,8 @@ Operational controls:
   batch forms is failed with :class:`DeadlineExceeded` instead of wasting
   batch capacity;
 - **graceful shutdown** -- :meth:`close` (``drain=True``) stops admission,
-  lets the batcher drain every queued request (without waiting for
-  arrivals), and joins the thread; ``drain=False`` cancels the queue with
-  :class:`ServiceClosed`;
+  lets the batcher drain every queued request, and joins the thread;
+  ``drain=False`` cancels the queue with :class:`ServiceClosed`;
 - **feature cache** -- ``feature_cache_bytes > 0`` fronts the gather of
   each block's source features with a pinned-budget LRU row cache
   (:class:`~repro.serve.cache.FeatureCache`).
@@ -73,9 +69,8 @@ __all__ = [
 #: fanout that keeps every edge: full-neighborhood (deterministic) serving
 _FULL_NEIGHBORHOOD = 1 << 30
 
-#: ceiling on the batcher's wait for more arrivals when
-#: ``batch_window_ms=None`` (0 never waits, but still coalesces whatever is
-#: already queued)
+#: what ``batch_window_ms=None`` reports; the batcher never waits for
+#: arrivals, whatever the window
 DEFAULT_BATCH_WINDOW_MS = 2.0
 
 
@@ -113,39 +108,6 @@ class ServeStats:
     batch_seeds: int
     occupancy: float
     cache_hit_rate: float
-
-
-class _BatchCycle:
-    """What the batcher measured over its last batch cycle, and the wait
-    rule built on it.
-
-    ``gap`` is the wall time between the last two batch formations divided
-    by the requests admitted in between -- a rate over the whole cycle, so
-    a burst of back-to-back submits does not read as a zero gap.
-    ``service`` is the last batch's sample + compute time.  Both are
-    ``None`` until measured.
-    """
-
-    def __init__(self):
-        self.formed_at: float | None = None
-        self.arrivals = 0
-        self.gap: float | None = None
-        self.service: float | None = None
-
-    def formed(self, now: float, arrivals: int) -> None:
-        """A batch formed at ``now``, with ``arrivals`` requests admitted
-        since the service started."""
-        if self.formed_at is not None:
-            admitted = max(arrivals - self.arrivals, 1)
-            self.gap = (now - self.formed_at) / admitted
-        self.formed_at, self.arrivals = now, arrivals
-
-    def waiting_pays(self, riders: int) -> bool:
-        """Whether a batch of ``riders`` requests should wait for the next
-        arrival: one more gap costs each rider ``gap``; not waiting costs
-        the next arrival ``service - gap`` queued behind this batch."""
-        return (self.gap is not None and self.service is not None
-                and (riders + 1) * self.gap < self.service)
 
 
 class ServeFuture:
@@ -199,9 +161,9 @@ class InferenceService:
     thread.  ``max_batch_seeds`` caps post-coalescing batch size: the
     batcher stops collecting once adding the next queued request would
     exceed it (a single oversized request still runs alone).
-    ``batch_window_ms`` caps how long a batch waits on an empty queue for
-    more arrivals; within it the batcher waits only while waiting pays
-    (module docstring).
+    ``batch_window_ms`` is accepted and reported by :meth:`stats` but
+    changes nothing: the batcher never waits for arrivals (module
+    docstring).
 
     Use as a context manager, or call :meth:`close` explicitly.
     """
@@ -246,9 +208,6 @@ class InferenceService:
         self._thread: threading.Thread | None = None
         # aggregate counters, written under _cond
         self._accepted = 0
-        self._arrivals = 0          # accepted requests with seeds
-        self._waited_batches = 0
-        self._cycle = _BatchCycle()
         self._rejected = 0
         self._expired = 0
         self._cancelled = 0
@@ -283,8 +242,7 @@ class InferenceService:
     def close(self, *, drain: bool = True,
               timeout: float | None = None) -> None:
         """Stop admission and shut down.  ``drain=True`` serves every
-        already-queued request first (no batch waits for arrivals, so the
-        drain is prompt); ``drain=False`` fails them with
+        already-queued request first; ``drain=False`` fails them with
         :class:`ServiceClosed`."""
         with self._cond:
             self._closing = True
@@ -319,8 +277,7 @@ class InferenceService:
         fut = ServeFuture(seeds, None if deadline_s is None
                           else now + float(deadline_s))
         if len(seeds) == 0:
-            # nothing to infer; resolve immediately with a (0, C) result --
-            # not an arrival the batcher sees
+            # nothing to infer; resolve immediately with a (0, C) result
             with self._cond:
                 self._accepted += 1
                 self._served += 1
@@ -338,7 +295,6 @@ class InferenceService:
                     f"queue depth {len(self._pending)} at limit "
                     f"{self.max_queue_depth}")
             self._accepted += 1
-            self._arrivals += 1
             self._pending.append(fut)
             self._cond.notify_all()
         return fut
@@ -360,38 +316,23 @@ class InferenceService:
                     self._cond.wait(0.05)
                 if not self._pending:
                     return  # closing and drained
-                batch, waited = self._collect()
+                batch = self._collect()
                 t_formed = time.perf_counter()
-                self._cycle.formed(t_formed, self._arrivals)
-                self._waited_batches += waited
             self._run_batch(batch, t_formed)
 
-    def _collect(self) -> tuple[list[ServeFuture], bool]:
-        """Pop the oldest request and coalesce the queue behind it, FIFO,
-        up to ``max_batch_seeds``; on an empty queue wait for the next
-        arrival while waiting pays, at most ``batch_window_ms`` in all (a
-        drain never waits).  Returns the batch and whether it waited.
-        Called with ``_cond`` held."""
+    def _collect(self) -> list[ServeFuture]:
+        """Pop the oldest request and coalesce what is queued behind it,
+        FIFO, up to ``max_batch_seeds``; never wait for arrivals.  Called
+        with ``_cond`` held."""
         batch = [self._pending.popleft()]
         n_seeds = len(batch[0].seeds)
-        window_end = time.perf_counter() + self.batch_window_ms / 1e3
-        waited = False
-        while n_seeds < self.max_batch_seeds:
-            if not self._pending:
-                if self._closing or not self._cycle.waiting_pays(len(batch)):
-                    break
-                remaining = window_end - time.perf_counter()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
-                waited = True
-                continue
+        while self._pending:
             nxt = self._pending[0]
             if n_seeds + len(nxt.seeds) > self.max_batch_seeds:
                 break
             batch.append(self._pending.popleft())
             n_seeds += len(nxt.seeds)
-        return batch, waited
+        return batch
 
     def _run_batch(self, batch: list[ServeFuture], t_formed: float) -> None:
         live: list[ServeFuture] = []
@@ -437,6 +378,14 @@ class InferenceService:
         t_done = time.perf_counter()
         compute_s = t_done - t0
         occupancy = len(uniq) / self.max_batch_seeds
+        # count the batch before any client can wake and read stats()
+        with self._cond:
+            self._served += len(live)
+            self._batches += 1
+            self._seeds_served += len(all_seeds)
+            self._unique_seeds_served += len(uniq)
+            self._sample_seconds += sample_s
+            self._compute_seconds += compute_s
         off = 0
         for fut in live:
             k = len(fut.seeds)
@@ -452,25 +401,13 @@ class InferenceService:
                 occupancy=occupancy,
                 cache_hit_rate=hit_rate,
             ))
-        with self._cond:
-            self._served += len(live)
-            self._batches += 1
-            self._seeds_served += len(all_seeds)
-            self._unique_seeds_served += len(uniq)
-            self._sample_seconds += sample_s
-            self._compute_seconds += compute_s
-            self._cycle.service = sample_s + compute_s
 
     # -- accounting -----------------------------------------------------
 
     def stats(self) -> dict:
-        """Service-level counters (the aggregate view of ServeStats), plus
-        the wait rule's last inputs (``arrival_gap_ms``,
-        ``batch_service_ms``; ``None`` until measured) and how many batches
-        waited for arrivals (``waited_batches``)."""
+        """Service-level counters (the aggregate view of ServeStats)."""
         with self._cond:
             batches = self._batches
-            gap, service = self._cycle.gap, self._cycle.service
             return {
                 "accepted": self._accepted,
                 "rejected": self._rejected,
@@ -488,9 +425,6 @@ class InferenceService:
                 "sample_seconds": self._sample_seconds,
                 "compute_seconds": self._compute_seconds,
                 "batch_window_ms": self.batch_window_ms,
-                "arrival_gap_ms": None if gap is None else gap * 1e3,
-                "batch_service_ms": None if service is None else service * 1e3,
-                "waited_batches": self._waited_batches,
                 "max_batch_seeds": self.max_batch_seeds,
                 "max_queue_depth": self.max_queue_depth,
                 "cache": (self.feature_cache.stats()

@@ -1,5 +1,5 @@
 """Serving-layer coverage: correctness of scattered logits, micro-batch
-coalescing of duplicate seeds, the batcher's wait rule, deadlines, admission
+coalescing of duplicate seeds, dispatch without waiting, deadlines, admission
 control, graceful shutdown, counter consistency under concurrent clients,
 seeded interleavings, and the zero-recompile steady state."""
 
@@ -22,7 +22,6 @@ from repro.serve import (
     ServeFuture,
     ServiceClosed,
 )
-from repro.serve.service import _BatchCycle
 
 #: topology-independent pipeline passes that must never re-run once the
 #: serving templates are warm (same ledger as tests/core/test_block_kernel_reuse)
@@ -136,37 +135,19 @@ class TestMicroBatching:
         assert np.isnan(stats.cache_hit_rate)  # no cache configured
 
 
-class TestWaitRule:
-    """The batcher waits on an empty queue only while ``(k + 1) * gap <
-    service``, with ``batch_window_ms`` as the ceiling."""
+class TestDispatch:
+    """On an empty queue the batcher dispatches at once, whatever
+    ``batch_window_ms`` says."""
 
-    def test_rule_arithmetic(self):
-        cycle = _BatchCycle()
-        assert not cycle.waiting_pays(1)        # nothing measured yet
-        cycle.formed(0.0, arrivals=5)
-        assert cycle.gap is None                # one formation is no cycle
-        cycle.service = 0.3
-        assert not cycle.waiting_pays(1)
-        cycle.formed(1.0, arrivals=13)          # 8 arrivals in 1 s
-        assert cycle.gap == 0.125
-        assert cycle.waiting_pays(1)            # 0.25 < 0.3
-        assert not cycle.waiting_pays(2)        # 0.375 >= 0.3
-        cycle.service = 0.375
-        assert not cycle.waiting_pays(2)        # equality does not wait
-        assert cycle.waiting_pays(1)
-        # a cycle with no admitted request reads its whole length as gap
-        cycle.formed(3.0, arrivals=13)
-        assert cycle.gap == 2.0
-        assert not cycle.waiting_pays(1)
-
-    def test_sparse_stream_never_waits_out_the_window(self, model, dataset,
-                                                      backend):
-        """Two requests 20 ms apart under a 100 ms ceiling: each runs alone
-        as soon as it is queued."""
+    @pytest.mark.parametrize("window_ms", [0.0, 100.0])
+    def test_sparse_stream_never_waits_out_the_window(self, window_ms, model,
+                                                      dataset, backend):
+        """Two requests 20 ms apart: each runs alone as soon as it is
+        queued."""
         with _service(model, dataset, backend) as warm:
             warm.infer(1)  # compile outside the measured service
         with _service(model, dataset, backend,
-                      batch_window_ms=100.0) as svc:
+                      batch_window_ms=window_ms) as svc:
             first = svc.submit(1)
             first.result(10.0)
             time.sleep(0.02)
@@ -177,64 +158,7 @@ class TestWaitRule:
             assert fut.stats().batch_requests == 1
             assert fut.stats().queue_seconds < 0.05
         assert stats["batches"] == 2
-        assert stats["waited_batches"] == 0
-        assert stats["arrival_gap_ms"] >= 20.0
-
-    def test_zero_window_never_waits(self, model, dataset, backend):
-        svc = _service(model, dataset, backend, batch_window_ms=0.0,
-                       max_queue_depth=256, start=False)
-        svc._cycle.gap, svc._cycle.service = 1e-6, 1.0   # waiting would pay
-        svc.start()
-
-        def client():
-            for seed in range(20):
-                svc.infer(seed, timeout=10.0)
-
-        try:
-            threads = [threading.Thread(target=client) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(30.0)
-                assert not t.is_alive()
-        finally:
-            svc.close()
-        assert svc.stats()["served"] == 80
-        assert svc.stats()["waited_batches"] == 0
-
-    def test_waits_while_the_rule_says_it_pays(self, model, dataset,
-                                               backend):
-        """With a 1 ms gap and a 2.5 ms service, one rider waits for a
-        second and two riders dispatch at once -- the rule is re-evaluated
-        on each arrival, long before the 10 s ceiling."""
-        svc = _service(model, dataset, backend, batch_window_ms=10_000.0,
-                       start=False)
-        svc._cycle.gap, svc._cycle.service = 1e-3, 2.5e-3
-        svc.start()
-        try:
-            first = svc.submit(1)
-            time.sleep(0.05)
-            second = svc.submit(2)
-            first.result(10.0)
-            second.result(10.0)
-        finally:
-            svc.close()
-        assert first.stats().batch_requests == 2
-        assert first.stats().queue_seconds < 5.0
-        assert svc.stats()["waited_batches"] == 1
-
-    def test_empty_requests_are_not_arrivals(self, model, dataset, backend):
-        with _service(model, dataset, backend,
-                      batch_window_ms=100.0) as svc:
-            svc.infer(1)
-            for _ in range(10):
-                svc.infer(np.array([], dtype=np.int64))
-            time.sleep(0.02)
-            svc.infer(2)
-            stats = svc.stats()
-        # one admitted request between the two formations, not eleven
-        assert stats["arrival_gap_ms"] >= 20.0
-        assert stats["batch_service_ms"] > 0.0
+        assert stats["batch_window_ms"] == window_ms
 
 
 class TestDeadlines:
@@ -349,8 +273,8 @@ class TestCounters:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with _service(model, dataset, backend, max_queue_depth=256,
-                          batch_window_ms=1.0) as svc:
+            with _service(model, dataset, backend,
+                          max_queue_depth=256) as svc:
                 def client(cid):
                     for i in range(40):
                         seeds = (np.array([], dtype=np.int64) if i % 2
@@ -369,6 +293,15 @@ class TestCounters:
         stats = svc.stats()
         assert stats["accepted"] == 240
         assert stats["served"] == stats["accepted"]
+
+    def test_a_batch_is_counted_before_its_futures_resolve(self, model,
+                                                           dataset, backend):
+        with _service(model, dataset, backend) as svc:
+            for i in range(20):
+                svc.infer(np.array([i]), timeout=10.0)
+                stats = svc.stats()
+                assert stats["served"] == i + 1
+                assert stats["batches"] == i + 1
 
 
 class TestSeededInterleavings:
