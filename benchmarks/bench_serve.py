@@ -4,8 +4,8 @@ A fleet of closed-loop clients hammers an
 :class:`~repro.serve.InferenceService` with single-seed inference
 requests; we report throughput and p50/p99 latency for ``batch_size=1``
 serving (window 0, one seed per batch -- every request pays a full
-sample + forward) against dynamic micro-batching under several
-``batch_window_ms`` ceilings, plus the steady-state compile ledger.
+sample + forward) against dynamic micro-batching, plus the steady-state
+compile ledger.
 
 Usage::
 
@@ -16,13 +16,11 @@ Usage::
         # equal-or-better p99; zero kernel recompiles after warmup;
         # batched throughput within 4x of the committed baseline
 
-``batch_window_ms`` only caps how long the batcher waits for more
-arrivals; it waits only while waiting pays (docs/serving.md, "When the
-batcher waits").  On a saturated closed loop the queue refills during
-every batch, so the throughput should not depend on the ceiling; the
-gate takes the best of them.  The committed results JSON is frozen
-history (measured under the fixed window this gate once tuned), so
-``--check`` leaves it alone.
+The batcher never waits for arrivals (docs/serving.md, "Why the batcher
+never waits"), so the ``batch_window_ms`` sweep measures one policy
+several times: its rows should agree to within noise, and the gate takes
+the best.  The committed results JSON is frozen history (measured when
+the window was a fixed wait), so ``--check`` leaves it alone.
 
 Also collectable by pytest: the smoke test runs a miniature workload and
 checks the gate invariants without touching the committed JSON.

@@ -327,7 +327,6 @@ class TestSeededInterleavings:
         want, _ = infer_minibatch(model, dataset, backend, np.arange(300))
         rng = np.random.default_rng(seed)
         svc = _service(model, dataset, backend,
-                       batch_window_ms=float(rng.choice([0.0, 2.0, 20.0])),
                        max_batch_seeds=int(rng.choice([4, 64])),
                        max_queue_depth=int(rng.choice([6, 64])))
         futs, doomed, rejected = [], set(), 0
