@@ -3,12 +3,15 @@
 Asserts the three properties the mini-batch engine promises:
 
 1. **Topology-independent kernel reuse**: after the first batch has compiled
-   the layer kernels, every subsequent batch's fresh sampled blocks perform
-   zero expression-building / FDS-fusion / lowering / vectorization work --
-   the pipeline pass counters stay frozen and kernels are served by cheap
-   per-topology binds.  A block's topology is seen once, and a training
-   batch binds its forward kernels only: every ``Aᵀ`` of the backward
-   runs on the block's forward CSR, so no block is ever transposed.
+   the layer kernels (GAT's fused attention chain), every subsequent
+   batch's fresh sampled blocks perform zero expression-building /
+   FDS-fusion / lowering / vectorization work -- the pipeline pass counters
+   stay frozen and kernels are served by cheap per-topology binds.  A
+   block's topology is seen once, and a training batch binds its forward
+   kernels only: every ``Aᵀ`` of the backward runs on the block's forward
+   CSR, so no block is ever transposed.  GraphSage needs no kernel at all:
+   its copy-u sums are native calls, so its batches bind and compile
+   nothing.
 2. **Analyzer-clean block kernels**: every kernel the run left in the cache
    (including bound ones) passes the static analyzer with no error-severity
    diagnostics for its target.
@@ -32,7 +35,7 @@ from repro.graph.datasets import planted_partition
 from repro.graph.sparse import CSRMatrix
 from repro.minidgl.autograd import Tensor
 from repro.minidgl.backends import get_backend
-from repro.minidgl.models import GraphSage
+from repro.minidgl.models import GAT, GraphSage
 from repro.minidgl.sampling import BlockLoader
 from repro.minidgl.train import cross_entropy, train_minibatch
 from repro.tensorir.analysis import analyze_ir
@@ -46,11 +49,11 @@ def _bound(stats: dict) -> int:
     return stats["binds"] + stats["fused_binds"]
 
 
-def check_kernel_reuse(ds, log=print):
-    model = GraphSage(ds.features.shape[1], 4, hidden=16, dropout=0.0, seed=1)
+def _train_batches(model, ds, fanouts, cache):
+    """One epoch of sampled training steps, forward and backward; returns
+    the cache stats after the first batch and the number of batches."""
     backend = get_backend("featgraph")
     train_ids = np.nonzero(ds.train_mask)[0]
-    fanouts = [5, 5]
     transposed: list[tuple[int, int]] = []
     real_transpose = CSRMatrix.transpose
 
@@ -58,28 +61,35 @@ def check_kernel_reuse(ds, log=print):
         transposed.append(self.shape)
         return real_transpose(self)
 
-    with use_kernel_cache(KernelCache()) as cache:
-        loader = BlockLoader(ds.adj, train_ids, 64, fanouts,
-                             rng=np.random.default_rng(0), prefetch=2)
-        first = None          # cache.stats() once the first batch is done
-        batches = 0
-        with mock.patch.object(CSRMatrix, "transpose", counting_transpose):
-            for seeds, blocks in loader:
-                x = Tensor(blocks[0].gather_src_features(ds.features))
-                logits = model.forward_blocks(blocks, x, backend)
-                # backward too: it must bind no kernel of its own
-                loss = cross_entropy(logits, ds.labels[seeds],
-                                     np.ones(len(seeds), dtype=bool))
-                loss.backward()
-                batches += 1
-                if first is None:
-                    first = cache.stats()
-        assert batches > 1, "need multiple batches to exercise reuse"
+    loader = BlockLoader(ds.adj, train_ids, 64, fanouts,
+                         rng=np.random.default_rng(0), prefetch=2)
+    first = None          # cache.stats() once the first batch is done
+    batches = 0
+    with mock.patch.object(CSRMatrix, "transpose", counting_transpose):
+        for seeds, blocks in loader:
+            x = Tensor(blocks[0].gather_src_features(ds.features))
+            logits = model.forward_blocks(blocks, x, backend)
+            # backward too: it must bind no kernel of its own
+            loss = cross_entropy(logits, ds.labels[seeds],
+                                 np.ones(len(seeds), dtype=bool))
+            loss.backward()
+            batches += 1
+            if first is None:
+                first = cache.stats()
+    assert batches > 1, "need multiple batches to exercise reuse"
+    assert not transposed, (
+        f"training transposed {len(transposed)} blocks over {batches} "
+        f"batches, e.g. {transposed[:4]}")
+    return first, batches
 
+
+def check_kernel_reuse(ds, log=print):
+    model = GAT(ds.features.shape[1], 4, hidden=8, num_heads=2, dropout=0.0,
+                seed=1)
+    fanouts = [5, 5]
+    with use_kernel_cache(KernelCache()) as cache:
+        first, batches = _train_batches(model, ds, fanouts, cache)
         s = cache.stats()
-        assert not transposed, (
-            f"training transposed {len(transposed)} blocks over {batches} "
-            f"batches, e.g. {transposed[:4]}")
         per_batch = (_bound(s) - _bound(first)) / (batches - 1)
         assert per_batch == len(fanouts), (
             f"{per_batch} binds per batch, expected a forward kernel for "
@@ -112,6 +122,19 @@ def check_kernel_reuse(ds, log=print):
             f"diagnostics")
 
 
+def check_native_copy_u(ds, log=print):
+    """GraphSage on the default route: every copy-u sum is a native call,
+    so its sampled batches bind and compile nothing."""
+    model = GraphSage(ds.features.shape[1], 4, hidden=16, dropout=0.0, seed=1)
+    with use_kernel_cache(KernelCache()) as cache:
+        _, batches = _train_batches(model, ds, [5, 5], cache)
+        s = cache.stats()
+    made = _bound(s) + s["pipeline_runs"] + s["fused_compiles"]
+    assert made == 0, (
+        f"GraphSage bound or compiled {made} kernels over {batches} batches")
+    log(f"  graphsage: {batches} batches, no kernel bound or compiled")
+
+
 def check_training(ds, log=print):
     model = GraphSage(ds.features.shape[1], 4, hidden=16, dropout=0.0, seed=2)
     res = train_minibatch(model, ds, get_backend("featgraph"),
@@ -126,11 +149,18 @@ def check_training(ds, log=print):
         f"test acc {res.test_accuracy:.3f}")
 
 
+def _dataset():
+    # four batches of 64 seeds: GAT's first batch compiles a kernel per
+    # chain stage, so fewer rebinding batches cannot outnumber them
+    return planted_partition(n=300, num_classes=4, feature_dim=16,
+                             avg_degree=10, seed=0)
+
+
 def main():
     print("mini-batch smoke")
-    ds = planted_partition(n=300, num_classes=4, feature_dim=16,
-                           avg_degree=10, seed=0)
+    ds = _dataset()
     check_kernel_reuse(ds)
+    check_native_copy_u(ds)
     check_training(ds)
     print("  OK")
     return 0
@@ -139,9 +169,9 @@ def main():
 # -- pytest entry point ------------------------------------------------------
 
 def test_minibatch_smoke():
-    ds = planted_partition(n=200, num_classes=4, feature_dim=8,
-                           avg_degree=8, seed=0)
+    ds = _dataset()
     check_kernel_reuse(ds, log=lambda *a: None)
+    check_native_copy_u(ds, log=lambda *a: None)
     check_training(ds, log=lambda *a: None)
 
 

@@ -45,9 +45,11 @@ own namespace and ``fused_*`` counters in :class:`~repro.core.compile.
 KernelCache`): a fused chain over a freshly sampled block is a cheap
 ``fused_bind``, never a recompile.
 
-Fused chains are the FeatGraph backend's default route through minidgl;
-``use_fusion(False)`` scopes the staged kernels back in, which is how tests
-run the oracle the fused chains are checked against.
+The edge-softmax chain is the FeatGraph backend's default route for GAT
+through minidgl (GCN/SAGE's copy-u sum needs no chain: it is one native
+call, :mod:`repro.minidgl.backends`); ``use_fusion(False)`` scopes the
+staged kernels back in, which is how tests run the oracle the default
+route is checked against.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from repro import tensorir as T
 from repro.core.api import SparseMat, spmat
 from repro.core.bindings import (BindingError, leading_gather,
                                  row_gather_form)
-from repro.core.builtins import copy_u_msg, u_mul_e_msg
+from repro.core.builtins import u_mul_e_msg
 from repro.core.compile import (PassTiming, compile_sddmm, compile_spmm,
                                 get_kernel_cache)
 from repro.core.spmm import resolve_aggregation, row_gather_evaluate
@@ -94,7 +96,6 @@ __all__ = [
     "compile_fused",
     "FusedKernel",
     "FusedEdgeSoftmax",
-    "FusedCopyUAggregate",
 ]
 
 _FUSE_OVERRIDE: list = []  # scoped overrides pushed by use_fusion()
@@ -102,16 +103,9 @@ _FUSE_OVERRIDE: list = []  # scoped overrides pushed by use_fusion()
 #: default edge-chunk size, matching the staged templates
 DEFAULT_CHUNK_EDGES = 1 << 17
 
-#: SpMM aggregations the single-sweep combine supports (rule 3); "mean"
-#: combines as "sum" during the sweep with a per-degree divide at finalize
-FUSABLE_AGGREGATIONS = ("sum", "max", "min", "mean")
-
-
-def _agg_base(aggregation: str) -> str:
-    """The combine-time base of an aggregation: ``mean`` accumulates as
-    ``sum`` (the degree divide happens at finalize, mirroring
-    :meth:`repro.core.spmm.GeneralizedSpMM._finalize`)."""
-    return "sum" if aggregation == "mean" else aggregation
+#: SpMM aggregations the single-sweep combine supports (rule 3): each
+#: combines in the sweep itself, with no post-sweep divide
+FUSABLE_AGGREGATIONS = ("sum", "max", "min")
 
 #: BinOp tokens the ``binop`` CSE mode can execute directly
 _BINOP_UFUNC = {
@@ -364,8 +358,7 @@ def plan_fusion(graph: KernelGraph, cache=None) -> FusionPlan:
     defs = graph._stages
     if len(defs) < 2 and not (len(defs) == 1 and defs[0].kind == "spmm"):
         # a lone spmm stage is a legal "chain": message + aggregate in one
-        # sweep (the GCN/SAGE copy-u path) still buys the chunked fused
-        # executor
+        # chunked sweep of the fused executor
         raise FusionError(
             f"fusion needs at least two stages, got {len(defs)}")
     if graph.target != "cpu":
@@ -404,7 +397,6 @@ def plan_fusion(graph: KernelGraph, cache=None) -> FusionPlan:
     body_sigs: dict[str, str] = {}
     cse: list[tuple] = []
     kind_of = {s.name: s.kind for s in defs}
-    agg_of = {s.name: s.aggregation for s in defs}
     for s, (kernel, out) in zip(defs, kernels):
         roles = kernel.roles
         try:
@@ -431,11 +423,6 @@ def plan_fusion(graph: KernelGraph, cache=None) -> FusionPlan:
                     f"{roles.get(n)!r}: a vertex reduction consumed other "
                     "than via dst crosses the reduction boundary and needs "
                     "a second edge sweep")
-            if agg_of.get(n) == "mean":
-                raise FusionError(
-                    f"stage {s.name!r} reads mean-aggregated buffer {n!r}: "
-                    "the degree divide happens at finalize, after the "
-                    "sweep, so in-sweep consumers would read raw sums")
         for n in chain_edge:
             if roles.get(n) != "m":
                 raise FusionError(
@@ -561,7 +548,7 @@ def fused_loop_nest(plan: FusionPlan, A) -> I.Stmt:
         if st.kind == "spmm":
             buf = I.BufferRef(st.name, (n_dst,) + st.feat_shape, "float32")
             store = I.Store(buf, value, [v_iv] + list(st.axes),
-                            combiner=_agg_base(st.aggregation))
+                            combiner=st.aggregation)
         else:
             buf = I.BufferRef(st.name, (nnz,) + st.feat_shape, "float32")
             store = I.Store(buf, value,
@@ -696,7 +683,7 @@ class FusedKernel:
             if st.kind == "spmm":
                 vbufs[st.name] = np.full(
                     (n_dst,) + st.feat_shape,
-                    AGG_IDENTITY[_agg_base(st.aggregation)],
+                    AGG_IDENTITY[st.aggregation],
                     dtype=np.float32)
             elif (not st.elided) or st.name in keep:
                 ebufs[st.name] = np.empty((m,) + st.feat_shape,
@@ -727,8 +714,8 @@ class FusedKernel:
         ``heads``-wide rows, its exp-sum and aggregate sinks combine
         through ``spblas``).  The plan label joins the distinct names in
         stage order, e.g. ``reduceat+spblas``.  An aggregating
-        stage that is a pure row gather (:meth:`_gather_free`: the copy-u
-        chain's only stage, the softmax chain's ``OUT``) hands its sink a
+        stage that is a pure row gather (:meth:`_gather_free`, e.g. the
+        softmax chain's ``OUT``) hands its sink a
         :class:`~repro.runtime.plan.RowGather` instead of a message block,
         so only the other stages' worksets bound the chunk."""
         csr = self.A.csr
@@ -736,7 +723,7 @@ class FusedKernel:
         keep = set(keep)
         sink_strategy = {
             st.name: resolve_sink_strategy(
-                self.agg_strategy, _agg_base(st.aggregation),
+                self.agg_strategy, st.aggregation,
                 st.prog.out_dtype, csr, st.width)
             for st in aggregating}
         plan_label = "+".join(dict.fromkeys(
@@ -812,7 +799,7 @@ class FusedKernel:
 
             if st.kind == "spmm":
                 sink = AggregateSink(vbufs[st.name],
-                                     get_reducer(_agg_base(st.aggregation)),
+                                     get_reducer(st.aggregation),
                                      sink_strategy[st.name],
                                      guard_zero=st.guard_zero)
             else:
@@ -870,7 +857,7 @@ class FusedKernel:
         if st.row_gather is None or st.mode != "program" or st.name in keep:
             return False
         if not (isinstance(strategy, SparseBlasStrategy) and strategy.owns(
-                _agg_base(st.aggregation), st.prog.out_dtype)):
+                st.aggregation, st.prog.out_dtype)):
             return False
         if st.row_gather[0] in st.chain_edge_reads + st.chain_vertex_reads:
             return False
@@ -882,22 +869,17 @@ class FusedKernel:
         """Post-sweep fixups, exactly as the staged pipeline applies them
         (mirroring ``GeneralizedSpMM._finalize``): rows with no incoming
         edges have max/min identities become 0.0 and zero-guarded sums
-        become 1.0; mean accumulators divide by ``max(degree, 1)``."""
-        deg = np.diff(self.A.csr.indptr)
-        untouched = deg == 0
-        any_untouched = bool(untouched.any())
+        become 1.0."""
+        untouched = np.diff(self.A.csr.indptr) == 0
+        if not untouched.any():
+            return
         for st in self.plan.stages:
             if st.kind != "spmm":
                 continue
-            if any_untouched:
-                if st.aggregation in ("max", "min"):
-                    vbufs[st.name][untouched] = 0.0
-                if st.guard_zero:
-                    vbufs[st.name][untouched] = 1.0
-            if st.aggregation == "mean":
-                buf = vbufs[st.name]
-                d = np.maximum(deg, 1).astype(np.float32)
-                buf /= d.reshape((-1,) + (1,) * (buf.ndim - 1))
+            if st.aggregation in ("max", "min"):
+                vbufs[st.name][untouched] = 0.0
+            if st.guard_zero:
+                vbufs[st.name][untouched] = 1.0
 
     def __repr__(self):
         chain = " -> ".join(st.name for st in self.plan.stages)
@@ -1085,54 +1067,3 @@ class FusedEdgeSoftmax:
     def __repr__(self):
         return (f"FusedEdgeSoftmax(m={self.A.nnz}, heads={self.num_heads}, "
                 f"feat={self.feat_shape}, target={self.target})")
-
-
-# ----------------------------------------------------------------------
-# the GCN/SAGE chain: copy-u message + sum/mean aggregation in one sweep
-# ----------------------------------------------------------------------
-
-class FusedCopyUAggregate:
-    """``copy_u`` -> sum/mean aggregation as a fused single-sweep plan.
-
-    The message+aggregate core of GCN and GraphSAGE: gather the source
-    feature row per edge and segment-reduce into destinations.  Staged
-    execution runs it through ``GeneralizedSpMM`` with a separate degree
-    normalization afterwards; this chain runs the same computation through
-    the fused executor, so the mean divide folds into the plan's finalize.
-    The single stage reuses :func:`~repro.core.builtins.copy_u_msg`'s
-    ``udf_key``, so the chain caches as a fused template and rebinds across
-    sampled blocks.
-    """
-
-    def __init__(self, A, feat_shape, aggregation: str = "sum",
-                 target: str = "cpu", cache=None,
-                 chunk_edges: int = DEFAULT_CHUNK_EDGES):
-        self.A = spmat(A)
-        self.feat_shape = tuple(int(d) for d in feat_shape)
-        if not self.feat_shape:
-            raise ValueError("feat_shape must have at least one dim")
-        self.aggregation = resolve_aggregation(aggregation)
-        if self.aggregation not in FUSABLE_AGGREGATIONS:
-            raise FusionError(
-                f"copy-u chain cannot fuse aggregation "
-                f"{self.aggregation!r}")
-        self.target = target
-        XV = T.placeholder((self.A.num_src,) + self.feat_shape, name="XV")
-        g = KernelGraph(self.A, target=target, outputs=("COUT",))
-        g.add_stage("COUT", "spmm", copy_u_msg(XV),
-                    aggregation=self.aggregation)
-        self.graph = g
-        self.kernel = compile_fused(g, cache=cache, chunk_edges=chunk_edges)
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        """Aggregated ``(n_dst, *feat_shape)`` output for features ``x``."""
-        x = np.ascontiguousarray(x, dtype=np.float32)
-        return self.kernel.run({"XV": x})["COUT"]
-
-    def exec_stats(self) -> dict:
-        return {"fused": self.kernel.exec_stats.as_dict()}
-
-    def __repr__(self):
-        return (f"FusedCopyUAggregate(m={self.A.nnz}, "
-                f"feat={self.feat_shape}, agg={self.aggregation}, "
-                f"target={self.target})")

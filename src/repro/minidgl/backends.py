@@ -13,7 +13,9 @@ comparison:
   through the fused generalized SpMM/SDDMM templates of :mod:`repro.core`,
   compiled once per (graph, shape) and cached -- "FeatGraph generates kernel
   codes for a specific graph topology; the compilation cost is amortized"
-  (Sec. IV-B).
+  (Sec. IV-B).  A plain copy-u sum needs no template:
+  ``fused_copy_u_aggregate`` (the GCN/SAGE forward) is one
+  :func:`repro.runtime.spblas.segment_sum` call.
 
 Both compute the transpose product ``spmm_sum_t`` (``Aᵀ(w ⊙ x)``, every
 backward SpMM) on the *forward* CSR through
@@ -31,7 +33,7 @@ from repro.core.api import spmm as fg_spmm
 from repro.core.fds import default_fds_for
 from repro.graph.segment import segment_reduce
 from repro.graph.sparse import CSRMatrix
-from repro.runtime.spblas import scatter_sum
+from repro.runtime.spblas import scatter_sum, segment_sum
 
 __all__ = ["MinigunBackend", "FeatGraphDGLBackend", "get_backend"]
 
@@ -110,12 +112,6 @@ class FeatGraphDGLBackend:
 
         return get_kernel_cache()
 
-    def _canonical(self, adj: CSRMatrix) -> CSRMatrix:
-        """Per-edge tensors in minidgl are CSR-position ordered; fetch the
-        cache's canonical copy with ``edge_ids = arange`` so the templates
-        agree."""
-        return self._kernel_cache().canonical_graph(adj)
-
     # -- kernel builders (deduplicated by the shared kernel cache) ---------
     def _copy_sum(self, adj: CSRMatrix, feat_shape: tuple[int, ...]):
         cache = self._kernel_cache()
@@ -172,27 +168,18 @@ class FeatGraphDGLBackend:
         return FusedEdgeSoftmax(adj, num_heads=num_heads, target=self.target,
                                 cache=cache, feat_shape=feat_shape)
 
-    def _fused_copy_u(self, adj: CSRMatrix, feat_shape: tuple[int, ...],
-                      aggregation: str):
-        from repro.core.fusion import FusedCopyUAggregate
-
-        cache = self._kernel_cache()
-        adj = cache.canonical_graph(adj)
-        return FusedCopyUAggregate(adj, feat_shape, aggregation=aggregation,
-                                   target=self.target, cache=cache)
-
     # -- primitives ---------------------------------------------------------
     def spmm_copy_sum(self, adj: CSRMatrix, x: np.ndarray) -> np.ndarray:
         k = self._copy_sum(adj, x.shape[1:])
         return k.run({"XV": x})
 
-    def fused_copy_u_aggregate(self, adj: CSRMatrix, x: np.ndarray,
-                               aggregation: str = "sum") -> np.ndarray:
-        """Copy-u message + aggregation as one fused edge sweep -- the
-        GCN/SAGE hot path; ``mean`` divides by in-degree in the fused
-        kernel's finalize step, never materializing the sum separately."""
-        k = self._fused_copy_u(adj, x.shape[1:], aggregation)
-        return k.run(x)
+    def fused_copy_u_aggregate(self, adj: CSRMatrix,
+                               x: np.ndarray) -> np.ndarray:
+        """``out[v] = sum_{u in N(v)} x[u]`` -- ``A x``, the GCN/SAGE
+        forward aggregation, as one native segment sum over the CSR: no
+        kernel is bound and no per-edge message is gathered.  The same bits
+        as the staged ``spmm_copy_sum``, which stays the oracle."""
+        return segment_sum(adj.indptr, x, index=adj.indices)
 
     def edge_softmax(self, adj: CSRMatrix, scores: np.ndarray) -> np.ndarray:
         """Three-kernel edge softmax (no per-edge intermediate): the staged

@@ -13,11 +13,10 @@ is built and no per-edge tensor is permuted.  Weight gradients keep the
 SDDMM pattern.
 
 - :func:`copy_u_sum` -- generalized SpMM; its input gradient is ``Aᵀ g``.
-  The forward routes through the backend's fused copy-u chain (one edge
-  sweep) when it has one.
-- :func:`copy_u_mean` -- mean aggregation as one kernel: fused, the
-  in-degree divide happens in the chain's finalize step instead of a
-  separate elementwise pass over the output.
+  The forward is the backend's one native copy-u sum
+  (``fused_copy_u_aggregate``) when it has one.
+- :func:`copy_u_mean` -- the copy-u sum divided by in-degree, by the same
+  arithmetic on every route.
 - :func:`u_mul_e_sum` -- attention-weighted aggregation; its input gradient
   is ``Aᵀ(w ⊙ g)`` and its edge-weight gradient an SDDMM (dot of endpoint
   features), "the gradient computation of SpMM with respect to A follows
@@ -33,7 +32,7 @@ SDDMM pattern.
 
 The fused routes are the default on a CPU backend that exposes them;
 ``repro.core.fusion.use_fusion(False)`` scopes the staged kernels back in
-(the oracle the fused chains are tested against).
+(the oracle the fused routes are tested against).
 
 All ops take a kernel backend (Minigun-like or FeatGraph) so end-to-end
 training exercises exactly the integration surface of the paper's Sec. IV-B.
@@ -105,8 +104,9 @@ class Graph:
 # ----------------------------------------------------------------------
 
 def _fuses(backend, chain: str) -> bool:
-    """Whether ``backend`` runs the fused ``chain`` here: fusion on, a CPU
-    backend, and the chain exposed (a proxy that hides it is staged)."""
+    """Whether ``backend`` runs its fused primitive ``chain`` here: fusion
+    on, a CPU backend, and the primitive exposed (a proxy that hides it is
+    staged)."""
     from repro.core.fusion import fuse_enabled
 
     return (fuse_enabled()
@@ -114,17 +114,21 @@ def _fuses(backend, chain: str) -> bool:
             and getattr(backend, "target", None) == "cpu")
 
 
+def _copy_sum(graph: Graph, x: Tensor, backend) -> np.ndarray:
+    """``A x``: the backend's native copy-u sum, or the staged kernel."""
+    if _fuses(backend, "fused_copy_u_aggregate"):
+        return backend.fused_copy_u_aggregate(graph.adj, x.data)
+    return backend.spmm_copy_sum(graph.adj, x.data)
+
+
 def copy_u_sum(graph: Graph, x: Tensor, backend) -> Tensor:
     """``out[v] = sum_{u in N(v)} x[u]`` -- generalized SpMM (GCN pattern).
 
-    On a backend exposing ``fused_copy_u_aggregate`` the forward runs
-    through the fused copy-u chain; the backward is ``Aᵀ g`` on the
-    forward CSR either way.
+    On a backend exposing ``fused_copy_u_aggregate`` the forward is that
+    one native sum, else the backend's ``spmm_copy_sum``; the backward is
+    ``Aᵀ g`` on the forward CSR either way.
     """
-    if _fuses(backend, "fused_copy_u_aggregate"):
-        out_data = backend.fused_copy_u_aggregate(graph.adj, x.data, "sum")
-    else:
-        out_data = backend.spmm_copy_sum(graph.adj, x.data)
+    out_data = _copy_sum(graph, x, backend)
 
     def bwd(g):
         if x.requires_grad:
@@ -136,17 +140,16 @@ def copy_u_sum(graph: Graph, x: Tensor, backend) -> Tensor:
 def copy_u_mean(graph: Graph, x: Tensor, backend) -> Tensor:
     """``out[v] = mean_{u in N(v)} x[u]`` -- the GCN/SAGE neighbor mean.
 
-    Fused, the in-degree divide runs in the chain's finalize step; staged,
-    it is the copy-sum followed by an elementwise scale.  The input
-    gradient scales the output gradient by ``1/deg(v)`` and scatters it
-    through ``Aᵀ`` (mean and scale commute).
+    The copy-u sum (:func:`copy_u_sum`'s forward) divided by
+    ``max(deg(v), 1)``, one formula on every route.  The input gradient
+    scales the output gradient by ``1/deg(v)`` and scatters it through
+    ``Aᵀ`` (mean and scale commute).
     """
-    inv_deg = (1.0 / np.maximum(graph.in_degrees(), 1)).astype(np.float32)
-    if _fuses(backend, "fused_copy_u_aggregate"):
-        out_data = backend.fused_copy_u_aggregate(graph.adj, x.data, "mean")
-    else:
-        agg = backend.spmm_copy_sum(graph.adj, x.data)
-        out_data = agg * inv_deg.reshape((-1,) + (1,) * (agg.ndim - 1))
+    deg = np.maximum(graph.in_degrees(), 1)
+    out_data = _copy_sum(graph, x, backend)
+    out_data /= deg.astype(np.float32).reshape(
+        (-1,) + (1,) * (out_data.ndim - 1))
+    inv_deg = (1.0 / deg).astype(np.float32)
 
     def bwd(g):
         if x.requires_grad:

@@ -588,11 +588,8 @@ def verify_kernel(kernel) -> AnalysisReport:
         vbufs, ebufs = {}, {}
         for st in kernel.plan.stages:
             if st.kind == "spmm":
-                # mean fuses as a running sum (finalize divides), so its
-                # chain buffer seeds with sum's identity
-                base = "sum" if st.aggregation == "mean" else st.aggregation
                 vbufs[st.name] = np.full((n_dst,) + st.feat_shape,
-                                         AGG_IDENTITY[base],
+                                         AGG_IDENTITY[st.aggregation],
                                          dtype=np.float32)
             elif not st.elided:
                 ebufs[st.name] = np.empty((m,) + st.feat_shape,

@@ -135,8 +135,8 @@ class TestRunLeavesNothingForTheCollector:
 
         from repro.core import kernels
         from repro.core.compile import KernelCache, use_kernel_cache
-        from repro.core.fusion import FusedCopyUAggregate
         from repro.graph.sparse import from_edges
+        from tests.core.test_fusion import copy_u_chain
 
         n = small_graph.shape[0]
         x = np.random.default_rng(0).standard_normal((n, 8)).astype(
@@ -145,8 +145,7 @@ class TestRunLeavesNothingForTheCollector:
             kernels.gcn_aggregation(from_edges(n, n, [0], [0]), n, 8)
             k = kernels.gcn_aggregation(small_graph, n, 8)     # bound
             assert k.graph_roles == {"XV": "n_src"}
-            fused = FusedCopyUAggregate(small_graph, (8,), "mean",
-                                        cache=cache)
+            fused = copy_u_chain(small_graph, (8,), cache=cache)
             k.run({"XV": x})
             fused.run(x)
             gc.collect()

@@ -349,10 +349,10 @@ class TestRequestsThatAreNoStrategyName:
 
     @pytest.mark.parametrize("bad", BAD, ids=repr)
     def test_fused_kernel(self, graph, bad):
-        from repro.core.fusion import FusedCopyUAggregate
+        from tests.core.test_fusion import copy_u_chain
 
         adj, *_ = graph
-        fused = FusedCopyUAggregate(adj, (4,), "sum", cache=KernelCache())
+        fused = copy_u_chain(adj, (4,), cache=KernelCache())
         fused.kernel.agg_strategy = bad
         vbufs = {"COUT": np.full((30, 4), -7.0, np.float32)}
         with self._raises():

@@ -408,14 +408,15 @@ class TestZeroRecompileSteadyState:
     def test_100_served_batches_are_pure_binds(self, dataset, backend):
         """THE serving acceptance check: after a one-batch warmup, 100
         served batches (fresh sampled topologies every time) re-run no
-        expensive compile pass and add no pipeline runs -- every kernel is
-        a frozen-template bind."""
+        expensive compile pass and add no pipeline runs.  GCN's only
+        sparse op is the copy-u sum, one native call, so steady-state
+        serving does not even bind a template."""
         model = GCN(16, 4, hidden=8, dropout=0.0, seed=0)
         rng = np.random.default_rng(7)
         with use_kernel_cache(KernelCache()) as cache:
             with _service(model, dataset, backend, fanouts=[3, 3],
                           rng=np.random.default_rng(1)) as svc:
-                svc.infer(np.array([0, 1, 2, 3]))  # warmup compiles
+                svc.infer(np.array([0, 1, 2, 3]))  # warmup
                 frozen = dict(cache.stats()["pass_counts"])
                 frozen_fused = cache.stats()["fused_compiles"]
                 runs = cache.stats()["pipeline_runs"]
@@ -431,7 +432,7 @@ class TestZeroRecompileSteadyState:
                     f"pass {p!r} re-ran during steady-state serving")
             assert stats["pipeline_runs"] == runs
             assert stats["fused_compiles"] == frozen_fused
-            assert _binds(stats) > binds_before  # served by rebinding
+            assert _binds(stats) == binds_before
 
 
 class TestConcurrentClients:

@@ -84,10 +84,10 @@ class TestLegality:
             plan_fusion(kg, cache=KernelCache())
 
     def test_mean_chain_read_rejected(self):
-        # mean itself fuses (sum + finalize divide), but an in-sweep
-        # consumer of the mean buffer would read raw, undivided sums
+        # mean does not fuse at all (a chain has no post-sweep divide), so
+        # no in-sweep consumer can read raw, undivided sums
         kg = _score_chain(_graph(), agg="mean")
-        with pytest.raises(FusionError, match="mean-aggregated"):
+        with pytest.raises(FusionError, match="single sweep"):
             plan_fusion(kg, cache=KernelCache())
 
     def test_disconnected_stage_rejected(self):
