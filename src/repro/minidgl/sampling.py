@@ -5,8 +5,8 @@ than the full graph.  This module provides the standard machinery:
 
 - :func:`sample_neighbors` -- uniform fixed-fanout sampling of incoming
   edges for a set of seed vertices, fully vectorized (bulk ``indptr``
-  slicing, one key draw, per-row top-k by sort rank, and a
-  ``np.searchsorted`` remap);
+  slicing, one key draw, per-row top-k by sort rank, and a lookup-table
+  remap);
 - :class:`Block` -- a bipartite message-passing block whose destination
   vertices are the seeds and whose source vertices are the sampled frontier
   (destinations first, so layer outputs align with seed order);
@@ -17,6 +17,13 @@ than the full graph.  This module provides the standard machinery:
   blocks on a worker thread through a bounded queue, overlapping sampling
   with the consumer's compute (see docs/minibatch.md).
 
+Each of the sampler's two sorts -- candidates by (row, key) for the top-k,
+sampled edges by (row, column) for the block's CSR -- is one in-place
+``ndarray.sort()`` of unique packed words (non-negative int64) whose low
+bits carry what a stable argsort's position tie-break would, so the
+unstable sort yields exactly the stable order; words wider than 63 bits
+fall back to the stable argsort itself (:func:`_sort_pairs`).
+
 Blocks wrap an ordinary pull-layout CSR, so every FeatGraph kernel and both
 minidgl backends run on them unchanged -- and since compiled kernels are
 topology-independent (:mod:`repro.core.compile`), each fresh block re-binds
@@ -24,9 +31,11 @@ cached kernel templates instead of recompiling.
 
 :func:`sample_neighbors_reference` keeps the original per-seed Python loop.
 It consumes the RNG identically to the vectorized sampler (one bulk key
-draw, smallest-``fanout`` keys per row), so the two are block-for-block
-equivalent under a fixed seed; it exists as the equivalence oracle and the
-benchmark baseline.
+draw, smallest-``fanout`` keys per row) and assembles its blocks by sort
+and :func:`~repro.graph.sparse.from_edges`, sharing no code with the
+vectorized block assembly, so the two are block-for-block equivalent
+(``edge_ids`` included) under a fixed seed; it exists as the tests'
+equivalence oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.sparse import CSRMatrix
+from repro.graph.sparse import CSRMatrix, from_edges
 
 __all__ = [
     "Block",
@@ -80,8 +89,11 @@ class Block:
 def _quantize_keys(keys: np.ndarray) -> np.ndarray:
     """Uniform [0,1) keys -> 32-bit integers, the shared per-edge sampling
     keys of both sampler implementations (equal keys tie-break by CSR
-    position in both, so quantization never breaks their equivalence)."""
-    return (keys * float(1 << 32)).astype(np.uint64)
+    position in both, so quantization never breaks their equivalence).
+    Quantizes in place: the result is ``keys``' memory viewed as int64."""
+    out = keys.view(np.int64)
+    np.multiply(keys, float(1 << 32), out=out, casting="unsafe")
+    return out
 
 
 def _check_fanout(fanout: int) -> None:
@@ -96,29 +108,56 @@ def _unique_seeds(seeds: np.ndarray) -> np.ndarray:
     return seeds
 
 
+def _sort_pairs(major: np.ndarray, major_bits: int, minor: np.ndarray,
+                minor_bits: int) -> np.ndarray:
+    """``minor[np.argsort(major, kind="stable")]``, by one in-place sort.
+
+    ``major`` and ``minor`` are non-negative int64 arrays, below
+    ``2**major_bits`` and ``2**minor_bits``, and ``minor`` increases along
+    the positions of every run of equal ``major`` values.  The words
+    ``major << minor_bits | minor`` are then unique and an unstable sort
+    puts them in exactly the stable order, ties broken by position;
+    ``minor`` comes back in their low bits, in ``major``'s memory (which
+    is overwritten).  Words that do not fit a non-negative int64 (63 bits)
+    take the stable argsort itself.
+    """
+    if major_bits + minor_bits > 63:
+        return minor[np.argsort(major, kind="stable")]
+    major <<= minor_bits
+    major |= minor
+    major.sort()
+    major &= (1 << minor_bits) - 1
+    return major
+
+
 def _make_block(adj: CSRMatrix, seeds: np.ndarray, g_src: np.ndarray,
-                l_dst: np.ndarray) -> Block:
-    """Assemble a block from sampled global-source / local-dst edge lists:
-    remap sources to local ids (seeds first, then the discovered frontier,
-    ascending -- via an O(|V|) membership mask and inverse lookup table,
-    much faster than sort-based setdiff/searchsorted remapping) and build
-    the local pull-layout CSR directly (bit-identical to ``from_edges``
-    but with one integer sort instead of a generic lexsort)."""
+                counts: np.ndarray) -> Block:
+    """Assemble a block from sampled global sources, grouped by seed with
+    ``counts[i]`` edges for seed ``i``: remap sources to local ids (seeds
+    first, then the discovered frontier, ascending -- via an O(|V|)
+    membership mask and inverse lookup table, much faster than sort-based
+    setdiff/searchsorted remapping) and build the local pull-layout CSR
+    directly (bit-identical to ``from_edges`` but with one integer sort,
+    of ``(row, col)`` pairs tie-broken by input position, instead of a
+    generic lexsort)."""
     n_total = adj.shape[1]
     present = np.zeros(n_total, dtype=bool)
     present[g_src] = True
     present[seeds] = False
     frontier = np.nonzero(present)[0]
     src_ids = np.concatenate([seeds, frontier])
-    n_src, n_dst = len(src_ids), len(seeds)
+    n_src, n_dst, m = len(src_ids), len(seeds), len(g_src)
     lookup = np.empty(n_total, dtype=np.int64)
     lookup[src_ids] = np.arange(n_src, dtype=np.int64)
     l_src = lookup[g_src]
     indptr = np.zeros(n_dst + 1, dtype=np.int64)
-    np.cumsum(np.bincount(l_dst, minlength=n_dst), out=indptr[1:])
-    # (row, col) sort with stable position tiebreak == from_edges' lexsort;
-    # edge_ids = order preserves its input-edge-order mapping too
-    order = np.argsort(l_dst * np.int64(max(n_src, 1)) + l_src, kind="stable")
+    np.cumsum(counts, out=indptr[1:])
+    # sort by row * n_src + col, ties by input position: from_edges'
+    # lexsort order, and edge_ids = order is its input-edge mapping too
+    major = np.repeat(np.arange(0, n_dst * n_src, max(n_src, 1)), counts)
+    major += l_src
+    order = _sort_pairs(major, (n_dst * n_src - 1).bit_length(),
+                        np.arange(m), (m - 1).bit_length())
     block_adj = CSRMatrix((n_dst, n_src), indptr, l_src[order],
                           edge_ids=order)
     return Block(adj=block_adj, src_ids=src_ids, dst_ids=seeds)
@@ -143,30 +182,34 @@ def _sample(adj: CSRMatrix, seeds: np.ndarray, fanout: int,
     """:func:`sample_neighbors` past its checks: ``seeds`` is a unique
     int64 array and ``fanout >= 1``."""
     lo = adj.indptr[seeds]
-    deg = adj.indptr[seeds + 1] - lo
+    hi = adj.indptr[seeds + 1]
+    deg = hi - lo
     total = int(deg.sum())
     if total == 0:
-        return _make_block(adj, seeds, np.empty(0, dtype=np.int64),
-                           np.empty(0, dtype=np.int64))
-    # candidate edges of all seeds, flattened: rows[i] is the local seed of
-    # candidate i, pos[i] its position in adj.indices
-    rows = np.repeat(np.arange(len(seeds), dtype=np.int64), deg)
-    row_start = np.concatenate(([0], np.cumsum(deg)))
-    pos = np.arange(total, dtype=np.int64) - row_start[rows] + lo[rows]
-    if (deg > fanout).any():
-        # one key per candidate; each row keeps its `fanout` smallest.  A
-        # single stable sort of (row << 32 | quantized key) replaces the
-        # 2-pass lexsort; ties break by CSR position in both samplers.
-        composite = (rows.astype(np.uint64) << np.uint64(32)) \
-            | _quantize_keys(rng.random(total))
-        order = np.argsort(composite, kind="stable")
-        rank = np.arange(total, dtype=np.int64) - row_start[rows]
-        sel = order[rank < fanout]
+        return _make_block(adj, seeds, np.empty(0, dtype=np.int64), deg)
+    # the candidate edges of all seeds, flattened row by row: candidate i
+    # of row r sits at CSR position i + hi[r] - ends[r]
+    ends = np.cumsum(deg)
+    max_deg = int(deg.max())
+    if max_deg <= fanout:
+        counts = deg
+        pos = np.repeat(hi - ends, deg)
+        pos += np.arange(total)
     else:
-        sel = slice(None)
-    g_src = adj.indices[pos[sel]]
-    l_dst = rows[sel]
-    return _make_block(adj, seeds, g_src, l_dst)
+        # one key per candidate; each row keeps its `fanout` smallest, ties
+        # broken by CSR position in both samplers.  offs[i] is candidate
+        # i's offset in its row's CSR range; the sorted (row, key, offset)
+        # triples keep the rows' layout, so offs[i] is also the rank of
+        # sorted triple i inside its row.
+        offs = np.arange(total)
+        offs -= np.repeat(ends - deg, deg)
+        major = _quantize_keys(rng.random(total))
+        major |= np.repeat(np.arange(len(seeds)) << 32, deg)
+        sorted_offs = _sort_pairs(major, 32 + (len(seeds) - 1).bit_length(),
+                                  offs, (max_deg - 1).bit_length())
+        counts = np.minimum(deg, fanout)
+        pos = np.repeat(lo, counts) + sorted_offs[offs < fanout]
+    return _make_block(adj, seeds, adj.indices[pos], counts)
 
 
 def sample_neighbors_reference(adj: CSRMatrix, seeds: np.ndarray, fanout: int,
@@ -174,9 +217,13 @@ def sample_neighbors_reference(adj: CSRMatrix, seeds: np.ndarray, fanout: int,
     """Per-seed-loop reference implementation of :func:`sample_neighbors`.
 
     Consumes the RNG identically (a single bulk key draw, smallest-k keys
-    per row), so for a given ``rng`` state it produces the same blocks as
-    the vectorized sampler.  Kept as the equivalence oracle for tests and
-    the baseline for ``benchmarks/bench_minibatch.py``.
+    per row, ties broken by CSR position, picks in key order), so for a
+    given ``rng`` state it produces the same blocks as the vectorized
+    sampler, ``edge_ids`` included.  Shares none of the vectorized
+    sampler's block assembly: sources are remapped through a sorted
+    ``np.setdiff1d`` / ``np.searchsorted`` and the block is built by
+    :func:`~repro.graph.sparse.from_edges`.  Kept as the equivalence oracle
+    of the tests.
     """
     _check_fanout(fanout)
     seeds = _unique_seeds(seeds)
@@ -197,9 +244,9 @@ def sample_neighbors_reference(adj: CSRMatrix, seeds: np.ndarray, fanout: int,
             cols = adj.indices[start:start + d]
         else:
             k = keys[offset:offset + d]
-            # smallest-`fanout` keys, ties broken by CSR position (stable),
-            # matching the vectorized sampler's composite sort
-            offs = np.sort(np.argsort(k, kind="stable")[:fanout])
+            # smallest-`fanout` keys in key order, ties broken by CSR
+            # position (stable)
+            offs = np.argsort(k, kind="stable")[:fanout]
             cols = adj.indices[start + offs]
         offset += d
         picked_src.append(cols)
@@ -210,7 +257,11 @@ def sample_neighbors_reference(adj: CSRMatrix, seeds: np.ndarray, fanout: int,
     else:
         g_src = np.empty(0, dtype=np.int64)
         l_dst = np.empty(0, dtype=np.int64)
-    return _make_block(adj, seeds, g_src, l_dst)
+    src_ids = np.concatenate([seeds, np.setdiff1d(g_src, seeds)])
+    sorter = np.argsort(src_ids)
+    l_src = sorter[np.searchsorted(src_ids, g_src, sorter=sorter)]
+    return Block(adj=from_edges(len(src_ids), len(seeds), l_src, l_dst),
+                 src_ids=src_ids, dst_ids=seeds)
 
 
 def build_blocks(adj: CSRMatrix, seeds: np.ndarray, fanouts: list[int],

@@ -1,12 +1,14 @@
 """Neighbor-sampling and mini-batch tests."""
 
+import hashlib
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.graph.sparse import from_edges
+from repro.graph.datasets import planted_partition
+from repro.graph.sparse import CSRMatrix, from_edges
 from repro.minidgl.sampling import Block, build_blocks, minibatches, sample_neighbors
 
 
@@ -214,16 +216,18 @@ class TestMinibatchTraining:
         assert acc > 0.7
 
 
+def _assert_blocks_equal(b1, b2):
+    assert np.array_equal(b1.src_ids, b2.src_ids)
+    assert np.array_equal(b1.dst_ids, b2.dst_ids)
+    assert np.array_equal(b1.adj.indptr, b2.adj.indptr)
+    assert np.array_equal(b1.adj.indices, b2.adj.indices)
+    assert np.array_equal(b1.adj.edge_ids, b2.adj.edge_ids)
+    assert b1.adj.shape == b2.adj.shape
+
+
 class TestVectorizedReferenceEquivalence:
     """The vectorized sampler and the per-seed reference consume the RNG
     identically: same generator state in -> same blocks out."""
-
-    def _assert_blocks_equal(self, b1, b2):
-        assert np.array_equal(b1.src_ids, b2.src_ids)
-        assert np.array_equal(b1.dst_ids, b2.dst_ids)
-        assert np.array_equal(b1.adj.indptr, b2.adj.indptr)
-        assert np.array_equal(b1.adj.indices, b2.adj.indices)
-        assert b1.adj.shape == b2.adj.shape
 
     @pytest.mark.parametrize("fanout", [1, 3, 8, 50])
     def test_same_seed_same_block(self, graph, fanout):
@@ -233,7 +237,7 @@ class TestVectorizedReferenceEquivalence:
         b1 = sample_neighbors(graph, seeds, fanout, np.random.default_rng(5))
         b2 = sample_neighbors_reference(graph, seeds, fanout,
                                         np.random.default_rng(5))
-        self._assert_blocks_equal(b1, b2)
+        _assert_blocks_equal(b1, b2)
 
     def test_stream_equivalence_across_calls(self, graph):
         """Equivalence holds for a *shared* generator advanced across many
@@ -245,7 +249,7 @@ class TestVectorizedReferenceEquivalence:
         for batch in (np.arange(10), np.arange(20, 50), np.arange(90, 100)):
             b1 = sample_neighbors(graph, batch, 4, rv)
             b2 = sample_neighbors_reference(graph, batch, 4, rr)
-            self._assert_blocks_equal(b1, b2)
+            _assert_blocks_equal(b1, b2)
 
     def test_isolated_and_low_degree_seeds(self):
         from repro.graph.sparse import from_edges
@@ -256,7 +260,90 @@ class TestVectorizedReferenceEquivalence:
         b1 = sample_neighbors(adj, seeds, 1, np.random.default_rng(2))
         b2 = sample_neighbors_reference(adj, seeds, 1,
                                         np.random.default_rng(2))
-        self._assert_blocks_equal(b1, b2)
+        _assert_blocks_equal(b1, b2)
+
+
+class _FewKeys:
+    """An rng stub whose ``random(n)`` takes three distinct values, so most
+    quantized sampling keys of a row tie."""
+
+    def __init__(self, seed=14):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, n):
+        return self._rng.integers(0, 3, n) / 3.0
+
+
+class TestTiesAndWideWords:
+    """Equal keys break by CSR position in both samplers, and words wider
+    than 63 bits take the stable argsort."""
+
+    @pytest.mark.parametrize("fanout", [1, 3, 8])
+    def test_tied_keys_agree_with_the_reference(self, graph, fanout):
+        from repro.minidgl.sampling import sample_neighbors_reference
+
+        seeds = np.arange(0, 100, 3)
+        b1 = sample_neighbors(graph, seeds, fanout, _FewKeys())
+        b2 = sample_neighbors_reference(graph, seeds, fanout, _FewKeys())
+        _assert_blocks_equal(b1, b2)
+
+    def test_all_keys_equal_keep_each_rows_first_edges(self, graph):
+        class Zeros:
+            def random(self, n):
+                return np.zeros(n)
+
+        seeds = np.array([4, 71, 30])
+        block = sample_neighbors(graph, seeds, 5, Zeros())
+        for i, s in enumerate(seeds):
+            row = slice(block.adj.indptr[i], block.adj.indptr[i + 1])
+            lo = graph.indptr[s]
+            assert np.array_equal(
+                np.sort(block.src_ids[block.adj.indices[row]]),
+                np.sort(graph.indices[lo:lo + 5]))
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_sort_pairs_is_the_stable_argsort(self, wide):
+        """Tie-heavy (row, key) majors with in-row offsets as the minor, the
+        shape ``_sample`` sorts; claiming 62 major bits (65 with the
+        minor's 3) forces the fallback."""
+        from repro.minidgl.sampling import _sort_pairs
+
+        r = np.random.default_rng(15)
+        deg = r.integers(0, 9, 40)
+        rows = np.repeat(np.arange(40), deg)
+        offs = np.arange(len(rows)) - np.repeat(np.cumsum(deg) - deg, deg)
+        major = rows * 4 + r.integers(0, 4, len(rows))
+        major_bits = 62 if wide else int(major.max()).bit_length()
+        want = offs[np.argsort(major, kind="stable")]
+        got = _sort_pairs(major.copy(), major_bits, offs, 3)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_wide_selection_words_match_the_reference(self, monkeypatch):
+        """A star whose hub has in-degree 65 536, all 65 537 vertices as
+        seeds, fanout 1: the selection word needs 32 + 17 + 16 = 65 bits."""
+        from repro.minidgl import sampling
+        from repro.minidgl.sampling import sample_neighbors_reference
+
+        widths = []
+        real = sampling._sort_pairs
+
+        def spy(major, major_bits, minor, minor_bits):
+            widths.append(major_bits + minor_bits)
+            return real(major, major_bits, minor, minor_bits)
+
+        monkeypatch.setattr(sampling, "_sort_pairs", spy)
+        n = 65_537
+        leaves = np.arange(1, n)
+        hub = np.zeros(n - 1, dtype=np.int64)
+        adj = from_edges(n, n, np.concatenate([leaves, hub]),
+                         np.concatenate([hub, leaves]))
+        seeds = np.arange(n)
+        b1 = sample_neighbors(adj, seeds, 1, np.random.default_rng(16))
+        assert widths[0] == 65          # the selection sort fell back
+        b2 = sample_neighbors_reference(adj, seeds, 1,
+                                        np.random.default_rng(16))
+        _assert_blocks_equal(b1, b2)
 
 
 class TestBlockInvariants:
@@ -493,3 +580,82 @@ class TestEmptyIdsContract:
                              drop_last=drop_last)
         assert len(loader) == 0
         assert list(loader) == []
+
+
+#: the fanout ``infer_minibatch`` and the serving layer use for full
+#: neighbourhoods
+FULL = 1 << 30
+
+
+def _sage_two_batches():
+    """Two batches drawn from one shared rng, fanouts (10, 10)."""
+    ds = planted_partition(n=1500, num_classes=4, feature_dim=4,
+                           avg_degree=24, seed=3)
+    rng = np.random.default_rng(7)
+    order = rng.permutation(ds.num_vertices)
+    return [build_blocks(ds.adj, order[lo:lo + 96], [10, 10], rng)
+            for lo in (0, 96)]
+
+
+def _full_neighbourhood():
+    ds = planted_partition(n=1500, num_classes=4, feature_dim=4,
+                           avg_degree=24, seed=3)
+    seeds = np.unique(np.random.default_rng(8).choice(1500, 64,
+                                                      replace=False))
+    return [build_blocks(ds.adj, seeds, [FULL, FULL],
+                         np.random.default_rng(0))]
+
+
+def _multigraph():
+    """Sources drawn from 12 vertices: most (dst, src) pairs repeat."""
+    r = np.random.default_rng(9)
+    adj = from_edges(40, 40, r.integers(0, 12, 900), r.integers(0, 40, 900))
+    rng = np.random.default_rng(10)
+    return [build_blocks(adj, np.array([5, 31, 0, 17, 22]), fanouts, rng)
+            for fanouts in ([4, 6], [FULL, 3], [FULL, FULL])]
+
+
+def _unsorted_rows():
+    """A hand-built CSR whose rows are neither column-sorted nor
+    duplicate-free, with one empty row."""
+    r = np.random.default_rng(11)
+    n = 60
+    deg = r.integers(0, 25, n)
+    deg[13] = 0
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    adj = CSRMatrix((n, n), indptr, r.integers(0, n, int(indptr[-1])))
+    rng = np.random.default_rng(12)
+    return [build_blocks(adj, np.array([13, 2, 59, 40, 7, 33]), fanouts, rng)
+            for fanouts in ([5, 5], [FULL, 8], [FULL, FULL])]
+
+
+class TestPinnedBlocks:
+    """Every block array of fixed ``build_blocks`` runs, hashed.  Recorded
+    when both of the sampler's sorts were ``np.argsort(kind="stable")``;
+    a change to how the sampler sorts must not move a bit.  Integers drawn
+    from PCG64 are the same on every machine, so the digests are too."""
+
+    DIGESTS = {
+        "sage_two_batches": "292514056380e7e74d742ffda8313e50d9f2b970",
+        "full_neighbourhood": "82867a31777510b2a22df9e0dd80de93b4518a0c",
+        "multigraph": "3323b0682666d14010f1686845c9cca3fbea71b0",
+        "unsorted_rows": "33ab87c4e9f3e79f54fd2bd44d057f91e75ecd20",
+    }
+    RUNS = {"sage_two_batches": _sage_two_batches,
+            "full_neighbourhood": _full_neighbourhood,
+            "multigraph": _multigraph,
+            "unsorted_rows": _unsorted_rows}
+
+    @staticmethod
+    def _digest(runs) -> str:
+        h = hashlib.sha1()
+        for blocks in runs:
+            for b in blocks:
+                for arr in (b.adj.indptr, b.adj.indices, b.adj.edge_ids,
+                            b.src_ids, b.dst_ids):
+                    h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("case", sorted(RUNS))
+    def test_blocks_match_the_recorded_digest(self, case):
+        assert self._digest(self.RUNS[case]()) == self.DIGESTS[case]
