@@ -3,15 +3,15 @@
 Asserts the three properties the mini-batch engine promises:
 
 1. **Topology-independent kernel reuse**: after the first batch has compiled
-   the layer kernels (GAT's fused attention chain), every subsequent
-   batch's fresh sampled blocks perform zero expression-building /
-   FDS-fusion / lowering / vectorization work -- the pipeline pass counters
-   stay frozen and kernels are served by cheap per-topology binds.  A
-   block's topology is seen once, and a training batch binds its forward
-   kernels only: every ``Aᵀ`` of the backward runs on the block's forward
-   CSR, so no block is ever transposed.  GraphSage needs no kernel at all:
-   its copy-u sums are native calls, so its batches bind and compile
-   nothing.
+   the layer kernels (GAT's staged attention, ``use_fusion(False)``), every
+   subsequent batch's fresh sampled blocks perform zero expression-building
+   / FDS-fusion / lowering / vectorization work -- the pipeline pass
+   counters stay frozen and kernels are served by cheap per-topology binds.
+   A block's topology is seen once, and every ``Aᵀ`` of the backward runs
+   on the block's forward CSR, so no block is ever transposed and no
+   transpose product binds a kernel.  The default routes need no kernel at
+   all: GraphSage's copy-u sums and GAT's softmax-aggregate are native
+   calls, so their batches bind and compile nothing.
 2. **Analyzer-clean block kernels**: every kernel the run left in the cache
    (including bound ones) passes the static analyzer with no error-severity
    diagnostics for its target.
@@ -31,6 +31,7 @@ from unittest import mock
 import numpy as np
 
 from repro.core.compile import KernelCache, use_kernel_cache
+from repro.core.fusion import use_fusion
 from repro.graph.datasets import planted_partition
 from repro.graph.sparse import CSRMatrix
 from repro.minidgl.autograd import Tensor
@@ -43,6 +44,12 @@ from repro.tensorir.analysis import analyze_ir
 #: the expensive topology-independent pipeline passes that must not re-run
 #: once the first batch has populated the template cache
 FRONT_AND_LOWER_PASSES = ("build_expr", "fuse_fds", "lower", "vectorize")
+
+#: kernels a staged GAT layer binds per sampled block: the forward's
+#: ``EdgeSoftmax`` phases (max, exp-sum, normalize) and ``u_mul_e_sum``'s
+#: SpMM, and the backward's SDDMM (the attention weights' gradient); its
+#: ``Aᵀ`` products are native ``scatter_sum`` calls and bind nothing
+STAGED_GAT_BINDS_PER_BLOCK = 3 + 1 + 1
 
 
 def _bound(stats: dict) -> int:
@@ -84,16 +91,19 @@ def _train_batches(model, ds, fanouts, cache):
 
 
 def check_kernel_reuse(ds, log=print):
+    """GAT on the staged route, the one that still compiles and binds."""
     model = GAT(ds.features.shape[1], 4, hidden=8, num_heads=2, dropout=0.0,
                 seed=1)
     fanouts = [5, 5]
-    with use_kernel_cache(KernelCache()) as cache:
+    with use_kernel_cache(KernelCache()) as cache, use_fusion(False):
         first, batches = _train_batches(model, ds, fanouts, cache)
         s = cache.stats()
         per_batch = (_bound(s) - _bound(first)) / (batches - 1)
-        assert per_batch == len(fanouts), (
-            f"{per_batch} binds per batch, expected a forward kernel for "
-            f"each of the {len(fanouts)} blocks and none for the backward")
+        expected = STAGED_GAT_BINDS_PER_BLOCK * len(fanouts)
+        assert per_batch == expected, (
+            f"{per_batch} binds per batch, expected "
+            f"{STAGED_GAT_BINDS_PER_BLOCK} for each of the {len(fanouts)} "
+            f"blocks and none for a transpose product")
         for p in FRONT_AND_LOWER_PASSES:
             before, after = (c["pass_counts"].get(p, 0) for c in (first, s))
             assert after == before, (
@@ -122,17 +132,23 @@ def check_kernel_reuse(ds, log=print):
             f"diagnostics")
 
 
-def check_native_copy_u(ds, log=print):
-    """GraphSage on the default route: every copy-u sum is a native call,
-    so its sampled batches bind and compile nothing."""
-    model = GraphSage(ds.features.shape[1], 4, hidden=16, dropout=0.0, seed=1)
-    with use_kernel_cache(KernelCache()) as cache:
-        _, batches = _train_batches(model, ds, [5, 5], cache)
-        s = cache.stats()
-    made = _bound(s) + s["pipeline_runs"] + s["fused_compiles"]
-    assert made == 0, (
-        f"GraphSage bound or compiled {made} kernels over {batches} batches")
-    log(f"  graphsage: {batches} batches, no kernel bound or compiled")
+def check_native_routes(ds, log=print):
+    """GraphSage and GAT on the default route: every copy-u sum and every
+    softmax-aggregate is native calls, so their sampled batches bind and
+    compile nothing."""
+    models = {
+        "graphsage": GraphSage(ds.features.shape[1], 4, hidden=16,
+                               dropout=0.0, seed=1),
+        "gat": GAT(ds.features.shape[1], 4, hidden=8, num_heads=2,
+                   dropout=0.0, seed=1)}
+    for name, model in models.items():
+        with use_kernel_cache(KernelCache()) as cache:
+            _, batches = _train_batches(model, ds, [5, 5], cache)
+            s = cache.stats()
+        made = _bound(s) + s["pipeline_runs"] + s["fused_compiles"]
+        assert made == 0, (
+            f"{name} bound or compiled {made} kernels over {batches} batches")
+        log(f"  {name}: {batches} batches, no kernel bound or compiled")
 
 
 def check_training(ds, log=print):
@@ -150,8 +166,8 @@ def check_training(ds, log=print):
 
 
 def _dataset():
-    # four batches of 64 seeds: GAT's first batch compiles a kernel per
-    # chain stage, so fewer rebinding batches cannot outnumber them
+    # four batches of 64 seeds: staged GAT's first batch compiles its ten
+    # kernels and each of the three after it rebinds all ten
     return planted_partition(n=300, num_classes=4, feature_dim=16,
                              avg_degree=10, seed=0)
 
@@ -160,7 +176,7 @@ def main():
     print("mini-batch smoke")
     ds = _dataset()
     check_kernel_reuse(ds)
-    check_native_copy_u(ds)
+    check_native_routes(ds)
     check_training(ds)
     print("  OK")
     return 0
@@ -171,7 +187,7 @@ def main():
 def test_minibatch_smoke():
     ds = _dataset()
     check_kernel_reuse(ds, log=lambda *a: None)
-    check_native_copy_u(ds, log=lambda *a: None)
+    check_native_routes(ds, log=lambda *a: None)
     check_training(ds, log=lambda *a: None)
 
 

@@ -45,11 +45,12 @@ own namespace and ``fused_*`` counters in :class:`~repro.core.compile.
 KernelCache`): a fused chain over a freshly sampled block is a cheap
 ``fused_bind``, never a recompile.
 
-The edge-softmax chain is the FeatGraph backend's default route for GAT
-through minidgl (GCN/SAGE's copy-u sum needs no chain: it is one native
-call, :mod:`repro.minidgl.backends`); ``use_fusion(False)`` scopes the
-staged kernels back in, which is how tests run the oracle the default
-route is checked against.
+No minidgl route runs a chain: the FeatGraph backend's GAT
+softmax-aggregate and GCN/SAGE copy-u sum are native calls
+(:mod:`repro.minidgl.backends`), and :class:`FusedEdgeSoftmax` is the
+bit-for-bit oracle of the former.  ``use_fusion(False)`` scopes the
+staged kernels in, which is how tests run the oracle the default routes
+are checked against.
 """
 
 from __future__ import annotations
@@ -120,15 +121,16 @@ FUSED_PASSES = ("fuse_stages", "fuse_lower", "fuse_validate", "fuse_analyze")
 
 
 def fuse_enabled() -> bool:
-    """Whether minidgl routes through the fused chains: the innermost
-    :func:`use_fusion` scope decides, and outside any scope they are on."""
+    """Whether minidgl takes its backend's native routes (the copy-u sum,
+    GAT's softmax-aggregate): the innermost :func:`use_fusion` scope
+    decides, and outside any scope they are on."""
     return _FUSE_OVERRIDE[-1] if _FUSE_OVERRIDE else True
 
 
 @contextlib.contextmanager
 def use_fusion(flag: bool = True):
     """Scoped choice of route: ``use_fusion(False)`` runs the staged
-    kernels (the oracle), ``use_fusion(True)`` the fused chains."""
+    kernels (the oracle), ``use_fusion(True)`` the native routes."""
     _FUSE_OVERRIDE.append(bool(flag))
     try:
         yield

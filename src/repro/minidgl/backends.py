@@ -13,9 +13,11 @@ comparison:
   through the fused generalized SpMM/SDDMM templates of :mod:`repro.core`,
   compiled once per (graph, shape) and cached -- "FeatGraph generates kernel
   codes for a specific graph topology; the compilation cost is amortized"
-  (Sec. IV-B).  A plain copy-u sum needs no template:
-  ``fused_copy_u_aggregate`` (the GCN/SAGE forward) is one
-  :func:`repro.runtime.spblas.segment_sum` call.
+  (Sec. IV-B).  The two model forwards need no template:
+  ``fused_copy_u_aggregate`` (GCN/SAGE) is one
+  :func:`repro.runtime.spblas.segment_sum` call, and
+  ``fused_softmax_aggregate`` (GAT) a ``reduceat`` max, an in-place
+  ``exp`` and two segment sums.
 
 Both compute the transpose product ``spmm_sum_t`` (``Aᵀ(w ⊙ x)``, every
 backward SpMM) on the *forward* CSR through
@@ -157,17 +159,6 @@ class FeatGraphDGLBackend:
         return EdgeSoftmax(adj, num_heads=num_heads, target=self.target,
                            cache=cache)
 
-    def _fused_softmax_aggregate(self, adj: CSRMatrix, num_heads: int,
-                                 feat_shape: tuple[int, ...]):
-        from repro.core.fusion import FusedEdgeSoftmax
-
-        cache = self._kernel_cache()
-        adj = cache.canonical_graph(adj)
-        # Like _softmax, a thin per-call wrapper: the fused chain is cached
-        # as one topology-independent fused template, so this is a rebind.
-        return FusedEdgeSoftmax(adj, num_heads=num_heads, target=self.target,
-                                cache=cache, feat_shape=feat_shape)
-
     # -- primitives ---------------------------------------------------------
     def spmm_copy_sum(self, adj: CSRMatrix, x: np.ndarray) -> np.ndarray:
         k = self._copy_sum(adj, x.shape[1:])
@@ -183,21 +174,34 @@ class FeatGraphDGLBackend:
 
     def edge_softmax(self, adj: CSRMatrix, scores: np.ndarray) -> np.ndarray:
         """Three-kernel edge softmax (no per-edge intermediate): the staged
-        route, which GATConv reaches only where the fused chain is off."""
+        route, which GATConv reaches only where the native one is off."""
         heads = scores.shape[1] if scores.ndim > 1 else 1
         return self._softmax(adj, heads).run(scores)
 
     def fused_softmax_aggregate(self, adj: CSRMatrix, scores: np.ndarray,
                                 z: np.ndarray, need_alpha: bool = False):
-        """Edge softmax + weighted aggregation as one fused edge sweep.
+        """``out[v] = sum_u alpha[uv] * z[u]`` with ``alpha`` the per-row
+        softmax of ``scores`` (``(m, heads)``, CSR order): the GAT forward
+        as native calls -- a ``reduceat`` max over the non-empty rows, the
+        shift, ``exp`` and divide in one ``(m, heads)`` buffer, one segment
+        sum for the denominators and one weighted segment sum.  No kernel
+        is bound; the bits are the fused chain's
+        (:class:`~repro.core.fusion.FusedEdgeSoftmax`) and ``scores`` is
+        not written.
 
-        Returns ``(out, alpha)``; ``alpha`` is None unless requested (a
-        backward pass needs it), in which case it is materialized from the
-        otherwise-elided chain buffer.
+        Returns ``(out, alpha)``; ``alpha`` (the buffer) is None unless
+        requested, as a backward pass does.  A row with no in-edge gets 0.
         """
-        heads = scores.shape[1] if scores.ndim > 1 else 1
-        fes = self._fused_softmax_aggregate(adj, heads, z.shape[1:])
-        return fes.run_aggregate(scores, z, need_alpha=need_alpha)
+        deg = np.diff(adj.indptr)
+        rows = np.flatnonzero(deg)           # reduceat must see no empty row
+        deg = deg[rows]
+        e = np.repeat(np.maximum.reduceat(scores, adj.indptr[rows], axis=0),
+                      deg, axis=0)
+        np.subtract(scores, e, out=e)
+        np.exp(e, out=e)
+        e /= np.repeat(segment_sum(adj.indptr, e)[rows], deg, axis=0)
+        out = segment_sum(adj.indptr, z, index=adj.indices, weight=e)
+        return out, (e if need_alpha else None)
 
     def spmm_mul_sum(self, adj: CSRMatrix, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         k = self._mul_sum(adj, x.shape[1:], w.ndim)

@@ -26,13 +26,14 @@ SDDMM pattern.
 - :func:`edge_add` -- per-edge endpoint sum; its gradients are a segmented
   sum (destinations) and the transpose product (sources).
 - :func:`edge_softmax` -- per-destination softmax over incoming edges.
-- :func:`gat_attention` -- the whole GAT attention block as one op:
-  fused, the forward is one softmax-aggregate sweep and the backward three
-  weighted SpMMs on the forward CSR, with no SDDMM at all.
+- :func:`gat_attention` -- the whole GAT attention block as one op: the
+  forward is the backend's native softmax-aggregate
+  (``fused_softmax_aggregate``) and the backward three weighted SpMMs on
+  the forward CSR, with no SDDMM at all.
 
-The fused routes are the default on a CPU backend that exposes them;
+These native routes are the default on a CPU backend that exposes them;
 ``repro.core.fusion.use_fusion(False)`` scopes the staged kernels back in
-(the oracle the fused routes are tested against).
+(the oracle the native routes are tested against).
 
 All ops take a kernel backend (Minigun-like or FeatGraph) so end-to-end
 training exercises exactly the integration surface of the paper's Sec. IV-B.
@@ -270,11 +271,12 @@ def gat_attention(graph: Graph, el: Tensor, er: Tensor, z: Tensor,
     ``fused_softmax_aggregate`` (Minigun, a proxy that hides it) or the
     GPU -- this is exactly ``u_mul_e_sum(graph, z, edge_softmax(graph,
     edge_add(graph, el, er).leaky_relu(negative_slope)), backend)``, the
-    oracle.  Fused, the forward is the same arithmetic with the softmax and
-    the aggregation as one edge sweep, which materializes ``alpha`` only
-    when a gradient is needed; the backward is three weighted SpMMs on the
-    forward CSR (``docs/fusion.md`` derives them).  With ``w = alpha *
-    leaky_relu'`` and ``c[v] = g[v] . out[v]``, per head::
+    oracle.  Otherwise the forward is the same arithmetic as native calls:
+    the logits, then the backend's ``fused_softmax_aggregate``, whose
+    ``(m, heads)`` buffer is kept as ``alpha`` only when a gradient is
+    needed; the backward is three weighted SpMMs on the forward CSR
+    (``docs/fusion.md`` derives them).  With ``w = alpha * leaky_relu'``
+    and ``c[v] = g[v] . out[v]``, per head::
 
         dz       = Aᵀ(alpha ⊙ g)
         d er[v]  = g[v] . A(w ⊙ z)[v]  -  c[v] * sum_row(w)[v]

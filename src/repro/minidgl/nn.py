@@ -177,7 +177,7 @@ class GCNConv(Module):
     def forward(self, graph: Graph, x: Tensor, backend) -> Tensor:
         h = self.linear(x)
         # D^-1 A h is exactly the neighbor mean: one kernel, on a fusing
-        # backend one fused edge sweep with the divide in finalize
+        # backend one native segment sum, then the degree divide
         return copy_u_mean(graph, h, backend)
 
 
@@ -293,9 +293,9 @@ class GATConv(Module):
         z = self.fc(x).reshape(n_src, self.num_heads, self.head_dim)
         el = (z * self.attn_l).sum(axis=2)   # (n_src, heads)
         er = (z * self.attn_r).sum(axis=2)
-        # logits, softmax and weighted aggregation as one op: one fused
-        # sweep forward and three SpMMs backward on a fusing backend, the
-        # staged edge_add / edge_softmax / u_mul_e_sum chain otherwise
+        # logits, softmax and weighted aggregation as one op: native calls
+        # forward and three SpMMs backward on a fusing backend, the staged
+        # edge_add / edge_softmax / u_mul_e_sum chain otherwise
         out = gat_attention(graph, el, er, z, self.negative_slope,
                             backend)  # (n_dst, heads, head_dim)
         return out.reshape(n_dst, self.num_heads * self.head_dim)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.compile import KernelCache, use_kernel_cache
-from repro.core.fusion import use_fusion
+from repro.core.fusion import FusedEdgeSoftmax, use_fusion
 from repro.graph.sparse import CSRMatrix, from_edges
 from repro.minidgl.autograd import Tensor, no_grad
 from repro.minidgl.backends import FeatGraphDGLBackend, MinigunBackend, get_backend
@@ -300,6 +300,75 @@ class TestGatAttention:
         for slope in (-0.1, 1.5):
             with pytest.raises(ValueError, match="slope"):
                 gat_attention(g, el, er, z, slope, get_backend("featgraph"))
+
+
+class TestSoftmaxAggregateBits:
+    """``fused_softmax_aggregate`` gives the bits of the fused chain
+    (``FusedEdgeSoftmax.run_aggregate``) on the graph's canonical copy:
+    ``out`` and ``alpha``, whatever rows are empty, whatever order the
+    graph's ``edge_ids`` name its edges in."""
+
+    KINDS = ["random", "inner_and_trailing_empty", "empty", "block"]
+
+    @staticmethod
+    def _graph(kind, seed):
+        r = np.random.default_rng(seed)
+        if kind == "random":
+            n_src = n_dst = int(r.integers(2, 40))
+            m = int(r.integers(1, 200))
+            src, dst = r.integers(0, n_src, m), r.integers(0, n_dst, m)
+        elif kind == "inner_and_trailing_empty":
+            # destinations 0, 5-7 and 12.. have no in-edge
+            n_src = n_dst = 16
+            dst = r.choice([1, 2, 3, 4, 8, 9, 10, 11], 90)
+            src = r.integers(0, n_src, 90)
+        elif kind == "empty":
+            n_src = n_dst = 7
+            src = dst = np.empty(0, np.int64)
+        else:                              # a bipartite sampled block
+            from repro.graph.datasets import planted_partition
+            from repro.minidgl.sampling import sample_neighbors
+
+            ds = planted_partition(n=150, num_classes=3, feature_dim=4,
+                                   avg_degree=8, seed=seed)
+            return sample_neighbors(ds.adj, np.arange(0, 40, 2), 4, r).adj
+        return from_edges(n_src, n_dst, src, dst)
+
+    @staticmethod
+    def _inputs(adj, heads, seed, d=5):
+        r = np.random.default_rng(100 + seed)
+        scores = (r.standard_normal((adj.nnz, heads)) * 4).astype(np.float32)
+        z = r.standard_normal((adj.shape[1], heads, d)).astype(np.float32)
+        return scores, z
+
+    @pytest.mark.parametrize("need_alpha", [True, False])
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bits_match_the_fused_chain(self, kind, seed, heads, need_alpha):
+        adj = self._graph(kind, seed)
+        # edges numbered in insertion order (from_edges) or by the parent
+        # graph (a block): only the empty graph's ids are CSR positions
+        assert adj.positional_edge_ids() == (kind == "empty")
+        canon = CSRMatrix(adj.shape, adj.indptr, adj.indices)
+        scores, z = self._inputs(adj, heads, seed)
+        before = scores.copy()
+        with use_kernel_cache(KernelCache()) as cache:
+            want_out, want_alpha = FusedEdgeSoftmax(
+                canon, heads, cache=cache, feat_shape=z.shape[1:]
+            ).run_aggregate(scores, z, need_alpha=True)
+            backend = FeatGraphDGLBackend("cpu", cache=cache)
+            for graph in (adj, canon):
+                out, alpha = backend.fused_softmax_aggregate(
+                    graph, scores, z, need_alpha=need_alpha)
+                assert np.array_equal(scores, before)
+                assert out.dtype == np.float32
+                assert np.array_equal(out, want_out)
+                if need_alpha:
+                    assert alpha.dtype == np.float32
+                    assert np.array_equal(alpha, want_alpha)
+                else:
+                    assert alpha is None
 
 
 class TestNoReverseGraph:
