@@ -335,11 +335,12 @@ class GeneralizedSpMM:
         # load spans the tiled axis.  When none does, every tile would
         # replay the same gathers: evaluate each chunk once at full width
         # instead, and size chunks with the full-width rows included: two
-        # per edge, the (B, f) message and the copy of it the strategy
-        # densifies (bucketed's ``msgs[pos]``).  Counting one leaves single
-        # 6-7 MB buffers, so close to the allocator's adaptive mmap
-        # threshold that a hub row's overshoot decides between heap reuse
-        # and a fresh mapping, and peak RSS steps with the topology.
+        # per edge, the (B, f) message and the copy of it a strategy may
+        # densify (bucketed's ``msgs[pos]`` where rows share a degree).
+        # Counting one leaves single 6-7 MB buffers, so close to the
+        # allocator's adaptive mmap threshold that a hub row's overshoot
+        # decides between heap reuse and a fresh mapping, and peak RSS
+        # steps with the topology.
         tiles = self._tiles()
         if gather_free:
             tiles = [(0, self.msg_shape[0])]

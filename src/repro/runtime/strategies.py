@@ -14,14 +14,17 @@ histogram decides which shape of vectorization wins:
 
 ``bucketed``
     Degree-bucketed vectorization (the paper's hybrid-partitioning idea
-    applied to numpy): rows of equal degree ``d`` are gathered into one
-    dense ``(rows, d, F)`` batch and reduced with a single
+    applied to numpy): rows of equal degree ``d`` are reduced with one
     ``ufunc.reduce`` along the degree axis -- numpy's tight SIMD reduction
-    instead of reduceat's per-segment dispatch.  Pays a fancy-index gather
-    and one Python-level iteration per *distinct* degree, so it wins
-    exactly when segments are plentiful relative to distinct degrees and
-    the gathered rows are wide enough (the gather costs per row, not per
-    byte: below 16 values a row ``reduceat`` is cheaper).
+    instead of reduceat's per-segment dispatch.  A degree held by one row
+    reduces that row's CSR slice where it lies, with no index and no copy;
+    a degree held by several rows gathers them into one dense
+    ``(rows, d, F)`` batch first.  Every bucket writes one per-chunk
+    buffer, folded into the accumulator once.  Pays one Python-level
+    iteration per *distinct* degree, and the gather where rows share a
+    degree, so it wins when rows are long or plentiful relative to
+    distinct degrees and wide enough (numpy's reduce and gather cost per
+    row, not per byte: below 16 values a row ``reduceat`` is cheaper).
 
 ``parallel``
     Rows sharded across the workers of the default
@@ -119,10 +122,10 @@ STRATEGY_NAMES = UFUNC_STRATEGIES + ("spblas",)
 #: for bucketing's per-bucket Python dispatch to pay for itself
 _BUCKET_WORK_PER_DEGREE = 512
 
-#: narrowest rows bucketing pays for: its ``msgs[pos]`` gather costs per
-#: *row* gathered, ``reduceat`` per byte reduced, and they cross at 16
-#: float32 (segmented max of (160 K, w) over 4000 rows, ms, reduceat /
-#: bucketed: w=4 1.0 / 6.0, w=8 2.2 / 6.5, w=16 6.7 / 6.4, w=64 63.6 / 9.0)
+#: narrowest rows bucketing pays for: its reduce and gather cost per *row*,
+#: ``reduceat`` per byte reduced, and they cross at 16 float32 (segmented
+#: max of (160 K, w) over 4000 rows, ms, reduceat / bucketed: w=4 1.0 / 5.4,
+#: w=8 2.2 / 5.8, w=16 6.9 / 5.7, w=64 62.3 / 10.0)
 _BUCKET_MIN_WIDTH = 16
 
 #: below this many edges a parallel combine runs inline (serial reduceat)
@@ -163,41 +166,54 @@ class ReduceatStrategy(AggregationStrategy):
 
 
 class DegreeBucketedStrategy(AggregationStrategy):
-    """Equal-degree rows batched into dense ``(rows, d, F)`` reductions."""
+    """One ``ufunc.reduce`` per distinct degree: over a lone row's CSR
+    slice in place, over a gathered ``(rows, d, F)`` batch when rows share
+    the degree; one accumulator update per chunk."""
 
     name = "bucketed"
 
     def combine(self, acc, seg, msgs, reducer):
         msgs = np.asarray(msgs)
         lengths = seg.lengths
+        if len(lengths) == 0:
+            return
         order = np.argsort(lengths, kind="stable")
         sorted_len = lengths[order]
         # bucket boundaries: equal-degree runs of the sorted histogram
         bnd = np.concatenate(
             ([0], np.flatnonzero(np.diff(sorted_len)) + 1, [len(order)]))
         ufunc = reducer.ufunc
-        for b0, b1 in zip(bnd[:-1], bnd[1:]):
+        # The dense reduction visits elements in CSR order, which differs
+        # from whatever order produced a caller's oracle; for long float32
+        # segments the sequential rounding drift between two orders is the
+        # dominant error.  Accumulating in float64 lands near the true value
+        # regardless of order, keeping every comparison inside the contract.
+        # Every other reduction keeps the dtype numpy's reduce picks (the
+        # platform int for a small-int add/multiply, which must not wrap
+        # before the accumulator update casts it).
+        widen = msgs.dtype == np.float32 and not reducer.order_insensitive
+        dtype = np.float64 if widen else ufunc.reduce(msgs[:1], axis=0).dtype
+        vals = np.empty((len(lengths),) + msgs.shape[1:], dtype=dtype)
+        starts = seg.starts
+        for b0, b1 in zip(bnd[:-1].tolist(), bnd[1:].tolist()):
             d = int(sorted_len[b0])
+            if b1 - b0 == 1:
+                # one row of this degree: reduce its CSR slice in place
+                i = order[b0]
+                s = starts[i]
+                ufunc.reduce(msgs[s:s + d], axis=0, dtype=dtype,
+                             out=vals[i, ...])
+                continue
             segs = order[b0:b1]
-            starts = seg.starts[segs]
             if d == 1:
-                vals = msgs[starts]
+                vals[segs] = msgs[starts[segs]]
             else:
-                pos = starts[:, None] + np.arange(d)
-                batch = msgs[pos]
-                if batch.dtype == np.float32 and not reducer.order_insensitive:
-                    # The dense reduction visits elements in CSR order, which
-                    # differs from whatever order produced a caller's oracle;
-                    # for long float32 segments the sequential rounding drift
-                    # between two orders is the dominant error.  Accumulating
-                    # in float64 lands near the true value regardless of
-                    # order, keeping every comparison inside the contract.
-                    vals = ufunc.reduce(
-                        batch, axis=1, dtype=np.float64).astype(np.float32)
-                else:
-                    vals = ufunc.reduce(batch, axis=1)
-            rows = seg.seg_rows[segs]
-            acc[rows] = ufunc(acc[rows], vals)
+                pos = starts[segs][:, None] + np.arange(d)
+                vals[segs] = ufunc.reduce(msgs[pos], axis=1, dtype=dtype)
+        if widen:
+            vals = vals.astype(np.float32)
+        rows = seg.seg_rows
+        acc[rows] = ufunc(acc[rows], vals)
 
 
 class ParallelStrategy(AggregationStrategy):

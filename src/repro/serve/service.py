@@ -201,6 +201,7 @@ class InferenceService:
                                            feature_cache_bytes)
                               if feature_cache_bytes else None)
         self._out_dim = getattr(model, "out_dim", None)
+        self._num_vertices = dataset.adj.shape[0]
         self._pending: "deque[ServeFuture]" = deque()
         self._cond = threading.Condition()
         self._closing = False
@@ -266,13 +267,18 @@ class InferenceService:
         array; the future's logits have one row per seed, in the given
         order (duplicate seeds within a request are fine).  ``deadline_s``
         is a relative deadline: if the batch forms after it the request
-        fails with :class:`DeadlineExceeded`.  Raises :class:`Overloaded`
-        when ``max_queue_depth`` requests already wait, and
-        :class:`ServiceClosed` after shutdown began.
+        fails with :class:`DeadlineExceeded`.  Raises ``ValueError`` for a
+        seed outside ``[0, num_vertices)`` (it would fail every request of
+        its batch), :class:`Overloaded` when ``max_queue_depth`` requests
+        already wait, and :class:`ServiceClosed` after shutdown began.
         """
         seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
         if seeds.ndim != 1:
             raise ValueError("seeds must be a scalar or 1-D id array")
+        if len(seeds) and (seeds.min() < 0
+                           or seeds.max() >= self._num_vertices):
+            raise ValueError(
+                f"seed ids must lie in [0, {self._num_vertices})")
         now = time.perf_counter()
         fut = ServeFuture(seeds, None if deadline_s is None
                           else now + float(deadline_s))
@@ -318,7 +324,14 @@ class InferenceService:
                     return  # closing and drained
                 batch = self._collect()
                 t_formed = time.perf_counter()
-            self._run_batch(batch, t_formed)
+            try:
+                self._run_batch(batch, t_formed)
+            except BaseException as exc:
+                # never leave a client blocked, nor the batcher dead, on a
+                # crash: every future still open fails, exactly once
+                for fut in batch:
+                    if not fut.done():
+                        fut._fail(exc)
 
     def _collect(self) -> list[ServeFuture]:
         """Pop the oldest request and coalesce what is queued behind it,
@@ -349,32 +362,31 @@ class InferenceService:
                 live.append(fut)
         if not live:
             return
-        try:
-            all_seeds = np.concatenate([f.seeds for f in live])
-            uniq, inverse = np.unique(all_seeds, return_inverse=True)
-            t0 = time.perf_counter()
-            blocks = build_blocks(self.dataset.adj, uniq, self.fanouts,
-                                  self.rng)
-            sample_s = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            if self.feature_cache is not None:
-                h0 = self.feature_cache.hits
-                m0 = self.feature_cache.misses
-                feats = self.feature_cache.gather(blocks[0].src_ids)
-                dh = self.feature_cache.hits - h0
-                dm = self.feature_cache.misses - m0
-                hit_rate = dh / (dh + dm) if dh + dm else 0.0
-            else:
-                feats = blocks[0].gather_src_features(self.dataset.features)
-                hit_rate = float("nan")
-            self.model.eval()
-            with no_grad():
-                logits = self.model.forward_blocks(
-                    blocks, Tensor(feats), self.backend).numpy()
-        except BaseException as exc:
-            for fut in live:  # never leave a client blocked on a crash
-                fut._fail(exc)
-            return
+        all_seeds = np.concatenate([f.seeds for f in live])
+        uniq, inverse = np.unique(all_seeds, return_inverse=True)
+        t0 = time.perf_counter()
+        blocks = build_blocks(self.dataset.adj, uniq, self.fanouts,
+                              self.rng)
+        sample_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        if self.feature_cache is not None:
+            h0 = self.feature_cache.hits
+            m0 = self.feature_cache.misses
+            feats = self.feature_cache.gather(blocks[0].src_ids)
+            dh = self.feature_cache.hits - h0
+            dm = self.feature_cache.misses - m0
+            hit_rate = dh / (dh + dm) if dh + dm else 0.0
+        else:
+            feats = blocks[0].gather_src_features(self.dataset.features)
+            hit_rate = float("nan")
+        self.model.eval()
+        with no_grad():
+            logits = self.model.forward_blocks(
+                blocks, Tensor(feats), self.backend).numpy()
+        if len(logits) != len(uniq):
+            raise ValueError(
+                f"model returned {len(logits)} logit rows for "
+                f"{len(uniq)} seeds")
         t_done = time.perf_counter()
         compute_s = t_done - t0
         occupancy = len(uniq) / self.max_batch_seeds

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.runtime.plan import RowGather, segment_info
+from repro.runtime.plan import RowGather, row_segments, segment_info
 from repro.runtime.reducers import (
     REDUCERS,
     Reducer,
@@ -154,6 +154,117 @@ class TestBucketedStructure:
         acc = np.zeros((4, 2), np.float32)
         DegreeBucketedStrategy().combine(acc, seg, msgs, get_reducer("sum"))
         assert np.array_equal(acc[:, 0], [1, 3, 1, 3])
+
+
+def _own_degree_rows(rng, degrees, n_rows=None):
+    """``dst`` of a graph whose non-empty rows have the given degrees,
+    spread over ``n_rows`` rows in a random order."""
+    n_rows = n_rows or 2 * len(degrees)
+    rows = np.sort(rng.choice(n_rows, len(degrees), replace=False))
+    return np.repeat(rows, rng.permutation(degrees)), n_rows
+
+
+def _messages(rng, n_edges, width, dtype):
+    if np.dtype(dtype).kind == "f":
+        return rng.standard_normal((n_edges, width)).astype(dtype)
+    return rng.integers(-1000, 1000, (n_edges, width)).astype(dtype)
+
+
+class TestBucketedSliceReduce:
+    """A degree bucket of one row reduces its CSR slice where it lies; the
+    rest gather.  Both paths reduce a row in the same order, so max/min
+    are ``reduceat`` bit for bit and sums keep their dtype rules."""
+
+    @pytest.mark.parametrize("width", [4, 16, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
+    @pytest.mark.parametrize("op", ["max", "min"])
+    def test_every_row_its_own_degree_is_reduceat(self, rng, width, dtype,
+                                                  op):
+        # reddit-shaped: no two rows share a degree, many exceed 128 edges
+        degrees = rng.choice(np.arange(1, 700), 40, replace=False)
+        assert (degrees > 128).sum() > 10
+        dst, n_rows = _own_degree_rows(rng, degrees)
+        msgs = _messages(rng, len(dst), width, dtype)
+        seg = segment_info(dst)
+        reducer = get_reducer(op)
+        if np.dtype(dtype).kind == "i":    # the integer -inf / +inf
+            info = np.iinfo(dtype)
+            init = np.full((n_rows, width),
+                           info.min if op == "max" else info.max, dtype)
+        else:
+            init = np.full((n_rows, width), reducer.identity, dtype)
+        got, want = init.copy(), init.copy()
+        DegreeBucketedStrategy().combine(got, seg, msgs, reducer)
+        ReduceatStrategy().combine(want, seg, msgs, reducer)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("width", [4, 16, 64])
+    @pytest.mark.parametrize("op", ["sum", "prod"])
+    def test_every_row_its_own_degree_float32_reassociates(self, rng, width,
+                                                           op):
+        degrees = rng.choice(np.arange(1, 700), 40, replace=False)
+        dst, n_rows = _own_degree_rows(rng, degrees)
+        msgs = _messages(rng, len(dst), width, np.float32)
+        if op == "prod":
+            msgs = (1.0 + 0.001 * msgs).astype(np.float32)
+        seg = segment_info(dst)
+        got = _combine(DegreeBucketedStrategy(), n_rows, seg, msgs, op)
+        assert np.allclose(got, _oracle(n_rows, dst, msgs, op),
+                           rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("op", ["sum", "max", "min"])
+    def test_one_row_and_many_row_buckets_mixed(self, rng, op):
+        # degrees 1 and 3 are shared by several rows, 2, 200 and 500 by one
+        degrees = np.array([1, 1, 1, 3, 3, 3, 3, 2, 200, 500])
+        dst, n_rows = _own_degree_rows(rng, degrees, n_rows=16)
+        msgs = _messages(rng, len(dst), 16, np.float32)
+        seg = segment_info(dst)
+        got = _combine(DegreeBucketedStrategy(), n_rows, seg, msgs, op)
+        if op == "sum":
+            assert np.allclose(got, _oracle(n_rows, dst, msgs, op),
+                               rtol=1e-6, atol=1e-6)
+        else:
+            assert np.array_equal(got, _reduceat(n_rows, seg, msgs, op))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16])
+    @pytest.mark.parametrize("acc_dtype", ["msgs", np.int64, np.float64])
+    def test_small_int_sums_do_not_wrap_before_the_update(self, rng, dtype,
+                                                          acc_dtype):
+        """Rows are summed in the platform int, as numpy's own reduce
+        does, and cast only by the accumulator update: a wide accumulator
+        holds the exact sum, one in the message dtype wraps it once."""
+        info = np.iinfo(dtype)
+        degrees = np.array([1, 2, 2, 5, 40, 300, 700])
+        dst, n_rows = _own_degree_rows(rng, degrees)
+        msgs = rng.integers(info.min, int(info.max) + 1, (len(dst), 8),
+                            dtype=dtype)
+        acc_dtype = dtype if acc_dtype == "msgs" else acc_dtype
+        exact = np.zeros((n_rows, 8), np.int64)
+        np.add.at(exact, dst, msgs.astype(np.int64))
+        assert exact.max() > info.max or exact.min() < info.min
+        got = _combine(DegreeBucketedStrategy(), n_rows, segment_info(dst),
+                       msgs, "sum", dtype=acc_dtype)
+        assert got.dtype == acc_dtype
+        assert np.array_equal(got, exact.astype(acc_dtype))
+
+    def test_row_aligned_chunks_change_no_max_bit(self, rng):
+        degrees = rng.choice(np.arange(1, 900), 60, replace=False)
+        degrees[::7] = 5                     # a few shared degrees too
+        dst, n_rows = _own_degree_rows(rng, degrees)
+        msgs = _messages(rng, len(dst), 32, np.float32)
+        whole = _combine(DegreeBucketedStrategy(), n_rows, segment_info(dst),
+                         msgs, "max")
+        indptr = np.searchsorted(dst, np.arange(n_rows + 1))
+        reducer = get_reducer("max")
+        for n_chunks in (2, 5, n_rows):
+            acc = np.full((n_rows, 32), -np.inf, np.float32)
+            cuts = indptr[np.linspace(0, n_rows, n_chunks + 1).astype(int)]
+            for c0, c1 in zip(cuts[:-1], cuts[1:]):
+                seg = row_segments(indptr, int(c0), int(c1))
+                if seg is not None and len(seg.starts):
+                    DegreeBucketedStrategy().combine(acc, seg, msgs[c0:c1],
+                                                     reducer)
+            assert np.array_equal(acc, whole), f"{n_chunks} chunks"
 
 
 class TestParallelDeterminism:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.compile import KernelCache, use_kernel_cache
 from repro.graph.datasets import planted_partition
+from repro.minidgl.autograd import Tensor
 from repro.minidgl.backends import get_backend
 from repro.minidgl.models import GCN
 from repro.minidgl.train import infer_minibatch
@@ -237,6 +238,60 @@ class TestAdmissionControl:
         finally:
             svc.close()
         assert got.shape == (1, 4)
+
+
+class _OneShortBatch(GCN):
+    """A GCN whose first batch returns one logit row too few."""
+
+    short_batches = 1
+
+    def forward_blocks(self, blocks, x, backend):
+        out = super().forward_blocks(blocks, x, backend)
+        if self.short_batches:
+            self.short_batches -= 1
+            return Tensor(out.numpy()[:-1])
+        return out
+
+
+class TestBadInputIsolation:
+    def test_out_of_range_seeds_are_rejected_at_submit(self, model, dataset,
+                                                       backend):
+        """A seed outside ``[0, num_vertices)`` raises at ``submit``; it
+        never reaches a batch, so its would-be batchmates are served."""
+        svc = _service(model, dataset, backend, start=False)
+        ok = svc.submit(np.array([1, 2]))
+        for bad in (np.array([-1]), np.array([300]), np.array([4, 300])):
+            with pytest.raises(ValueError, match="seed ids"):
+                svc.submit(bad)
+        svc.start()
+        try:
+            got = ok.result(10.0)
+        finally:
+            svc.close()
+        want, _ = infer_minibatch(model, dataset, backend, np.array([1, 2]))
+        assert np.allclose(got, want, atol=1e-5)
+        stats = svc.stats()
+        assert stats["accepted"] == 1 and stats["served"] == 1
+
+    def test_a_bad_model_output_fails_only_its_batch(self, dataset,
+                                                     backend):
+        """A forward that returns the wrong number of rows fails its own
+        batch's futures with ``ValueError``; the batcher survives and
+        serves the next request."""
+        model = _OneShortBatch(16, 4, hidden=8, dropout=0.0, seed=0)
+        svc = _service(model, dataset, backend, start=False)
+        doomed = [svc.submit(np.array([1, 2])), svc.submit(np.array([7]))]
+        svc.start()
+        try:
+            for fut in doomed:
+                with pytest.raises(ValueError, match="logit rows"):
+                    fut.result(10.0)
+            got, _ = svc.infer(np.array([3]), timeout=10.0)
+            assert svc._thread.is_alive()
+        finally:
+            svc.close()
+        want, _ = infer_minibatch(model, dataset, backend, np.array([3]))
+        assert np.allclose(got, want, atol=1e-5)
 
 
 class TestShutdown:
