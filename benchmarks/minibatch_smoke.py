@@ -52,10 +52,6 @@ FRONT_AND_LOWER_PASSES = ("build_expr", "fuse_fds", "lower", "vectorize")
 STAGED_GAT_BINDS_PER_BLOCK = 3 + 1 + 1
 
 
-def _bound(stats: dict) -> int:
-    return stats["binds"] + stats["fused_binds"]
-
-
 def _train_batches(model, ds, fanouts, cache):
     """One epoch of sampled training steps, forward and backward; returns
     the cache stats after the first batch and the number of batches."""
@@ -98,7 +94,7 @@ def check_kernel_reuse(ds, log=print):
     with use_kernel_cache(KernelCache()) as cache, use_fusion(False):
         first, batches = _train_batches(model, ds, fanouts, cache)
         s = cache.stats()
-        per_batch = (_bound(s) - _bound(first)) / (batches - 1)
+        per_batch = (s["binds"] - first["binds"]) / (batches - 1)
         expected = STAGED_GAT_BINDS_PER_BLOCK * len(fanouts)
         assert per_batch == expected, (
             f"{per_batch} binds per batch, expected "
@@ -109,13 +105,12 @@ def check_kernel_reuse(ds, log=print):
             assert after == before, (
                 f"pass {p!r} re-ran after the first batch: "
                 f"{before} -> {after}")
-        served = (s["hits"] + _bound(s) + s["template_hits"]
-                  + s["fused_template_hits"])
+        served = s["hits"] + s["binds"] + s["template_hits"]
         assert served > s["pipeline_runs"], (
             f"cache barely used: {served} served vs "
             f"{s['pipeline_runs']} pipeline runs")
         log(f"  reuse: {batches} batches, {s['pipeline_runs']} pipeline "
-            f"runs, {_bound(s)} binds ({per_batch:g} per batch), no "
+            f"runs, {s['binds']} binds ({per_batch:g} per batch), no "
             f"block transposed, pass_counts frozen after batch 1")
 
         # analyzer gate on everything the run compiled or bound
@@ -145,7 +140,7 @@ def check_native_routes(ds, log=print):
         with use_kernel_cache(KernelCache()) as cache:
             _, batches = _train_batches(model, ds, [5, 5], cache)
             s = cache.stats()
-        made = _bound(s) + s["pipeline_runs"] + s["fused_compiles"]
+        made = s["binds"] + s["pipeline_runs"]
         assert made == 0, (
             f"{name} bound or compiled {made} kernels over {batches} batches")
         log(f"  {name}: {batches} batches, no kernel bound or compiled")

@@ -94,8 +94,8 @@ def leading_gather(expr, axes) -> tuple | None:
 
     Returns ``(tensor_name, var_name, k)`` or None.  With ``k ==
     len(axes)`` this is the operand one fancy-index gather serves (the
-    fused ``binop`` CSE mode, the table of :func:`row_gather_form`); with
-    a smaller ``k`` it is a value per edge and leading feature index.
+    table of :func:`row_gather_form`); with a smaller ``k`` it is a value
+    per edge and leading feature index.
     """
     if not isinstance(expr, TensorElem):
         return None
@@ -123,7 +123,7 @@ def row_gather_form(out: Tensor) -> tuple | None:
     or per-head edge weight).  A full-width elementwise ``W`` is no row
     scaling and stays a compiled program, as does anything read through
     ``dst``.  The match is structural and reads only the body's root, so
-    kernels and planned stages compute it once and keep it.
+    a kernel computes it once and keeps it.
     """
     body, axes = out.op.body, out.op.axis
     table = leading_gather(body, axes)

@@ -535,7 +535,7 @@ def _pass_verify_plan(ctx: CompileContext) -> None:
     what the runtime actually executes -- the chunked, strategy-sharded
     :class:`~repro.runtime.plan.ExecutionPlan` the kernel lowers to
     (:mod:`repro.runtime.verify`): shard disjointness, determinism class,
-    buffer lifetimes, gather bounds.  Runs after ``vectorize`` so the plan
+    buffer aliasing, gather bounds.  Runs after ``vectorize`` so the plan
     carries the compiled program (whose ``out=`` retirement FG008 scans)
     without compiling it twice.  Strict mode fails the compile on errors,
     exactly like ``analyze``.
@@ -740,7 +740,6 @@ class KernelCache:
         self._templates: "OrderedDict[UniversalSpec, TemplateEntry]" = \
             OrderedDict()
         self._prekeys: dict = {}
-        self._fused: "OrderedDict[tuple, object]" = OrderedDict()
         self._graphs: "OrderedDict[str, CSRMatrix]" = OrderedDict()
         self.max_graph_entries = max(self.max_entries, 128)
         self._hits = 0
@@ -752,10 +751,6 @@ class KernelCache:
         self._template_hits = 0
         self._template_misses = 0
         self._template_evictions = 0
-        self._fused_template_hits = 0
-        self._fused_template_misses = 0
-        self._fused_binds = 0
-        self._fused_compiles = 0
         self._pass_counts: dict[str, int] = {}
         self._pass_seconds: dict[str, float] = {}
 
@@ -842,40 +837,6 @@ class KernelCache:
                 for key in [k for k, v in self._prekeys.items()
                             if v == dropped]:
                     del self._prekeys[key]
-
-    # -- fused templates (cross-kernel chains) ---------------------------
-    def get_fused_template(self, key):
-        """Look up a fused-chain template (:mod:`repro.core.fusion`) by its
-        topology-independent key; counts a fused hit or miss.
-
-        Fused chains get their own namespace and ``fused_*`` counters so
-        benchmarks and CI smoke can tell fused-template hits apart from
-        single-kernel template hits."""
-        with self._lock:
-            entry = self._fused.get(key)
-            if entry is not None:
-                self._fused.move_to_end(key)
-                self._fused_template_hits += 1
-                return entry
-            self._fused_template_misses += 1
-            return None
-
-    def put_fused_template(self, key, entry) -> None:
-        """Insert a fused-chain template (same LRU budget as templates)."""
-        with self._lock:
-            self._fused[key] = entry
-            self._fused.move_to_end(key)
-            while len(self._fused) > self.max_entries:
-                self._fused.popitem(last=False)
-
-    def note_fused(self, bound: bool) -> None:
-        """Record one fused-kernel construction: a cheap per-topology bind
-        of a cached fused template, or a full fused-pipeline compile."""
-        with self._lock:
-            if bound:
-                self._fused_binds += 1
-            else:
-                self._fused_compiles += 1
 
     def note_timings(self, timings) -> None:
         """Aggregate per-pass run counts and seconds across compiles.
@@ -975,11 +936,11 @@ class KernelCache:
                 "template_hits": self._template_hits,
                 "template_misses": self._template_misses,
                 "template_evictions": self._template_evictions,
-                "fused_templates": len(self._fused),
-                "fused_template_hits": self._fused_template_hits,
-                "fused_template_misses": self._fused_template_misses,
-                "fused_binds": self._fused_binds,
-                "fused_compiles": self._fused_compiles,
+                # read by benchmarks/perf; ROADMAP 1(a) retires them
+                "fused_template_hits": 0,
+                "fused_template_misses": 0,
+                "fused_binds": 0,
+                "fused_compiles": 0,
                 "pass_counts": dict(self._pass_counts),
                 "pass_seconds": dict(self._pass_seconds),
             }
@@ -993,8 +954,6 @@ class KernelCache:
             self._binds = 0
             self._template_hits = self._template_misses = 0
             self._template_evictions = 0
-            self._fused_template_hits = self._fused_template_misses = 0
-            self._fused_binds = self._fused_compiles = 0
             self._pass_counts = {}
             self._pass_seconds = {}
 
@@ -1004,7 +963,6 @@ class KernelCache:
             self._kernels.clear()
             self._templates.clear()
             self._prekeys.clear()
-            self._fused.clear()
             self._graphs.clear()
             self.reset_stats()
 

@@ -15,9 +15,10 @@ paper's two patterns:
 No per-edge tensor other than the output is materialized.  ``cost()`` sums
 the three phases' machine-model times.
 
-This three-kernel form is the oracle and the cost model; the single-sweep
-form that walks the CSR once and computes ``exp(s - M)`` a single time
-(cross-kernel CSE) is :class:`repro.core.fusion.FusedEdgeSoftmax`.
+This three-kernel form is the cost model, and the staged oracle that the
+FeatGraph backend's native softmax-aggregate
+(:meth:`~repro.minidgl.backends.FeatGraphDGLBackend.fused_softmax_aggregate`)
+is tested against bit for bit.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ PARTITION_TARGET_BYTES = 2 * 1024 * 1024
 
 #: reducer ufunc/identity views from the runtime registry
 #: (:mod:`repro.runtime.reducers`) -- every segmented reduction in the
-#: repository, staged or fused, combines through the same tables
+#: repository combines through the same tables
 _AGG_UFUNC = AGG_UFUNC
 _AGG_IDENTITY = AGG_IDENTITY
 
@@ -83,17 +83,14 @@ def resolve_aggregation(aggregation) -> str:
         ) from None
 
 
-def row_gather_evaluate(form: tuple, dtype, row_bytes: int,
-                        chain_weight: bool = False):
+def row_gather_evaluate(form: tuple, dtype, row_bytes: int):
     """The stage evaluate of a row-gather message that a ``spblas`` sink
     aggregates: a :class:`~repro.runtime.plan.RowGather` over the bound
     table instead of the ``(B, *feat)`` block the compiled program builds.
 
     ``form`` is the stage's :func:`~repro.core.bindings.row_gather_form`.
     Table and weight bindings are taken in ``dtype`` (the program's output
-    dtype) and made contiguous at most once per plan, i.e. per run.  A
-    ``chain_weight`` is an earlier fused stage's chunk-local values
-    (``ctx.values``) rather than a binding gathered through ``eid``.  The
+    dtype) and made contiguous at most once per plan, i.e. per run.  The
     bytes booked are the table rows read (``row_bytes`` each) plus the
     weights gathered from memory -- no message is written.
     """
@@ -114,9 +111,7 @@ def row_gather_evaluate(form: tuple, dtype, row_bytes: int,
     def evaluate(bindings, ctx):
         nbytes = ctx.size * row_bytes
         weight = None
-        if chain_weight:
-            weight = ctx.values[weight_name]
-        elif weight_name is not None:
+        if weight_name is not None:
             weight = take_rows(operand(bindings, weight_name),
                                ctx.index("eid"))
             nbytes += weight.nbytes

@@ -17,7 +17,10 @@ comparison:
   ``fused_copy_u_aggregate`` (GCN/SAGE) is one
   :func:`repro.runtime.spblas.segment_sum` call, and
   ``fused_softmax_aggregate`` (GAT) a ``reduceat`` max, an in-place
-  ``exp`` and two segment sums.
+  ``exp`` and two segment sums.  Under
+  :func:`repro.core.fusion.use_fusion` ``(False)`` models call the staged
+  template primitives instead, the oracle both forwards are tested
+  against.
 
 Both compute the transpose product ``spmm_sum_t`` (``Aᵀ(w ⊙ x)``, every
 backward SpMM) on the *forward* CSR through
@@ -185,9 +188,9 @@ class FeatGraphDGLBackend:
         as native calls -- a ``reduceat`` max over the non-empty rows, the
         shift, ``exp`` and divide in one ``(m, heads)`` buffer, one segment
         sum for the denominators and one weighted segment sum.  No kernel
-        is bound; the bits are the fused chain's
-        (:class:`~repro.core.fusion.FusedEdgeSoftmax`) and ``scores`` is
-        not written.
+        is bound; the bits are those of the staged ``edge_softmax`` then
+        ``spmm_mul_sum`` (the ``use_fusion(False)`` oracle), and ``scores``
+        is not written.
 
         Returns ``(out, alpha)``; ``alpha`` (the buffer) is None unless
         requested, as a backward pass does.  A row with no in-edge gets 0.

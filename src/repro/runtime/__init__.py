@@ -11,7 +11,7 @@ reducer registry (:mod:`repro.runtime.reducers`) is the single source of
 ufunc/identity truth for every segmented reduction in the repository.
 
 The plan verifier (:mod:`repro.runtime.verify`, PR 8) statically proves
-shard disjointness, determinism class, buffer lifetimes, and gather
+shard disjointness, determinism class, buffer aliasing, and gather
 bounds (rules FG006-FG008, FG010) over every lowered plan,
 and its sanitizer executor (``FEATGRAPH_SANITIZE=1``) cross-checks those
 verdicts against instrumented runs.

@@ -1,15 +1,14 @@
 """The executor: one interpreter for every kernel family's chunk loop.
 
-``spmm.py``, ``sddmm.py`` and ``fusion.py`` each used to carry a private
-copy of the same runtime loop (slice edges into chunks, gather the batch,
-evaluate, push into an accumulator or output buffer, book the stats).
-They now *lower* to an :class:`~repro.runtime.plan.ExecutionPlan` and hand
-it to the :class:`Executor` here, which owns the loop once:
+``spmm.py`` and ``sddmm.py`` each used to carry a private copy of the
+same runtime loop (slice edges into chunks, gather the batch, evaluate,
+push into an accumulator or output buffer, book the stats).  They now
+*lower* to an :class:`~repro.runtime.plan.ExecutionPlan` and hand it to
+the :class:`Executor` here, which owns the loop once:
 
 - per chunk, a :class:`ChunkCtx` lazily materializes the gathered index
-  vectors, the destination-segment boundaries (from the gather plan's row
-  pointer when it carries one), and the chunk-local edge ids, and carries
-  the per-stage values dict fused chains read through;
+  vectors and the destination-segment boundaries (from the gather plan's
+  row pointer when it carries one);
 - stage **evaluates** produce ``(values, bytes_moved)`` -- the values a
   ``(B, *feat)`` block, or a :class:`~repro.runtime.plan.RowGather` that
   a ``spblas`` sink reduces without gathering it; stage **sinks**
@@ -45,15 +44,11 @@ class ChunkCtx:
 
     Everything derived from the chunk bounds is computed on first access
     and cached: the gathered index vectors (``index(name)``; ``batch`` is
-    all three, ``batch_for(prog)`` what one program runs on), ``segments``
-    (equal-destination runs, shared by every aggregate sink of a fused
-    chain), and ``local_eid`` (chunk-local positions, the index space
-    chain-edge consumers evaluate in).  ``values`` holds each stage's
-    per-edge output for later stages of the same chunk.
+    all three, ``batch_for(prog)`` what one program runs on) and
+    ``segments`` (equal-destination runs).
     """
 
-    __slots__ = ("c0", "c1", "_gather", "_batch", "_segments", "_local_eid",
-                 "values")
+    __slots__ = ("c0", "c1", "_gather", "_batch", "_segments")
 
     def __init__(self, c0: int, c1: int, gather):
         self.c0 = int(c0)
@@ -61,8 +56,6 @@ class ChunkCtx:
         self._gather = gather
         self._batch: dict | None = None
         self._segments: SegmentInfo | None = None
-        self._local_eid: np.ndarray | None = None
-        self.values: dict[str, np.ndarray] = {}
 
     @property
     def size(self) -> int:
@@ -101,12 +94,6 @@ class ChunkCtx:
         if self._segments is None:
             self._segments = self._gather.segments(self.c0, self.c1)
         return self._segments
-
-    @property
-    def local_eid(self) -> np.ndarray:
-        if self._local_eid is None:
-            self._local_eid = np.arange(self.size, dtype=np.int64)
-        return self._local_eid
 
 
 class AggregateSink:
@@ -151,18 +138,15 @@ class ScatterSink:
     order, permuted edge ids).
 
     ``tile`` scatters into a feature-column window (the SDDMM template's
-    feature tiling); ``count_bytes`` books the written bytes for stages
-    whose evaluate has no program-side accounting (fused alias/binop CSE
-    values landing in a surviving edge buffer).
+    feature tiling).  The written bytes are booked by the stage's
+    program, not here.
     """
 
-    __slots__ = ("out", "tile", "count_bytes")
+    __slots__ = ("out", "tile")
 
-    def __init__(self, out: np.ndarray, tile: tuple[int, int] | None = None,
-                 count_bytes: bool = False):
+    def __init__(self, out: np.ndarray, tile: tuple[int, int] | None = None):
         self.out = out
         self.tile = tile
-        self.count_bytes = count_bytes
 
     def apply(self, vals: np.ndarray, ctx: ChunkCtx) -> int:
         rows = ctx.eid_rows
@@ -170,7 +154,7 @@ class ScatterSink:
             self.out[rows, self.tile[0]:self.tile[1]] = vals
         else:
             self.out[rows] = vals
-        return vals.nbytes if self.count_bytes else 0
+        return 0
 
 
 class Executor:
@@ -220,10 +204,7 @@ class Executor:
             chunk_bytes += int(nbytes)
             compiled = compiled and st.compiled
             t0 = time.perf_counter()
-            ctx.values[st.name] = vals
             if st.sink is not None:
                 chunk_bytes += int(st.sink.apply(vals, ctx))
-            for name in st.frees:
-                del ctx.values[name]
             agg_s += time.perf_counter() - t0
         self.stats.add_chunk(eval_s, agg_s, chunk_bytes, compiled=compiled)

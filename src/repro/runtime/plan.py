@@ -1,10 +1,10 @@
 """Execution plans: what a bound kernel lowers to before it runs.
 
-The four kernel families (spmm / sddmm / softmax phases / fused chains)
-used to each hand-roll the same runtime loop: slice the edge set into
-chunks, gather the chunk's ``src``/``dst``/``eid`` index vectors, evaluate
-the UDF batch, and push the values into an accumulator or an output
-buffer.  An :class:`ExecutionPlan` reifies that loop as data:
+The kernel families (spmm / sddmm / softmax phases) used to each
+hand-roll the same runtime loop: slice the edge set into chunks, gather
+the chunk's ``src``/``dst``/``eid`` index vectors, evaluate the UDF
+batch, and push the values into an accumulator or an output buffer.
+An :class:`ExecutionPlan` reifies that loop as data:
 
 - a **chunking policy** (:class:`ChunkPolicy`): the target edge count,
   shrunk by :func:`effective_chunk_edges` when a compiled program reports
@@ -17,9 +17,9 @@ buffer.  An :class:`ExecutionPlan` reifies that loop as data:
   chunk its segments in O(rows) and makes ``dst`` an on-demand expansion;
 - per-chunk **stages** (:class:`Stage`): an evaluate callable plus a sink
   (segmented aggregation via a pluggable strategy, or an edge-indexed
-  scatter).  Single kernels have one stage; fused chains have one per
-  planned stage.  An evaluate returns the chunk's ``(B, *feat)`` values,
-  or a :class:`RowGather` that describes them without gathering them.
+  scatter).  Every kernel lowers to one stage per task.  An evaluate
+  returns the chunk's ``(B, *feat)`` values, or a :class:`RowGather`
+  that describes them without gathering them.
 
 The :class:`~repro.runtime.engine.Executor` interprets the plan; the
 aggregation strategies live in :mod:`repro.runtime.strategies`.
@@ -297,18 +297,15 @@ class Stage:
     """One evaluate+sink step of a chunk.
 
     ``evaluate(bindings, ctx)`` returns ``(values, bytes_moved)``; the
-    engine stores the values under ``name`` in the chunk context (later
-    stages of a fused chain read them) and hands them to ``sink``.
-    ``compiled`` feeds the ExecStats compiled-chunk counter.  ``frees``
-    names the chunk values no later stage reads: the engine drops them
-    once this stage's sink has run.
+    engine hands the values to ``sink``.  ``name`` labels the stage in
+    verifier diagnostics; ``compiled`` feeds the ExecStats compiled-chunk
+    counter.
     """
 
     name: str
     evaluate: Callable          # (bindings, ChunkCtx) -> (ndarray, int)
     sink: object | None = None  # engine.AggregateSink / engine.ScatterSink
     compiled: bool = False
-    frees: tuple[str, ...] = ()
 
 
 @dataclass
@@ -317,7 +314,7 @@ class EdgeTask:
 
     SpMM kernels emit one task per (feature tile x graph partition) -- per
     graph partition alone when no gather spans the tiled axis; SDDMM one
-    per feature tile; fused chains a single multi-stage task.
+    per feature tile.
     Tasks run in order -- one partition at a time -- and so do the chunks
     within a task.
     """

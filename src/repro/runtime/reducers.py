@@ -1,11 +1,11 @@
 """The one reducer registry.
 
 Every segmented reduction in the repository -- the SpMM templates'
-aggregation, the fused executor's combine-store, and the standalone
-:mod:`repro.graph.segment` helpers -- used to carry its own
-``{"sum": np.add, ...}`` table.  Three copies of the same mapping is three
-places for a new reducer (or a changed identity) to drift apart; this
-module is now the single source of truth they all consume.
+aggregation and the standalone :mod:`repro.graph.segment` helpers --
+used to carry its own ``{"sum": np.add, ...}`` table.  Each copy of the
+same mapping is one more place for a new reducer (or a changed identity)
+to drift apart; this module is now the single source of truth they all
+consume.
 
 A :class:`Reducer` bundles the numpy ufunc, the algebraic identity the
 accumulators are seeded with, and whether the operation is

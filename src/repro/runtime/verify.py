@@ -2,9 +2,8 @@
 
 The PR-3 analyzer proves properties of *lowered loop nests*; since PR 7
 the runtime executes something it never sees -- :class:`ExecutionPlan`
-chunk loops, segment-aligned :class:`ParallelStrategy` shards, and fused
-chains threading chunk-local buffers between stages.  This module gives
-the plan layer the same static safety net:
+chunk loops and segment-aligned :class:`ParallelStrategy` shards.  This
+module gives the plan layer the same static safety net:
 
 ``FG006`` **shard disjointness.**  A task's chunk bounds must partition
     the gathered edge domain, and -- whenever any stage aggregates --
@@ -24,15 +23,11 @@ the plan layer the same static safety net:
     combine order -- the cross-strategy parity contract as a checked
     property, which the sanitizer then enforces numerically.
 
-``FG008`` **buffer lifetime & aliasing.**  Chunk-local chain values must
-    be defined by an earlier stage of the same task before any stage
-    reads them; a stage whose message is never gathered
-    (:class:`~repro.runtime.plan.RowGather`) has no chunk-local value, so
-    no later stage may read it through the chunk context and it may not
-    be kept; sink buffers of one task must not alias each other; and
-    a compiled vector program's ``out=`` buffer reuse must only ever
-    retire program-local registers that were previously assigned --
-    never an input binding, which every chunk of a plan reads.
+``FG008`` **buffer aliasing.**  Sink buffers of one task must not alias
+    each other, and a compiled vector program's ``out=`` buffer reuse
+    must only ever retire program-local registers that were previously
+    assigned -- never an input binding, which every chunk of a plan
+    reads.
 
 ``FG010`` **gather bounds.**  ``GatherPlan`` index arrays are checked
     against the extents their graph-axis roles imply (``n_src`` /
@@ -72,7 +67,7 @@ Lint CLI::
                                    [--verbose]
 
 verifies every registered kernel family (spmm builtins x reducers,
-sddmm builtins, staged + fused edge softmax) under every segment-
+sddmm builtins, the three-kernel edge softmax) under every segment-
 reduction strategy and under the default per-sink resolution; any FG006+
 error exits non-zero (the CI ``plan-lint`` gate).
 """
@@ -212,12 +207,6 @@ class _Ctx:
         self.plan = plan
         meta = plan.extras.get("verify", {}) if plan.extras else {}
         self.dims: dict = dict(meta.get("dims", {}))
-        self.chain_reads: dict = dict(meta.get("chain_reads", {}))
-        #: of those, the reads that go through the chunk context
-        self.value_reads: dict = dict(meta.get("value_reads", {}))
-        #: stages whose message is never gathered (RowGather)
-        self.row_gather: dict = dict(meta.get("row_gather", {}))
-        self.keep: tuple = tuple(meta.get("keep", ()))
         self.programs: dict = dict(meta.get("programs", {}))
         self.diags: list[Diagnostic] = []
 
@@ -379,7 +368,7 @@ def _check_parallel_cuts(ctx: _Ctx, ti: int, task, strategy) -> None:
 
 def _check_determinism(ctx: _Ctx) -> None:
     """FG007: one classification per sink and distinct (strategy, reducer)
-    pair -- the sinks of one fused chain resolve separately."""
+    pair."""
     seen = set()
     for ti, task, st, sink in _aggregate_sinks(ctx.plan):
         name = sink.strategy.name
@@ -427,29 +416,13 @@ def _check_program_source(ctx: _Ctx, name: str, prog) -> None:
             assigned.add(lhs.group(1))
 
 
-def _check_lifetimes(ctx: _Ctx) -> None:
-    """FG008: chain-value def-before-use, no use of a value that is never
-    gathered, and within-task sink aliasing."""
+def _check_aliasing(ctx: _Ctx) -> None:
+    """FG008: within-task sink aliasing, and the ``out=`` retirement of
+    each stage's compiled program."""
     for ti, task in enumerate(ctx.plan.tasks):
         defined: set = set()
         sinks: list[tuple[str, np.ndarray]] = []
         for st in task.stages:
-            for read in ctx.chain_reads.get(st.name, ()):
-                if read not in defined:
-                    ctx.add("FG008", f"task[{ti}].{st.name}",
-                            f"reads chunk-local value {read!r} before any "
-                            "earlier stage of this task defines it "
-                            "(stale or missing buffer)")
-            for read in ctx.value_reads.get(st.name, ()):
-                if read in ctx.row_gather:
-                    ctx.add("FG008", f"task[{ti}].{st.name}",
-                            f"reads the per-edge value of stage {read!r}, "
-                            "which hands its sink a row gather and never "
-                            "materializes one")
-            if st.name in ctx.row_gather and st.name in ctx.keep:
-                ctx.add("FG008", f"task[{ti}].{st.name}",
-                        "kept, but its per-edge value is a row gather that "
-                        "is never materialized")
             defined.add(st.name)
             buf = None
             if isinstance(st.sink, AggregateSink):
@@ -522,7 +495,7 @@ def verify_plan(plan: ExecutionPlan) -> AnalysisReport:
 
     Purely structural: segment boundaries and shard cuts are derived
     from the plan's own index arrays -- no stage evaluate runs and no
-    sink is applied.  Lowering sites attach role extents and chain-read
+    sink is applied.  Lowering sites attach role extents and program
     metadata under ``plan.extras["verify"]``; plans without metadata
     still get every check the sink buffers and gathers support.
     """
@@ -538,7 +511,7 @@ def verify_plan(plan: ExecutionPlan) -> AnalysisReport:
                     _check_parallel_cuts(ctx, ti, task, st.sink.strategy)
         _check_gather_bounds(ctx, ti, task)
     _check_determinism(ctx)
-    _check_lifetimes(ctx)
+    _check_aliasing(ctx)
     report = AnalysisReport(diagnostics=tuple(ctx.diags),
                             target=plan.extras.get("verify", {}).get(
                                 "target") if plan.extras else None)
@@ -564,16 +537,13 @@ def verify_kernel(kernel) -> AnalysisReport:
 
     Accepts every kernel family: :class:`~repro.core.spmm.GeneralizedSpMM`
     (dummy accumulator), :class:`~repro.core.sddmm.GeneralizedSDDMM`
-    (dummy output), :class:`~repro.core.fusion.FusedKernel` (dummy chain
-    buffers), and :class:`~repro.core.softmax.EdgeSoftmax` (all phase
-    kernels, plus the fused chain when enabled).  The buffers are
-    allocated but never written -- verification is static.
+    (dummy output) and :class:`~repro.core.softmax.EdgeSoftmax` (all phase
+    kernels).  The buffers are allocated but never written --
+    verification is static.
     """
-    from repro.core.fusion import FusedKernel
     from repro.core.sddmm import GeneralizedSDDMM
     from repro.core.softmax import EdgeSoftmax
     from repro.core.spmm import GeneralizedSpMM
-    from repro.runtime.reducers import AGG_IDENTITY
 
     if isinstance(kernel, GeneralizedSpMM):
         acc = np.empty((kernel.A.num_dst,) + kernel.msg_shape,
@@ -583,18 +553,6 @@ def verify_kernel(kernel) -> AnalysisReport:
         result = np.empty((kernel.A.nnz,) + kernel.out_shape,
                           dtype=np.float32)
         return verify_plan(kernel.execution_plan(result))
-    if isinstance(kernel, FusedKernel):
-        n_dst, m = kernel.A.num_dst, kernel.A.nnz
-        vbufs, ebufs = {}, {}
-        for st in kernel.plan.stages:
-            if st.kind == "spmm":
-                vbufs[st.name] = np.full((n_dst,) + st.feat_shape,
-                                         AGG_IDENTITY[st.aggregation],
-                                         dtype=np.float32)
-            elif not st.elided:
-                ebufs[st.name] = np.empty((m,) + st.feat_shape,
-                                          dtype=np.float32)
-        return verify_plan(kernel.execution_plan(vbufs, ebufs))
     if isinstance(kernel, EdgeSoftmax):
         return _merge(verify_kernel(k)
                       for k in (kernel._max_kernel, kernel._sum_kernel,
@@ -753,8 +711,7 @@ def _instrumented(plan: ExecutionPlan, violations: _Violations,
                 sink = _AggregateProxy(sink, loc, violations, dense=dense)
             elif isinstance(sink, ScatterSink):
                 sink = _ScatterProxy(sink, loc, violations)
-            stages.append(Stage(st.name, st.evaluate, sink, st.compiled,
-                                st.frees))
+            stages.append(Stage(st.name, st.evaluate, sink, st.compiled))
         tasks.append(EdgeTask(task.gather, task.bounds, stages,
                               task.needs_segments))
     return ExecutionPlan(tasks, label=plan.label, strategy=plan.strategy,
@@ -800,17 +757,15 @@ def iter_suite(suite: str):
     ``builtins`` covers every builtin message function (one reducer
     each; ``u_mul_e`` with a scalar and with a per-head edge weight),
     ``copy_u`` under every reducer, every builtin edge function,
-    and the staged + fused edge softmax -- under every pinned strategy and
-    under the default request (``"default"``: per-sink resolution), whose
-    fused softmax-aggregate chain is also linted at GAT's head counts on
-    a regular graph (the FG007 notes say what each sink resolved to);
-    ``all`` adds nothing yet but mirrors the analysis CLI's flag shape.
+    and the three-kernel edge softmax -- under every pinned strategy and
+    under the default request (``"default"``: per-sink resolution; the
+    FG007 notes say what each sink resolved to); ``all`` adds nothing yet
+    but mirrors the analysis CLI's flag shape.
     """
     from repro import tensorir as T
     from repro.core import builtins as dgl_builtins
     from repro.core.api import sddmm as make_sddmm
     from repro.core.api import spmm as make_spmm
-    from repro.core.fusion import FusedEdgeSoftmax
     from repro.core.softmax import EdgeSoftmax
 
     adj = _adj()
@@ -857,21 +812,6 @@ def iter_suite(suite: str):
         yield (f"softmax/staged/{tag}", tag,
                lambda s=strat: EdgeSoftmax(adj, num_heads=2,
                                            agg_strategy=s))
-        yield (f"softmax/fused/{tag}", tag,
-               lambda s=strat: _pinned(FusedEdgeSoftmax(adj, 2).kernel, s))
-
-    # the selector's width rule: 64 rows of degree 8 pass bucketing's work
-    # threshold at any width, so a max sink selected at OUT's 16 x heads
-    # would bucket; at its own heads-wide rows it must not
-    from repro.graph.sparse import from_edges
-
-    dst = np.repeat(np.arange(64), 8)
-    regular = from_edges(64, 64, (dst * 5 + np.tile(np.arange(8), 64)) % 64,
-                         dst)
-    for heads in (1, 4):
-        yield (f"softmax/fused-aggregate/heads{heads}/default", "default",
-               lambda h=heads: FusedEdgeSoftmax(
-                   regular, h, feat_shape=(h, 16)).kernel)
 
 
 def lint(suite: str, *, verbose: bool, as_json: bool, out=None) -> int:

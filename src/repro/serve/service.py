@@ -212,6 +212,7 @@ class InferenceService:
         self._rejected = 0
         self._expired = 0
         self._cancelled = 0
+        self._failed = 0
         self._served = 0
         self._batches = 0
         self._seeds_served = 0
@@ -328,10 +329,13 @@ class InferenceService:
                 self._run_batch(batch, t_formed)
             except BaseException as exc:
                 # never leave a client blocked, nor the batcher dead, on a
-                # crash: every future still open fails, exactly once
-                for fut in batch:
-                    if not fut.done():
-                        fut._fail(exc)
+                # crash: every future still open fails, exactly once, and
+                # is counted before its client can wake
+                failed = [fut for fut in batch if not fut.done()]
+                with self._cond:
+                    self._failed += len(failed)
+                for fut in failed:
+                    fut._fail(exc)
 
     def _collect(self) -> list[ServeFuture]:
         """Pop the oldest request and coalesce what is queued behind it,
@@ -425,6 +429,7 @@ class InferenceService:
                 "rejected": self._rejected,
                 "expired": self._expired,
                 "cancelled": self._cancelled,
+                "failed": self._failed,
                 "served": self._served,
                 "batches": batches,
                 "pending": len(self._pending),

@@ -76,10 +76,8 @@ RULES: dict[str, tuple[str, str]] = {
               "bit-identical, reassociated-fp, or nondeterministic under "
               "its strategy's combine order"),
     "FG008": (Severity.ERROR,
-              "buffer lifetime: a plan stage reads a chunk-local value "
-              "before any stage defines it, sink buffers alias within a "
-              "task, or a compiled program writes out= into a live or "
-              "bound buffer"),
+              "buffer aliasing: sink buffers alias within a task, or a "
+              "compiled program writes out= into a live or bound buffer"),
     "FG010": (Severity.ERROR,
               "gather bounds: a GatherPlan index array escapes the extent "
               "its graph-axis role implies, or chunk bounds escape the "

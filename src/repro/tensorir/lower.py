@@ -21,7 +21,7 @@ from repro.tensorir.simplify import simplify
 from repro.tensorir.validate import (DEFAULT_FREE_VARS, validate_ir,
                                      validate_schedule)
 
-__all__ = ["lower", "substitute", "inline_computes", "replace_tensor_reads"]
+__all__ = ["lower", "substitute", "inline_computes"]
 
 
 def substitute(node: E.Expr, mapping: Mapping[str, E.Expr]) -> E.Expr:
@@ -77,41 +77,6 @@ def inline_computes(node: E.Expr) -> E.Expr:
     if isinstance(node, E.Reduce):
         return E.Reduce(node.combiner, inline_computes(node.source), node.axes)
     raise TypeError(f"cannot inline in {type(node).__name__}")
-
-
-def replace_tensor_reads(node: E.Expr, name: str, fn) -> E.Expr:
-    """Rewrite every read of placeholder tensor ``name`` via ``fn(indices)``.
-
-    ``fn`` receives the (already recursively rewritten) index expressions of
-    one ``TensorElem`` read and returns the replacement expression.  The
-    cross-kernel fusion planner uses this to splice an elided producer
-    stage's body into its consumers, so the intermediate edge buffer never
-    needs to exist.
-    """
-    if isinstance(node, E.TensorElem):
-        idx = [replace_tensor_reads(i, name, fn) for i in node.indices]
-        if node.tensor.name == name and isinstance(node.tensor.op, E.PlaceholderOp):
-            return fn(idx)
-        return E.TensorElem(node.tensor, idx)
-    if isinstance(node, (E.IterVar, E.Var, E.IntImm, E.FloatImm)):
-        return node
-    if isinstance(node, E.BinOp):
-        return E.BinOp(node.op, replace_tensor_reads(node.a, name, fn),
-                       replace_tensor_reads(node.b, name, fn), dtype=node.dtype)
-    if isinstance(node, E.Call):
-        return E.Call(node.func,
-                      [replace_tensor_reads(a, name, fn) for a in node.args],
-                      dtype=node.dtype)
-    if isinstance(node, E.Select):
-        return E.Select(replace_tensor_reads(node.cond, name, fn),
-                        replace_tensor_reads(node.then, name, fn),
-                        replace_tensor_reads(node.otherwise, name, fn))
-    if isinstance(node, E.Cast):
-        return E.Cast(replace_tensor_reads(node.value, name, fn), node.dtype)
-    if isinstance(node, E.Reduce):
-        return E.Reduce(node.combiner,
-                        replace_tensor_reads(node.source, name, fn), node.axes)
-    raise TypeError(f"cannot rewrite reads in {type(node).__name__}")
 
 
 def _find_reduce(node: E.Expr) -> E.Reduce | None:

@@ -172,7 +172,7 @@ class ProgramStats:
     #: emitted reduce
     reduce_forms: list = field(default_factory=list)
     #: (itemsize, reads_batch, axes, trip, tensor) per gather, for bytes
-    #: accounting; ``tensor`` lets the fused executor exclude chain buffers
+    #: accounting
     loads: list = field(default_factory=list)
     #: upper bound on bytes gathered per batch element (chunk sizing)
     workset_bytes_per_item: int = 0
@@ -1396,21 +1396,14 @@ class VectorProgram:
             return val
         return np.ascontiguousarray(val, dtype=self.out_dtype)
 
-    def bytes_moved(self, batch: int, sizes=None, exclude=()) -> int:
+    def bytes_moved(self, batch: int, sizes=None) -> int:
         """Bytes gathered from input tensors plus bytes written to the
         output, for one chunk of ``batch`` elements over ``sizes``-shaped
-        output axes (defaults to the full axis extents).
-
-        ``exclude`` names input tensors whose gathers should not be
-        counted -- the fused executor passes the chunk-resident chain
-        buffers here, since those values never round-trip through memory.
-        """
+        output axes (defaults to the full axis extents)."""
         sizes = (tuple(sizes) if sizes is not None
                  else self.default_sizes)
         total = 0
-        for itemsize, has_batch, axes, trip, tname in self.stats.loads:
-            if tname in exclude:
-                continue
+        for itemsize, has_batch, axes, trip, _ in self.stats.loads:
             moved = itemsize * trip * (batch if has_batch else 1)
             for j in axes:
                 moved *= sizes[j]

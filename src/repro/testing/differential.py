@@ -36,8 +36,6 @@ __all__ = [
     "build_bindings",
     "aggregate_edges",
     "run_trial",
-    "fusable_chain",
-    "run_fused_trial",
     "run_strategy_trial",
     "run_sanitize_trial",
     "run_trials",
@@ -337,118 +335,6 @@ def run_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
 
 
 # ----------------------------------------------------------------------
-# fused-vs-unfused oracle (whole-chain differential, repro.core.fusion)
-# ----------------------------------------------------------------------
-
-def fusable_chain(cfg: TrialConfig, registry=None) -> bool:
-    """Whether a config's UDF family can head a fused softmax-aggregate
-    chain: it must trace as an SDDMM stage (the chain's score producer) and
-    the fused sweep is CPU-only."""
-    registry = registry or G.UDF_FAMILIES
-    fam = registry[cfg.udf]
-    return "sddmm" in fam.kinds and cfg.target == "cpu"
-
-
-def run_fused_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
-                    registry=None) -> TrialResult:
-    """Differential oracle for whole-chain fusion.
-
-    Builds the 5-stage chain *scores (family UDF) -> max -> exp-sum ->
-    normalize -> weighted aggregate* twice: staged (four independent
-    kernels plus the staged :class:`~repro.core.softmax.EdgeSoftmax`) and
-    fused (:func:`repro.core.fusion.compile_fused`, one edge sweep with the
-    score stage elided), then compares the aggregate output **and** the
-    kept attention tensor at the harness tolerance.
-
-    Failure stages are prefixed ``fused`` so the shrinker can re-run the
-    right oracle.
-    """
-    from repro import tensorir as T
-    from repro.core.builtins import u_mul_e_msg
-    from repro.core.compile import KernelCache
-    from repro.core.fusion import KernelGraph, compile_fused
-    from repro.core.softmax import EdgeSoftmax
-
-    try:
-        csr, instance = _materialize(cfg, registry)
-        adj = spmat(csr)
-        if len(instance.out_shape) != 1:
-            raise ValueError(
-                f"chain scores must be 1-D per edge, got {instance.out_shape}")
-        w = int(instance.out_shape[0])
-        m, n_dst, n_src = csr.nnz, csr.shape[0], csr.shape[1]
-        cache = KernelCache()
-        bindings = build_bindings(instance, None, cfg.data_seed)
-        z = np.random.default_rng(int(cfg.data_seed) + 1).standard_normal(
-            (n_src, w)).astype(np.float32)
-
-        # -- staged reference: independent kernels, staged softmax --------
-        score_kernel = sddmm(adj, instance.udf, target="cpu", cache=cache)
-        scores = np.asarray(score_kernel.run(bindings),
-                            dtype=np.float32).reshape(m, w)
-        alpha_ref = EdgeSoftmax(adj, w, cache=cache).run(scores).reshape(m, w)
-        ZV = T.placeholder((n_src, w), name="ZV")
-        AL = T.placeholder((m, w), name="AL")
-        out_ref = spmm(adj, u_mul_e_msg(ZV, AL), "sum", cache=cache).run(
-            {"ZV": z, "AL": alpha_ref})
-
-        # -- fused chain --------------------------------------------------
-        FES = T.placeholder((max(m, 1), w), name="FES")
-        FMAX = T.placeholder((n_dst, w), name="FMAX")
-        FSUM = T.placeholder((n_dst, w), name="FSUM")
-        FALPHA = T.placeholder((max(m, 1), w), name="FALPHA")
-
-        def max_msg(src, dst, eid):
-            return T.compute((w,), lambda i: FES[eid, i], name="fz_max")
-
-        def expsum_msg(src, dst, eid):
-            return T.compute((w,), lambda i: T.exp(FES[eid, i] - FMAX[dst, i]),
-                             name="fz_expsum")
-
-        def norm_edge(src, dst, eid):
-            return T.compute(
-                (w,),
-                lambda i: T.exp(FES[eid, i] - FMAX[dst, i]) / FSUM[dst, i],
-                name="fz_norm")
-
-        kg = KernelGraph(adj, target="cpu", outputs=("FOUT",))
-        kg.add_stage("FES", "sddmm", instance.udf)
-        kg.add_stage("FMAX", "spmm", max_msg, aggregation="max")
-        kg.add_stage("FSUM", "spmm", expsum_msg, aggregation="sum",
-                     guard_zero=True)
-        kg.add_stage("FALPHA", "sddmm", norm_edge)
-        kg.add_stage("FOUT", "spmm", u_mul_e_msg(ZV, FALPHA),
-                     aggregation="sum")
-        chunk = int(cfg.options.get("chunk_edges", 0))
-        fused = (compile_fused(kg, cache=cache, chunk_edges=chunk) if chunk
-                 else compile_fused(kg, cache=cache))
-    except Exception as exc:  # noqa: BLE001 - report, don't crash the fuzzer
-        return TrialResult(False, stage="fused-build",
-                           message=f"{type(exc).__name__}: {exc}")
-
-    try:
-        res = fused.run({**bindings, "ZV": z}, keep=("FALPHA",))
-    except Exception as exc:  # noqa: BLE001
-        return TrialResult(False, stage="fused-run",
-                           message=f"{type(exc).__name__}: {exc}")
-
-    out, alpha = res["FOUT"], res["FALPHA"]
-    if not np.allclose(out, out_ref, atol=atol, rtol=atol, equal_nan=True):
-        worst = float(np.nanmax(np.abs(out - out_ref))) if out.size else 0.0
-        return TrialResult(False, stage="fused-out", max_abs_diff=worst,
-                           message=f"fused vs staged aggregate: max abs diff "
-                                   f"{worst:.3g} > atol {atol:g}")
-    if not np.allclose(alpha, alpha_ref, atol=atol, rtol=atol,
-                       equal_nan=True):
-        worst = (float(np.nanmax(np.abs(alpha - alpha_ref)))
-                 if alpha.size else 0.0)
-        return TrialResult(False, stage="fused-alpha", max_abs_diff=worst,
-                           message=f"fused (kept) vs staged attention: max "
-                                   f"abs diff {worst:.3g} > atol {atol:g}")
-    return TrialResult(True, stage="fused")
-
-
-# ----------------------------------------------------------------------
 # execution-strategy oracle (every segment-reduction strategy, same config)
 # ----------------------------------------------------------------------
 
@@ -644,15 +530,11 @@ def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
 def run_trials(trials: int, seed: int, atol: float = DEFAULT_ATOL,
                registry=None, on_failure=None, *,
                analyzer_cross_check: bool = False,
-               fused_oracle: bool = False,
                strategy_oracle: bool = False,
                sanitize_oracle: bool = False) -> FuzzReport:
     """Run ``trials`` sampled configs; collect failures and coverage.
 
-    With ``fused_oracle=True``, every config whose family can head a fused
-    chain (see :func:`fusable_chain`) additionally runs the fused-vs-staged
-    differential; coverage gains a ``"fused"`` axis.  With
-    ``strategy_oracle=True``, every SpMM config additionally runs once per
+    With ``strategy_oracle=True``, every SpMM config additionally runs once per
     segment-reduction strategy against the edge-loop oracle
     (:func:`run_strategy_trial`); coverage gains a ``"strategy"`` axis.
     With ``sanitize_oracle=True``, every config additionally runs under the
@@ -666,8 +548,6 @@ def run_trials(trials: int, seed: int, atol: float = DEFAULT_ATOL,
     rnd = random.Random(seed)
     failures = []
     coverage = {"udf": {}, "target": {}, "kind": {}, "agg": {}}
-    if fused_oracle:
-        coverage["fused"] = {"checked": 0, "skipped": 0}
     if strategy_oracle:
         coverage["strategy"] = {"checked": 0, "skipped": 0}
     if sanitize_oracle:
@@ -695,14 +575,6 @@ def run_trials(trials: int, seed: int, atol: float = DEFAULT_ATOL,
         if not res.ok:
             record(cfg, res)
             continue
-        if fused_oracle:
-            if fusable_chain(cfg, registry):
-                coverage["fused"]["checked"] += 1
-                fres = run_fused_trial(cfg, atol=atol, registry=registry)
-                if not fres.ok:
-                    record(cfg, fres)
-            else:
-                coverage["fused"]["skipped"] += 1
         probe = width_probe(cfg)
         if strategy_oracle:
             if cfg.kind == "spmm":

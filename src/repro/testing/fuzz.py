@@ -15,13 +15,6 @@ config the ``analyze`` pass flags with error diagnostics must actually
 diverge from a reference, otherwise the trial fails at stage ``analysis``
 (an analyzer false positive) and is shrunk like any other failure.
 
-With ``--fuse``, every config whose UDF family can head a fused
-softmax-aggregate chain additionally runs the fused-vs-unfused whole-chain
-differential (:func:`repro.testing.differential.run_fused_trial`): the same
-five-stage program executed staged and as one fused edge sweep must agree
-on both the aggregate output and the attention tensor.  Fused failures
-shrink with the fused oracle as the predicate.
-
 With ``--exec-strategy``, every SpMM config is additionally executed once
 per segment-reduction strategy (``reduceat`` / ``bucketed`` / ``parallel``
 / ``spblas``) against the plain edge-loop oracle, plus the cross-strategy
@@ -37,7 +30,7 @@ default requests resolved to.
 With ``--sanitize``, every config additionally runs under the dynamic
 sanitizer executor (:func:`repro.testing.differential.run_sanitize_trial`):
 the plan verifier's static verdicts (FG006-FG008, FG010 -- shard
-disjointness, determinism class, buffer lifetimes, gather bounds) are
+disjointness, determinism class, buffer aliasing, gather bounds) are
 cross-checked against an instrumented run, per segment-reduction strategy
 for SpMM configs -- for a row-gather message the default plan never
 materializes (``copy_u`` / ``copy_e`` / ``u_mul_e``) against the stage's
@@ -53,9 +46,7 @@ import sys
 from repro.testing.differential import (
     DEFAULT_ATOL,
     TrialConfig,
-    fusable_chain,
     replay_command,
-    run_fused_trial,
     run_sanitize_trial,
     run_strategy_trial,
     run_trial,
@@ -67,7 +58,7 @@ __all__ = ["main"]
 
 
 def _print_coverage(coverage: dict, out=sys.stdout) -> None:
-    for axis in ("kind", "target", "agg", "udf", "fused", "strategy",
+    for axis in ("kind", "target", "agg", "udf", "strategy",
                  "sanitize"):
         counts = coverage.get(axis, {})
         if not counts:
@@ -93,9 +84,6 @@ def main(argv=None) -> int:
     ap.add_argument("--analyze", action="store_true",
                     help="cross-check the static analyzer's verdict against "
                          "the numerics (analyzer errors must mean divergence)")
-    ap.add_argument("--fuse", action="store_true",
-                    help="also run the fused-vs-unfused whole-chain oracle "
-                         "on every fusable config")
     ap.add_argument("--exec-strategy", action="store_true",
                     help="also run every SpMM config once per "
                          "segment-reduction strategy against the edge-loop "
@@ -115,8 +103,6 @@ def main(argv=None) -> int:
             return 2
         res = run_trial(cfg, atol=args.atol,
                         analyzer_cross_check=args.analyze)
-        if res.ok and args.fuse and fusable_chain(cfg):
-            res = run_fused_trial(cfg, atol=args.atol)
         if res.ok and args.exec_strategy and cfg.kind == "spmm":
             res = run_strategy_trial(cfg, atol=args.atol)
         if res.ok and args.sanitize:
@@ -129,7 +115,6 @@ def main(argv=None) -> int:
 
     report = run_trials(args.trials, args.seed, atol=args.atol,
                         analyzer_cross_check=args.analyze,
-                        fused_oracle=args.fuse,
                         strategy_oracle=args.exec_strategy,
                         sanitize_oracle=args.sanitize)
     print(f"{report.trials} trials, {len(report.failures)} failures "
@@ -141,10 +126,7 @@ def main(argv=None) -> int:
     for cfg, res in report.failures[:5]:
         print(f"\nFAIL [{res.stage}] {res.message}")
         if not args.no_shrink:
-            if res.stage.startswith("fused"):
-                cfg = shrink(cfg, lambda c: not run_fused_trial(
-                    c, atol=args.atol).ok)
-            elif res.stage.startswith("sanitize"):
+            if res.stage.startswith("sanitize"):
                 cfg = shrink(cfg, lambda c: not run_sanitize_trial(
                     c, atol=args.atol).ok)
             elif res.stage.startswith("strategy"):

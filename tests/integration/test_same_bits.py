@@ -123,9 +123,8 @@ def parents_pick(monkeypatch):
     pool; yields the substituted sinks' reducer names."""
     # by import_module: the attribute ``repro.core.spmm`` is the builder
     # function, which shadows the module of that name
-    lowerings = [importlib.import_module(f"repro.core.{name}")
-                 for name in ("spmm", "fusion")]
-    real = lowerings[0].resolve_sink_strategy
+    lowering = importlib.import_module("repro.core.spmm")
+    real = lowering.resolve_sink_strategy
     substituted = []
     with WorkPool(4) as pool:
         def pick(requested, reducer_name, *args, **kwargs):
@@ -135,8 +134,7 @@ def parents_pick(monkeypatch):
                 return ParallelStrategy(pool)
             return strategy
 
-        for module in lowerings:
-            monkeypatch.setattr(module, "resolve_sink_strategy", pick)
+        monkeypatch.setattr(lowering, "resolve_sink_strategy", pick)
         yield substituted
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.compile import KernelCache, use_kernel_cache
-from repro.core.fusion import FusedEdgeSoftmax, use_fusion
+from repro.core.fusion import use_fusion
 from repro.graph.sparse import CSRMatrix, from_edges
 from repro.minidgl.autograd import Tensor, no_grad
 from repro.minidgl.backends import FeatGraphDGLBackend, MinigunBackend, get_backend
@@ -156,7 +156,7 @@ class TestCopyUBackward:
         model = GraphSage(16, 4, hidden=8, dropout=0.0, seed=1)
         backend = get_backend("featgraph")
         rng = np.random.default_rng(0)
-        made = ("binds", "fused_binds", "pipeline_runs", "fused_compiles")
+        made = ("binds", "pipeline_runs")
 
         def step(cache, first_seed, backward):
             """What one step on fresh blocks adds to the cache counters."""
@@ -178,10 +178,8 @@ class TestCopyUBackward:
             trained = step(cache, 128, backward=True)
         # staged, one sweep per block bound from its template; nothing
         # compiled either way
-        assert forward_only["binds"] + forward_only["fused_binds"] == \
-            (0 if fuse else 2)
-        assert forward_only["pipeline_runs"] == 0
-        assert forward_only["fused_compiles"] == 0
+        assert forward_only == {"binds": 0 if fuse else 2,
+                                "pipeline_runs": 0}
         # the backward binds nothing: its Aᵀ products need no kernel
         assert trained == forward_only
         assert transposed == []
@@ -303,10 +301,11 @@ class TestGatAttention:
 
 
 class TestSoftmaxAggregateBits:
-    """``fused_softmax_aggregate`` gives the bits of the fused chain
-    (``FusedEdgeSoftmax.run_aggregate``) on the graph's canonical copy:
-    ``out`` and ``alpha``, whatever rows are empty, whatever order the
-    graph's ``edge_ids`` name its edges in."""
+    """``fused_softmax_aggregate`` gives the bits of the staged kernels
+    that ``use_fusion(False)`` runs (``edge_softmax``, then
+    ``spmm_mul_sum`` with its ``alpha``): ``out`` and ``alpha``, whatever
+    rows are empty, whatever order the graph's ``edge_ids`` name its
+    edges in."""
 
     KINDS = ["random", "inner_and_trailing_empty", "empty", "block"]
 
@@ -345,7 +344,8 @@ class TestSoftmaxAggregateBits:
     @pytest.mark.parametrize("heads", [1, 4])
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", KINDS)
-    def test_bits_match_the_fused_chain(self, kind, seed, heads, need_alpha):
+    def test_bits_match_the_staged_kernels(self, kind, seed, heads,
+                                           need_alpha):
         adj = self._graph(kind, seed)
         # edges numbered in insertion order (from_edges) or by the parent
         # graph (a block): only the empty graph's ids are CSR positions
@@ -354,10 +354,9 @@ class TestSoftmaxAggregateBits:
         scores, z = self._inputs(adj, heads, seed)
         before = scores.copy()
         with use_kernel_cache(KernelCache()) as cache:
-            want_out, want_alpha = FusedEdgeSoftmax(
-                canon, heads, cache=cache, feat_shape=z.shape[1:]
-            ).run_aggregate(scores, z, need_alpha=True)
             backend = FeatGraphDGLBackend("cpu", cache=cache)
+            want_alpha = backend.edge_softmax(canon, scores)
+            want_out = backend.spmm_mul_sum(canon, z, want_alpha)
             for graph in (adj, canon):
                 out, alpha = backend.fused_softmax_aggregate(
                     graph, scores, z, need_alpha=need_alpha)

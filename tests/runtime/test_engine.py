@@ -107,9 +107,9 @@ class TestPlanConstruction:
         runtime package instead of slicing edges themselves."""
         import inspect
 
-        from repro.core import fusion, sddmm, softmax, spmm as spmm_mod
+        from repro.core import sddmm, softmax, spmm as spmm_mod
 
-        for mod in (spmm_mod, sddmm, softmax, fusion):
+        for mod in (spmm_mod, sddmm, softmax):
             source = inspect.getsource(mod)
             assert "def _row_aligned_chunks" not in source
             assert "_segmented_combine" not in source
@@ -126,7 +126,6 @@ class TestChunkCtx:
         assert np.array_equal(batch["src"], np.arange(2, 8))
         seg = ctx.segments
         assert np.array_equal(seg.seg_rows, np.unique(batch["dst"]))
-        assert np.array_equal(ctx.local_eid, np.arange(6))
 
     def test_batch_for_expands_dst_only_for_programs_that_read_it(self):
         import types
@@ -144,51 +143,6 @@ class TestChunkCtx:
         assert np.array_equal(gather.dst, [0, 0, 2, 2, 2, 3])
         with pytest.raises(ValueError, match="dst or the indptr"):
             GatherPlan(np.arange(6), None, np.arange(6))
-
-    def test_values_flow_between_stages(self):
-        gather = GatherPlan(src=np.arange(6), dst=np.zeros(6, np.int64),
-                            eid=np.arange(6))
-        out = np.zeros((6, 2), np.float32)
-
-        def first(bindings, ctx):
-            return np.ones((ctx.size, 2), np.float32), 0
-
-        def second(bindings, ctx):
-            return ctx.values["a"] * 3.0, 0
-
-        task = EdgeTask(gather=gather, bounds=[(0, 6)], stages=[
-            Stage("a", first),
-            Stage("b", second, ScatterSink(out)),
-        ])
-        Executor().run(ExecutionPlan([task]))
-        assert np.all(out == 3.0)
-
-    def test_a_value_leaves_the_chunk_after_its_last_reader(self):
-        """``Stage.frees``: once a stage's sink has run, the values no
-        later stage reads are dropped, chunk by chunk."""
-        gather = GatherPlan(src=np.arange(6), dst=np.zeros(6, np.int64),
-                            eid=np.arange(6))
-        out = np.zeros((6, 2), np.float32)
-        held = []
-
-        def first(bindings, ctx):
-            return np.ones((ctx.size, 2), np.float32), 0
-
-        def second(bindings, ctx):
-            return ctx.values["a"] * 3.0, 0
-
-        def third(bindings, ctx):
-            held.append(sorted(ctx.values))
-            return ctx.values["b"] + 1.0, 0
-
-        task = EdgeTask(gather=gather, bounds=[(0, 4), (4, 6)], stages=[
-            Stage("a", first),
-            Stage("b", second, frees=("a",)),
-            Stage("c", third, ScatterSink(out), frees=("b", "c")),
-        ])
-        Executor().run(ExecutionPlan([task]))
-        assert np.all(out == 4.0)
-        assert held == [["b"], ["b"]]
 
 
 def _csr_of(degrees, n_src=64):
@@ -292,18 +246,18 @@ class TestStrategySelection:
 
     def test_gat_softmax_max_on_the_benchmark_graph_stays_on_reduceat(
             self, default_workers):
-        from repro.core.fusion import FusedEdgeSoftmax
+        from repro.core.softmax import EdgeSoftmax
         from repro.graph.datasets import planted_partition
 
         adj = planted_partition(n=4000, num_classes=16, feature_dim=4,
                                 avg_degree=40, seed=0).adj
-        fused = FusedEdgeSoftmax(adj, 4, cache=KernelCache(),
-                                 feat_shape=(4, 16))
-        rng = np.random.default_rng(0)
-        fused.run_aggregate(
-            rng.standard_normal((adj.nnz, 4)).astype(np.float32),
-            rng.standard_normal((4000, 4, 16)).astype(np.float32))
-        assert fused.kernel.exec_stats.agg_strategy == "reduceat+spblas"
+        sm = EdgeSoftmax(adj, 4, cache=KernelCache())
+        sm.run(np.random.default_rng(0).standard_normal(
+            (adj.nnz, 4)).astype(np.float32))
+        picked = {phase: stats["agg_strategy"]
+                  for phase, stats in sm.exec_stats().items()}
+        assert picked == {"max": "reduceat", "expsum": "spblas",
+                          "normalize": None}
 
     def test_kernel_attribute_pins_strategy(self, graph):
         adj, *_ = graph
@@ -348,32 +302,11 @@ class TestRequestsThatAreNoStrategyName:
         assert np.all(out == -7.0) and k.exec_stats.chunks == 0
 
     @pytest.mark.parametrize("bad", BAD, ids=repr)
-    def test_fused_kernel(self, graph, bad):
-        from tests.core.test_fusion import copy_u_chain
-
-        adj, *_ = graph
-        fused = copy_u_chain(adj, (4,), cache=KernelCache())
-        fused.kernel.agg_strategy = bad
-        vbufs = {"COUT": np.full((30, 4), -7.0, np.float32)}
-        with self._raises():
-            fused.kernel.execution_plan(vbufs, {})
-        with self._raises():
-            fused.run(np.ones((30, 4), np.float32))
-        assert np.all(vbufs["COUT"] == -7.0)
-        assert fused.kernel.exec_stats.chunks == 0
-
-    @pytest.mark.parametrize("bad", BAD, ids=repr)
-    @pytest.mark.parametrize("fused", [False, True])
-    def test_edge_softmax(self, graph, bad, fused):
-        from repro.core.fusion import FusedEdgeSoftmax
+    def test_edge_softmax(self, graph, bad):
         from repro.core.softmax import EdgeSoftmax
 
         adj, *_ = graph
-        if fused:
-            sm = FusedEdgeSoftmax(adj, 2)
-            sm.kernel.agg_strategy = bad
-        else:
-            sm = EdgeSoftmax(adj, num_heads=2, agg_strategy=bad)
+        sm = EdgeSoftmax(adj, num_heads=2, agg_strategy=bad)
         with self._raises():
             sm.run(np.ones((adj.nnz, 2), np.float32))
         assert all(stats["chunks"] == 0
@@ -456,15 +389,16 @@ class TestExecStatsAccounting:
         ex.run(ExecutionPlan([], strategy="bucketed"))
         assert ex.stats.as_dict()["agg_strategy"] == "bucketed"
 
-    def test_scatter_sink_books_bytes_only_when_asked(self):
+    def test_scatter_sink_books_no_bytes(self):
+        """The stage's program books what a scatter writes; the sink adds
+        nothing."""
         out = np.zeros((4, 2), np.float32)
         gather = GatherPlan(src=np.arange(4), dst=np.zeros(4, np.int64),
                             eid=np.arange(4))
         ctx = ChunkCtx(0, 4, gather)
         vals = np.ones((4, 2), np.float32)
         assert ScatterSink(out).apply(vals, ctx) == 0
-        assert ScatterSink(out, count_bytes=True).apply(vals, ctx) == \
-            vals.nbytes
+        assert np.array_equal(out, vals)
 
     def test_finalize_runs_after_tasks(self):
         order = []

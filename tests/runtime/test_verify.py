@@ -2,8 +2,8 @@
 
 Two halves.  Statically: every kernel family x segment-reduction strategy
 must verify clean, and hand-corrupted plans must be rejected with the
-matching FG rule (overlapping chunks -> FG006, stale chain reads ->
-FG008, escaped gather indices -> FG010).  Dynamically: the sanitizer
+matching FG rule (overlapping chunks -> FG006, aliasing sinks -> FG008,
+escaped gather indices -> FG010).  Dynamically: the sanitizer
 executor must pass clean runs untouched and catch a runtime that
 contradicts a clean static verdict (a lying combine, a double scatter)
 with :class:`SanitizerError`.
@@ -18,7 +18,6 @@ from repro import tensorir as T
 from repro.core import builtins as dgl_builtins
 from repro.core.api import sddmm, spmm
 from repro.core.compile import KernelCache, use_kernel_cache
-from repro.core.fusion import FusedEdgeSoftmax
 from repro.core.softmax import EdgeSoftmax
 from repro.graph.sparse import from_edges
 from repro.runtime.engine import AggregateSink, Executor, ScatterSink
@@ -187,36 +186,6 @@ class TestStaticRejection:
         report = verify_plan(plan)
         assert "FG006" in _codes(report, Severity.ERROR)
 
-    def test_reading_a_value_that_is_never_gathered_fg008(self):
-        """A stage that hands its sink a RowGather leaves no chunk-local
-        value: a later stage reading it (or ``keep``) is a lifetime bug,
-        while a read of its *vertex buffer* is an ordinary chain read."""
-        def lazy(name, **extra):
-            meta = {"row_gather": {"agg": None},
-                    "chain_reads": {"later": [name]}, **extra}
-            plan = _agg_plan([0, 0, 1, 1], [(0, 4)],
-                             extras={"verify": meta})
-            task = plan.tasks[0]
-            task.stages = [task.stages[0],
-                           Stage("later", task.stages[0].evaluate)]
-            return [d for d in verify_plan(plan).diagnostics
-                    if d.rule == "FG008"]
-
-        assert lazy("agg") == []                      # vertex-buffer read
-        diags = lazy("agg", value_reads={"later": ["agg"]})
-        assert diags and diags[0].severity == Severity.ERROR
-        assert "row gather" in diags[0].message
-        diags = lazy("agg", keep=("agg",))
-        assert diags and "kept" in diags[0].message
-
-    def test_stale_chain_read_fg008(self):
-        extras = {"verify": {"chain_reads": {"agg": ["scores"]}}}
-        plan = _agg_plan([0, 0, 1, 1], [(0, 4)], extras=extras)
-        report = verify_plan(plan)
-        diags = [d for d in report.diagnostics if d.rule == "FG008"]
-        assert diags and diags[0].severity == Severity.ERROR
-        assert "scores" in diags[0].message
-
     def test_aliasing_sinks_within_a_task_fg008(self):
         plan = _agg_plan([0, 0, 1, 1], [(0, 4)])
         task = plan.tasks[0]
@@ -264,13 +233,10 @@ class TestFamiliesVerifyClean:
             k = sddmm(_adj(), dgl_builtins.u_dot_v_edge(XV, XV))
         assert not k.verify_report().has_errors
 
-    def test_softmax_staged_and_fused(self, strat):
+    def test_softmax(self, strat):
         with use_kernel_cache(KernelCache()), strict():
             staged = EdgeSoftmax(_adj(), num_heads=2, agg_strategy=strat)
-            fused = FusedEdgeSoftmax(_adj(), 2).kernel
-        fused.agg_strategy = strat
         assert not staged.verify_report().has_errors
-        assert not verify_kernel(fused).has_errors
 
 
 class TestVerifyKernelPlumbing:
@@ -300,25 +266,24 @@ class TestVerifyKernelPlumbing:
         assert kinds == {"spmm", "sddmm", "softmax"}
 
     def test_lint_reports_the_softmax_chain_sink_by_sink(self):
-        """At GAT's head counts, on a graph regular enough to pass
-        bucketing's work threshold: every sink gets its own FG007 note,
-        and the max sink resolves at its own heads-wide rows."""
+        """The staged softmax under the default request: each phase
+        kernel's sink gets its own FG007 note, and the max phase resolves
+        at its own heads-wide rows."""
         thunks = {label: thunk for label, _, thunk in iter_suite("builtins")
-                  if label.startswith("softmax/fused-aggregate/")}
-        assert sorted(thunks) == [
-            "softmax/fused-aggregate/heads1/default",
-            "softmax/fused-aggregate/heads4/default"]
-        for thunk in thunks.values():
-            with use_kernel_cache(KernelCache()):
-                report = verify_kernel(thunk())
-            assert not report.has_errors
-            notes = {d.loc.split(".")[-1]: d.message
-                     for d in report.diagnostics if d.rule == "FG007"}
-            assert notes == {
-                "MAXV": "reduction max via strategy reduceat: "
-                        + BIT_IDENTICAL,
-                "SUMV": "reduction sum via strategy spblas: " + REASSOCIATED,
-                "OUT": "reduction sum via strategy spblas: " + REASSOCIATED}
+                  if label.startswith("softmax/")}
+        assert sorted(thunks) == sorted(
+            f"softmax/staged/{tag}"
+            for tag in (*STRATEGY_NAMES, "default"))
+        with use_kernel_cache(KernelCache()):
+            report = verify_kernel(thunks["softmax/staged/default"]())
+        assert not report.has_errors
+        notes = {d.loc.split(".")[-1]: d.message
+                 for d in report.diagnostics if d.rule == "FG007"}
+        assert notes == {
+            "sm_max": "reduction max via strategy reduceat: "
+                      + BIT_IDENTICAL,
+            "sm_expsum": "reduction sum via strategy spblas: "
+                         + REASSOCIATED}
 
 
 # ----------------------------------------------------------------------
