@@ -344,8 +344,10 @@ class TestSoftmaxAggregateBits:
     @pytest.mark.parametrize("heads", [1, 4])
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", KINDS)
-    def test_bits_match_the_staged_kernels(self, kind, seed, heads,
-                                           need_alpha):
+    def test_bits_match_the_fused_chain(self, kind, seed, heads,
+                                        need_alpha):
+        """The fused chain (softmax, then aggregate, in one
+        ``fused_softmax_aggregate`` call) and the staged kernels agree."""
         adj = self._graph(kind, seed)
         # edges numbered in insertion order (from_edges) or by the parent
         # graph (a block): only the empty graph's ids are CSR positions
