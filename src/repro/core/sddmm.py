@@ -35,8 +35,8 @@ from repro.hwsim import gpu as gpu_model
 from repro.hwsim.report import CostReport
 from repro.hwsim.spec import CPUSpec, GPUSpec, TESLA_V100, XEON_8124M
 from repro.runtime.engine import Executor, ScatterSink
-from repro.runtime.plan import (ChunkPolicy, EdgeTask, ExecutionPlan,
-                                GatherPlan, Stage, effective_chunk_edges)
+from repro.runtime.plan import (EdgeTask, ExecutionPlan, GatherPlan,
+                                effective_chunk_edges)
 from repro.tensorir.expr import ComputeOp, Tensor, Var
 from repro.tensorir.runtime import ExecStats
 from repro.tensorir.vectorize import compile_batched
@@ -177,7 +177,7 @@ class GeneralizedSDDMM:
 
         One :class:`~repro.runtime.plan.EdgeTask` per feature tile over
         flat (non-row-aligned) chunks of the CSR-ordered edge list;
-        each stage scatters its values into the tile's column window of the
+        each task scatters its values into the tile's column window of the
         edge-id-indexed output.  Chunks are sized so that no single
         gathered block exceeds a quarter of ``CHUNK_WORKSET_BYTES``.
         """
@@ -195,8 +195,8 @@ class GeneralizedSDDMM:
         # aggregates has already freed.
         target = effective_chunk_edges(self.chunk_edges, prog,
                                        prog.stats.workset_bytes_per_item)
-        bounds = ChunkPolicy(target, row_aligned=False).bounds(
-            nnz=self.A.nnz)
+        m = self.A.nnz
+        bounds = [(c0, min(m, c0 + target)) for c0 in range(0, m, target)]
         tasks = []
         for lo, hi in feature_tiles(self.out_shape[0],
                                     self.num_feature_partitions):
@@ -208,19 +208,13 @@ class GeneralizedSDDMM:
                 return vals, prog.bytes_moved(ctx.size, sizes)
 
             tasks.append(EdgeTask(
-                gather=gather, bounds=bounds,
-                stages=[Stage(self.edge_out.name, evaluate,
-                              ScatterSink(result, tile=(lo, hi)),
-                              compiled=True)],
-                needs_segments=False))
+                gather=gather, bounds=bounds, name=self.edge_out.name,
+                evaluate=evaluate, sink=ScatterSink(result, tile=(lo, hi)),
+                compiled=True))
         return ExecutionPlan(
             tasks, label=f"sddmm[{self.edge_out.name}]",
-            # role extents + compiled program for the plan verifier
-            extras={"verify": {"dims": {"n_src": self.A.num_src,
-                                        "n_dst": self.A.num_dst,
-                                        "m": self.A.nnz},
-                               "programs": {self.edge_out.name: prog},
-                               "target": f"sddmm[{self.edge_out.name}]"}})
+            dims={"n_src": self.A.num_src, "n_dst": self.A.num_dst, "m": m},
+            program=prog)
 
     def vector_program(self):
         """The compiled batched-UDF program this kernel executes per chunk

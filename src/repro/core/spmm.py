@@ -33,10 +33,9 @@ from repro.core import cost as cost_analysis
 from repro.core.api import SparseMat
 from repro.core.bindings import row_gather_form, validate_bindings
 from repro.runtime.engine import AggregateSink, Executor
-from repro.runtime.plan import (CHUNK_WORKSET_BYTES, MIN_CHUNK_EDGES,
-                                ChunkPolicy, EdgeTask, ExecutionPlan,
-                                GatherPlan, RowGather, Stage,
-                                effective_chunk_edges, row_aligned_chunks)
+from repro.runtime.plan import (EdgeTask, ExecutionPlan, GatherPlan,
+                                RowGather, effective_chunk_edges,
+                                row_aligned_chunks)
 from repro.runtime.histogram import chunk_bounds
 from repro.runtime.reducers import AGG_IDENTITY, AGG_UFUNC, resolve_reducer
 from repro.runtime.strategies import (SparseBlasStrategy,
@@ -84,11 +83,11 @@ def resolve_aggregation(aggregation) -> str:
 
 
 def row_gather_evaluate(form: tuple, dtype, row_bytes: int):
-    """The stage evaluate of a row-gather message that a ``spblas`` sink
+    """The task evaluate of a row-gather message that a ``spblas`` sink
     aggregates: a :class:`~repro.runtime.plan.RowGather` over the bound
     table instead of the ``(B, *feat)`` block the compiled program builds.
 
-    ``form`` is the stage's :func:`~repro.core.bindings.row_gather_form`.
+    ``form`` is the message's :func:`~repro.core.bindings.row_gather_form`.
     Table and weight bindings are taken in ``dtype`` (the program's output
     dtype) and made contiguous at most once per plan, i.e. per run.  The
     bytes booked are the table rows read (``row_bytes`` each) plus the
@@ -296,7 +295,7 @@ class GeneralizedSpMM:
         does a pure row-gather message (``copy_u`` / ``copy_e`` / ``u_mul_e``
         with a scalar or per-head weight, :attr:`row_gather`) whose sink
         ``spblas`` reduces natively -- the default request or a pinned
-        ``"spblas"`` on a float ``sum``/``mean``: its stage returns a
+        ``"spblas"`` on a float ``sum``/``mean``: its evaluate returns a
         :class:`~repro.runtime.plan.RowGather` and the sink multiplies the
         partition's own CSR into the feature table, so no chunk holds a
         per-edge buffer, chunks are ``chunk_edges`` long whatever the
@@ -351,9 +350,6 @@ class GeneralizedSpMM:
 
         axis0 = self.msg.op.axis[0].name
         tasks = []
-        verify = {"dims": self._graph_dims(),
-                  "programs": {self.msg.name: prog},
-                  "target": f"spmm[{self.msg.name}]"}
         for lo, hi in tiles:
             sink = AggregateSink(acc[:, lo:hi], reducer, strategy)
             tile_sizes = (hi - lo,) + self.msg_shape[1:]
@@ -363,10 +359,10 @@ class GeneralizedSpMM:
                                 axis_ranges={axis0: tile})
                 return msgs, prog.bytes_moved(ctx.size, sizes)
 
-            evaluate = run_program
+            evaluate, oracle = run_program, None
             if gather_free:
-                # the program stays the sanitizer's oracle for the stage
-                verify["row_gather"] = {self.msg.name: run_program}
+                # the program stays the sanitizer's oracle for the task
+                oracle = run_program
                 evaluate = row_gather_evaluate(
                     self.row_gather, prog.out_dtype,
                     self.feature_len * prog.out_dtype.itemsize)
@@ -377,17 +373,14 @@ class GeneralizedSpMM:
                 tasks.append(EdgeTask(
                     gather=GatherPlan(csr.indices, None, csr.edge_ids,
                                       indptr=csr.indptr),
-                    bounds=chunk_bounds(csr, target),
-                    stages=[Stage(self.msg.name, evaluate, sink,
-                                  compiled=True)]))
+                    bounds=chunk_bounds(csr, target), name=self.msg.name,
+                    evaluate=evaluate, sink=sink, compiled=True,
+                    oracle=oracle))
         base = "sum" if self.aggregation == "mean" else self.aggregation
         return ExecutionPlan(
             tasks, label=f"spmm[{self.msg.name}]", strategy=strategy.name,
             finalize=lambda: self._finalize(acc, base),
-            # role extents + compiled program for the plan verifier
-            # (:mod:`repro.runtime.verify`): FG010 checks gathers against
-            # these, FG008 scans the program's out= retirement
-            extras={"verify": verify})
+            dims=self._graph_dims(), program=prog)
 
     def vector_program(self):
         """The compiled batched-UDF program this kernel executes per chunk

@@ -9,16 +9,16 @@ the :class:`Executor` here, which owns the loop once:
 - per chunk, a :class:`ChunkCtx` lazily materializes the gathered index
   vectors and the destination-segment boundaries (from the gather plan's
   row pointer when it carries one);
-- stage **evaluates** produce ``(values, bytes_moved)`` -- the values a
-  ``(B, *feat)`` block, or a :class:`~repro.runtime.plan.RowGather` that
-  a ``spblas`` sink reduces without gathering it; stage **sinks**
-  push values out -- :class:`AggregateSink` combines per-destination
+- a task's **evaluate** produces ``(values, bytes_moved)`` -- the values
+  a ``(B, *feat)`` block, or a :class:`~repro.runtime.plan.RowGather`
+  that a ``spblas`` sink reduces without gathering it; its **sink**
+  pushes them out -- :class:`AggregateSink` combines per-destination
   segments into a vertex accumulator through a pluggable
   :class:`~repro.runtime.strategies.AggregationStrategy`,
   :class:`ScatterSink` writes edge-indexed output rows;
 - one :class:`~repro.tensorir.runtime.ExecStats` books every chunk
   identically across kernel families: evaluate wall-clock vs. sink
-  wall-clock, bytes, and the compiled-chunk count.
+  wall-clock, the evaluate's bytes, and the compiled-chunk count.
 
 Chunks run in order on the calling thread.  The one place threads enter
 the numeric path is *inside* a combine: a sink pinned to the ``parallel``
@@ -40,7 +40,7 @@ __all__ = ["ChunkCtx", "AggregateSink", "ScatterSink", "Executor"]
 
 
 class ChunkCtx:
-    """Per-chunk context handed to stage evaluates and sinks.
+    """Per-chunk context handed to a task's evaluate and sink.
 
     Everything derived from the chunk bounds is computed on first access
     and cached: the gathered index vectors (``index(name)``; ``batch`` is
@@ -101,9 +101,8 @@ class AggregateSink:
 
     The actual segment reduction is delegated to ``strategy``; this sink
     owns only the post-combine ``guard_zero`` substitution (isolated-sum
-    guards of the softmax denominator).  Returns the extra bytes the sink
-    moved (none -- accumulator traffic is not booked, matching the
-    pre-engine templates).
+    guards of the softmax denominator).  Accumulator traffic is not
+    booked, matching the pre-engine templates.
     """
 
     __slots__ = ("acc", "reducer", "strategy", "guard_zero")
@@ -115,7 +114,7 @@ class AggregateSink:
         self.strategy = strategy
         self.guard_zero = guard_zero
 
-    def apply(self, vals: np.ndarray, ctx: ChunkCtx) -> int:
+    def apply(self, vals: np.ndarray, ctx: ChunkCtx) -> None:
         seg = ctx.segments
         self.strategy.combine(self.acc, seg, vals, self.reducer)
         if self.guard_zero:
@@ -124,7 +123,6 @@ class AggregateSink:
             rows = seg.seg_rows
             block = self.acc[rows]
             self.acc[rows] = np.where(block == 0, 1.0, block)
-        return 0
 
     def __repr__(self):
         return (f"AggregateSink({self.reducer.name} via "
@@ -138,7 +136,7 @@ class ScatterSink:
     order, permuted edge ids).
 
     ``tile`` scatters into a feature-column window (the SDDMM template's
-    feature tiling).  The written bytes are booked by the stage's
+    feature tiling).  The written bytes are booked by the task's
     program, not here.
     """
 
@@ -148,13 +146,12 @@ class ScatterSink:
         self.out = out
         self.tile = tile
 
-    def apply(self, vals: np.ndarray, ctx: ChunkCtx) -> int:
+    def apply(self, vals: np.ndarray, ctx: ChunkCtx) -> None:
         rows = ctx.eid_rows
         if self.tile is not None:
             self.out[rows, self.tile[0]:self.tile[1]] = vals
         else:
             self.out[rows] = vals
-        return 0
 
 
 class Executor:
@@ -194,17 +191,9 @@ class Executor:
     def _run_chunk(self, task: EdgeTask, bindings,
                    bounds: tuple[int, int]) -> None:
         ctx = ChunkCtx(bounds[0], bounds[1], task.gather)
-        eval_s = agg_s = 0.0
-        chunk_bytes = 0
-        compiled = True
-        for st in task.stages:
-            t0 = time.perf_counter()
-            vals, nbytes = st.evaluate(bindings, ctx)
-            eval_s += time.perf_counter() - t0
-            chunk_bytes += int(nbytes)
-            compiled = compiled and st.compiled
-            t0 = time.perf_counter()
-            if st.sink is not None:
-                chunk_bytes += int(st.sink.apply(vals, ctx))
-            agg_s += time.perf_counter() - t0
-        self.stats.add_chunk(eval_s, agg_s, chunk_bytes, compiled=compiled)
+        t0 = time.perf_counter()
+        vals, nbytes = task.evaluate(bindings, ctx)
+        t1 = time.perf_counter()
+        task.sink.apply(vals, ctx)
+        self.stats.add_chunk(t1 - t0, time.perf_counter() - t1, nbytes,
+                             compiled=task.compiled)

@@ -2,8 +2,8 @@
 
 Strategy selection and plan lowering both interrogate the topology --
 degree histogram for :func:`~repro.runtime.strategies.resolve_sink_strategy`,
-row-aligned chunk bounds for the
-:class:`~repro.runtime.plan.ChunkPolicy`.  Both are pure functions of the
+row-aligned chunk bounds (:func:`~repro.runtime.plan.row_aligned_chunks`)
+for an SpMM plan's tasks.  Both are pure functions of the
 CSR structure, yet they used to be recomputed on **every kernel
 invocation** -- repeated mini-batch inference over one graph paid the
 ``np.unique``/``searchsorted`` tax per call.

@@ -6,20 +6,20 @@ the chunk's ``src``/``dst``/``eid`` index vectors, evaluate the UDF
 batch, and push the values into an accumulator or an output buffer.
 An :class:`ExecutionPlan` reifies that loop as data:
 
-- a **chunking policy** (:class:`ChunkPolicy`): the target edge count,
-  shrunk by :func:`effective_chunk_edges` when a compiled program reports
-  its per-item workset, and whether chunk boundaries must fall on CSR row
-  boundaries (row alignment is what makes segmented reduction and
-  cooperative threading race-free);
+- **chunk bounds**: row-aligned (:func:`row_aligned_chunks`) wherever a
+  sink aggregates -- row alignment is what makes segmented reduction
+  race-free -- with the target edge count shrunk by
+  :func:`effective_chunk_edges` when a compiled program reports its
+  per-item workset;
 - a **gather plan** (:class:`GatherPlan`): the traversal-ordered
   ``src``/``dst``/``eid`` arrays a chunk's batch is sliced from, plus --
   for CSR-ordered sweeps -- the row pointer they came from, which gives a
   chunk its segments in O(rows) and makes ``dst`` an on-demand expansion;
-- per-chunk **stages** (:class:`Stage`): an evaluate callable plus a sink
+- per **task** (:class:`EdgeTask`): one evaluate callable and one sink
   (segmented aggregation via a pluggable strategy, or an edge-indexed
-  scatter).  Every kernel lowers to one stage per task.  An evaluate
-  returns the chunk's ``(B, *feat)`` values, or a :class:`RowGather`
-  that describes them without gathering them.
+  scatter), the paper's UDF + aggregation pair.  An evaluate returns the
+  chunk's ``(B, *feat)`` values, or a :class:`RowGather` that describes
+  them without gathering them.
 
 The :class:`~repro.runtime.engine.Executor` interprets the plan; the
 aggregation strategies live in :mod:`repro.runtime.strategies`.
@@ -39,13 +39,11 @@ __all__ = [
     "MIN_CHUNK_EDGES",
     "effective_chunk_edges",
     "row_aligned_chunks",
-    "ChunkPolicy",
     "GatherPlan",
     "RowGather",
     "SegmentInfo",
     "segment_info",
     "row_segments",
-    "Stage",
     "EdgeTask",
     "ExecutionPlan",
 ]
@@ -67,9 +65,7 @@ def effective_chunk_edges(chunk_edges: int, prog,
     accounting.  ``result_bytes_per_item`` adds the full-width rows a chunk
     holds per item (the evaluated message and the strategy's copy of it),
     for plans that evaluate a chunk at full width instead of one feature
-    tile.  No-op for hand-built plans (``prog is None``)."""
-    if prog is None:
-        return chunk_edges
+    tile."""
     ws = prog.stats.workset_bytes_per_item + result_bytes_per_item
     if ws <= 0:
         return chunk_edges
@@ -99,33 +95,6 @@ def row_aligned_chunks(indptr: np.ndarray,
             end = int(indptr[j])
         bounds.append(end)
     return list(zip(bounds[:-1], bounds[1:]))
-
-
-@dataclass(frozen=True)
-class ChunkPolicy:
-    """How an edge range is sliced into chunks."""
-
-    target_edges: int
-    row_aligned: bool = True
-
-    def bounds(self, *, indptr: np.ndarray | None = None,
-               nnz: int | None = None, prog=None) -> list[tuple[int, int]]:
-        """Materialize chunk bounds.
-
-        Row-aligned policies slice along ``indptr`` row boundaries;
-        unaligned ones slice ``[0, nnz)`` evenly.  ``prog`` (a compiled
-        vector program) shrinks the target via
-        :func:`effective_chunk_edges`.
-        """
-        target = effective_chunk_edges(self.target_edges, prog)
-        if self.row_aligned:
-            if indptr is None:
-                raise ValueError("row-aligned chunking needs indptr")
-            return row_aligned_chunks(np.asarray(indptr), target)
-        if nnz is None:
-            raise ValueError("unaligned chunking needs nnz")
-        n = int(nnz)
-        return [(c0, min(n, c0 + target)) for c0 in range(0, n, target)]
 
 
 class GatherPlan:
@@ -190,10 +159,10 @@ class RowGather:
     ``table`` is ``(n, *feat)``, ``index`` one row id per edge and
     ``weight`` -- optional -- ``(B, *feat[:k])`` with ``k < len(feat)``:
     a scalar per edge, or one value per leading feature index (per head),
-    broadcast over the remaining feature axes.  A stage evaluate returns
-    one instead of the ``(B, *feat)`` block when a sink can reduce
-    straight from the table (``spblas``); everything else that reads a
-    stage value gets the dense block through ``np.asarray``.
+    broadcast over the remaining feature axes.  A task's evaluate returns
+    one instead of the ``(B, *feat)`` block when its sink can reduce
+    straight from the table (``spblas``); everything else that reads the
+    value gets the dense block through ``np.asarray``.
     """
 
     __slots__ = ("table", "index", "weight")
@@ -293,24 +262,16 @@ def row_segments(indptr: np.ndarray, c0: int, c1: int) -> SegmentInfo | None:
 
 
 @dataclass
-class Stage:
-    """One evaluate+sink step of a chunk.
+class EdgeTask:
+    """One pass over an edge range: a gather plan, chunk bounds, and the
+    evaluate + sink every chunk of it runs.
 
     ``evaluate(bindings, ctx)`` returns ``(values, bytes_moved)``; the
-    engine hands the values to ``sink``.  ``name`` labels the stage in
+    engine hands the values to ``sink``.  ``name`` labels the task in
     verifier diagnostics; ``compiled`` feeds the ExecStats compiled-chunk
-    counter.
-    """
-
-    name: str
-    evaluate: Callable          # (bindings, ChunkCtx) -> (ndarray, int)
-    sink: object | None = None  # engine.AggregateSink / engine.ScatterSink
-    compiled: bool = False
-
-
-@dataclass
-class EdgeTask:
-    """One pass over an edge range: a gather plan, chunk bounds, stages.
+    counter.  ``oracle`` -- set when ``evaluate`` returns a
+    :class:`RowGather` -- is the compiled program that builds the same
+    values as a ``(B, *feat)`` block: the sanitizer's combine oracle.
 
     SpMM kernels emit one task per (feature tile x graph partition) -- per
     graph partition alone when no gather spans the tiled axis; SDDMM one
@@ -321,9 +282,11 @@ class EdgeTask:
 
     gather: GatherPlan
     bounds: Sequence[tuple[int, int]]
-    stages: Sequence[Stage]
-    #: segments are computed lazily per chunk only when a sink needs them
-    needs_segments: bool = True
+    name: str
+    evaluate: Callable          # (bindings, ChunkCtx) -> (values, int)
+    sink: object                # engine.AggregateSink / engine.ScatterSink
+    compiled: bool = False
+    oracle: Callable | None = None
 
 
 @dataclass
@@ -332,9 +295,13 @@ class ExecutionPlan:
 
     tasks: Sequence[EdgeTask]
     label: str = ""
-    #: names of the aggregation strategies the plan's sinks use, distinct
-    #: ones joined by ``+`` in stage order (None for pure scatter plans);
-    #: surfaced through ExecStats for benchmarks
+    #: name of the aggregation strategy the plan's sinks use (None for
+    #: pure scatter plans); surfaced through ExecStats for benchmarks
     strategy: str | None = None
     finalize: Callable | None = None
-    extras: dict = field(default_factory=dict)
+    #: graph-axis role extents (``n_src`` / ``n_dst`` / ``m``) the
+    #: verifier checks gathers against (FG010)
+    dims: dict = field(default_factory=dict)
+    #: the compiled program the tasks evaluate, whose ``out=`` retirement
+    #: the verifier scans (FG008)
+    program: object | None = None

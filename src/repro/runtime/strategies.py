@@ -109,7 +109,6 @@ __all__ = [
     "UFUNC_STRATEGIES",
     "make_strategy",
     "select_strategy",
-    "resolve_strategy",
     "resolve_sink_strategy",
 ]
 
@@ -366,14 +365,6 @@ def select_strategy(degrees, width: int) -> str:
     and an empty graph, stays on ``reduceat``.
     """
     return _rule(DegreeStats.of(degrees), width)
-
-
-def resolve_strategy(requested: str | None, degrees,
-                     width: int) -> AggregationStrategy:
-    """The explicitly requested strategy, else the selector's pick."""
-    if requested is None:
-        requested = select_strategy(degrees, width)
-    return make_strategy(requested)
 
 
 def resolve_sink_strategy(requested: str | None, reducer_name: str, dtype,

@@ -6,7 +6,7 @@ chunk loops and segment-aligned :class:`ParallelStrategy` shards.  This
 module gives the plan layer the same static safety net:
 
 ``FG006`` **shard disjointness.**  A task's chunk bounds must partition
-    the gathered edge domain, and -- whenever any stage aggregates --
+    the gathered edge domain, and -- whenever its sink aggregates --
     every destination row's edges must land in exactly one chunk (chunk
     boundaries on segment boundaries), so no two chunks combine into one
     accumulator row and the per-sweep ``guard_zero`` substitution sees
@@ -23,16 +23,17 @@ module gives the plan layer the same static safety net:
     combine order -- the cross-strategy parity contract as a checked
     property, which the sanitizer then enforces numerically.
 
-``FG008`` **buffer aliasing.**  Sink buffers of one task must not alias
-    each other, and a compiled vector program's ``out=`` buffer reuse
-    must only ever retire program-local registers that were previously
+``FG008`` **``out=`` retirement.**  The plan's compiled vector
+    program (``ExecutionPlan.program``) may reuse a buffer through
+    ``out=`` only to retire a program-local register that was previously
     assigned -- never an input binding, which every chunk of a plan
     reads.
 
 ``FG010`` **gather bounds.**  ``GatherPlan`` index arrays are checked
     against the extents their graph-axis roles imply (``n_src`` /
-    ``n_dst`` / ``m`` from the lowering kernel, or derived from the sink
-    buffers), and chunk bounds against the gathered edge domain.
+    ``n_dst`` / ``m`` from the lowering kernel's ``ExecutionPlan.dims``,
+    or derived from the sink buffers), and chunk bounds against the
+    gathered edge domain.
     Negative indices are rejected too -- numpy would wrap them silently.
     A plan's row pointer (``GatherPlan.indptr``, what chunk segments are
     read off) must be non-decreasing, span exactly the gathered edges and
@@ -55,11 +56,11 @@ sets, scatter targets, and combine orders while the plan executes, and
 cross-checks them against the static verdicts -- a clean static report
 plus a dynamic violation is a *disagreement* and raises
 :class:`SanitizerError`.  The combine oracle is ``ufunc.reduceat`` over
-the chunk's dense messages; for a stage that hands its sink a
-``RowGather`` those come from the stage's compiled program, so the
-lowering's decision not to gather is itself under test.  The fuzzer's
-``--sanitize`` stage hunts for such disagreements the same way
-``--analyze`` hunts for PR-3 analyzer false positives.
+the chunk's dense messages; for a task whose evaluate hands its sink a
+``RowGather`` those come from the task's ``oracle`` (its compiled
+program), so the lowering's decision not to gather is itself under
+test.  The fuzzer's ``--sanitize`` stage hunts for such disagreements
+the same way ``--analyze`` hunts for PR-3 analyzer false positives.
 
 Lint CLI::
 
@@ -74,6 +75,7 @@ error exits non-zero (the CI ``plan-lint`` gate).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import threading
@@ -188,14 +190,6 @@ def classify_reduction(strategy_name: str, reducer) -> str:
     return REASSOCIATED
 
 
-def _aggregate_sinks(plan: ExecutionPlan):
-    """Yield ``(task_index, task, stage, sink)`` per aggregating stage."""
-    for ti, task in enumerate(plan.tasks):
-        for st in task.stages:
-            if isinstance(st.sink, AggregateSink):
-                yield ti, task, st, st.sink
-
-
 # ----------------------------------------------------------------------
 # the static checks
 # ----------------------------------------------------------------------
@@ -205,9 +199,6 @@ class _Ctx:
 
     def __init__(self, plan: ExecutionPlan):
         self.plan = plan
-        meta = plan.extras.get("verify", {}) if plan.extras else {}
-        self.dims: dict = dict(meta.get("dims", {}))
-        self.programs: dict = dict(meta.get("programs", {}))
         self.diags: list[Diagnostic] = []
 
     def add(self, rule: str, loc: str, message: str,
@@ -292,7 +283,7 @@ def _check_indptr(ctx: _Ctx, loc: str, gather) -> bool:
 def _check_row_alignment(ctx: _Ctx, ti: int, task) -> None:
     """FG006: with an aggregating sink, chunk boundaries must fall on
     destination-segment boundaries and rows must be chunk-contiguous."""
-    if not any(isinstance(st.sink, AggregateSink) for st in task.stages):
+    if not isinstance(task.sink, AggregateSink):
         return
     loc = f"task[{ti}]"
     indptr = task.gather.indptr
@@ -370,16 +361,19 @@ def _check_determinism(ctx: _Ctx) -> None:
     """FG007: one classification per sink and distinct (strategy, reducer)
     pair."""
     seen = set()
-    for ti, task, st, sink in _aggregate_sinks(ctx.plan):
+    for ti, task in enumerate(ctx.plan.tasks):
+        sink = task.sink
+        if not isinstance(sink, AggregateSink):
+            continue
         name = sink.strategy.name
-        key = (st.name, name, sink.reducer.name)
+        key = (task.name, name, sink.reducer.name)
         if key in seen:
             continue
         seen.add(key)
         label = classify_reduction(name, sink.reducer)
         severity = (Severity.WARNING if label == NONDETERMINISTIC
                     else Severity.INFO)
-        ctx.add("FG007", f"task[{ti}].{st.name}",
+        ctx.add("FG007", f"task[{ti}].{task.name}",
                 f"reduction {sink.reducer.name} via strategy "
                 f"{name}: {label}", severity=severity)
 
@@ -388,13 +382,15 @@ _OUT_RE = re.compile(r"\bout=(\w+)")
 _LHS_RE = re.compile(r"^\s*(\w+)\s*=[^=]")
 
 
-def _check_program_source(ctx: _Ctx, name: str, prog) -> None:
-    """FG008: ``out=`` retirement in a compiled program must only target
-    program-local registers already assigned -- never an input binding
-    (read by every chunk) and never an undefined name."""
+def _check_program_source(ctx: _Ctx) -> None:
+    """FG008: ``out=`` retirement in the plan's compiled program must only
+    target program-local registers already assigned -- never an input
+    binding (read by every chunk) and never an undefined name."""
+    prog = ctx.plan.program
     source = getattr(prog, "source", None)
     if not source:
         return
+    loc = f"program[{ctx.plan.label}]"
     external = set(getattr(prog, "tensor_names", ()) or ())
     external |= set(getattr(prog, "batch_names", ()) or ())
     assigned: set[str] = set()
@@ -402,13 +398,13 @@ def _check_program_source(ctx: _Ctx, name: str, prog) -> None:
         for target in _OUT_RE.findall(line):
             lhs = _LHS_RE.match(line)
             if target in external:
-                ctx.add("FG008", f"program[{name}]:{lineno}",
+                ctx.add("FG008", f"{loc}:{lineno}",
                         f"out={target} writes into input binding "
                         f"{target!r}: every chunk reads the bindings, "
                         "so in-place retirement would corrupt them")
             elif target not in assigned and \
                     not (lhs and lhs.group(1) == target):
-                ctx.add("FG008", f"program[{name}]:{lineno}",
+                ctx.add("FG008", f"{loc}:{lineno}",
                         f"out={target} retires a register with no prior "
                         "definition (use before def)")
         lhs = _LHS_RE.match(line)
@@ -416,47 +412,19 @@ def _check_program_source(ctx: _Ctx, name: str, prog) -> None:
             assigned.add(lhs.group(1))
 
 
-def _check_aliasing(ctx: _Ctx) -> None:
-    """FG008: within-task sink aliasing, and the ``out=`` retirement of
-    each stage's compiled program."""
-    for ti, task in enumerate(ctx.plan.tasks):
-        defined: set = set()
-        sinks: list[tuple[str, np.ndarray]] = []
-        for st in task.stages:
-            defined.add(st.name)
-            buf = None
-            if isinstance(st.sink, AggregateSink):
-                buf = st.sink.acc
-            elif isinstance(st.sink, ScatterSink):
-                buf = st.sink.out
-            if buf is not None:
-                for other_name, other in sinks:
-                    if np.shares_memory(buf, other):
-                        ctx.add("FG008", f"task[{ti}].{st.name}",
-                                f"sink buffer aliases stage "
-                                f"{other_name!r}'s sink buffer within one "
-                                "task: stages of a chunk would overwrite "
-                                "each other")
-                sinks.append((st.name, buf))
-        for name, prog in ctx.programs.items():
-            if prog is not None and name in defined:
-                _check_program_source(ctx, name, prog)
-
-
 def _check_gather_bounds(ctx: _Ctx, ti: int, task) -> None:
     """FG010: index arrays against their role-implied extents."""
     loc = f"task[{ti}]"
-    dims = ctx.dims
+    dims = ctx.plan.dims
     # sink-derived extents back up (and cross-check) the declared roles
     dst_ext = dims.get("n_dst")
     eid_ext = dims.get("m")
-    for st in task.stages:
-        if isinstance(st.sink, AggregateSink):
-            rows = st.sink.acc.shape[0]
-            dst_ext = rows if dst_ext is None else min(dst_ext, rows)
-        elif isinstance(st.sink, ScatterSink):
-            rows = st.sink.out.shape[0]
-            eid_ext = rows if eid_ext is None else min(eid_ext, rows)
+    if isinstance(task.sink, AggregateSink):
+        rows = task.sink.acc.shape[0]
+        dst_ext = rows if dst_ext is None else min(dst_ext, rows)
+    elif isinstance(task.sink, ScatterSink):
+        rows = task.sink.out.shape[0]
+        eid_ext = rows if eid_ext is None else min(eid_ext, rows)
     gather = task.gather
     checks = [("src", gather.src, dims.get("n_src")),
               ("eid", gather.eid, eid_ext)]
@@ -494,29 +462,23 @@ def verify_plan(plan: ExecutionPlan) -> AnalysisReport:
     :class:`~repro.tensorir.analysis.AnalysisReport` over FG006-FG008 + FG010.
 
     Purely structural: segment boundaries and shard cuts are derived
-    from the plan's own index arrays -- no stage evaluate runs and no
-    sink is applied.  Lowering sites attach role extents and program
-    metadata under ``plan.extras["verify"]``; plans without metadata
-    still get every check the sink buffers and gathers support.
+    from the plan's own index arrays -- no evaluate runs and no sink is
+    applied.  Lowering sites set the role extents (``plan.dims``) and the
+    compiled program (``plan.program``); plans without them still get
+    every check the sink buffers and gathers support.
     """
     ctx = _Ctx(plan)
     for ti, task in enumerate(plan.tasks):
-        structured = _check_bounds_structure(ctx, ti, task)
-        if structured:
+        if _check_bounds_structure(ctx, ti, task):
             _check_row_alignment(ctx, ti, task)
-            # one cut probe per sink that shards (sinks resolve one by one)
-            for st in task.stages:
-                if isinstance(st.sink, AggregateSink) and \
-                        isinstance(st.sink.strategy, ParallelStrategy):
-                    _check_parallel_cuts(ctx, ti, task, st.sink.strategy)
+            if isinstance(task.sink, AggregateSink) and \
+                    isinstance(task.sink.strategy, ParallelStrategy):
+                _check_parallel_cuts(ctx, ti, task, task.sink.strategy)
         _check_gather_bounds(ctx, ti, task)
     _check_determinism(ctx)
-    _check_aliasing(ctx)
-    report = AnalysisReport(diagnostics=tuple(ctx.diags),
-                            target=plan.extras.get("verify", {}).get(
-                                "target") if plan.extras else None)
-    plan.extras.setdefault("verify", {})["report"] = report
-    return report
+    _check_program_source(ctx)
+    return AnalysisReport(diagnostics=tuple(ctx.diags),
+                          target=plan.label or None)
 
 
 # ----------------------------------------------------------------------
@@ -593,20 +555,20 @@ class _Violations:
 
 
 class _AggregateProxy:
-    """Records and checks one task's aggregating stage at runtime."""
+    """Records and checks one task's aggregating sink at runtime."""
 
     def __init__(self, sink: AggregateSink, loc: str,
                  violations: _Violations, dense=None):
         self.sink = sink
         self.loc = loc
         self.violations = violations
-        #: ``ctx -> (B, *feat)`` messages of a stage that hands its sink a
-        #: RowGather: the stage's compiled program on the run's bindings
+        #: ``ctx -> (B, *feat)`` messages of a task that hands its sink a
+        #: RowGather: the task's oracle on the run's bindings
         self.dense = dense
         self._lock = threading.Lock()
         self._seen = np.zeros(sink.acc.shape[0], dtype=bool)
 
-    def apply(self, vals, ctx) -> int:
+    def apply(self, vals, ctx) -> None:
         seg = ctx.segments
         rows = seg.seg_rows
         for name in ("src", "dst", "eid"):
@@ -628,12 +590,11 @@ class _AggregateProxy:
         # chunks own disjoint rows, so the before/after slices see only
         # this chunk's combine
         before = self.sink.acc[rows].copy() if rows.size else None
-        ret = self.sink.apply(vals, ctx)
+        self.sink.apply(vals, ctx)
         if before is not None:
             dense = (self.dense(ctx) if self.dense is not None
                      else np.asarray(vals))
             self._check_combine(dense, seg, rows, before)
-        return ret
 
     def _check_combine(self, vals, seg, rows, before) -> None:
         strategy = self.sink.strategy
@@ -665,7 +626,7 @@ class _AggregateProxy:
 
 
 class _ScatterProxy:
-    """Checks one task's scatter stage writes each output row once."""
+    """Checks one task's scatter sink writes each output row once."""
 
     def __init__(self, sink: ScatterSink, loc: str, violations: _Violations):
         self.sink = sink
@@ -674,7 +635,7 @@ class _ScatterProxy:
         self._lock = threading.Lock()
         self._seen = np.zeros(sink.out.shape[0], dtype=bool)
 
-    def apply(self, vals, ctx) -> int:
+    def apply(self, vals, ctx) -> None:
         eid = ctx.index("eid")
         if eid.size and int(eid.min()) < 0:
             self.violations.add("FG010", self.loc,
@@ -688,34 +649,26 @@ class _ScatterProxy:
                     f"output row {dup} scattered to by two chunks of one "
                     "task at runtime despite a clean static verdict")
             self._seen[eid] = True
-        return self.sink.apply(vals, ctx)
+        self.sink.apply(vals, ctx)
 
 
 def _instrumented(plan: ExecutionPlan, violations: _Violations,
                   bindings=None) -> ExecutionPlan:
     """A shadow plan whose sinks record and cross-check while delegating."""
-    from repro.runtime.plan import EdgeTask, Stage
-
-    programs = (plan.extras or {}).get("verify", {}).get("row_gather", {})
     tasks = []
     for ti, task in enumerate(plan.tasks):
-        stages = []
-        for st in task.stages:
-            sink = st.sink
-            loc = f"task[{ti}].{st.name}"
-            if isinstance(sink, AggregateSink):
-                dense = None
-                if programs.get(st.name) is not None:
-                    def dense(ctx, run=programs[st.name]):
-                        return run(bindings, ctx)[0]
-                sink = _AggregateProxy(sink, loc, violations, dense=dense)
-            elif isinstance(sink, ScatterSink):
-                sink = _ScatterProxy(sink, loc, violations)
-            stages.append(Stage(st.name, st.evaluate, sink, st.compiled))
-        tasks.append(EdgeTask(task.gather, task.bounds, stages,
-                              task.needs_segments))
-    return ExecutionPlan(tasks, label=plan.label, strategy=plan.strategy,
-                         finalize=plan.finalize, extras=plan.extras)
+        sink = task.sink
+        loc = f"task[{ti}].{task.name}"
+        if isinstance(sink, AggregateSink):
+            dense = None
+            if task.oracle is not None:
+                def dense(ctx, run=task.oracle):
+                    return run(bindings, ctx)[0]
+            sink = _AggregateProxy(sink, loc, violations, dense=dense)
+        elif isinstance(sink, ScatterSink):
+            sink = _ScatterProxy(sink, loc, violations)
+        tasks.append(dataclasses.replace(task, sink=sink))
+    return dataclasses.replace(plan, tasks=tasks)
 
 
 def sanitized_run(executor, plan: ExecutionPlan, bindings=None) -> None:

@@ -270,12 +270,17 @@ class InferenceService:
         is a relative deadline: if the batch forms after it the request
         fails with :class:`DeadlineExceeded`.  Raises ``ValueError`` for a
         seed outside ``[0, num_vertices)`` (it would fail every request of
-        its batch), :class:`Overloaded` when ``max_queue_depth`` requests
-        already wait, and :class:`ServiceClosed` after shutdown began.
+        its batch) or a non-empty id array of a non-integer dtype (a float
+        or bool id would be truncated to some other vertex),
+        :class:`Overloaded` when ``max_queue_depth`` requests already
+        wait, and :class:`ServiceClosed` after shutdown began.
         """
-        seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+        seeds = np.atleast_1d(np.asarray(seeds))
         if seeds.ndim != 1:
             raise ValueError("seeds must be a scalar or 1-D id array")
+        if len(seeds) and not np.issubdtype(seeds.dtype, np.integer):
+            raise ValueError(f"seed ids must be integers, not {seeds.dtype}")
+        seeds = seeds.astype(np.int64, copy=False)
         if len(seeds) and (seeds.min() < 0
                            or seeds.max() >= self._num_vertices):
             raise ValueError(
@@ -283,19 +288,18 @@ class InferenceService:
         now = time.perf_counter()
         fut = ServeFuture(seeds, None if deadline_s is None
                           else now + float(deadline_s))
-        if len(seeds) == 0:
-            # nothing to infer; resolve immediately with a (0, C) result
-            with self._cond:
-                self._accepted += 1
-                self._served += 1
-            fut._resolve(np.zeros((0, int(self._out_dim or 0)),
-                                  dtype=np.float32),
-                         ServeStats(0.0, 0.0, 0.0, 0.0, 0, 0, 0.0,
-                                    float("nan")))
-            return fut
         with self._cond:
             if self._closing:
                 raise ServiceClosed("service is shut down")
+            if len(seeds) == 0:
+                # nothing to infer; resolve at once with a (0, C) result
+                self._accepted += 1
+                self._served += 1
+                fut._resolve(np.zeros((0, int(self._out_dim or 0)),
+                                      dtype=np.float32),
+                             ServeStats(0.0, 0.0, 0.0, 0.0, 0, 0, 0.0,
+                                        float("nan")))
+                return fut
             if len(self._pending) >= self.max_queue_depth:
                 self._rejected += 1
                 raise Overloaded(

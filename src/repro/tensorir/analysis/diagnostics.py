@@ -65,8 +65,8 @@ RULES: dict[str, tuple[str, str]] = {
               "cooperative-reduction staging buffer"),
     # FG006-FG008 and FG010 are the execution-plan verifier's rules
     # (:mod:`repro.runtime.verify`): they judge the runtime layer --
-    # ExecutionPlan chunking, strategy sharding, sink buffers, gather
-    # index arrays -- not the lowered loop-nest IR.
+    # ExecutionPlan chunking, strategy sharding, the plan's compiled
+    # program, gather index arrays -- not the lowered loop-nest IR.
     "FG006": (Severity.ERROR,
               "shard disjointness: a plan's parallel chunks or strategy "
               "shards can write the same destination row, or a chunk "
@@ -76,8 +76,8 @@ RULES: dict[str, tuple[str, str]] = {
               "bit-identical, reassociated-fp, or nondeterministic under "
               "its strategy's combine order"),
     "FG008": (Severity.ERROR,
-              "buffer aliasing: sink buffers alias within a task, or a "
-              "compiled program writes out= into a live or bound buffer"),
+              "out= retirement: a plan's compiled program writes out= "
+              "into an input binding or a register it never assigned"),
     "FG010": (Severity.ERROR,
               "gather bounds: a GatherPlan index array escapes the extent "
               "its graph-axis role implies, or chunk bounds escape the "

@@ -455,8 +455,8 @@ def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
     every plan (FG006-FG008, FG010) and then instruments the actual
     execution: shard write-sets are tracked against the disjointness
     proof, combine results against the determinism classification (for a
-    stage that hands its sink a ``RowGather``, against the stage's compiled
-    program) and gather indices against the bounds proof.  Any
+    task that hands its sink a ``RowGather``, against the task's oracle,
+    its compiled program) and gather indices against the bounds proof.  Any
     disagreement is a harness bug -- either the verifier promised
     something the runtime does not deliver, or the instrumentation is
     wrong -- and fails the trial.

@@ -407,8 +407,7 @@ class TestDefaultStrategyResolution:
                   kernels.mlp_aggregation(adj, n, 8, 16, agg="mean")):
             plan = self._plan(k)
             assert plan.strategy == "spblas"
-            sinks = {id(t.stages[0].sink): t.stages[0].sink
-                     for t in plan.tasks}
+            sinks = {id(t.sink): t.sink for t in plan.tasks}
             assert {s.strategy.name for s in sinks.values()} == {"spblas"}
 
     @pytest.mark.parametrize("agg", ["max", "min", "prod"])
@@ -449,7 +448,7 @@ class TestDefaultStrategyResolution:
         k.agg_strategy = name
         plan = self._plan(k)
         assert plan.strategy == name
-        assert {t.stages[0].sink.strategy.name for t in plan.tasks} == {name}
+        assert {t.sink.strategy.name for t in plan.tasks} == {name}
 
     @pytest.mark.parametrize("agg", ["sum", "mean"])
     def test_bit_identical_across_chunk_sizes(self, agg):
@@ -530,7 +529,7 @@ class TestGatherFreePlans:
 
     @staticmethod
     def _lazy(plan):
-        return bool(plan.extras["verify"].get("row_gather"))
+        return any(t.oracle is not None for t in plan.tasks)
 
     @staticmethod
     def _materialised(kernel, msgs):
@@ -735,7 +734,7 @@ class TestGatherFreePlans:
         assert "verify_plan" in k.compile_timings()
         assert not k.verify_report().has_errors
         prog = k.vector_program()
-        assert prog is self._plan(k).extras["verify"]["programs"][k.msg.name]
+        assert prog is self._plan(k).program
         plain = k.run({"XV": x})
         with sanitizing():
             assert np.array_equal(k.run({"XV": x}), plain)

@@ -24,17 +24,14 @@ from repro.runtime import (
     STRATEGY_NAMES,
     AggregateSink,
     ChunkCtx,
-    ChunkPolicy,
     EdgeTask,
     ExecutionPlan,
     Executor,
     GatherPlan,
     ScatterSink,
-    Stage,
     get_reducer,
     make_strategy,
     resolve_sink_strategy,
-    resolve_strategy,
     row_aligned_chunks,
     row_segments,
     segment_info,
@@ -74,8 +71,7 @@ class TestPlanConstruction:
         assert plan.finalize is not None
         assert len(plan.tasks) >= 1
         for task in plan.tasks:
-            assert task.stages and task.stages[0].sink is not None
-            assert isinstance(task.stages[0].sink, AggregateSink)
+            assert isinstance(task.sink, AggregateSink)
 
     def test_bounds_are_row_aligned(self, graph):
         adj, *_ = graph
@@ -90,17 +86,6 @@ class TestPlanConstruction:
                 assert a1 == b0
             for c0, c1 in bounds:
                 assert c1 - c0 > 0
-
-    def test_chunk_policy_unaligned_covers_range(self):
-        bounds = ChunkPolicy(7, row_aligned=False).bounds(nnz=30)
-        assert bounds[0][0] == 0 and bounds[-1][1] == 30
-        assert all(b0 == a1 for (_, a1), (b0, _) in zip(bounds, bounds[1:]))
-
-    def test_chunk_policy_validates_inputs(self):
-        with pytest.raises(ValueError):
-            ChunkPolicy(8, row_aligned=True).bounds(nnz=10)
-        with pytest.raises(ValueError):
-            ChunkPolicy(8, row_aligned=False).bounds(indptr=np.array([0, 10]))
 
     def test_no_private_chunk_loops_left_in_kernels(self):
         """The refactor's point: kernel families delegate chunking to the
@@ -184,10 +169,10 @@ class TestStrategySelection:
         assert select_strategy(np.zeros(10, np.int64), 8) == "reduceat"
 
     def test_resolution_order(self):
-        degrees = np.full(4096, 8)
-        # an explicit request beats auto (auto says bucketed here)
-        assert resolve_strategy("reduceat", degrees, 16).name == "reduceat"
-        assert resolve_strategy(None, degrees, 16).name == "bucketed"
+        csr = _csr_of(np.full(4096, 8))
+        assert self._pick(csr, 16) == "bucketed"    # the rule's pick
+        assert resolve_sink_strategy("reduceat", "max", np.float32, csr,
+                                     16).name == "reduceat"
 
     # The pins below hold on a one-worker and on a four-worker default pool
     # (``default_workers``): the rule reads a sink's reducer, message dtype
@@ -390,27 +375,29 @@ class TestExecStatsAccounting:
         assert ex.stats.as_dict()["agg_strategy"] == "bucketed"
 
     def test_scatter_sink_books_no_bytes(self):
-        """The stage's program books what a scatter writes; the sink adds
+        """The task's program books what a scatter writes; the sink adds
         nothing."""
         out = np.zeros((4, 2), np.float32)
+        vals = np.ones((4, 2), np.float32)
         gather = GatherPlan(src=np.arange(4), dst=np.zeros(4, np.int64),
                             eid=np.arange(4))
-        ctx = ChunkCtx(0, 4, gather)
-        vals = np.ones((4, 2), np.float32)
-        assert ScatterSink(out).apply(vals, ctx) == 0
+        ex = Executor()
+        ex.run(ExecutionPlan([EdgeTask(gather, [(0, 4)], "s",
+                                       lambda b, ctx: (vals, 5),
+                                       ScatterSink(out))]))
+        assert ex.stats.as_dict()["bytes_moved"] == 5
         assert np.array_equal(out, vals)
 
     def test_finalize_runs_after_tasks(self):
         order = []
         gather = GatherPlan(src=np.arange(2), dst=np.zeros(2, np.int64),
                             eid=np.arange(2))
-        task = EdgeTask(gather=gather, bounds=[(0, 2)], stages=[
-            Stage("s", lambda b, c: (order.append("stage") or
-                                     np.zeros((2, 1), np.float32), 0)),
-        ])
+        vals = np.zeros((2, 1), np.float32)
+        task = EdgeTask(gather, [(0, 2)], "s", lambda b, c: (
+            order.append("task") or vals, 0), ScatterSink(vals.copy()))
         Executor().run(ExecutionPlan([task], finalize=lambda: order.append(
             "finalize")))
-        assert order == ["stage", "finalize"]
+        assert order == ["task", "finalize"]
 
 
 class TestScatterSinkOnPositionalEdgeIds:
@@ -512,10 +499,8 @@ class TestScatterSinkOnPositionalEdgeIds:
         for claim, clean in [(False, True), (True, False)]:
             task = EdgeTask(
                 GatherPlan(zeros, zeros, eid, eid_positional=claim),
-                [(0, 8)],
-                [Stage("s", lambda b, ctx: (np.zeros((8, 2)), 0),
-                       ScatterSink(out))],
-                needs_segments=False)
+                [(0, 8)], "s", lambda b, ctx: (np.zeros((8, 2)), 0),
+                ScatterSink(out))
             report = verify_plan(ExecutionPlan([task]))
             assert report.has_errors is not clean
             if not clean:

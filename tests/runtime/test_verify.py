@@ -2,11 +2,11 @@
 
 Two halves.  Statically: every kernel family x segment-reduction strategy
 must verify clean, and hand-corrupted plans must be rejected with the
-matching FG rule (overlapping chunks -> FG006, aliasing sinks -> FG008,
-escaped gather indices -> FG010).  Dynamically: the sanitizer
-executor must pass clean runs untouched and catch a runtime that
-contradicts a clean static verdict (a lying combine, a double scatter)
-with :class:`SanitizerError`.
+matching FG rule (overlapping chunks -> FG006, a program retiring into
+an input binding -> FG008, escaped gather indices -> FG010).
+Dynamically: the sanitizer executor must pass clean runs untouched and
+catch a runtime that contradicts a clean static verdict (a lying
+combine, a double scatter) with :class:`SanitizerError`.
 """
 
 import types
@@ -16,13 +16,13 @@ import pytest
 
 from repro import tensorir as T
 from repro.core import builtins as dgl_builtins
+from repro.core import kernels as K
 from repro.core.api import sddmm, spmm
 from repro.core.compile import KernelCache, use_kernel_cache
 from repro.core.softmax import EdgeSoftmax
 from repro.graph.sparse import from_edges
 from repro.runtime.engine import AggregateSink, Executor, ScatterSink
-from repro.runtime.plan import (EdgeTask, ExecutionPlan, GatherPlan,
-                                RowGather, Stage)
+from repro.runtime.plan import EdgeTask, ExecutionPlan, GatherPlan, RowGather
 from repro.runtime.reducers import get_reducer
 from repro.runtime.strategies import STRATEGY_NAMES, make_strategy
 from repro.runtime.verify import (
@@ -86,8 +86,8 @@ class TestClassifyReduction:
 # ----------------------------------------------------------------------
 
 def _agg_plan(dst, bounds, *, n_rows=8, strategy=None, reducer="sum",
-              extras=None, indptr=None):
-    """A one-stage aggregating plan over a hand-written gather."""
+              program=None, indptr=None):
+    """A one-task aggregating plan over a hand-written gather."""
     if dst is not None:
         dst = np.asarray(dst, dtype=np.int64)
     m = len(dst) if dst is not None else int(indptr[-1])
@@ -101,9 +101,9 @@ def _agg_plan(dst, bounds, *, n_rows=8, strategy=None, reducer="sum",
         vals = np.ones((ctx.c1 - ctx.c0, F), dtype=np.float32)
         return vals, vals.nbytes
 
-    task = EdgeTask(gather, list(bounds), [Stage("agg", evaluate, sink)])
+    task = EdgeTask(gather, list(bounds), "agg", evaluate, sink)
     return ExecutionPlan([task], label="synthetic", strategy=sink.strategy.name,
-                         extras=extras if extras is not None else {})
+                         program=program)
 
 
 class TestStaticRejection:
@@ -186,22 +186,11 @@ class TestStaticRejection:
         report = verify_plan(plan)
         assert "FG006" in _codes(report, Severity.ERROR)
 
-    def test_aliasing_sinks_within_a_task_fg008(self):
-        plan = _agg_plan([0, 0, 1, 1], [(0, 4)])
-        task = plan.tasks[0]
-        first = task.stages[0]
-        out = first.sink.acc[:4]  # a view of the accumulator
-        task.stages = [first,
-                       Stage("scatter", first.evaluate, ScatterSink(out))]
-        report = verify_plan(plan)
-        assert "FG008" in _codes(report, Severity.ERROR)
-
     def test_program_out_into_input_binding_fg008(self):
         prog = types.SimpleNamespace(
             source="tmp = XV[b_src]\nnp.add(tmp, tmp, out=XV)\n",
             tensor_names=("XV",), batch_names=("b_src",))
-        extras = {"verify": {"programs": {"agg": prog}}}
-        plan = _agg_plan([0, 0, 1, 1], [(0, 4)], extras=extras)
+        plan = _agg_plan([0, 0, 1, 1], [(0, 4)], program=prog)
         report = verify_plan(plan)
         assert "FG008" in _codes(report, Severity.ERROR)
 
@@ -209,8 +198,7 @@ class TestStaticRejection:
         prog = types.SimpleNamespace(
             source="tmp = XV[b_src]\nnp.add(tmp, tmp, out=tmp)\n",
             tensor_names=("XV",), batch_names=("b_src",))
-        extras = {"verify": {"programs": {"agg": prog}}}
-        plan = _agg_plan([0, 0, 1, 1], [(0, 4)], extras=extras)
+        plan = _agg_plan([0, 0, 1, 1], [(0, 4)], program=prog)
         assert not verify_plan(plan).has_errors
 
 
@@ -256,6 +244,30 @@ class TestVerifyKernelPlumbing:
     def test_unknown_kernel_type_rejected(self):
         with pytest.raises(TypeError, match="cannot verify"):
             verify_kernel(object())
+
+    @pytest.mark.parametrize("build,gather_free", [
+        (lambda a: K.gcn_aggregation(a, N, F), True),
+        (lambda a: K.attention_weighted_aggregation(a, N, F, a.nnz), True),
+        (lambda a: K.copy_u(a, N, F, agg="max"), False),
+        (lambda a: K.u_mul_e(a, N, a.nnz, F), False),
+        (lambda a: K.mlp_aggregation(a, N, F, F), False),
+        (lambda a: K.dot_attention(a, N, F), False),
+    ], ids=["copy_u", "u_mul_e", "copy_u_max", "u_mul_e_wide", "mlp", "dot"])
+    def test_builders_wire_program_and_oracle(self, build, gather_free,
+                                              monkeypatch):
+        """The real builders set ``plan.program`` (what FG008 scans) and
+        ``task.oracle`` (exactly on the gather-free SpMM plans)."""
+        with use_kernel_cache(KernelCache()):
+            k = build(_adj())
+        rows = (k.A.num_dst,) + k.msg_shape if hasattr(k, "msg_shape") \
+            else (k.A.nnz,) + k.out_shape
+        plan = k.execution_plan(np.empty(rows, np.float32))
+        assert plan.program is k.vector_program()
+        assert {t.oracle is not None for t in plan.tasks} == {gather_free}
+        assert not verify_kernel(k).has_errors
+        monkeypatch.setattr(plan.program, "source",
+                            "tmp = XV[b_src]\nnp.add(tmp, tmp, out=XV)\n")
+        assert "FG008" in _codes(verify_kernel(k), Severity.ERROR)
 
     def test_lint_suite_covers_every_strategy(self):
         labels = list(iter_suite("builtins"))
@@ -334,9 +346,8 @@ class TestSanitizer:
             vals = np.ones((ctx.c1 - ctx.c0, F), dtype=np.float32)
             return vals, vals.nbytes
 
-        task = EdgeTask(gather, [(0, 2), (2, 4)],
-                        [Stage("scatter", evaluate, ScatterSink(out))],
-                        needs_segments=False)
+        task = EdgeTask(gather, [(0, 2), (2, 4)], "scatter", evaluate,
+                        ScatterSink(out))
         plan = ExecutionPlan([task], label="double-scatter")
         assert not verify_plan(plan).has_errors
         with pytest.raises(SanitizerError, match="FG006"):
@@ -355,13 +366,13 @@ class TestSanitizer:
 
     @pytest.mark.parametrize("w_shape", [(), (2,)])
     def test_row_gather_stage_is_checked_against_its_program(self, w_shape):
-        """The sanitizer's oracle input for a stage that is never gathered
+        """The sanitizer's oracle input for a task that is never gathered
         is its compiled program's block; a clean run stays bit-identical
         and FG007 reports the sum as any spblas sum."""
         k, bindings = self._u_mul_e(w_shape)
         acc = np.zeros((N, 2, F), np.float32)
         plan = k.execution_plan(acc)
-        assert list(plan.extras["verify"]["row_gather"]) == ["u_mul_e_msg"]
+        assert all(t.oracle is not None for t in plan.tasks)
         notes = [d.message for d in verify_plan(plan).diagnostics
                  if d.rule == "FG007"]
         assert notes == ["reduction sum via strategy spblas: "
@@ -377,20 +388,20 @@ class TestSanitizer:
         acc = np.zeros((N, 2, F), np.float32)
         plan = k.execution_plan(acc)
         assert not verify_plan(plan).has_errors
-        stage = plan.tasks[0].stages[0]
-        honest = stage.evaluate
+        task = plan.tasks[0]
+        honest = task.evaluate
 
         def corrupt(bindings, ctx):
             g, nbytes = honest(bindings, ctx)
             assert isinstance(g, RowGather)
             return RowGather(g.table, g.index, g.weight * 1.01), nbytes
 
-        stage.evaluate = corrupt
+        task.evaluate = corrupt
         with pytest.raises(SanitizerError, match="FG007"):
             sanitized_run(Executor(), plan, bindings)
 
     def test_hand_built_row_gather_is_checked_through_asarray(self):
-        """Without a registered program the oracle densifies the value
+        """Without a task oracle the sanitizer densifies the value
         itself (``np.asarray``): a consistent gather passes, and a combine
         that misreads it is still caught."""
         table = np.arange(12, dtype=np.float32).reshape(6, 2)
@@ -404,8 +415,7 @@ class TestSanitizer:
                                 indptr=np.array([0, 2, 2, 6]))
             sink = AggregateSink(np.zeros((3, 2), np.float32),
                                  get_reducer("sum"), strategy)
-            task = EdgeTask(gather, [(0, 2), (2, 6)],
-                            [Stage("agg", evaluate, sink)])
+            task = EdgeTask(gather, [(0, 2), (2, 6)], "agg", evaluate, sink)
             return ExecutionPlan([task], strategy="spblas"), sink.acc
 
         plan, acc = build(make_strategy("spblas"))

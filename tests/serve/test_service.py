@@ -79,10 +79,11 @@ class TestCorrectness:
         assert stats.batch_seeds == 2  # deduplicated block
 
     def test_empty_seed_request(self, model, dataset, backend):
-        with _service(model, dataset, backend) as svc:
-            got, stats = svc.infer(np.array([], dtype=np.int64))
-        assert got.shape == (0, 4)
-        assert stats.batch_seeds == 0
+        for seeds in (np.array([], dtype=np.int64), []):
+            with _service(model, dataset, backend) as svc:
+                got, stats = svc.infer(seeds)
+            assert got.shape == (0, 4)
+            assert stats.batch_seeds == 0
 
 
 class TestMicroBatching:
@@ -258,11 +259,14 @@ class _OneShortBatch(GCN):
 class TestBadInputIsolation:
     def test_out_of_range_seeds_are_rejected_at_submit(self, model, dataset,
                                                        backend):
-        """A seed outside ``[0, num_vertices)`` raises at ``submit``; it
-        never reaches a batch, so its would-be batchmates are served."""
+        """A seed outside ``[0, num_vertices)`` -- or a float or bool one,
+        which a cast would truncate to another vertex -- raises at
+        ``submit``; it never reaches a batch, so its would-be batchmates
+        are served."""
         svc = _service(model, dataset, backend, start=False)
         ok = svc.submit(np.array([1, 2]))
-        for bad in (np.array([-1]), np.array([300]), np.array([4, 300])):
+        for bad in (np.array([-1]), np.array([300]), np.array([4, 300]),
+                    [1.7], np.array([1.0, 2.0]), np.array([True])):
             with pytest.raises(ValueError, match="seed ids"):
                 svc.submit(bad)
         svc.start()
@@ -372,8 +376,10 @@ class TestShutdown:
     def test_submit_after_close_rejected(self, model, dataset, backend):
         svc = _service(model, dataset, backend)
         svc.close()
-        with pytest.raises(ServiceClosed):
-            svc.submit(np.array([1]))
+        for seeds in (np.array([1]), []):
+            with pytest.raises(ServiceClosed):
+                svc.submit(seeds)
+        assert svc.stats()["accepted"] == 0
 
 
 class TestCounters:
