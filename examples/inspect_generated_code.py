@@ -7,15 +7,14 @@ all three artifacts a developer can inspect:
 1. the **lowered loop-nest IR** of the fused kernel (template traversal
    loops + inlined, scheduled UDF),
 2. the generated **CUDA C source** for the GPU schedules of Fig. 7a/7b,
-3. the generated **Python kernel source** for a standalone dense compute.
+3. the **vectorized numpy program** the CPU template executes: the UDF
+   compiled once into straight-line numpy over a chunk of edges.
 
 Run:  python examples/inspect_generated_code.py
 """
 
 import numpy as np
 
-import repro.core as featgraph
-from repro import tensorir as tvm
 from repro.core import kernels
 from repro.graph import from_edges
 from repro.tensorir.ir import stmt_to_str
@@ -43,31 +42,8 @@ print("generated CUDA for dot attention (Fig. 7b: edge/block, tree reduction):")
 print("=" * 72)
 print(kernels.dot_attention(adj, n, 64, target="gpu").cuda_source())
 
-# --- 3. a standalone dense kernel through the full compiler ------------------------
+# --- 3. the program the CPU template runs ---------------------------------------------
 print("=" * 72)
-print("standalone dense kernel: split + unroll + vectorize schedule")
+print("vectorized numpy program of the MLP-aggregation UDF (what the CPU runs):")
 print("=" * 72)
-X = tvm.placeholder((64, 32), name="X")
-t = tvm.compute((64, 32), lambda i, j: tvm.relu(X[i, j] - 0.5), name="act")
-s = tvm.create_schedule(t)
-io, ii = s[t].split(t.op.axis[0], factor=4)
-s[t].unroll(ii)
-s[t].vectorize(t.op.axis[1])
-kern = tvm.build(s, [X], name="relu_shift")
-print(kern.source)
-
-x = rng.random((64, 32), dtype=np.float32)
-assert np.allclose(kern(x), np.maximum(x - 0.5, 0), atol=1e-6)
-print("kernel output verified against numpy.")
-
-# the GPU kernels are also checked for block-order independence
-from repro.tensorir.gpusim import racecheck
-
-A = tvm.placeholder((16, 32), name="A")
-t2 = tvm.compute((16, 32), lambda i, j: A[i, j] * 2.0)
-s2 = tvm.create_schedule(t2)
-s2[t2].bind(t2.op.axis[0], "block.x")
-s2[t2].bind(t2.op.axis[1], "thread.x")
-kg = tvm.build(s2, [A], target="gpu")
-racecheck(kg, rng.random((16, 32), dtype=np.float32), trials=4)
-print("GPU kernel passed the block-order race check.")
+print(k.vector_program().source)

@@ -91,8 +91,9 @@ class ServeStats:
     """Per-request serving accounting (the request-path ``ExecStats``).
 
     ``queue_seconds`` is admission-to-batch-formation wait,
-    ``sample_seconds``/``compute_seconds`` the request's batch's block
-    sampling and forward time (shared by every request in the batch),
+    ``sample_seconds`` the request's batch's formation (deadline filter,
+    seed concatenation and dedup) plus block sampling, ``compute_seconds``
+    its gather and forward time (both shared by every request in the batch),
     ``total_seconds`` admission-to-reply wall clock.  ``batch_requests`` /
     ``batch_seeds`` describe the batch the request rode in (seeds are
     post-dedup); ``occupancy`` is ``batch_seeds / max_batch_seeds``.
@@ -370,12 +371,13 @@ class InferenceService:
                 live.append(fut)
         if not live:
             return
+        # batch formation (the deadline filter above, the seed dedup here)
+        # counts as sampling, so queue + sample + compute spans the reply
         all_seeds = np.concatenate([f.seeds for f in live])
         uniq, inverse = np.unique(all_seeds, return_inverse=True)
-        t0 = time.perf_counter()
         blocks = build_blocks(self.dataset.adj, uniq, self.fanouts,
                               self.rng)
-        sample_s = time.perf_counter() - t0
+        sample_s = time.perf_counter() - t_formed
         t0 = time.perf_counter()
         if self.feature_cache is not None:
             h0 = self.feature_cache.hits

@@ -12,8 +12,8 @@ listings exercise:
   ``parallel``, ``vectorize``, ``unroll``, ``cache_read``).
 - :mod:`repro.tensorir.ir` -- a loop-nest intermediate representation.
 - :mod:`repro.tensorir.lower` -- lowering of a scheduled compute to loop IR.
-- :mod:`repro.tensorir.codegen` -- generation of executable Python kernels
-  from the IR, for a CPU target and a simulated-GPU target.
+- :mod:`repro.tensorir.cuda_codegen` -- C rendering of UDF expressions and
+  combine steps for the fused templates' CUDA source.
 - :mod:`repro.tensorir.evaluator` -- a vectorized (numpy) interpreter for
   tensor expressions with batched free variables; the differential oracle
   for the compiled programs (never an execution path).
@@ -63,7 +63,6 @@ from repro.tensorir.expr import (
 from repro.tensorir.schedule import Schedule, Stage, create_schedule
 from repro.tensorir.evaluator import evaluate, evaluate_batched
 from repro.tensorir.lower import lower
-from repro.tensorir.codegen import build
 from repro.tensorir.runtime import ExecStats, WorkPool, default_pool
 from repro.tensorir.vectorize import (
     VectorizeError,
@@ -115,7 +114,6 @@ __all__ = [
     "evaluate",
     "evaluate_batched",
     "lower",
-    "build",
     "ExecStats",
     "WorkPool",
     "default_pool",

@@ -1,31 +1,25 @@
-"""CUDA C source generation.
+"""CUDA C expression emission for the fused templates.
 
-FeatGraph's real deliverable is generated CUDA/C code; the Python kernels in
-:mod:`repro.tensorir.codegen` execute the semantics, and this module emits
-the corresponding **CUDA C source text** from the same scheduled IR, so the
-generated-kernel story is inspectable end to end:
+FeatGraph's real deliverable is generated CUDA/C code.  The fused SpMM/SDDMM
+templates (:func:`repro.core.compile.spmm_cuda_source` /
+:func:`~repro.core.compile.sddmm_cuda_source`) write the kernel skeleton --
+the CSR edge loop, the ``blockIdx`` / ``threadIdx`` bindings, the Fig. 7b
+shared-memory tree reduction -- and use this module to render the inlined
+UDF and the aggregation's combine step as C:
 
-- axes bound to ``block.*`` / ``thread.*`` become ``blockIdx`` /
-  ``threadIdx`` lookups with a grid guard;
-- ``tree_reduce`` axes lower to the canonical shared-memory tree reduction
-  ([Harris, "Optimizing parallel reduction in CUDA"], the paper's [34]):
-  per-thread strided partial sums, then a log-depth ``__syncthreads``
-  halving loop;
-- everything else becomes plain C loops.
+- :func:`expr_to_c` renders a tensor expression with flat row-major buffer
+  indexing and C float intrinsics (``expf``, ``sqrtf``, ...);
+- ``_COMBINE_C`` maps an aggregation to its accumulate statement.
 
 There is no GPU in this environment, so the output is validated
-structurally (tests) rather than compiled; the text is also what
-``GeneralizedSpMM.cuda_source()`` embeds in the fused-template skeleton.
+structurally (tests) rather than compiled.
 """
 
 from __future__ import annotations
 
 from repro.tensorir import expr as E
-from repro.tensorir import ir as I
-from repro.tensorir.lower import lower
-from repro.tensorir.schedule import Schedule
 
-__all__ = ["emit_cuda", "expr_to_c"]
+__all__ = ["expr_to_c"]
 
 _C_CALLS = {
     "exp": "expf",
@@ -36,15 +30,6 @@ _C_CALLS = {
     "pow": "powf",
     "floor": "floorf",
     "ceil": "ceilf",
-}
-
-_TAG_TO_CUDA = {
-    "block.x": "blockIdx.x",
-    "block.y": "blockIdx.y",
-    "block.z": "blockIdx.z",
-    "thread.x": "threadIdx.x",
-    "thread.y": "threadIdx.y",
-    "thread.z": "threadIdx.z",
 }
 
 
@@ -102,142 +87,9 @@ def _flat_index(shape, indices) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-class _CudaEmitter:
-    def __init__(self):
-        self.lines: list[str] = []
-        self.indent = 1
-        self.shared_decls: list[str] = []
-        self.uses_tree_reduce = False
-
-    def emit(self, text: str):
-        self.lines.append("  " * self.indent + text)
-
-
 _COMBINE_C = {
     "sum": "{t} += {v};",
     "prod": "{t} *= {v};",
     "max": "{t} = max({t}, {v});",
     "min": "{t} = min({t}, {v});",
 }
-
-
-def _emit(stmt: I.Stmt, em: _CudaEmitter):
-    if isinstance(stmt, I.For):
-        name = _cname(stmt.var.name)
-        if stmt.kind in _TAG_TO_CUDA:
-            em.emit(f"int {name} = {_TAG_TO_CUDA[stmt.kind]};")
-            em.emit(f"if ({name} >= {stmt.extent}) return;")
-            _emit(stmt.body, em)
-            return
-        if stmt.kind.startswith("tree_reduce["):
-            _emit_tree_reduce(stmt, em)
-            return
-        pragma = ""
-        if stmt.kind == I.For.UNROLL:
-            em.emit("#pragma unroll")
-        em.emit(f"for (int {name} = 0; {name} < {stmt.extent}; ++{name}) {{")
-        em.indent += 1
-        _emit(stmt.body, em)
-        em.indent -= 1
-        em.emit("}")
-        return
-    if isinstance(stmt, I.Store):
-        target = (f"{_cname(stmt.buffer.name)}"
-                  f"[{_flat_index(stmt.buffer.shape, stmt.indices)}]")
-        value = expr_to_c(stmt.value)
-        if stmt.combiner is None:
-            em.emit(f"{target} = {value};")
-        else:
-            em.emit(_COMBINE_C[stmt.combiner].format(t=target, v=value))
-        return
-    if isinstance(stmt, I.SeqStmt):
-        for s in stmt.stmts:
-            _emit(s, em)
-        return
-    if isinstance(stmt, I.IfThenElse):
-        em.emit(f"if ({expr_to_c(stmt.cond)}) {{")
-        em.indent += 1
-        _emit(stmt.then_body, em)
-        em.indent -= 1
-        if stmt.else_body is not None:
-            em.emit("} else {")
-            em.indent += 1
-            _emit(stmt.else_body, em)
-            em.indent -= 1
-        em.emit("}")
-        return
-    if isinstance(stmt, I.Allocate):
-        if stmt.scope == "shared":
-            size = 1
-            for s in stmt.buffer.shape:
-                size *= s
-            em.shared_decls.append(
-                f"__shared__ float {_cname(stmt.buffer.name)}[{size}];")
-        _emit(stmt.body, em)
-        return
-    if isinstance(stmt, I.AttrStmt):
-        em.emit(f"// {stmt.key} = {stmt.value}")
-        _emit(stmt.body, em)
-        return
-    if isinstance(stmt, I.Evaluate):
-        return
-    raise TypeError(f"cannot emit {type(stmt).__name__}")
-
-
-def _emit_tree_reduce(stmt: I.For, em: _CudaEmitter):
-    """Shared-memory tree reduction for a reduce loop bound to threads.
-
-    Emits the canonical pattern: each thread accumulates a strided slice of
-    the reduce domain into a register, partials land in shared memory, and a
-    log-depth halving loop combines them (paper Fig. 7b / reference [34])."""
-    em.uses_tree_reduce = True
-    name = _cname(stmt.var.name)
-    store = stmt.body
-    while not isinstance(store, I.Store):
-        # unwrap guards between the reduce loop and the accumulation
-        inner = store.children()
-        if not inner:
-            raise TypeError("tree_reduce body must contain a Store")
-        store = inner[0]
-    if store.combiner != "sum":
-        raise NotImplementedError("tree reduction lowers sum reductions")
-    value = expr_to_c(store.value)
-    target = (f"{_cname(store.buffer.name)}"
-              f"[{_flat_index(store.buffer.shape, store.indices)}]")
-    em.emit("// tree reduction across threadIdx.x (Harris [34])")
-    em.emit("float _acc = 0.0f;")
-    em.emit(f"for (int {name} = threadIdx.x; {name} < {stmt.extent}; "
-            f"{name} += blockDim.x) {{")
-    em.indent += 1
-    em.emit(f"_acc += {value};")
-    em.indent -= 1
-    em.emit("}")
-    em.emit("_reduce_buf[threadIdx.x] = _acc;")
-    em.emit("__syncthreads();")
-    em.emit("for (int _s = blockDim.x / 2; _s > 0; _s >>= 1) {")
-    em.indent += 1
-    em.emit("if (threadIdx.x < _s) "
-            "_reduce_buf[threadIdx.x] += _reduce_buf[threadIdx.x + _s];")
-    em.emit("__syncthreads();")
-    em.indent -= 1
-    em.emit("}")
-    em.emit(f"if (threadIdx.x == 0) {target} = _reduce_buf[0];")
-
-
-def emit_cuda(schedule: Schedule, args, name: str = "generated_kernel",
-              threads_per_block: int = 256) -> str:
-    """Lower ``schedule`` and emit a ``__global__`` CUDA kernel source."""
-    output = schedule.outputs[0]
-    stmt = lower(schedule, output)
-    em = _CudaEmitter()
-    _emit(stmt, em)
-    params = ", ".join(
-        [f"float* __restrict__ {_cname(output.name)}"]
-        + [("const long* __restrict__ " if a.dtype.startswith("int")
-            else "const float* __restrict__ ") + _cname(a.name)
-           for a in args])
-    header = [f"extern \"C\" __global__ void {name}({params}) {{"]
-    if em.uses_tree_reduce:
-        header.append(f"  __shared__ float _reduce_buf[{threads_per_block}];")
-    header.extend(f"  {d}" for d in em.shared_decls)
-    return "\n".join(header + em.lines + ["}"]) + "\n"

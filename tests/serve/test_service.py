@@ -18,6 +18,7 @@ from repro.minidgl.autograd import Tensor
 from repro.minidgl.backends import get_backend
 from repro.minidgl.models import GAT, GCN
 from repro.minidgl.train import infer_minibatch
+from repro.serve import service as service_mod
 from repro.serve import (
     DeadlineExceeded,
     InferenceService,
@@ -137,6 +138,30 @@ class TestMicroBatching:
         assert stats.compute_seconds > 0
         assert stats.total_seconds >= stats.compute_seconds
         assert np.isnan(stats.cache_hit_rate)  # no cache configured
+
+
+class TestStatsAttribution:
+    def test_batch_formation_counts_as_sampling(self, model, dataset,
+                                                backend, monkeypatch):
+        """The seed dedup runs after the batch forms and before the
+        sampler: its time lands in ``sample_seconds``, and queue + sample
+        + compute still fits inside the request's wall clock."""
+
+        class _SlowUnique:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def unique(*args, **kwargs):
+                time.sleep(0.03)
+                return np.unique(*args, **kwargs)
+
+        monkeypatch.setattr(service_mod, "np", _SlowUnique())
+        with _service(model, dataset, backend) as svc:
+            _, stats = svc.infer(np.array([4, 9]))
+        assert stats.sample_seconds >= 0.03
+        assert (stats.queue_seconds + stats.sample_seconds
+                + stats.compute_seconds) <= stats.total_seconds
 
 
 class TestDispatch:

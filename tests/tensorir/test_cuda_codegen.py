@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import tensorir as T
-from repro.tensorir.cuda_codegen import emit_cuda, expr_to_c
+from repro.tensorir.cuda_codegen import expr_to_c
 from repro.tensorir import expr as E
 
 
@@ -29,75 +29,6 @@ class TestExprToC:
         x = E.Var("x", "float32")
         assert expr_to_c(T.maximum(x, 0.0)) == "max(x, 0.0f)"
         assert "?" in expr_to_c(T.select(x > 0, x, 0.0))
-
-
-class TestEmitCuda:
-    def _matmul_schedule(self, bind=True):
-        A = T.placeholder((16, 8), name="A")
-        B = T.placeholder((8, 16), name="B")
-        k = T.reduce_axis((0, 8), "k")
-        C = T.compute((16, 16), lambda i, j: T.sum_reduce(A[i, k] * B[k, j],
-                                                          axis=k), name="C")
-        s = T.create_schedule(C)
-        if bind:
-            s[C].bind(C.op.axis[0], "block.x")
-            s[C].bind(C.op.axis[1], "thread.x")
-        return s, [A, B]
-
-    def test_kernel_signature(self):
-        s, args = self._matmul_schedule()
-        src = emit_cuda(s, args, name="mm")
-        assert 'extern "C" __global__ void mm(' in src
-        assert "float* __restrict__ C" in src
-        assert "const float* __restrict__ A" in src
-
-    def test_thread_bindings_with_guards(self):
-        s, args = self._matmul_schedule()
-        src = emit_cuda(s, args)
-        assert "blockIdx.x" in src and "threadIdx.x" in src
-        assert "return;" in src  # grid guards
-
-    def test_unbound_schedule_emits_plain_loops(self):
-        s, args = self._matmul_schedule(bind=False)
-        src = emit_cuda(s, args)
-        assert "for (int" in src
-        assert "blockIdx" not in src
-
-    def test_reduction_emits_init_and_accumulate(self):
-        s, args = self._matmul_schedule()
-        src = emit_cuda(s, args)
-        assert "= 0.0f;" in src
-        assert "+=" in src
-
-    def test_tree_reduce_emits_shared_memory_reduction(self):
-        X = T.placeholder((32, 64), name="X")
-        k = T.reduce_axis((0, 64), "k")
-        t = T.compute((32,), lambda i: T.sum_reduce(X[i, k], axis=k),
-                      name="rowsum")
-        s = T.create_schedule(t)
-        s[t].bind(t.op.axis[0], "block.x")
-        s[t].tree_reduce(t.op.reduce_axis[0], "thread.x")
-        src = emit_cuda(s, [X])
-        assert "__shared__ float _reduce_buf" in src
-        assert "__syncthreads();" in src
-        assert "blockDim.x / 2" in src          # the halving loop
-        assert "k += blockDim.x" in src         # strided per-thread partials
-
-    def test_unroll_pragma(self):
-        X = T.placeholder((8,), name="X")
-        t = T.compute((8,), lambda i: X[i] * 2.0)
-        s = T.create_schedule(t)
-        s[t].unroll(t.op.axis[0])
-        src = emit_cuda(s, [X])
-        assert "#pragma unroll" in src
-
-    def test_int_placeholder_gets_long_pointer(self):
-        IDX = T.placeholder((8,), name="IDX", dtype="int64")
-        X = T.placeholder((8,), name="X")
-        t = T.compute((8,), lambda i: X[IDX[i]])
-        s = T.create_schedule(t)
-        src = emit_cuda(s, [X, IDX])
-        assert "const long* __restrict__ IDX" in src
 
 
 class TestFusedTemplateCuda:

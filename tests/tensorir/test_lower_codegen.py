@@ -1,19 +1,10 @@
-"""Lowering and code generation: generated kernels vs numpy references."""
+"""Lowering: the loop-nest IR a scheduled compute lowers to."""
 
-import numpy as np
 import pytest
 
 from repro import tensorir as T
 from repro.tensorir.ir import For, IfThenElse, SeqStmt, Store, stmt_to_str, walk
 from repro.tensorir.lower import inline_computes, lower, substitute
-
-
-def _build_and_run(tensor, args, bindings, target="cpu", schedule_fn=None):
-    s = T.create_schedule(tensor)
-    if schedule_fn:
-        schedule_fn(s, tensor)
-    kern = T.build(s, args, target=target)
-    return kern(*[bindings[a.name] for a in args]), kern
 
 
 class TestLowerStructure:
@@ -56,6 +47,48 @@ class TestLowerStructure:
         s[t].split(t.op.axis[0], factor=4)
         stmt = lower(s)
         assert not any(isinstance(n, IfThenElse) for n in walk(stmt))
+
+    def test_split_reconstructs_index(self):
+        X = T.placeholder((10,), name="X")
+        t = T.compute((10,), lambda i: X[i], name="t")
+        s = T.create_schedule(t)
+        s[t].split(t.op.axis[0], factor=4)
+        (store,) = [n for n in walk(lower(s)) if isinstance(n, Store)]
+        (idx,) = store.indices  # outer * 4 + inner
+        assert (idx.op, idx.a.op) == ("+", "*")
+        assert (idx.a.a.name, idx.a.b.value, idx.b.name) == (
+            "t_i0.outer", 4, "t_i0.inner")
+
+    def test_fuse_reconstructs_indices(self):
+        X = T.placeholder((4, 6), name="X")
+        t = T.compute((4, 6), lambda i, j: X[i, j] + 1.0, name="t")
+        s = T.create_schedule(t)
+        s[t].fuse(t.op.axis[0], t.op.axis[1])
+        stmt = lower(s)
+        fors = [n for n in walk(stmt) if isinstance(n, For)]
+        (store,) = [n for n in walk(stmt) if isinstance(n, Store)]
+        assert [f.extent for f in fors] == [24]
+        assert [(i.op, i.a.name, i.b.value) for i in store.indices] == [
+            ("//", "t_i0.t_i1.fused", 6), ("%", "t_i0.t_i1.fused", 6)]
+
+    def test_upstream_compute_inlined(self):
+        X = T.placeholder((5,), name="X")
+        mid = T.compute((5,), lambda i: X[i] * 3.0, name="midk")
+        t = T.compute((5,), lambda i: mid[i] + 1.0, name="outk")
+        (store,) = [n for n in walk(lower(T.create_schedule(t)))
+                    if isinstance(n, Store)]
+        value = store.value  # (X[i] * 3.0) + 1.0: no read of midk left
+        assert (value.op, value.a.op, value.b.value) == ("+", "*", 1.0)
+        assert (value.a.a.tensor.name, value.a.b.value) == ("X", 3.0)
+
+    def test_partial_binding_leaves_serial_loop(self):
+        A = T.placeholder((6, 8), name="A")
+        t = T.compute((6, 8), lambda i, j: A[i, j] + 1.0, name="t")
+        s = T.create_schedule(t)
+        s[t].bind(t.op.axis[0], "block.x")
+        fors = [n for n in walk(lower(s)) if isinstance(n, For)]
+        assert [(f.kind, f.extent) for f in fors] == [
+            ("block.x", 6), (For.SERIAL, 8)]
 
     def test_pretty_printer_runs(self):
         X = T.placeholder((4,), name="X")
@@ -112,123 +145,3 @@ class TestSubstitute:
         out = T.compute((4,), lambda i: mid[i] + 1.0, name="out3")
         with pytest.raises(NotImplementedError):
             inline_computes(out.op.body)
-
-
-class TestCPUCodegen:
-    def test_copy_kernel(self):
-        X = T.placeholder((7,), name="X")
-        t = T.compute((7,), lambda i: X[i])
-        x = np.arange(7, dtype=np.float32)
-        out, _ = _build_and_run(t, [X], {"X": x})
-        assert np.array_equal(out, x)
-
-    def test_matmul_default_schedule(self):
-        A = T.placeholder((6, 5), name="A")
-        B = T.placeholder((5, 4), name="B")
-        k = T.reduce_axis((0, 5), "k")
-        C = T.compute((6, 4), lambda i, j: T.sum_reduce(A[i, k] * B[k, j], axis=k))
-        rng = np.random.default_rng(0)
-        a = rng.random((6, 5)).astype(np.float32)
-        b = rng.random((5, 4)).astype(np.float32)
-        out, kern = _build_and_run(C, [A, B], {"A": a, "B": b})
-        assert np.allclose(out, a @ b, atol=1e-4)
-        assert "def kernel" in kern.source
-
-    def test_matmul_with_split_schedule(self):
-        A = T.placeholder((6, 5), name="A")
-        B = T.placeholder((5, 4), name="B")
-        k = T.reduce_axis((0, 5), "k")
-        C = T.compute((6, 4), lambda i, j: T.sum_reduce(A[i, k] * B[k, j], axis=k))
-        rng = np.random.default_rng(1)
-        a = rng.random((6, 5)).astype(np.float32)
-        b = rng.random((5, 4)).astype(np.float32)
-
-        def sched(s, t):
-            o, i = s[t].split(t.op.axis[0], factor=4)  # imperfect: guard path
-            s[t].split(t.op.reduce_axis[0], factor=2)
-
-        out, _ = _build_and_run(C, [A, B], {"A": a, "B": b}, schedule_fn=sched)
-        assert np.allclose(out, a @ b, atol=1e-4)
-
-    def test_fused_axes_kernel(self):
-        X = T.placeholder((4, 6), name="X")
-        t = T.compute((4, 6), lambda i, j: X[i, j] + 1.0)
-
-        def sched(s, tt):
-            s[tt].fuse(tt.op.axis[0], tt.op.axis[1])
-
-        x = np.random.default_rng(2).random((4, 6)).astype(np.float32)
-        out, _ = _build_and_run(t, [X], {"X": x}, schedule_fn=sched)
-        assert np.allclose(out, x + 1)
-
-    def test_relu_sum_epilogue_kernel(self):
-        X = T.placeholder((3, 4), name="X")
-        k = T.reduce_axis((0, 4), "k")
-        t = T.compute((3,), lambda i: T.maximum(T.sum_reduce(X[i, k], axis=k), 0.0))
-        x = np.random.default_rng(3).standard_normal((3, 4)).astype(np.float32)
-        out, _ = _build_and_run(t, [X], {"X": x})
-        assert np.allclose(out, np.maximum(x.sum(axis=1), 0), atol=1e-5)
-
-    def test_inlined_upstream_compute(self):
-        X = T.placeholder((5,), name="X")
-        mid = T.compute((5,), lambda i: X[i] * 3.0, name="midk")
-        t = T.compute((5,), lambda i: mid[i] + 1.0, name="outk")
-        x = np.arange(5, dtype=np.float32)
-        s = T.create_schedule(t)
-        kern = T.build(s, [X])
-        assert np.allclose(kern(x), x * 3 + 1)
-
-    def test_wrong_arg_count_rejected(self):
-        X = T.placeholder((5,), name="X")
-        t = T.compute((5,), lambda i: X[i])
-        s = T.create_schedule(t)
-        kern = T.build(s, [X])
-        with pytest.raises(TypeError):
-            kern()
-
-    def test_gpu_binds_on_cpu_target_rejected(self):
-        X = T.placeholder((5,), name="X")
-        t = T.compute((5,), lambda i: X[i])
-        s = T.create_schedule(t)
-        s[t].bind(t.op.axis[0], "thread.x")
-        with pytest.raises(ValueError):
-            T.build(s, [X], target="cpu")
-
-    def test_unknown_target_rejected(self):
-        X = T.placeholder((5,), name="X")
-        t = T.compute((5,), lambda i: X[i])
-        with pytest.raises(ValueError):
-            T.build(T.create_schedule(t), [X], target="tpu")
-
-
-class TestGPUCodegen:
-    def test_block_thread_binding(self):
-        A = T.placeholder((6, 8), name="A")
-        t = T.compute((6, 8), lambda i, j: A[i, j] * 2.0)
-        s = T.create_schedule(t)
-        s[t].bind(t.op.axis[0], "block.x")
-        s[t].bind(t.op.axis[1], "thread.x")
-        kern = T.build(s, [A], target="gpu")
-        assert kern.launch_dims == {"block.x": 6, "thread.x": 8}
-        a = np.random.default_rng(4).random((6, 8)).astype(np.float32)
-        assert np.allclose(kern(a), a * 2)
-
-    def test_tree_reduce_functional(self):
-        A = T.placeholder((4, 8), name="A")
-        k = T.reduce_axis((0, 8), "k")
-        t = T.compute((4,), lambda i: T.sum_reduce(A[i, k], axis=k))
-        s = T.create_schedule(t)
-        s[t].bind(t.op.axis[0], "block.x")
-        s[t].tree_reduce(t.op.reduce_axis[0], "thread.x")
-        kern = T.build(s, [A], target="gpu")
-        a = np.random.default_rng(5).random((4, 8)).astype(np.float32)
-        assert np.allclose(kern(a), a.sum(axis=1), atol=1e-5)
-
-    def test_partial_binding_leaves_serial_loop(self):
-        A = T.placeholder((6, 8), name="A")
-        t = T.compute((6, 8), lambda i, j: A[i, j] + 1.0)
-        s = T.create_schedule(t)
-        s[t].bind(t.op.axis[0], "block.x")  # j stays a serial loop
-        kern = T.build(s, [A], target="gpu")
-        a = np.random.default_rng(6).random((6, 8)).astype(np.float32)
-        assert np.allclose(kern(a), a + 1)

@@ -5,6 +5,8 @@ benches and examples are added -- every runnable artifact must be referenced
 where a reader would look for it.
 """
 
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,23 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _read(name: str) -> str:
     return (ROOT / name).read_text()
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``; the rest must be
+    attributes (``repro.core.fusion.use_fusion``)."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
 
 
 class TestReadme:
@@ -49,6 +68,17 @@ class TestDesign:
         design = _read("DESIGN.md")
         assert "verified" in design.lower()
         assert "FeatGraph" in design
+
+    @pytest.mark.parametrize("doc", ["DESIGN.md", "docs/API.md"])
+    def test_named_modules_and_paths_exist(self, doc):
+        text = _read(doc)
+        stale = [name for name in sorted(set(
+            re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", text)))
+            if not _resolves(name)]
+        stale += [path for path in sorted(set(
+            re.findall(r"\brepro/[\w/]*(?:\.py)?", text)))
+            if not (ROOT / "src" / path).exists()]
+        assert not stale, f"{doc} names what does not exist: {stale}"
 
     def test_every_source_package_in_inventory(self):
         design = _read("DESIGN.md")
