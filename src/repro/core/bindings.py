@@ -16,7 +16,9 @@ The same structural reading tells a lowering when a message is a *pure row
 gather* (:func:`row_gather_form`): ``copy_u``, ``copy_e`` and ``u_mul_e``
 bodies name a table, the graph variable that picks its rows and at most a
 per-edge weight, which is all a sparse-BLAS sink needs to aggregate without
-the per-edge message block.
+the per-edge message block.  An SDDMM body that is a *dot product* of a
+source row and a destination row (:func:`dot_form`) lets the template read
+each destination row once per CSR row instead of once per edge.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from typing import Mapping
 import numpy as np
 
 from repro.tensorir.expr import (BinOp, ComputeOp, IterVar, PlaceholderOp,
-                                 Tensor, TensorElem, Var)
+                                 Reduce, Tensor, TensorElem, Var)
 
 __all__ = ["validate_bindings", "graph_axis_roles", "leading_gather",
-           "row_gather_form", "BindingError"]
+           "row_gather_form", "dot_form", "BindingError"]
 
 #: graph-axis roles, by the template variable that indexes the leading dim
 _VAR_ROLE = {"src": "n_src", "dst": "n_dst", "eid": "m"}
@@ -138,6 +140,33 @@ def row_gather_form(out: Tensor) -> tuple | None:
             if table[1:] == ("src", len(axes)) and weight[1] == "eid" \
                     and weight[2] < len(axes):
                 return (table[0], "src", weight[0])
+    return None
+
+
+def dot_form(out: Tensor) -> tuple | None:
+    """``(src_table, dst_table)`` when ``out``'s traced body is the dot
+    product ``sum_k A[src, *h, k] * B[dst, *h, k]``, else None.
+
+    ``*h`` is every output axis in order (a multi-head score), or none
+    when the output is the single width-1 axis ``u_dot_v`` gives 1-D
+    features.  The operands may come in either order and ``A`` may be
+    another table than ``B`` (a bipartite block's two sides).  Like
+    :func:`row_gather_form` the match is structural and reads only the
+    body's root.
+    """
+    body, axes = out.op.body, out.op.axis
+    if not (isinstance(body, Reduce) and body.combiner == "sum"
+            and len(body.axes) == 1 and isinstance(body.source, BinOp)
+            and body.source.op == "*"):
+        return None
+    for heads in (tuple(axes), ()) if out.shape == (1,) else (tuple(axes),):
+        reads = [leading_gather(term, heads + body.axes)
+                 for term in (body.source.a, body.source.b)]
+        if None in reads or any(k != len(heads) + 1 for _, _, k in reads):
+            continue
+        tables = {var: name for name, var, _ in reads}
+        if set(tables) == {"src", "dst"}:
+            return (tables["src"], tables["dst"])
     return None
 
 

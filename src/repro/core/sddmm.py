@@ -13,6 +13,12 @@ Template-side optimizations:
   order, where an edge-wise map's values are the same and numpy shows no
   cache effect to win;
 - **feature-dimension tiling** composes with the traversal;
+- a **dot-product** edge function (``sum_k A[src, *h, k] * B[dst, *h, k]``,
+  :func:`~repro.core.bindings.dot_form`) can read each destination row
+  once per CSR row instead of once per edge: row-aligned chunks, rows
+  grouped by length, one matrix-vector product per row
+  (:func:`dot_evaluate`), where the degree histogram says it pays
+  (:func:`dot_by_row`);
 - on GPU, the Fig. 7b parallelization: edges across blocks, the dot-product
   reduction across the threads of a block via **tree reduction** when the
   FDS requests it.
@@ -27,7 +33,7 @@ import numpy as np
 
 from repro.core import cost as cost_analysis
 from repro.core.api import SparseMat
-from repro.core.bindings import validate_bindings
+from repro.core.bindings import dot_form, validate_bindings
 from repro.core.fds import FDS, FDSInfo, default_fds
 from repro.graph.partition import feature_tiles
 from repro.hwsim import cpu as cpu_model
@@ -35,13 +41,112 @@ from repro.hwsim import gpu as gpu_model
 from repro.hwsim.report import CostReport
 from repro.hwsim.spec import CPUSpec, GPUSpec, TESLA_V100, XEON_8124M
 from repro.runtime.engine import Executor, ScatterSink
+from repro.runtime.histogram import DegreeStats, chunk_bounds, degree_stats
 from repro.runtime.plan import (EdgeTask, ExecutionPlan, GatherPlan,
                                 effective_chunk_edges)
 from repro.tensorir.expr import ComputeOp, Tensor, Var
 from repro.tensorir.runtime import ExecStats
 from repro.tensorir.vectorize import compile_batched
 
-__all__ = ["GeneralizedSDDMM"]
+__all__ = ["GeneralizedSDDMM", "dot_evaluate", "dot_by_row"]
+
+#: The by-row evaluate pays, per row, one matrix-vector product and its
+#: share of a per-length Python dispatch, and saves, per edge, the
+#: destination gather and the product pass -- a saving that grows with
+#: the contracted extent ``k``.  Against the compiled program in the same
+#: process (2-vCPU x86, BLAS on one thread, 175 (graph, k) shapes) it wins
+#: where the mean row length reaches about ``(109 / k) ** 3`` (5 at
+#: k = 64, 40 at k = 32, 317 at k = 16) and a kernel reads at least
+#: ``2 ** 17`` source values; below either the program is faster, by up
+#: to 3x on graphs of a few hundred edges (docs/execution.md, "SDDMM dot
+#: products by row").
+_DOT_ROW_K3 = 1_300_000
+_DOT_ROW_MIN_WORK = 1 << 17
+
+
+def dot_by_row(stats: DegreeStats, k: int) -> bool:
+    """Whether a dot product contracting ``k`` values per head runs
+    :func:`dot_evaluate` on the topology ``stats`` describes (its cached
+    degree histogram, as the sink strategy rule reads it); else it runs
+    its compiled program."""
+    return (stats.nnz * k >= _DOT_ROW_MIN_WORK
+            and stats.nnz * k ** 3 >= _DOT_ROW_K3 * stats.n_rows)
+
+
+def dot_evaluate(form: tuple, dtype, out_shape: tuple, k: int):
+    """The task evaluate of a dot-product edge function: a chunk's
+    ``(B, *heads)`` scores with each destination row read once.
+
+    ``form`` is the body's :func:`~repro.core.bindings.dot_form`,
+    ``out_shape`` the kernel's per-edge output (the heads, or ``(1,)``)
+    and ``k`` the contracted extent.  The
+    chunk's destination segments are grouped by length, the loop shape of
+    :class:`~repro.runtime.strategies.DegreeBucketedStrategy`: a length
+    held by one row is one ``np.matmul`` of that row's gathered source
+    block ``(heads, d, k)`` against its destination row, written in place;
+    ``r`` rows sharing a length are one batched matmul of an ``(r, heads,
+    d, k)`` gather against ``(r, heads, k, 1)``.  Either way each row and
+    head is one ``(d, k)`` matrix-vector product, so a row's bits depend
+    on its own length only -- not on what shares its chunk, as long as
+    chunks do not split rows.  Tables are taken in ``dtype`` (the
+    program's output dtype) once per plan.  The bytes booked are what the
+    chunk reads and writes: ``B`` source rows, one destination row per
+    segment and ``B`` scores.
+    """
+    src_name, dst_name = form
+    heads = int(np.prod(out_shape))
+    itemsize = np.dtype(dtype).itemsize
+    operands: dict = {}
+
+    def operand(bindings, name):
+        # idempotent: two threads sharing a plan convert twice at worst
+        arr = operands.get(name)
+        if arr is None:
+            arr = np.ascontiguousarray(bindings[name], dtype=dtype)
+            arr = operands[name] = arr.reshape(len(arr), heads, k)
+        return arr
+
+    def evaluate(bindings, ctx):
+        A = operand(bindings, src_name)
+        B = operand(bindings, dst_name)
+        src = ctx.index("src")
+        seg = ctx.segments
+        lengths, starts, rows = seg.lengths, seg.starts, seg.seg_rows
+        # head-major, so that a row's (heads, d) scores are one matmul out=
+        vals = np.empty((heads, ctx.size), dtype=dtype)
+        # every bucket gathers into one chunk-sized buffer: one allocation
+        # per chunk, not one per row length.  ``clip`` lets ``take`` write
+        # ``out=`` directly (``raise`` gathers into a copy first); CSR
+        # column indices are below ``num_src``, and validate_bindings saw
+        # at least that many source rows.
+        gathered = np.empty((ctx.size, heads, k), dtype=dtype)
+        order = np.argsort(lengths, kind="stable")
+        sorted_len = lengths[order]
+        bnd = np.concatenate(
+            ([0], np.flatnonzero(np.diff(sorted_len)) + 1, [len(order)]))
+        for b0, b1 in zip(bnd[:-1].tolist(), bnd[1:].tolist()):
+            d = int(sorted_len[b0])
+            if b1 - b0 == 1:
+                i = order[b0]
+                s = int(starts[i])
+                block = A.take(src[s:s + d], axis=0, mode="clip",
+                               out=gathered[:d])
+                np.matmul(block.transpose(1, 0, 2), B[rows[i]][:, :, None],
+                          out=vals[:, s:s + d, None])
+                continue
+            segs = order[b0:b1]
+            pos = starts[segs][:, None] + np.arange(d)
+            block = A.take(src[pos], axis=0, mode="clip",
+                           out=gathered[:pos.size].reshape(
+                               pos.shape + (heads, k)))
+            scores = np.matmul(block.transpose(0, 2, 1, 3),
+                               B[rows[segs]][..., None])
+            vals[:, pos] = scores[..., 0].transpose(1, 0, 2)
+        nbytes = ((ctx.size + len(lengths)) * heads * k
+                  + ctx.size * heads) * itemsize
+        return vals.T.reshape((ctx.size,) + out_shape), nbytes
+
+    return evaluate
 
 
 class GeneralizedSDDMM:
@@ -100,6 +205,9 @@ class GeneralizedSDDMM:
             self.fds_info = self.fds.inspect(out, target=target)
             self.graph_roles = None
         self.edge_out = out
+        #: (src_table, dst_table) when the edge function is a dot product
+        #: -- what lets the plan read each destination row once per row
+        self.dot = dot_form(out)
         self.out_shape = out.shape
         self.out_width = int(np.prod(out.shape))
         self.udf_flops = cost_analysis.udf_flops_per_item(out)
@@ -143,9 +251,10 @@ class GeneralizedSDDMM:
 
     def _gather_plan(self) -> GatherPlan:
         """(src, dst, eid) in CSR order, which keeps the graph's edge ids
-        where they are (positional, if they were)."""
+        where they are (positional, if they were); ``dst`` is expanded
+        from the row pointer only if something reads it."""
         csr = self.A.csr
-        return GatherPlan(csr.indices, csr.row_of_edge(), csr.edge_ids,
+        return GatherPlan(csr.indices, None, csr.edge_ids, indptr=csr.indptr,
                           eid_positional=csr.positional_edge_ids())
 
     def run(self, bindings: Mapping[str, np.ndarray],
@@ -153,8 +262,12 @@ class GeneralizedSDDMM:
         """Execute the kernel: returns ``(nnz, *out_shape)`` float32,
         indexed by original edge id.
 
-        One feature tile at a time, each tile's edge chunks in order on the
-        calling thread; every chunk writes its own edge-id rows.
+        A dot-product edge function (:attr:`dot`) on a topology that
+        passes :func:`dot_by_row` runs one full-width task over row-aligned
+        chunks, reading each destination row once per CSR row
+        (:func:`dot_evaluate`); anything else runs its compiled program
+        one feature tile at a time.  Chunks run in order on the calling
+        thread, and every chunk writes its own edge-id rows.
         """
         validate_bindings(self.edge_out, bindings,
                           f"sddmm[{self.edge_out.name}]",
@@ -175,45 +288,94 @@ class GeneralizedSDDMM:
     def execution_plan(self, result: np.ndarray) -> ExecutionPlan:
         """Lower this bound kernel to an execution plan writing ``result``.
 
-        One :class:`~repro.runtime.plan.EdgeTask` per feature tile over
-        flat (non-row-aligned) chunks of the CSR-ordered edge list;
-        each task scatters its values into the tile's column window of the
-        edge-id-indexed output.  Chunks are sized so that no single
-        gathered block exceeds a quarter of ``CHUNK_WORKSET_BYTES``.
+        A dot-product edge function whose topology passes
+        :func:`dot_by_row` gets :meth:`dot_plan`.  Any other edge function
+        gets one :class:`~repro.runtime.plan.EdgeTask` per feature tile
+        over flat (non-row-aligned) chunks of the CSR-ordered edge list,
+        evaluated by the compiled program; each task scatters its values
+        into the tile's column window of the edge-id-indexed output.
+        Chunks are sized so that no gathered block exceeds a quarter of
+        ``CHUNK_WORKSET_BYTES``.
         """
-        gather = self._gather_plan()
-        axis0 = self.edge_out.op.axis[0].name
+        if self.dot is not None and dot_by_row(
+                degree_stats(self.A.csr),
+                self.edge_out.op.reduce_axis[0].extent):
+            return self.dot_plan(result)
         prog = self.vector_program()
-        # The workset counts twice: a dot product holds two equal gathered
-        # blocks per chunk, and sized to fill the budget together each is
-        # 4 MiB.  glibc's mmap threshold adapts to the largest block freed
-        # so far, so whether those blocks come from the heap or are mapped
-        # and unmapped afresh every chunk depended on whether some earlier
-        # kernel in the process had freed more than 4 MiB.  At a quarter
-        # of the budget a block is no larger than the buffers of the
-        # full-width SpMM plan (spmm.py), which any process that
-        # aggregates has already freed.
-        target = effective_chunk_edges(self.chunk_edges, prog,
-                                       prog.stats.workset_bytes_per_item)
+        target = self._chunk_target(prog)
         m = self.A.nnz
         bounds = [(c0, min(m, c0 + target)) for c0 in range(0, m, target)]
-        tasks = []
-        for lo, hi in feature_tiles(self.out_shape[0],
-                                    self.num_feature_partitions):
-            tile_sizes = (hi - lo,) + self.out_shape[1:]
+        gather = self._gather_plan()
+        tasks = [EdgeTask(gather=gather, bounds=bounds,
+                          name=self.edge_out.name,
+                          evaluate=self._program_evaluate(prog, (lo, hi)),
+                          sink=ScatterSink(result, tile=(lo, hi)),
+                          compiled=True)
+                 for lo, hi in feature_tiles(self.out_shape[0],
+                                             self.num_feature_partitions)]
+        return self._plan(tasks, prog)
 
-            def evaluate(bindings, ctx, tile=(lo, hi), sizes=tile_sizes):
-                vals = prog.run(bindings, ctx.batch,
-                                axis_ranges={axis0: tile})
-                return vals, prog.bytes_moved(ctx.size, sizes)
+    def dot_plan(self, result: np.ndarray) -> ExecutionPlan:
+        """The by-row plan of a dot-product edge function (:attr:`dot`),
+        whatever :func:`dot_by_row` says of the topology.
 
-            tasks.append(EdgeTask(
-                gather=gather, bounds=bounds, name=self.edge_out.name,
-                evaluate=evaluate, sink=ScatterSink(result, tile=(lo, hi)),
-                compiled=True))
+        One full-width :class:`~repro.runtime.plan.EdgeTask` over
+        row-aligned chunks of the CSR sweep
+        (:func:`~repro.runtime.histogram.chunk_bounds`, each cut at the
+        last row boundary at or below the target, and a ``GatherPlan``
+        carrying ``indptr``); its evaluate is :func:`dot_evaluate` and the
+        compiled program is its ``oracle``.  No chunk is longer than the
+        target unless one row alone is.  :meth:`execution_plan` picks it
+        where it pays; the fuzzer's sanitize stage runs it on every
+        dot-product config.
+        """
+        if self.dot is None:
+            raise ValueError(f"sddmm[{self.edge_out.name}] is no dot product")
+        prog = self.vector_program()
+        # a row-aligned chunk never splits a row across two products, and
+        # ending at or below the target keeps a hub row from rounding a
+        # chunk up past the block size the sizing aims at
+        bounds = chunk_bounds(self.A.csr, self._chunk_target(prog),
+                              round_down=True)
+        task = EdgeTask(
+            gather=self._gather_plan(), bounds=bounds,
+            name=self.edge_out.name,
+            evaluate=dot_evaluate(self.dot, prog.out_dtype, self.out_shape,
+                                  self.edge_out.op.reduce_axis[0].extent),
+            sink=ScatterSink(result), compiled=True,
+            oracle=self._program_evaluate(prog, (0, self.out_shape[0])))
+        return self._plan([task], prog)
+
+    def _chunk_target(self, prog) -> int:
+        # The workset counts twice: the compiled dot product holds two
+        # equal gathered blocks per chunk, and sized to fill the budget
+        # together each is 4 MiB.  glibc's mmap threshold adapts to the
+        # largest block freed so far, so whether those blocks come from the
+        # heap or are mapped and unmapped afresh every chunk depended on
+        # whether some earlier kernel in the process had freed more than
+        # 4 MiB.  At a quarter of the budget a block is no larger than the
+        # buffers of the full-width SpMM plan (spmm.py), which any process
+        # that aggregates has already freed; the by-row evaluate gathers
+        # one such block per chunk.
+        return effective_chunk_edges(self.chunk_edges, prog,
+                                     prog.stats.workset_bytes_per_item)
+
+    def _program_evaluate(self, prog, tile: tuple[int, int]):
+        """A task evaluate running the compiled program on ``tile``."""
+        axis0 = self.edge_out.op.axis[0].name
+        sizes = (tile[1] - tile[0],) + self.out_shape[1:]
+
+        def evaluate(bindings, ctx):
+            vals = prog.run(bindings, ctx.batch_for(prog),
+                            axis_ranges={axis0: tile})
+            return vals, prog.bytes_moved(ctx.size, sizes)
+        return evaluate
+
+    def _plan(self, tasks: list, prog) -> ExecutionPlan:
         return ExecutionPlan(
             tasks, label=f"sddmm[{self.edge_out.name}]",
-            dims={"n_src": self.A.num_src, "n_dst": self.A.num_dst, "m": m},
+            dims={"n_src": self.A.num_src, "n_dst": self.A.num_dst,
+                  "m": self.A.nnz},
             program=prog)
 
     def vector_program(self):

@@ -137,7 +137,7 @@ class ScatterSink:
 
     ``tile`` scatters into a feature-column window (the SDDMM template's
     feature tiling).  The written bytes are booked by the task's
-    program, not here.
+    evaluate, not here.
     """
 
     __slots__ = ("out", "tile")

@@ -72,11 +72,15 @@ def effective_chunk_edges(chunk_edges: int, prog,
     return min(chunk_edges, max(MIN_CHUNK_EDGES, CHUNK_WORKSET_BYTES // ws))
 
 
-def row_aligned_chunks(indptr: np.ndarray,
-                       target: int) -> list[tuple[int, int]]:
+def row_aligned_chunks(indptr: np.ndarray, target: int, *,
+                       round_down: bool = False) -> list[tuple[int, int]]:
     """Split ``[0, nnz)`` into chunks of ~``target`` edges whose boundaries
     fall on CSR row boundaries, so every destination row's edges land in
-    exactly one chunk and segmented reduction never splits a row."""
+    exactly one chunk and segmented reduction never splits a row.
+
+    A chunk ends at the first row boundary at or past ``target`` edges,
+    or -- with ``round_down`` -- at the last one at or below it, so that
+    no chunk is longer than ``target`` unless one row alone is."""
     nnz = int(indptr[-1])
     if nnz == 0:
         return []
@@ -86,9 +90,13 @@ def row_aligned_chunks(indptr: np.ndarray,
         if want >= nnz:
             bounds.append(nnz)
             break
-        # advance to the smallest row boundary covering `want`; if the
-        # row containing it is huge, take the next boundary past start.
-        j = int(np.searchsorted(indptr, want, side="left"))
+        # advance to the row boundary nearest `want` on the requested
+        # side; if the row containing it starts the chunk, take the next
+        # boundary past start.
+        if round_down:
+            j = int(np.searchsorted(indptr, want, side="right")) - 1
+        else:
+            j = int(np.searchsorted(indptr, want, side="left"))
         end = int(indptr[j])
         if end <= bounds[-1]:
             j = int(np.searchsorted(indptr, bounds[-1], side="right"))
@@ -269,13 +277,14 @@ class EdgeTask:
     ``evaluate(bindings, ctx)`` returns ``(values, bytes_moved)``; the
     engine hands the values to ``sink``.  ``name`` labels the task in
     verifier diagnostics; ``compiled`` feeds the ExecStats compiled-chunk
-    counter.  ``oracle`` -- set when ``evaluate`` returns a
-    :class:`RowGather` -- is the compiled program that builds the same
-    values as a ``(B, *feat)`` block: the sanitizer's combine oracle.
+    counter.  ``oracle`` -- set when ``evaluate`` does not run the
+    compiled program (it returns a :class:`RowGather`, or contracts a dot
+    product row by row) -- is the compiled program that builds the same
+    values as a ``(B, *feat)`` block: the sanitizer's oracle.
 
     SpMM kernels emit one task per (feature tile x graph partition) -- per
     graph partition alone when no gather spans the tiled axis; SDDMM one
-    per feature tile.
+    per feature tile, or one full-width task for a dot product.
     Tasks run in order -- one partition at a time -- and so do the chunks
     within a task.
     """

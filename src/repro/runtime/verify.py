@@ -59,8 +59,11 @@ plus a dynamic violation is a *disagreement* and raises
 the chunk's dense messages; for a task whose evaluate hands its sink a
 ``RowGather`` those come from the task's ``oracle`` (its compiled
 program), so the lowering's decision not to gather is itself under
-test.  The fuzzer's ``--sanitize`` stage hunts for such disagreements
-the same way ``--analyze`` hunts for PR-3 analyzer false positives.
+test.  A scatter task with an ``oracle`` (the SDDMM dot-product
+evaluate) has its block compared with the program's at the
+``reassociated-fp`` tolerance.  The fuzzer's ``--sanitize`` stage hunts
+for such disagreements the same way ``--analyze`` hunts for PR-3
+analyzer false positives.
 
 Lint CLI::
 
@@ -111,6 +114,8 @@ SANITIZE_ENV = "FEATGRAPH_SANITIZE"
 BIT_IDENTICAL = "bit-identical"
 REASSOCIATED = "reassociated-fp"
 NONDETERMINISTIC = "nondeterministic"
+#: how far a ``reassociated-fp`` result may stray from its oracle
+_REASSOCIATED_TOL = {"rtol": 1e-4, "atol": 1e-5, "equal_nan": True}
 
 #: strategies whose combine order is pinned by the parity contract
 #: (see :mod:`repro.runtime.strategies`): ``reduceat`` is the oracle,
@@ -615,8 +620,7 @@ class _AggregateProxy:
                     f"bit-identical but diverged from the reduceat oracle "
                     f"by {worst:.3g}")
         elif label == REASSOCIATED:
-            if not np.allclose(actual, oracle, rtol=1e-4, atol=1e-5,
-                               equal_nan=True):
+            if not np.allclose(actual, oracle, **_REASSOCIATED_TOL):
                 worst = float(np.nanmax(np.abs(actual - oracle)))
                 self.violations.add(
                     "FG007", self.loc,
@@ -626,12 +630,20 @@ class _AggregateProxy:
 
 
 class _ScatterProxy:
-    """Checks one task's scatter sink writes each output row once."""
+    """Checks one task's scatter sink writes each output row once -- and,
+    for a task with an ``oracle``, that the evaluate's block agrees with
+    the compiled program's inside FG007's ``reassociated-fp`` tolerance
+    (a dot-product evaluate contracts in another order than the
+    program)."""
 
-    def __init__(self, sink: ScatterSink, loc: str, violations: _Violations):
+    def __init__(self, sink: ScatterSink, loc: str, violations: _Violations,
+                 dense=None):
         self.sink = sink
         self.loc = loc
         self.violations = violations
+        #: ``ctx -> (B, *feat)`` values of the task's oracle on the run's
+        #: bindings
+        self.dense = dense
         self._lock = threading.Lock()
         self._seen = np.zeros(sink.out.shape[0], dtype=bool)
 
@@ -650,6 +662,14 @@ class _ScatterProxy:
                     "task at runtime despite a clean static verdict")
             self._seen[eid] = True
         self.sink.apply(vals, ctx)
+        if self.dense is not None:
+            actual, oracle = np.asarray(vals), self.dense(ctx)
+            if not np.allclose(actual, oracle, **_REASSOCIATED_TOL):
+                worst = float(np.nanmax(np.abs(actual - oracle)))
+                self.violations.add(
+                    "FG007", self.loc,
+                    f"evaluate diverged from the task's compiled program "
+                    f"by {worst:.3g} (beyond reassociation error)")
 
 
 def _instrumented(plan: ExecutionPlan, violations: _Violations,
@@ -659,14 +679,14 @@ def _instrumented(plan: ExecutionPlan, violations: _Violations,
     for ti, task in enumerate(plan.tasks):
         sink = task.sink
         loc = f"task[{ti}].{task.name}"
+        dense = None
+        if task.oracle is not None:
+            def dense(ctx, run=task.oracle):
+                return run(bindings, ctx)[0]
         if isinstance(sink, AggregateSink):
-            dense = None
-            if task.oracle is not None:
-                def dense(ctx, run=task.oracle):
-                    return run(bindings, ctx)[0]
             sink = _AggregateProxy(sink, loc, violations, dense=dense)
         elif isinstance(sink, ScatterSink):
-            sink = _ScatterProxy(sink, loc, violations)
+            sink = _ScatterProxy(sink, loc, violations, dense=dense)
         tasks.append(dataclasses.replace(task, sink=sink))
     return dataclasses.replace(plan, tasks=tasks)
 

@@ -465,9 +465,13 @@ def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
     ``agg_strategy``; ``parallel`` shards on the default pool) so every
     strategy's static contract is exercised, and once under the default
     request;
-    SDDMM configs run once.  Failure stages are ``sanitize:<strategy>`` /
-    ``sanitize:default`` / ``sanitize:sddmm``.
+    SDDMM configs run once, and a dot product once more on its by-row
+    plan (:meth:`~repro.core.sddmm.GeneralizedSDDMM.dot_plan`), which the
+    degree rule keeps off graphs this small.  Failure stages are
+    ``sanitize:<strategy>`` / ``sanitize:default`` / ``sanitize:sddmm`` /
+    ``sanitize:by-row``.
     """
+    from repro.runtime.engine import Executor
     from repro.runtime.strategies import STRATEGY_NAMES
     from repro.runtime.verify import SanitizerError, sanitizing
     from repro.tensorir.analysis import AnalysisError
@@ -493,26 +497,31 @@ def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
         ref[csr.edge_ids] = msgs
         requests = {"sddmm": None}
 
-    picked = ""
-    for name, request in requests.items():
-        stage = f"sanitize:{name}"
-        scfg = replace(cfg, options={**cfg.options,
-                                     "agg_strategy": request})
+    def by_row(kernel):
+        got = np.empty_like(ref)
+        Executor().run(kernel.dot_plan(got), bindings)
+        return got
+
+    def check(stage, scfg, run):
+        """``(failure or None, kernel)`` of one sanitized ``run(kernel)``."""
+        kernel = None
         try:
             kernel = _build_kernel(scfg, csr, instance)
             with sanitizing():
-                got = kernel.run(bindings)
+                got = run(kernel)
         except SanitizerError as exc:
             return TrialResult(
                 False, stage=stage,
-                message=f"static verdict contradicted at runtime: {exc}")
+                message=f"static verdict contradicted at runtime: {exc}"), \
+                kernel
         except AnalysisError as exc:
             return TrialResult(
                 False, stage=stage,
-                message=f"plan verifier rejected the plan: {exc}")
+                message=f"plan verifier rejected the plan: {exc}"), kernel
         except Exception as exc:  # noqa: BLE001
             return TrialResult(False, stage=stage,
-                               message=f"{type(exc).__name__}: {exc}")
+                               message=f"{type(exc).__name__}: {exc}"), \
+                kernel
         if not np.allclose(got, ref, atol=atol, rtol=atol,
                            equal_nan=True):
             worst = (float(np.nanmax(np.abs(got - ref)))
@@ -521,9 +530,24 @@ def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
                 False, stage=stage, max_abs_diff=worst,
                 message=f"sanitized run diverged from the independent "
                         f"reference: max abs diff {worst:.3g} > atol "
-                        f"{atol:g} (instrumentation perturbed execution)")
+                        f"{atol:g} (instrumentation perturbed execution)"), \
+                kernel
+        return None, kernel
+
+    picked = ""
+    for name, request in requests.items():
+        scfg = replace(cfg, options={**cfg.options,
+                                     "agg_strategy": request})
+        failure, kernel = check(f"sanitize:{name}", scfg,
+                                lambda k: k.run(bindings))
+        if failure is not None:
+            return failure
         if name == "default":
             picked = kernel.exec_stats.agg_strategy
+    if cfg.kind == "sddmm" and kernel.dot is not None:
+        failure, _ = check("sanitize:by-row", scfg, by_row)
+        if failure is not None:
+            return failure
     return TrialResult(True, stage="sanitize", picked=picked)
 
 

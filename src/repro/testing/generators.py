@@ -53,6 +53,7 @@ GRAPH_FAMILIES = (
     "coalesced",    # duplicate-free CSR (each (dst, src) pair at most once)
     "power_law",    # heavy skew: a few sources on most edges
     "lonely_rows",  # most destination rows empty, the rest degree >= 1
+    "hub_rows",     # a few destinations own most edges, each its own degree
 )
 
 
@@ -92,6 +93,14 @@ def make_graph(spec: dict) -> CSRMatrix:
         p /= p.sum()
         src = rng.choice(n_src, size=m, p=p)
         dst = rng.integers(0, n_dst, m)
+    elif family == "hub_rows":
+        # destination i (in a shuffled order) draws an edge with weight
+        # 2**-i: the first few rows hold most edges at degrees no other row
+        # shares, so a chunk's degree buckets are mostly one row each
+        p = 0.5 ** np.arange(n_dst, dtype=np.float64)
+        p /= p.sum()
+        src = rng.integers(0, n_src, m)
+        dst = rng.permutation(n_dst)[rng.choice(n_dst, size=m, p=p)]
     elif family == "lonely_rows":
         occupied = max(1, n_dst // 4)
         src = rng.integers(0, n_src, m)

@@ -58,7 +58,10 @@ class TestDotAttention:
         """Two equal 4 MiB blocks per chunk (the workset counted once) sit
         above glibc's initial mmap threshold and are re-faulted every
         chunk; counted twice no block exceeds a quarter of the budget.
-        Chunk size is no part of the result: same bits as the old size."""
+        Chunks are row-aligned and end at the last row boundary at or
+        below the target, so only a row longer than the target alone makes
+        a longer chunk.  Chunk size is no part of the result: same bits as
+        the old size."""
         from repro.core import kernels
         from repro.runtime import plan as P
 
@@ -68,23 +71,36 @@ class TestDotAttention:
         x = rng.standard_normal((n, f)).astype(np.float32)
         k = kernels.dot_attention(adj, n, f)
         assert k.vector_program().stats.workset_bytes_per_item == 2 * f * 4
+        longest_row = int(np.diff(adj.indptr).max())
 
         def chunk_sizes():
             plan = k.execution_plan(np.empty((m, 1), np.float32))
-            return [c1 - c0 for t in plan.tasks for c0, c1 in t.bounds]
+            bounds = [b for t in plan.tasks for b in t.bounds]
+            starts = set(adj.indptr.tolist())
+            assert all(c0 in starts and c1 in starts for c0, c1 in bounds)
+            return [c1 - c0 for c0, c1 in bounds]
 
-        assert max(chunk_sizes()) == P.CHUNK_WORKSET_BYTES // (4 * f * 4)
+        target = P.CHUNK_WORKSET_BYTES // (4 * f * 4)
+        assert longest_row < target < max(chunk_sizes()) + longest_row
         assert max(chunk_sizes()) * f * 4 <= P.CHUNK_WORKSET_BYTES // 4
         assert len(chunk_sizes()) > 2
         got = k.run({"XV": x})
         monkeypatch.setattr(P, "CHUNK_WORKSET_BYTES",
                             2 * P.CHUNK_WORKSET_BYTES)
-        assert max(chunk_sizes()) == 16_384          # what it used to be
+        assert 16_384 - longest_row < max(chunk_sizes()) <= 16_384
         assert np.array_equal(k.run({"XV": x}), got)
         # an explicit smaller request still wins
         small = kernels.dot_attention(adj, n, f, chunk_edges=1000)
         plan = small.execution_plan(np.empty((m, 1), np.float32))
-        assert max(c1 - c0 for c0, c1 in plan.tasks[0].bounds) == 1000
+        assert max(c1 - c0 for c0, c1 in plan.tasks[0].bounds) <= 1000
+
+    def test_a_row_longer_than_the_target_is_a_chunk_alone(self):
+        indptr = np.array([0, 3, 3, 40, 41, 45, 60], np.int64)
+        from repro.runtime.plan import row_aligned_chunks
+
+        assert row_aligned_chunks(indptr, 10, round_down=True) == [
+            (0, 3), (3, 40), (40, 45), (45, 60)]
+        assert row_aligned_chunks(indptr, 10) == [(0, 40), (40, 60)]
 
     def test_output_in_original_edge_order(self):
         """Edge i of the input list must own row i of the output."""
@@ -148,6 +164,162 @@ class TestHilbertIsModelled:
         assert "hilbert(dst, src) order" in stmt_to_str(on.lowered_ir())
         assert "CSR edge order" in stmt_to_str(off.lowered_ir())
         assert "hilbert=True" in repr(on)
+
+
+def _hub_graph(positional: bool, index_dtype):
+    """A bipartite block shaped like reddit's rows: hub destinations at
+    degrees no other row shares, rows of one edge, empty rows, and a few
+    rows sharing a small degree."""
+    rng = np.random.default_rng(11)
+    n_src, n_dst = 37, 50
+    degrees = np.zeros(n_dst, np.int64)
+    degrees[[4, 17, 30]] = (300, 180, 97)            # hubs
+    degrees[[1, 8, 22, 41]] = 1                       # one-edge rows
+    degrees[[10, 11, 12, 13, 44]] = 4                 # a shared degree
+    degrees[[2, 25]] = (9, 23)
+    dst = np.repeat(np.arange(n_dst), degrees)
+    src = rng.integers(0, n_src, len(dst))
+    order = rng.permutation(len(dst))
+    adj = from_edges(n_src, n_dst, src[order], dst[order])
+    assert (adj.row_degrees() == 0).any()
+    assert not adj.positional_edge_ids()
+    adj = CSRMatrix(adj.shape, adj.indptr.astype(index_dtype),
+                    adj.indices.astype(index_dtype),
+                    None if positional else adj.edge_ids.astype(index_dtype))
+    assert adj.positional_edge_ids() is positional
+    return adj
+
+
+def _by_row(k, bindings):
+    """Run ``k``'s by-row plan (:meth:`GeneralizedSDDMM.dot_plan`), which
+    the degree rule keeps off graphs this small."""
+    from repro.runtime.engine import Executor
+
+    out = np.empty((k.A.nnz,) + k.out_shape, np.float32)
+    Executor(stats=k.exec_stats).run(k.dot_plan(out), bindings)
+    return out
+
+
+def _dense_graph(n_src=30, n_dst=40, m=20_000, seed=5):
+    """Rows of ~500 edges: reddit's mean degree, where the rule picks the
+    by-row plan at k >= 16."""
+    rng = np.random.default_rng(seed)
+    return from_edges(n_src, n_dst, rng.integers(0, n_src, m),
+                      rng.integers(0, n_dst, m))
+
+
+class TestDotByRow:
+    """Dot-product edge functions contract each CSR row against its
+    destination row once (``sddmm.dot_evaluate``): bits do not depend on
+    the chunk size, values stay within ``test_matches_reference``'s
+    tolerance of float64, and only the dot form leaves the program -- on
+    topologies where the degree rule (``sddmm.dot_by_row``) says it pays."""
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("positional", [True, False],
+                             ids=["positional-eids", "permuted-eids"])
+    @pytest.mark.parametrize("shape,same_table", [
+        ((10,), True), ((3, 5), True), ((8,), False), ((2, 6), False)],
+        ids=["u_dot_v", "multihead", "bipartite", "bipartite-multihead"])
+    def test_chunk_size_changes_no_bit(self, shape, same_table, positional,
+                                       index_dtype):
+        adj = _hub_graph(positional, index_dtype)
+        n_dst, n_src = adj.shape
+        rng = np.random.default_rng(7)
+        rows = {"XA": max(n_src, n_dst) if same_table else n_src,
+                "XB": n_dst}
+        names = ("XA", "XA") if same_table else ("XA", "XB")
+        bindings = {name: rng.standard_normal((rows[name],) + shape)
+                    .astype(np.float32) for name in set(names)}
+        XA, XB = (T.placeholder(bindings[name].shape, name=name)
+                  for name in names)
+        if same_table:
+            XB = XA
+        outs = []
+        for chunk_edges in (13, 64, None):
+            opts = {} if chunk_edges is None else {"chunk_edges": chunk_edges}
+            k = featgraph.sddmm(adj, u_dot_v_edge(XA, XB), **opts)
+            assert k.dot == names
+            outs.append(_by_row(k, bindings))
+        for got in outs[1:]:
+            assert np.array_equal(got, outs[0])
+        a, b = (bindings[name].astype(np.float64) for name in names)
+        src, dst = adj.indices, adj.row_of_edge()
+        ref = np.empty(outs[0].shape)
+        ref[adj.edge_ids] = (a[src] * b[dst]).sum(-1).reshape(
+            (adj.nnz,) + k.out_shape)
+        assert np.allclose(outs[0], ref, atol=1e-4)
+        assert np.allclose(k.run(bindings), outs[0], atol=1e-5)
+
+    def test_rule_reads_the_degree_histogram(self):
+        from repro.core.sddmm import dot_by_row
+        from repro.runtime.histogram import DegreeStats
+
+        reddit = DegreeStats(nnz=56_202, n_distinct=108, n_rows=114)
+        assert dot_by_row(reddit, 32) and dot_by_row(reddit, 64)
+        assert not dot_by_row(reddit, 8)          # the product pass is cheap
+        sparse = DegreeStats(nnz=200_000, n_distinct=22, n_rows=25_000)
+        assert dot_by_row(sparse, 64) and not dot_by_row(sparse, 32)
+        tiny = DegreeStats(nnz=300, n_distinct=3, n_rows=2)
+        assert not dot_by_row(tiny, 128)          # nothing to amortize
+        assert not dot_by_row(DegreeStats(0, 0, 0), 64)
+
+    def test_plan_shape(self):
+        dense = _dense_graph()
+        n_dst, n_src = dense.shape
+        n = max(n_src, n_dst)
+        XV = T.placeholder((n, 16), name="XV")
+        XE = T.placeholder((dense.nnz,), name="XE")
+
+        def weighted_dot(s, d, e):
+            k = T.reduce_axis((0, 16), name="k")
+            return T.compute((1,), lambda i: T.sum_reduce(
+                XV[s, k] * XV[d, k], axis=k) * XE[e])
+
+        def plan_of(adj, edge, out_shape, **opts):
+            k = featgraph.sddmm(adj, edge, **opts)
+            return k, k.execution_plan(
+                np.empty((adj.nnz,) + out_shape, np.float32))
+
+        k, plan = plan_of(dense, u_dot_v_edge(XV, XV), (1,))
+        (task,) = plan.tasks
+        assert k.dot == ("XV", "XV") and task.oracle is not None
+        assert task.gather.indptr is dense.indptr
+        assert not task.gather.dst_expanded
+        XH = T.placeholder((n, 4, 16), name="XH")
+        k, plan = plan_of(dense, u_dot_v_edge(XH, XH), (4,),
+                          num_feature_partitions=2)
+        assert k.num_feature_partitions == 2 and len(plan.tasks) == 1
+        assert plan.tasks[0].oracle is not None
+        # everything else runs the program, one task per feature tile
+        XW = T.placeholder((n, 10), name="XW")
+        for edge, out_shape, tiles in ((_u_add_v(XW, XW), (10,), 2),
+                                       (weighted_dot, (1,), 1)):
+            k, plan = plan_of(dense, edge, out_shape,
+                              num_feature_partitions=tiles)
+            assert k.dot is None and len(plan.tasks) == tiles
+            assert all(t.oracle is None for t in plan.tasks)
+            with pytest.raises(ValueError, match="no dot product"):
+                k.dot_plan(np.empty((dense.nnz,) + out_shape, np.float32))
+        # so does a dot product where the degree rule says it loses
+        hub = _hub_graph(True, np.int64)
+        XS = T.placeholder((max(hub.shape), 10), name="XS")
+        k, plan = plan_of(hub, u_dot_v_edge(XS, XS), (1,))
+        assert k.dot == ("XS", "XS")
+        assert [t.oracle for t in plan.tasks] == [None]
+        assert k.dot_plan(np.empty((hub.nnz, 1), np.float32)).tasks[0].oracle
+
+    def test_bytes_are_what_the_rows_read(self):
+        adj = _hub_graph(True, np.int64)
+        n_dst, n_src = adj.shape
+        n = max(n_src, n_dst)
+        f = 10
+        XV = T.placeholder((n, f), name="XV")
+        k = featgraph.sddmm(adj, u_dot_v_edge(XV, XV))
+        _by_row(k, {"XV": np.ones((n, f), np.float32)})
+        rows = int((adj.row_degrees() > 0).sum())
+        assert k.exec_stats.bytes_moved == \
+            ((adj.nnz + rows) * f + adj.nnz) * 4
 
 
 class TestMultiHead:

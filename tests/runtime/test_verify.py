@@ -245,25 +245,30 @@ class TestVerifyKernelPlumbing:
         with pytest.raises(TypeError, match="cannot verify"):
             verify_kernel(object())
 
-    @pytest.mark.parametrize("build,gather_free", [
+    @pytest.mark.parametrize("build,has_oracle", [
         (lambda a: K.gcn_aggregation(a, N, F), True),
         (lambda a: K.attention_weighted_aggregation(a, N, F, a.nnz), True),
         (lambda a: K.copy_u(a, N, F, agg="max"), False),
         (lambda a: K.u_mul_e(a, N, a.nnz, F), False),
         (lambda a: K.mlp_aggregation(a, N, F, F), False),
         (lambda a: K.dot_attention(a, N, F), False),
-    ], ids=["copy_u", "u_mul_e", "copy_u_max", "u_mul_e_wide", "mlp", "dot"])
-    def test_builders_wire_program_and_oracle(self, build, gather_free,
+        (lambda a: K.dot_attention(_adj(m=20_000), N, 32), True),
+    ], ids=["copy_u", "u_mul_e", "copy_u_max", "u_mul_e_wide", "mlp", "dot",
+            "dot_by_row"])
+    def test_builders_wire_program_and_oracle(self, build, has_oracle,
                                               monkeypatch):
         """The real builders set ``plan.program`` (what FG008 scans) and
-        ``task.oracle`` (exactly on the gather-free SpMM plans)."""
+        ``task.oracle`` (exactly on the tasks whose evaluate does not run
+        the program: gather-free SpMM plans, and SDDMM dot products on a
+        topology where the degree rule picks the by-row evaluate -- not
+        ``_adj()``'s 48 edges)."""
         with use_kernel_cache(KernelCache()):
             k = build(_adj())
         rows = (k.A.num_dst,) + k.msg_shape if hasattr(k, "msg_shape") \
             else (k.A.nnz,) + k.out_shape
         plan = k.execution_plan(np.empty(rows, np.float32))
         assert plan.program is k.vector_program()
-        assert {t.oracle is not None for t in plan.tasks} == {gather_free}
+        assert {t.oracle is not None for t in plan.tasks} == {has_oracle}
         assert not verify_kernel(k).has_errors
         monkeypatch.setattr(plan.program, "source",
                             "tmp = XV[b_src]\nnp.add(tmp, tmp, out=XV)\n")
@@ -352,6 +357,41 @@ class TestSanitizer:
         assert not verify_plan(plan).has_errors
         with pytest.raises(SanitizerError, match="FG006"):
             sanitized_run(Executor(), plan, {})
+
+    def test_dot_evaluate_that_swaps_its_tables_is_caught(self,
+                                                          monkeypatch):
+        """A scatter task with an oracle: the by-row dot product of a
+        bipartite block is checked against the compiled program, so an
+        evaluate reading the two sides' tables the wrong way round raises
+        instead of writing plausible scores."""
+        import importlib
+
+        sddmm_mod = importlib.import_module("repro.core.sddmm")
+        rng = np.random.default_rng(9)
+        n_src, n_dst, m = 12, 9, 80
+        adj = from_edges(n_src, n_dst, rng.integers(0, n_src, m),
+                         rng.integers(0, n_dst, m))
+        XA = T.placeholder((n_src, F), name="XA")
+        XB = T.placeholder((n_src, F), name="XB")
+        bindings = {"XA": rng.standard_normal((n_src, F)).astype(np.float32),
+                    "XB": rng.standard_normal((n_src, F)).astype(np.float32)}
+        with use_kernel_cache(KernelCache()):
+            k = sddmm(adj, dgl_builtins.u_dot_v_edge(XA, XB))
+
+        def by_row():
+            out = np.empty((adj.nnz, 1), np.float32)
+            Executor().run(k.dot_plan(out), bindings)
+            return out
+
+        want = k.run(bindings)              # the program: 80 edges
+        with sanitizing():
+            np.testing.assert_allclose(by_row(), want, rtol=1e-5, atol=1e-6)
+        real = sddmm_mod.dot_evaluate
+        monkeypatch.setattr(sddmm_mod, "dot_evaluate",
+                            lambda form, *rest: real(form[::-1], *rest))
+        assert not np.allclose(by_row(), want)
+        with sanitizing(), pytest.raises(SanitizerError, match="FG007"):
+            by_row()
 
     def _u_mul_e(self, w_shape):
         m = 48

@@ -49,6 +49,13 @@ class TestGraphFamilies:
                             "m": 10, "seed": 1})
         assert (csr.row_degrees() == 0).sum() >= 4
 
+    def test_hub_rows_hold_degrees_alone(self):
+        csr = G.make_graph({"family": "hub_rows", "n_src": 6, "n_dst": 10,
+                            "m": 30, "seed": 2})
+        deg = csr.row_degrees()
+        values, counts = np.unique(deg[deg > 0], return_counts=True)
+        assert deg.max() >= 10 and (counts == 1).any()
+
     def test_sampled_specs_materialize(self):
         rnd = random.Random(0)
         for _ in range(25):
