@@ -14,11 +14,9 @@ Template-side optimizations:
   cache effect to win;
 - **feature-dimension tiling** composes with the traversal;
 - a **dot-product** edge function (``sum_k A[src, *h, k] * B[dst, *h, k]``,
-  :func:`~repro.core.bindings.dot_form`) can read each destination row
-  once per CSR row instead of once per edge: row-aligned chunks, rows
-  grouped by length, one matrix-vector product per row
-  (:func:`dot_evaluate`), where the degree histogram says it pays
-  (:func:`dot_by_row`);
+  :func:`~repro.core.bindings.dot_form`) reads each destination row once
+  per CSR row instead of once per edge: row-aligned chunks, rows grouped
+  by length, one matrix-vector product per row (:func:`dot_evaluate`);
 - on GPU, the Fig. 7b parallelization: edges across blocks, the dot-product
   reduction across the threads of a block via **tree reduction** when the
   FDS requests it.
@@ -33,7 +31,7 @@ import numpy as np
 
 from repro.core import cost as cost_analysis
 from repro.core.api import SparseMat
-from repro.core.bindings import dot_form, validate_bindings
+from repro.core.bindings import BindingError, dot_form, validate_bindings
 from repro.core.fds import FDS, FDSInfo, default_fds
 from repro.graph.partition import feature_tiles
 from repro.hwsim import cpu as cpu_model
@@ -41,45 +39,25 @@ from repro.hwsim import gpu as gpu_model
 from repro.hwsim.report import CostReport
 from repro.hwsim.spec import CPUSpec, GPUSpec, TESLA_V100, XEON_8124M
 from repro.runtime.engine import Executor, ScatterSink
-from repro.runtime.histogram import DegreeStats, chunk_bounds, degree_stats
+from repro.runtime.histogram import chunk_bounds
 from repro.runtime.plan import (EdgeTask, ExecutionPlan, GatherPlan,
                                 effective_chunk_edges)
 from repro.tensorir.expr import ComputeOp, Tensor, Var
 from repro.tensorir.runtime import ExecStats
 from repro.tensorir.vectorize import compile_batched
 
-__all__ = ["GeneralizedSDDMM", "dot_evaluate", "dot_by_row"]
-
-#: The by-row evaluate pays, per row, one matrix-vector product and its
-#: share of a per-length Python dispatch, and saves, per edge, the
-#: destination gather and the product pass -- a saving that grows with
-#: the contracted extent ``k``.  Against the compiled program in the same
-#: process (2-vCPU x86, BLAS on one thread, 175 (graph, k) shapes) it wins
-#: where the mean row length reaches about ``(109 / k) ** 3`` (5 at
-#: k = 64, 40 at k = 32, 317 at k = 16) and a kernel reads at least
-#: ``2 ** 17`` source values; below either the program is faster, by up
-#: to 3x on graphs of a few hundred edges (docs/execution.md, "SDDMM dot
-#: products by row").
-_DOT_ROW_K3 = 1_300_000
-_DOT_ROW_MIN_WORK = 1 << 17
+__all__ = ["GeneralizedSDDMM", "dot_evaluate"]
 
 
-def dot_by_row(stats: DegreeStats, k: int) -> bool:
-    """Whether a dot product contracting ``k`` values per head runs
-    :func:`dot_evaluate` on the topology ``stats`` describes (its cached
-    degree histogram, as the sink strategy rule reads it); else it runs
-    its compiled program."""
-    return (stats.nnz * k >= _DOT_ROW_MIN_WORK
-            and stats.nnz * k ** 3 >= _DOT_ROW_K3 * stats.n_rows)
-
-
-def dot_evaluate(form: tuple, dtype, out_shape: tuple, k: int):
+def dot_evaluate(form: tuple, dtype, out_shape: tuple, k: int,
+                 extents: tuple[int, int]):
     """The task evaluate of a dot-product edge function: a chunk's
     ``(B, *heads)`` scores with each destination row read once.
 
     ``form`` is the body's :func:`~repro.core.bindings.dot_form`,
-    ``out_shape`` the kernel's per-edge output (the heads, or ``(1,)``)
-    and ``k`` the contracted extent.  The
+    ``out_shape`` the kernel's per-edge output (the heads, or ``(1,)``),
+    ``k`` the contracted extent and ``extents`` the graph's
+    ``(num_src, num_dst)``.  The
     chunk's destination segments are grouped by length, the loop shape of
     :class:`~repro.runtime.strategies.DegreeBucketedStrategy`: a length
     held by one row is one ``np.matmul`` of that row's gathered source
@@ -89,13 +67,16 @@ def dot_evaluate(form: tuple, dtype, out_shape: tuple, k: int):
     head is one ``(d, k)`` matrix-vector product, so a row's bits depend
     on its own length only -- not on what shares its chunk, as long as
     chunks do not split rows.  Tables are taken in ``dtype`` (the
-    program's output dtype) once per plan.  The bytes booked are what the
-    chunk reads and writes: ``B`` source rows, one destination row per
-    segment and ``B`` scores.
+    program's output dtype) once per plan, and one with fewer rows than
+    its side of the graph raises :class:`~repro.core.bindings.BindingError`.
+    The bytes booked are what the chunk reads and writes: ``B`` source
+    rows, one destination row per segment and ``B`` scores.
     """
     src_name, dst_name = form
     heads = int(np.prod(out_shape))
     itemsize = np.dtype(dtype).itemsize
+    need = {src_name: extents[0]}
+    need[dst_name] = max(need.get(dst_name, 0), extents[1])
     operands: dict = {}
 
     def operand(bindings, name):
@@ -103,6 +84,11 @@ def dot_evaluate(form: tuple, dtype, out_shape: tuple, k: int):
         arr = operands.get(name)
         if arr is None:
             arr = np.ascontiguousarray(bindings[name], dtype=dtype)
+            if len(arr) < need[name]:
+                # the gathers below clip, so a short table would not raise
+                raise BindingError(
+                    f"{name!r} has {len(arr)} rows, the graph reads "
+                    f"{need[name]}")
             arr = operands[name] = arr.reshape(len(arr), heads, k)
         return arr
 
@@ -117,8 +103,8 @@ def dot_evaluate(form: tuple, dtype, out_shape: tuple, k: int):
         # every bucket gathers into one chunk-sized buffer: one allocation
         # per chunk, not one per row length.  ``clip`` lets ``take`` write
         # ``out=`` directly (``raise`` gathers into a copy first); CSR
-        # column indices are below ``num_src``, and validate_bindings saw
-        # at least that many source rows.
+        # column indices are below ``num_src``, and operand() saw at least
+        # that many source rows.
         gathered = np.empty((ctx.size, heads, k), dtype=dtype)
         order = np.argsort(lengths, kind="stable")
         sorted_len = lengths[order]
@@ -262,10 +248,9 @@ class GeneralizedSDDMM:
         """Execute the kernel: returns ``(nnz, *out_shape)`` float32,
         indexed by original edge id.
 
-        A dot-product edge function (:attr:`dot`) on a topology that
-        passes :func:`dot_by_row` runs one full-width task over row-aligned
-        chunks, reading each destination row once per CSR row
-        (:func:`dot_evaluate`); anything else runs its compiled program
+        A dot-product edge function (:attr:`dot`) runs one full-width task
+        over row-aligned chunks, reading each destination row once per CSR
+        row (:func:`dot_evaluate`); anything else runs its compiled program
         one feature tile at a time.  Chunks run in order on the calling
         thread, and every chunk writes its own edge-id rows.
         """
@@ -288,65 +273,20 @@ class GeneralizedSDDMM:
     def execution_plan(self, result: np.ndarray) -> ExecutionPlan:
         """Lower this bound kernel to an execution plan writing ``result``.
 
-        A dot-product edge function whose topology passes
-        :func:`dot_by_row` gets :meth:`dot_plan`.  Any other edge function
-        gets one :class:`~repro.runtime.plan.EdgeTask` per feature tile
-        over flat (non-row-aligned) chunks of the CSR-ordered edge list,
-        evaluated by the compiled program; each task scatters its values
-        into the tile's column window of the edge-id-indexed output.
-        Chunks are sized so that no gathered block exceeds a quarter of
-        ``CHUNK_WORKSET_BYTES``.
+        A dot-product edge function (:attr:`dot`) gets one full-width
+        :class:`~repro.runtime.plan.EdgeTask` over row-aligned chunks of
+        the CSR sweep (:func:`~repro.runtime.histogram.chunk_bounds`, each
+        cut at the last row boundary at or below the target); its evaluate
+        is :func:`dot_evaluate` and the compiled program is its
+        ``oracle``.  Any other edge function gets one task per feature
+        tile over flat (non-row-aligned) chunks of the CSR-ordered edge
+        list, evaluated by the compiled program; each task scatters its
+        values into the tile's column window of the edge-id-indexed
+        output.  Chunks are sized so that no gathered block exceeds a
+        quarter of ``CHUNK_WORKSET_BYTES`` -- unless one row alone is
+        longer, for a row-aligned chunk.
         """
-        if self.dot is not None and dot_by_row(
-                degree_stats(self.A.csr),
-                self.edge_out.op.reduce_axis[0].extent):
-            return self.dot_plan(result)
         prog = self.vector_program()
-        target = self._chunk_target(prog)
-        m = self.A.nnz
-        bounds = [(c0, min(m, c0 + target)) for c0 in range(0, m, target)]
-        gather = self._gather_plan()
-        tasks = [EdgeTask(gather=gather, bounds=bounds,
-                          name=self.edge_out.name,
-                          evaluate=self._program_evaluate(prog, (lo, hi)),
-                          sink=ScatterSink(result, tile=(lo, hi)),
-                          compiled=True)
-                 for lo, hi in feature_tiles(self.out_shape[0],
-                                             self.num_feature_partitions)]
-        return self._plan(tasks, prog)
-
-    def dot_plan(self, result: np.ndarray) -> ExecutionPlan:
-        """The by-row plan of a dot-product edge function (:attr:`dot`),
-        whatever :func:`dot_by_row` says of the topology.
-
-        One full-width :class:`~repro.runtime.plan.EdgeTask` over
-        row-aligned chunks of the CSR sweep
-        (:func:`~repro.runtime.histogram.chunk_bounds`, each cut at the
-        last row boundary at or below the target, and a ``GatherPlan``
-        carrying ``indptr``); its evaluate is :func:`dot_evaluate` and the
-        compiled program is its ``oracle``.  No chunk is longer than the
-        target unless one row alone is.  :meth:`execution_plan` picks it
-        where it pays; the fuzzer's sanitize stage runs it on every
-        dot-product config.
-        """
-        if self.dot is None:
-            raise ValueError(f"sddmm[{self.edge_out.name}] is no dot product")
-        prog = self.vector_program()
-        # a row-aligned chunk never splits a row across two products, and
-        # ending at or below the target keeps a hub row from rounding a
-        # chunk up past the block size the sizing aims at
-        bounds = chunk_bounds(self.A.csr, self._chunk_target(prog),
-                              round_down=True)
-        task = EdgeTask(
-            gather=self._gather_plan(), bounds=bounds,
-            name=self.edge_out.name,
-            evaluate=dot_evaluate(self.dot, prog.out_dtype, self.out_shape,
-                                  self.edge_out.op.reduce_axis[0].extent),
-            sink=ScatterSink(result), compiled=True,
-            oracle=self._program_evaluate(prog, (0, self.out_shape[0])))
-        return self._plan([task], prog)
-
-    def _chunk_target(self, prog) -> int:
         # The workset counts twice: the compiled dot product holds two
         # equal gathered blocks per chunk, and sized to fill the budget
         # together each is 4 MiB.  glibc's mmap threshold adapts to the
@@ -357,8 +297,34 @@ class GeneralizedSDDMM:
         # buffers of the full-width SpMM plan (spmm.py), which any process
         # that aggregates has already freed; the by-row evaluate gathers
         # one such block per chunk.
-        return effective_chunk_edges(self.chunk_edges, prog,
-                                     prog.stats.workset_bytes_per_item)
+        target = effective_chunk_edges(self.chunk_edges, prog,
+                                       prog.stats.workset_bytes_per_item)
+        gather = self._gather_plan()
+        m = self.A.nnz
+        if self.dot is not None:
+            # a row-aligned chunk never splits a row across two products
+            tasks = [EdgeTask(
+                gather=gather, bounds=chunk_bounds(self.A.csr, target),
+                name=self.edge_out.name,
+                evaluate=dot_evaluate(
+                    self.dot, prog.out_dtype, self.out_shape,
+                    self.edge_out.op.reduce_axis[0].extent,
+                    (self.A.num_src, self.A.num_dst)),
+                sink=ScatterSink(result), compiled=True,
+                oracle=self._program_evaluate(prog, (0, self.out_shape[0])))]
+        else:
+            bounds = [(c0, min(m, c0 + target)) for c0 in range(0, m, target)]
+            tasks = [EdgeTask(gather=gather, bounds=bounds,
+                              name=self.edge_out.name,
+                              evaluate=self._program_evaluate(prog, (lo, hi)),
+                              sink=ScatterSink(result, tile=(lo, hi)),
+                              compiled=True)
+                     for lo, hi in feature_tiles(self.out_shape[0],
+                                                 self.num_feature_partitions)]
+        return ExecutionPlan(
+            tasks, label=f"sddmm[{self.edge_out.name}]",
+            dims={"n_src": self.A.num_src, "n_dst": self.A.num_dst, "m": m},
+            program=prog)
 
     def _program_evaluate(self, prog, tile: tuple[int, int]):
         """A task evaluate running the compiled program on ``tile``."""
@@ -370,13 +336,6 @@ class GeneralizedSDDMM:
                             axis_ranges={axis0: tile})
             return vals, prog.bytes_moved(ctx.size, sizes)
         return evaluate
-
-    def _plan(self, tasks: list, prog) -> ExecutionPlan:
-        return ExecutionPlan(
-            tasks, label=f"sddmm[{self.edge_out.name}]",
-            dims={"n_src": self.A.num_src, "n_dst": self.A.num_dst,
-                  "m": self.A.nnz},
-            program=prog)
 
     def vector_program(self):
         """The compiled batched-UDF program this kernel executes per chunk

@@ -1,12 +1,11 @@
 """Fingerprint-keyed caches of degree histograms and chunk boundaries.
 
 Strategy selection and plan lowering both interrogate the topology --
-degree histogram for :func:`~repro.runtime.strategies.resolve_sink_strategy`
-and :func:`~repro.core.sddmm.dot_by_row`, row-aligned chunk bounds
-(:func:`~repro.runtime.plan.row_aligned_chunks`) for an SpMM plan's tasks
-and an SDDMM dot product's.  Both are pure functions of the
-CSR structure, yet they used to be recomputed on **every kernel
-invocation** -- repeated mini-batch inference over one graph paid the
+degree histogram for :func:`~repro.runtime.strategies.resolve_sink_strategy`,
+row-aligned chunk bounds (:func:`~repro.runtime.plan.row_aligned_chunks`)
+for an SpMM plan's tasks and an SDDMM dot product's.  Both are pure
+functions of the CSR structure, yet they used to be recomputed on **every
+kernel invocation** -- repeated mini-batch inference over one graph paid the
 ``np.unique``/``searchsorted`` tax per call.
 
 This module memoizes those derivations keyed by
@@ -50,12 +49,10 @@ _bounds_cache = _LRU()
 
 @dataclass(frozen=True)
 class DegreeStats:
-    """The degree-histogram facts strategy selection and the SDDMM
-    dot-product rule (:func:`~repro.core.sddmm.dot_by_row`) consume."""
+    """The degree-histogram facts strategy selection consumes."""
 
     nnz: int              # total edges
     n_distinct: int       # distinct nonzero degrees
-    n_rows: int           # destination rows with at least one edge
 
     @classmethod
     def of(cls, degrees) -> "DegreeStats":
@@ -63,8 +60,7 @@ class DegreeStats:
         degrees = np.asarray(degrees)
         nonzero = degrees[degrees > 0]
         return cls(nnz=int(nonzero.sum()),
-                   n_distinct=int(len(np.unique(nonzero))),
-                   n_rows=len(nonzero))
+                   n_distinct=int(len(np.unique(nonzero))))
 
 
 def degree_stats(csr) -> DegreeStats:
@@ -73,16 +69,13 @@ def degree_stats(csr) -> DegreeStats:
         csr.fingerprint(), lambda: DegreeStats.of(np.diff(csr.indptr)))
 
 
-def chunk_bounds(csr, target: int, *,
-                 round_down: bool = False) -> list[tuple[int, int]]:
-    """Row-aligned chunk bounds for ``csr`` at ``target`` edges per chunk
-    (:func:`~repro.runtime.plan.row_aligned_chunks`), cached on
-    (fingerprint, target, round_down)."""
+def chunk_bounds(csr, target: int) -> list[tuple[int, int]]:
+    """Row-aligned chunk bounds for ``csr`` at ``target`` edges per chunk,
+    cached on (fingerprint, target)."""
     def compute():
-        return row_aligned_chunks(np.asarray(csr.indptr), int(target),
-                                  round_down=round_down)
-    return _bounds_cache.get_or_compute(
-        (csr.fingerprint(), int(target), bool(round_down)), compute)
+        return row_aligned_chunks(np.asarray(csr.indptr), int(target))
+    return _bounds_cache.get_or_compute((csr.fingerprint(), int(target)),
+                                        compute)
 
 
 def cache_info() -> dict:

@@ -72,14 +72,13 @@ def effective_chunk_edges(chunk_edges: int, prog,
     return min(chunk_edges, max(MIN_CHUNK_EDGES, CHUNK_WORKSET_BYTES // ws))
 
 
-def row_aligned_chunks(indptr: np.ndarray, target: int, *,
-                       round_down: bool = False) -> list[tuple[int, int]]:
+def row_aligned_chunks(indptr: np.ndarray,
+                       target: int) -> list[tuple[int, int]]:
     """Split ``[0, nnz)`` into chunks of ~``target`` edges whose boundaries
     fall on CSR row boundaries, so every destination row's edges land in
     exactly one chunk and segmented reduction never splits a row.
 
-    A chunk ends at the first row boundary at or past ``target`` edges,
-    or -- with ``round_down`` -- at the last one at or below it, so that
+    A chunk ends at the last row boundary at or below ``target`` edges, so
     no chunk is longer than ``target`` unless one row alone is."""
     nnz = int(indptr[-1])
     if nnz == 0:
@@ -90,13 +89,10 @@ def row_aligned_chunks(indptr: np.ndarray, target: int, *,
         if want >= nnz:
             bounds.append(nnz)
             break
-        # advance to the row boundary nearest `want` on the requested
-        # side; if the row containing it starts the chunk, take the next
-        # boundary past start.
-        if round_down:
-            j = int(np.searchsorted(indptr, want, side="right")) - 1
-        else:
-            j = int(np.searchsorted(indptr, want, side="left"))
+        # back off to the last row boundary at or below `want`; if the
+        # row containing it starts the chunk, take the next boundary past
+        # start.
+        j = int(np.searchsorted(indptr, want, side="right")) - 1
         end = int(indptr[j])
         if end <= bounds[-1]:
             j = int(np.searchsorted(indptr, bounds[-1], side="right"))

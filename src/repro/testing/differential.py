@@ -456,22 +456,19 @@ def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
     execution: shard write-sets are tracked against the disjointness
     proof, combine results against the determinism classification (for a
     task that hands its sink a ``RowGather``, against the task's oracle,
-    its compiled program) and gather indices against the bounds proof.  Any
-    disagreement is a harness bug -- either the verifier promised
-    something the runtime does not deliver, or the instrumentation is
-    wrong -- and fails the trial.
+    its compiled program; for an SDDMM dot product, whose evaluate
+    contracts row by row, the block against that program too) and gather
+    indices against the bounds proof.  Any disagreement is a harness bug
+    -- either the verifier promised something the runtime does not
+    deliver, or the instrumentation is wrong -- and fails the trial.
 
     SpMM configs run once per segment-reduction strategy (pinned via
     ``agg_strategy``; ``parallel`` shards on the default pool) so every
     strategy's static contract is exercised, and once under the default
     request;
-    SDDMM configs run once, and a dot product once more on its by-row
-    plan (:meth:`~repro.core.sddmm.GeneralizedSDDMM.dot_plan`), which the
-    degree rule keeps off graphs this small.  Failure stages are
-    ``sanitize:<strategy>`` / ``sanitize:default`` / ``sanitize:sddmm`` /
-    ``sanitize:by-row``.
+    SDDMM configs run once.  Failure stages are ``sanitize:<strategy>`` /
+    ``sanitize:default`` / ``sanitize:sddmm``.
     """
-    from repro.runtime.engine import Executor
     from repro.runtime.strategies import STRATEGY_NAMES
     from repro.runtime.verify import SanitizerError, sanitizing
     from repro.tensorir.analysis import AnalysisError
@@ -497,31 +494,26 @@ def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
         ref[csr.edge_ids] = msgs
         requests = {"sddmm": None}
 
-    def by_row(kernel):
-        got = np.empty_like(ref)
-        Executor().run(kernel.dot_plan(got), bindings)
-        return got
-
-    def check(stage, scfg, run):
-        """``(failure or None, kernel)`` of one sanitized ``run(kernel)``."""
-        kernel = None
+    picked = ""
+    for name, request in requests.items():
+        stage = f"sanitize:{name}"
+        scfg = replace(cfg, options={**cfg.options,
+                                     "agg_strategy": request})
         try:
             kernel = _build_kernel(scfg, csr, instance)
             with sanitizing():
-                got = run(kernel)
+                got = kernel.run(bindings)
         except SanitizerError as exc:
             return TrialResult(
                 False, stage=stage,
-                message=f"static verdict contradicted at runtime: {exc}"), \
-                kernel
+                message=f"static verdict contradicted at runtime: {exc}")
         except AnalysisError as exc:
             return TrialResult(
                 False, stage=stage,
-                message=f"plan verifier rejected the plan: {exc}"), kernel
+                message=f"plan verifier rejected the plan: {exc}")
         except Exception as exc:  # noqa: BLE001
             return TrialResult(False, stage=stage,
-                               message=f"{type(exc).__name__}: {exc}"), \
-                kernel
+                               message=f"{type(exc).__name__}: {exc}")
         if not np.allclose(got, ref, atol=atol, rtol=atol,
                            equal_nan=True):
             worst = (float(np.nanmax(np.abs(got - ref)))
@@ -530,24 +522,9 @@ def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
                 False, stage=stage, max_abs_diff=worst,
                 message=f"sanitized run diverged from the independent "
                         f"reference: max abs diff {worst:.3g} > atol "
-                        f"{atol:g} (instrumentation perturbed execution)"), \
-                kernel
-        return None, kernel
-
-    picked = ""
-    for name, request in requests.items():
-        scfg = replace(cfg, options={**cfg.options,
-                                     "agg_strategy": request})
-        failure, kernel = check(f"sanitize:{name}", scfg,
-                                lambda k: k.run(bindings))
-        if failure is not None:
-            return failure
+                        f"{atol:g} (instrumentation perturbed execution)")
         if name == "default":
             picked = kernel.exec_stats.agg_strategy
-    if cfg.kind == "sddmm" and kernel.dot is not None:
-        failure, _ = check("sanitize:by-row", scfg, by_row)
-        if failure is not None:
-            return failure
     return TrialResult(True, stage="sanitize", picked=picked)
 
 

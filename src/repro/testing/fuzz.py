@@ -33,11 +33,10 @@ the plan verifier's static verdicts (FG006-FG008, FG010 -- shard
 disjointness, determinism class, buffer aliasing, gather bounds) are
 cross-checked against an instrumented run, per segment-reduction strategy
 for SpMM configs -- for a row-gather message the default plan never
-materializes (``copy_u`` / ``copy_e`` / ``u_mul_e``) against the stage's
-compiled program -- and, for an SDDMM dot product, once more on its by-row
-plan against the same program.  A disagreement means the static proof or
-the runtime is lying; either way the trial fails at stage
-``sanitize:<strategy>`` (``sanitize:by-row`` for the by-row plan).
+materializes (``copy_u`` / ``copy_e`` / ``u_mul_e``) and for an SDDMM dot
+product against the stage's compiled program.  A disagreement means the
+static proof or the runtime is lying; either way the trial fails at stage
+``sanitize:<strategy>``.
 """
 
 from __future__ import annotations

@@ -98,9 +98,8 @@ class TestDotAttention:
         indptr = np.array([0, 3, 3, 40, 41, 45, 60], np.int64)
         from repro.runtime.plan import row_aligned_chunks
 
-        assert row_aligned_chunks(indptr, 10, round_down=True) == [
+        assert row_aligned_chunks(indptr, 10) == [
             (0, 3), (3, 40), (40, 45), (45, 60)]
-        assert row_aligned_chunks(indptr, 10) == [(0, 40), (40, 60)]
 
     def test_output_in_original_edge_order(self):
         """Edge i of the input list must own row i of the output."""
@@ -190,30 +189,11 @@ def _hub_graph(positional: bool, index_dtype):
     return adj
 
 
-def _by_row(k, bindings):
-    """Run ``k``'s by-row plan (:meth:`GeneralizedSDDMM.dot_plan`), which
-    the degree rule keeps off graphs this small."""
-    from repro.runtime.engine import Executor
-
-    out = np.empty((k.A.nnz,) + k.out_shape, np.float32)
-    Executor(stats=k.exec_stats).run(k.dot_plan(out), bindings)
-    return out
-
-
-def _dense_graph(n_src=30, n_dst=40, m=20_000, seed=5):
-    """Rows of ~500 edges: reddit's mean degree, where the rule picks the
-    by-row plan at k >= 16."""
-    rng = np.random.default_rng(seed)
-    return from_edges(n_src, n_dst, rng.integers(0, n_src, m),
-                      rng.integers(0, n_dst, m))
-
-
 class TestDotByRow:
     """Dot-product edge functions contract each CSR row against its
     destination row once (``sddmm.dot_evaluate``): bits do not depend on
     the chunk size, values stay within ``test_matches_reference``'s
-    tolerance of float64, and only the dot form leaves the program -- on
-    topologies where the degree rule (``sddmm.dot_by_row``) says it pays."""
+    tolerance of float64, and only the dot form leaves the program."""
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("positional", [True, False],
@@ -240,7 +220,7 @@ class TestDotByRow:
             opts = {} if chunk_edges is None else {"chunk_edges": chunk_edges}
             k = featgraph.sddmm(adj, u_dot_v_edge(XA, XB), **opts)
             assert k.dot == names
-            outs.append(_by_row(k, bindings))
+            outs.append(k.run(bindings))
         for got in outs[1:]:
             assert np.array_equal(got, outs[0])
         a, b = (bindings[name].astype(np.float64) for name in names)
@@ -249,45 +229,32 @@ class TestDotByRow:
         ref[adj.edge_ids] = (a[src] * b[dst]).sum(-1).reshape(
             (adj.nnz,) + k.out_shape)
         assert np.allclose(outs[0], ref, atol=1e-4)
-        assert np.allclose(k.run(bindings), outs[0], atol=1e-5)
-
-    def test_rule_reads_the_degree_histogram(self):
-        from repro.core.sddmm import dot_by_row
-        from repro.runtime.histogram import DegreeStats
-
-        reddit = DegreeStats(nnz=56_202, n_distinct=108, n_rows=114)
-        assert dot_by_row(reddit, 32) and dot_by_row(reddit, 64)
-        assert not dot_by_row(reddit, 8)          # the product pass is cheap
-        sparse = DegreeStats(nnz=200_000, n_distinct=22, n_rows=25_000)
-        assert dot_by_row(sparse, 64) and not dot_by_row(sparse, 32)
-        tiny = DegreeStats(nnz=300, n_distinct=3, n_rows=2)
-        assert not dot_by_row(tiny, 128)          # nothing to amortize
-        assert not dot_by_row(DegreeStats(0, 0, 0), 64)
 
     def test_plan_shape(self):
-        dense = _dense_graph()
-        n_dst, n_src = dense.shape
-        n = max(n_src, n_dst)
+        adj = _hub_graph(True, np.int64)
+        n = max(adj.shape)
         XV = T.placeholder((n, 16), name="XV")
-        XE = T.placeholder((dense.nnz,), name="XE")
+        XE = T.placeholder((adj.nnz,), name="XE")
 
         def weighted_dot(s, d, e):
             k = T.reduce_axis((0, 16), name="k")
             return T.compute((1,), lambda i: T.sum_reduce(
                 XV[s, k] * XV[d, k], axis=k) * XE[e])
 
-        def plan_of(adj, edge, out_shape, **opts):
+        def plan_of(edge, out_shape, **opts):
             k = featgraph.sddmm(adj, edge, **opts)
             return k, k.execution_plan(
                 np.empty((adj.nnz,) + out_shape, np.float32))
 
-        k, plan = plan_of(dense, u_dot_v_edge(XV, XV), (1,))
+        k, plan = plan_of(u_dot_v_edge(XV, XV), (1,))
         (task,) = plan.tasks
         assert k.dot == ("XV", "XV") and task.oracle is not None
-        assert task.gather.indptr is dense.indptr
+        assert task.gather.indptr is adj.indptr
         assert not task.gather.dst_expanded
+        starts = set(adj.indptr.tolist())
+        assert all(c0 in starts and c1 in starts for c0, c1 in task.bounds)
         XH = T.placeholder((n, 4, 16), name="XH")
-        k, plan = plan_of(dense, u_dot_v_edge(XH, XH), (4,),
+        k, plan = plan_of(u_dot_v_edge(XH, XH), (4,),
                           num_feature_partitions=2)
         assert k.num_feature_partitions == 2 and len(plan.tasks) == 1
         assert plan.tasks[0].oracle is not None
@@ -295,19 +262,27 @@ class TestDotByRow:
         XW = T.placeholder((n, 10), name="XW")
         for edge, out_shape, tiles in ((_u_add_v(XW, XW), (10,), 2),
                                        (weighted_dot, (1,), 1)):
-            k, plan = plan_of(dense, edge, out_shape,
-                              num_feature_partitions=tiles)
+            k, plan = plan_of(edge, out_shape, num_feature_partitions=tiles)
             assert k.dot is None and len(plan.tasks) == tiles
             assert all(t.oracle is None for t in plan.tasks)
-            with pytest.raises(ValueError, match="no dot product"):
-                k.dot_plan(np.empty((dense.nnz,) + out_shape, np.float32))
-        # so does a dot product where the degree rule says it loses
-        hub = _hub_graph(True, np.int64)
-        XS = T.placeholder((max(hub.shape), 10), name="XS")
-        k, plan = plan_of(hub, u_dot_v_edge(XS, XS), (1,))
-        assert k.dot == ("XS", "XS")
-        assert [t.oracle for t in plan.tasks] == [None]
-        assert k.dot_plan(np.empty((hub.nnz, 1), np.float32)).tasks[0].oracle
+
+    def test_short_table_raises_without_validate_bindings(self):
+        """The gathers clip, so the evaluate itself checks that each table
+        covers its side of the graph -- also on a plan run directly."""
+        from repro.core.bindings import BindingError
+        from repro.runtime.engine import Executor
+
+        adj = _hub_graph(True, np.int64)
+        n_dst, n_src = adj.shape
+        XA = T.placeholder((n_src, 8), name="XA")
+        XB = T.placeholder((n_dst, 8), name="XB")
+        k = featgraph.sddmm(adj, u_dot_v_edge(XA, XB))
+        ones = np.ones((max(n_src, n_dst), 8), np.float32)
+        for short in ({"XA": ones[:n_src - 1], "XB": ones[:n_dst]},
+                      {"XA": ones[:n_src], "XB": ones[:n_dst - 1]}):
+            out = np.empty((adj.nnz, 1), np.float32)
+            with pytest.raises(BindingError, match="rows"):
+                Executor().run(k.execution_plan(out), short)
 
     def test_bytes_are_what_the_rows_read(self):
         adj = _hub_graph(True, np.int64)
@@ -316,7 +291,7 @@ class TestDotByRow:
         f = 10
         XV = T.placeholder((n, f), name="XV")
         k = featgraph.sddmm(adj, u_dot_v_edge(XV, XV))
-        _by_row(k, {"XV": np.ones((n, f), np.float32)})
+        k.run({"XV": np.ones((n, f), np.float32)})
         rows = int((adj.row_degrees() > 0).sum())
         assert k.exec_stats.bytes_moved == \
             ((adj.nnz + rows) * f + adj.nnz) * 4

@@ -251,17 +251,13 @@ class TestVerifyKernelPlumbing:
         (lambda a: K.copy_u(a, N, F, agg="max"), False),
         (lambda a: K.u_mul_e(a, N, a.nnz, F), False),
         (lambda a: K.mlp_aggregation(a, N, F, F), False),
-        (lambda a: K.dot_attention(a, N, F), False),
-        (lambda a: K.dot_attention(_adj(m=20_000), N, 32), True),
-    ], ids=["copy_u", "u_mul_e", "copy_u_max", "u_mul_e_wide", "mlp", "dot",
-            "dot_by_row"])
+        (lambda a: K.dot_attention(a, N, F), True),
+    ], ids=["copy_u", "u_mul_e", "copy_u_max", "u_mul_e_wide", "mlp", "dot"])
     def test_builders_wire_program_and_oracle(self, build, has_oracle,
                                               monkeypatch):
         """The real builders set ``plan.program`` (what FG008 scans) and
         ``task.oracle`` (exactly on the tasks whose evaluate does not run
-        the program: gather-free SpMM plans, and SDDMM dot products on a
-        topology where the degree rule picks the by-row evaluate -- not
-        ``_adj()``'s 48 edges)."""
+        the program: gather-free SpMM plans and SDDMM dot products)."""
         with use_kernel_cache(KernelCache()):
             k = build(_adj())
         rows = (k.A.num_dst,) + k.msg_shape if hasattr(k, "msg_shape") \
@@ -378,20 +374,19 @@ class TestSanitizer:
         with use_kernel_cache(KernelCache()):
             k = sddmm(adj, dgl_builtins.u_dot_v_edge(XA, XB))
 
-        def by_row():
-            out = np.empty((adj.nnz, 1), np.float32)
-            Executor().run(k.dot_plan(out), bindings)
-            return out
-
-        want = k.run(bindings)              # the program: 80 edges
+        src, dst = adj.indices, adj.row_of_edge()
+        want = np.empty((adj.nnz, 1), np.float32)
+        want[adj.edge_ids, 0] = (bindings["XA"][src]
+                                 * bindings["XB"][dst]).sum(-1)
         with sanitizing():
-            np.testing.assert_allclose(by_row(), want, rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(k.run(bindings), want,
+                                       rtol=1e-5, atol=1e-6)
         real = sddmm_mod.dot_evaluate
         monkeypatch.setattr(sddmm_mod, "dot_evaluate",
                             lambda form, *rest: real(form[::-1], *rest))
-        assert not np.allclose(by_row(), want)
+        assert not np.allclose(k.run(bindings), want)
         with sanitizing(), pytest.raises(SanitizerError, match="FG007"):
-            by_row()
+            k.run(bindings)
 
     def _u_mul_e(self, w_shape):
         m = 48
