@@ -282,27 +282,30 @@ class GeneralizedSDDMM:
         tile over flat (non-row-aligned) chunks of the CSR-ordered edge
         list, evaluated by the compiled program; each task scatters its
         values into the tile's column window of the edge-id-indexed
-        output.  Chunks are sized so that no gathered block exceeds a
-        quarter of ``CHUNK_WORKSET_BYTES`` -- unless one row alone is
-        longer, for a row-aligned chunk.
+        output.  A program chunk holds two equal gathered blocks, each at
+        most a quarter of ``CHUNK_WORKSET_BYTES``; a dot-product chunk
+        holds one, at most half of it -- unless one row alone is longer.
         """
         prog = self.vector_program()
-        # The workset counts twice: the compiled dot product holds two
-        # equal gathered blocks per chunk, and sized to fill the budget
-        # together each is 4 MiB.  glibc's mmap threshold adapts to the
-        # largest block freed so far, so whether those blocks come from the
-        # heap or are mapped and unmapped afresh every chunk depended on
-        # whether some earlier kernel in the process had freed more than
-        # 4 MiB.  At a quarter of the budget a block is no larger than the
-        # buffers of the full-width SpMM plan (spmm.py), which any process
-        # that aggregates has already freed; the by-row evaluate gathers
-        # one such block per chunk.
-        target = effective_chunk_edges(self.chunk_edges, prog,
-                                       prog.stats.workset_bytes_per_item)
+        # The compiled program holds two equal gathered blocks per chunk
+        # (and their product), so its workset counts twice: sized to fill
+        # the budget together each would be 4 MiB, and glibc's mmap
+        # threshold adapts to the largest block freed so far, so whether
+        # they came from the heap or were mapped and unmapped afresh every
+        # chunk depended on whether some earlier kernel in the process had
+        # freed more than 4 MiB.  At a quarter of the budget a block is no
+        # larger than the buffers of the full-width SpMM plan (spmm.py).
+        ws = prog.stats.workset_bytes_per_item
         gather = self._gather_plan()
         m = self.A.nnz
         if self.dot is not None:
-            # a row-aligned chunk never splits a row across two products
+            # The by-row evaluate gathers one block per chunk: counted
+            # once, it holds what the program's two did, half the budget.
+            # A quarter-budget block, smaller than the SpMM message blocks
+            # it alternates with, left peak RSS stepping by 1.5-3 MB with
+            # the topology (docs/execution.md, "SDDMM chunk sizing").  A
+            # row-aligned chunk never splits a row across two products.
+            target = effective_chunk_edges(self.chunk_edges, prog)
             tasks = [EdgeTask(
                 gather=gather, bounds=chunk_bounds(self.A.csr, target),
                 name=self.edge_out.name,
@@ -313,6 +316,7 @@ class GeneralizedSDDMM:
                 sink=ScatterSink(result), compiled=True,
                 oracle=self._program_evaluate(prog, (0, self.out_shape[0])))]
         else:
+            target = effective_chunk_edges(self.chunk_edges, prog, ws)
             bounds = [(c0, min(m, c0 + target)) for c0 in range(0, m, target)]
             tasks = [EdgeTask(gather=gather, bounds=bounds,
                               name=self.edge_out.name,
